@@ -84,7 +84,7 @@ def eigenvalues(ss: StateSpaceModel) -> list[EigenRecord]:
     """
     a = np.asarray(ss.a, dtype=float)
     if not np.all(np.isfinite(a)):
-        raise ValueError("state matrix contains non-finite entries")
+        raise LinearizationError("state matrix contains non-finite entries")
     try:
         w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
     except scipy.linalg.LinAlgError as exc:
@@ -159,8 +159,9 @@ def classify(
 
 
 def analyze_scenario(scenario: Scenario) -> StabilityReport:
-    """Solve, linearize and classify one scenario; failures come back as a
-    report with solved=False instead of raising."""
+    """Solve, linearize and classify one scenario. A scenario without a
+    usable equilibrium or linearization comes back as a report with
+    solved=False; any other error propagates."""
     kkey = scenario_key(scenario)
     meta = dict(
         key=kkey,
@@ -175,7 +176,7 @@ def analyze_scenario(scenario: Scenario) -> StabilityReport:
         eq = solve_equilibrium(model, refs)
         ss = linearize(model, eq.state, eq.refs)
         records = eigenvalues(ss)
-    except (NonConvergenceError, InfeasibleError, LinearizationError, ValueError) as exc:
+    except (NonConvergenceError, InfeasibleError, LinearizationError) as exc:
         return StabilityReport(
             scenario_key=kkey,
             grid_case=scenario.name,
@@ -219,8 +220,9 @@ def sweep(
     jobs: Optional[int] = None,
 ) -> list[StabilityReport]:
     """Grid cases x operating points x controls x SC on/off, one report per
-    cell. Individual failures never abort the batch; the result is sorted
-    by scenario key so output is order-stable regardless of worker timing."""
+    cell. A cell whose solve or linearization fails is reported unsolved and
+    never aborts the batch; the result is sorted by scenario key so output
+    is order-stable regardless of worker timing."""
     cases = dict(GRID_CASES) if grid_cases is None else dict(grid_cases)
     points = standard_operating_points() if ops is None else list(ops)
     template = base if base is not None else Scenario()

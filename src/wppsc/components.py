@@ -12,6 +12,12 @@ turbine terminal bus) -> lumped array-cable plus plant-transformer branch ->
 PCC bus -> grid Thevenin branch, with the synchronous condenser branch also
 tied to the PCC. The PCC carries a small shunt capacitance so the node law
 is an ODE rather than an algebraic constraint.
+
+Every branch and node law is linear in the state, so SystemModel assembles
+the network once as a dense state matrix (one matrix per fault treatment,
+built on first use). rhs adds the sources and the converter control to
+A @ x and accepts one state of shape (n,) or a batch of states as the
+columns of an (n, m) array through the same code.
 """
 
 from __future__ import annotations
@@ -36,23 +42,20 @@ Q_MODE_VOLTAGE = "voltage"
 FAULT_OPEN_THRESHOLD = 1e8
 
 
-def jrot(v: np.ndarray) -> np.ndarray:
-    """Multiply a dq pair by j: (d, q) -> (-q, d)."""
-    return np.array([-v[1], v[0]])
-
-
-def rotate(v: np.ndarray, angle: float) -> np.ndarray:
+def rotate(v: np.ndarray, angle) -> np.ndarray:
     """Rotate a dq pair counterclockwise by angle."""
-    c, s = math.cos(angle), math.sin(angle)
+    c, s = np.cos(angle), np.sin(angle)
     return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
 
 
 def power_pair(v: np.ndarray, i: np.ndarray) -> tuple[float, float]:
     """Active/reactive power of a (voltage, current) pair."""
-    return (
-        float(v[0] * i[0] + v[1] * i[1]),
-        float(v[1] * i[0] - v[0] * i[1]),
-    )
+    return (v[0] * i[0] + v[1] * i[1], v[1] * i[0] - v[0] * i[1])
+
+
+def _block(z: complex) -> np.ndarray:
+    """Real 2x2 matrix that multiplies a dq pair by the complex number z."""
+    return np.array([[z.real, -z.imag], [z.imag, z.real]])
 
 
 # ---------------------------------------------------------------------------
@@ -238,79 +241,7 @@ class FaultSpec:
 
 
 # ---------------------------------------------------------------------------
-# per-component right-hand sides
-
-
-def grid_rhs(
-    i_g: np.ndarray,
-    v_pcc: np.ndarray,
-    p: GridParams,
-    omega0: float = OMEGA0,
-    v_g: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Grid branch: L_g di/dt = -R_g i + j X_g i + v_g - v_pcc."""
-    if v_g is None:
-        v_g = np.array([p.v_ref, 0.0])
-    l_g = p.xg / omega0
-    return (-p.rg * i_g + p.xg * jrot(i_g) + v_g - v_pcc) / l_g
-
-
-def sc_rhs(
-    i_sc: np.ndarray,
-    v_pcc: np.ndarray,
-    p: ScParams,
-    phi_sc: float,
-    omega0: float = OMEGA0,
-) -> np.ndarray:
-    """Condenser branch with the subtransient inductance on the left side:
-
-        (X''/omega0) di/dt = -R_tr i + j(X'' + X_tr) i + v_sc - v_pcc
-
-    v_sc is the EMF phasor at angle phi_sc. The transformer resistance enters
-    dissipatively (-R_tr i).
-    """
-    v_sc = p.e_mag * np.array([math.cos(phi_sc), math.sin(phi_sc)])
-    l_sub = p.x_sub / omega0
-    x_tot = p.x_sub + p.x_tr
-    return (-p.r_tr * i_sc + x_tot * jrot(i_sc) + v_sc - v_pcc) / l_sub
-
-
-def filter_cable_rhs(
-    i_f: np.ndarray,
-    v_c: np.ndarray,
-    i_a: np.ndarray,
-    v_pcc: np.ndarray,
-    v_inv: np.ndarray,
-    p: FilterCableParams,
-    omega0: float = OMEGA0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Converter filter branch, shunt capacitor node and lumped array branch.
-
-        L_f  di_f/dt = -R_f i_f + j X_f i_f - v_c + v_inv
-        C_f  dv_c/dt = i_f - i_a + j omega0 C_f v_c
-        L_at di_a/dt = v_c - R_at i_a + j X_at i_a - v_pcc
-    """
-    xf = omega0 * p.lf
-    di_f = (-p.rf * i_f + xf * jrot(i_f) - v_c + v_inv) / p.lf
-
-    dv_c = (i_f - i_a) / p.cf + omega0 * jrot(v_c)
-
-    r_at = p.ra + p.rtf
-    l_at = p.la + p.ltf
-    x_at = omega0 * l_at
-    di_a = (v_c - r_at * i_a + x_at * jrot(i_a) - v_pcc) / l_at
-    return di_f, dv_c, di_a
-
-
-def pcc_node_rhs(
-    v_pcc: np.ndarray,
-    i_net: np.ndarray,
-    p: FilterCableParams,
-    omega0: float = OMEGA0,
-) -> np.ndarray:
-    """PCC shunt node: C_pcc dv/dt = sum of branch currents into the bus
-    + j omega0 C_pcc v."""
-    return i_net / p.c_pcc + omega0 * jrot(v_pcc)
+# converter controls
 
 
 def gfl_rhs(
@@ -332,14 +263,18 @@ def gfl_rhs(
     info dict. Measurements are the filter-capacitor voltage and converter
     current rotated into the PLL frame; the inverter voltage reference is
     rotated back into the common frame.
+
+    Every argument row may also be an m-vector (one value per column of a
+    batch of states); the results then carry the same columns.
     """
     delta, s_pll, gamma_d, gamma_q, o_d, o_q = ctrl
+    c, s = np.cos(delta), np.sin(delta)
 
-    v_m = rotate(v_c, -delta)
-    i_m = rotate(i_f, -delta)
+    # measurements in the PLL frame: rotation by -delta
+    v_md, v_mq = c * v_c[0] + s * v_c[1], c * v_c[1] - s * v_c[0]
+    i_md, i_mq = c * i_f[0] + s * i_f[1], c * i_f[1] - s * i_f[0]
 
-    d_delta = p.kp_pll * v_m[1] + p.ki_pll * s_pll
-    d_s = v_m[1]
+    d_delta = p.kp_pll * v_mq + p.ki_pll * s_pll
 
     e_p = refs.p_star - p_pc
     i_star_d = p.kp_pc * e_p + p.ki_pc * gamma_d
@@ -350,20 +285,23 @@ def gfl_rhs(
         i_star_q = -(p.kp_pc * e_q + p.ki_pc * gamma_q)
         d_gamma_q = e_q
     elif q_mode == Q_MODE_VOLTAGE:
-        e_v = refs.v_turb_star - math.hypot(v_c[0], v_c[1])
+        e_v = refs.v_turb_star - np.hypot(v_c[0], v_c[1])
         i_star_q = p.kp_pc * e_v + p.ki_pc * gamma_q
         d_gamma_q = e_v
     else:
         raise ValueError(f"unknown q-channel mode {q_mode!r}")
 
-    i_star = np.array([i_star_d, i_star_q])
-    d_o = i_star - i_m
+    d_od, d_oq = i_star_d - i_md, i_star_q - i_mq
+    v_sd = v_md + p.kp_cc * d_od + p.ki_cc * o_d
+    v_sq = v_mq + p.kp_cc * d_oq + p.ki_cc * o_q
+    v_inv = np.array([c * v_sd - s * v_sq, s * v_sd + c * v_sq])
 
-    v_star = v_m + p.kp_cc * (i_star - i_m) + p.ki_cc * np.array([o_d, o_q])
-    v_inv = rotate(v_star, delta)
-
-    dctrl = np.array([d_delta, d_s, e_p, d_gamma_q, d_o[0], d_o[1]])
-    info = {"theta_dot_abs": omega0 + d_delta, "i_star": i_star, "v_star": v_star}
+    dctrl = np.array([d_delta, v_mq, e_p, d_gamma_q, d_od, d_oq])
+    info = {
+        "theta_dot_abs": omega0 + d_delta,
+        "i_star": (i_star_d, i_star_q),
+        "v_star": (v_sd, v_sq),
+    }
     return dctrl, v_inv, info
 
 
@@ -387,28 +325,36 @@ def gfm_rhs(
     the applied EMF angle when power falls short of its reference:
 
         J domega/dt = p* - p_pc - D_p omega,   dtheta/dt = omega
+
+    Rows may be m-vectors, as for gfl_rhs.
     """
     delta, omega_pc, m_d, m_q, o_d, o_q = ctrl
+    c, s = np.cos(delta), np.sin(delta)
 
-    v_m = rotate(v_c, delta)
-    i_m = rotate(i_f, delta)
-    i_ff = rotate(i_a, delta)
+    # measurements and feedforward in the controller frame: rotation by delta
+    v_md, v_mq = c * v_c[0] - s * v_c[1], s * v_c[0] + c * v_c[1]
+    i_md, i_mq = c * i_f[0] - s * i_f[1], s * i_f[0] + c * i_f[1]
+    i_ffd, i_ffq = c * i_a[0] - s * i_a[1], s * i_a[0] + c * i_a[1]
 
-    d_delta = omega_pc
     d_omega = (refs.p_star - p_pc - p.d_p * omega_pc) / p.j_vsm
 
-    v_star = np.array([refs.v_turb_star, 0.0])
-    e_v = v_star - v_m
-    x_cf = 1.0 / (omega0 * flt.cf)
-    i_star = i_ff + p.kp_v * e_v + p.ki_v * np.array([m_d, m_q]) + jrot(v_m) / x_cf
+    e_vd, e_vq = refs.v_turb_star - v_md, -v_mq
+    b_cf = omega0 * flt.cf  # capacitor susceptance 1 / x_cf
+    i_star_d = i_ffd + p.kp_v * e_vd + p.ki_v * m_d - v_mq * b_cf
+    i_star_q = i_ffq + p.kp_v * e_vq + p.ki_v * m_q + v_md * b_cf
 
-    e_i = i_star - i_m
+    e_id, e_iq = i_star_d - i_md, i_star_q - i_mq
     xf = omega0 * flt.lf
-    v_star_i = v_m + p.kp_c * e_i + p.ki_c * np.array([o_d, o_q]) + xf * jrot(i_m)
-    v_inv = rotate(v_star_i, -delta)
+    v_sd = v_md + p.kp_c * e_id + p.ki_c * o_d - xf * i_mq
+    v_sq = v_mq + p.kp_c * e_iq + p.ki_c * o_q + xf * i_md
+    v_inv = np.array([c * v_sd + s * v_sq, c * v_sq - s * v_sd])
 
-    dctrl = np.array([d_delta, d_omega, e_v[0], e_v[1], e_i[0], e_i[1]])
-    info = {"theta_dot_abs": omega0 + omega_pc, "i_star": i_star, "v_star_i": v_star_i}
+    dctrl = np.array([omega_pc, d_omega, e_vd, e_vq, e_id, e_iq])
+    info = {
+        "theta_dot_abs": omega0 + omega_pc,
+        "i_star": (i_star_d, i_star_q),
+        "v_star_i": (v_sd, v_sq),
+    }
     return dctrl, v_inv, info
 
 
@@ -464,6 +410,7 @@ class SystemModel:
         self.labels: tuple[str, ...] = tuple(labels)
         self.n = len(labels)
         self._idx = {name: k for k, name in enumerate(labels)}
+        self._treatments: dict = {}
 
     def index(self, label: str) -> int:
         return self._idx[label]
@@ -476,22 +423,98 @@ class SystemModel:
     def has_sc(self) -> bool:
         return self.sc is not None
 
-    # -- fault plumbing ------------------------------------------------------
+    # -- linear network ------------------------------------------------------
 
-    @staticmethod
-    def _fault_mode(fault: Optional[FaultSpec], c_bus: float, dt: Optional[float]) -> str:
-        """Pick the node treatment for an active fault.
+    def _network_matrix(self) -> np.ndarray:
+        """State matrix of the fault-free network: each branch and node law
+        contributes 2x2 blocks of its complex coefficients. The sources, the
+        inverter voltage and the controller rows are added by rhs."""
+        net, w0, g = self.network, self.omega0, self.grid
+        a = np.zeros((self.n, self.n))
+
+        def put(row: str, col: str, z: complex) -> None:
+            r, c = self._idx[row], self._idx[col]
+            a[r : r + 2, c : c + 2] += _block(complex(z))
+
+        # L_g di_g/dt = -R_g i_g + j X_g i_g + v_g - v_pcc
+        l_g = g.xg / w0
+        put("i_g_d", "i_g_d", complex(-g.rg, g.xg) / l_g)
+        put("i_g_d", "v_pcc_d", -1.0 / l_g)
+        if self.sc is not None:
+            # (X''/w0) di_sc/dt = -R_tr i_sc + j(X'' + X_tr) i_sc + v_sc - v_pcc
+            l_sub = self.sc.x_sub / w0
+            put("i_sc_d", "i_sc_d", complex(-self.sc.r_tr, self.sc.x_sub + self.sc.x_tr) / l_sub)
+            put("i_sc_d", "v_pcc_d", -1.0 / l_sub)
+            put("v_pcc_d", "i_sc_d", 1.0 / net.c_pcc)
+        if self.control != NO_CONVERTER:
+            # L_f di_f/dt = -R_f i_f + j X_f i_f - v_c + v_inv
+            put("i_f_d", "i_f_d", complex(-net.rf, w0 * net.lf) / net.lf)
+            put("i_f_d", "v_c_d", -1.0 / net.lf)
+            put("v_c_d", "i_f_d", 1.0 / net.cf)
+        # C_f dv_c/dt = i_f - i_a + j w0 C_f v_c
+        put("v_c_d", "v_c_d", 1j * w0)
+        put("v_c_d", "i_a_d", -1.0 / net.cf)
+        # L_at di_a/dt = v_c - R_at i_a + j X_at i_a - v_pcc
+        l_at = net.la + net.ltf
+        put("i_a_d", "v_c_d", 1.0 / l_at)
+        put("i_a_d", "i_a_d", complex(-(net.ra + net.rtf), w0 * l_at) / l_at)
+        put("i_a_d", "v_pcc_d", -1.0 / l_at)
+        # C_pcc dv_pcc/dt = i_g + i_sc + i_a + j w0 C_pcc v_pcc
+        put("v_pcc_d", "i_g_d", 1.0 / net.c_pcc)
+        put("v_pcc_d", "i_a_d", 1.0 / net.c_pcc)
+        put("v_pcc_d", "v_pcc_d", 1j * w0)
+        return a
+
+    def _treatment(
+        self, fault: Optional[FaultSpec], dt: Optional[float]
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """State matrix with the active fault applied, and the (2, n) map from
+        the state to the turbine-bus voltage the controller reads when a
+        fault pins that bus (None: it reads v_c). Built on first use and
+        cached per treatment.
 
         Very large resistances are an open circuit (no-op). A shunt whose
         R*C time constant is short relative to the integration step is
-        handled quasi-statically (the node equation is solved algebraically);
-        otherwise it joins the node ODE as an ordinary conductance.
+        handled quasi-statically: the bus is pinned to its node-law value
+        v = i_net / (1/r - j w0 C), which the branches and the controller
+        read, and the stored node state tracks it. Otherwise the shunt
+        joins the node ODE as an ordinary conductance.
         """
-        if fault is None or fault.r_fault >= FAULT_OPEN_THRESHOLD:
-            return "off"
-        if dt is not None and fault.r_fault * c_bus <= 2.0 * dt:
-            return "algebraic"
-        return "shunt"
+        key = None
+        if fault is not None and fault.r_fault < FAULT_OPEN_THRESHOLD:
+            c_bus = self.network.c_pcc if fault.bus == "pcc" else self.network.cf
+            key = (fault.bus, fault.r_fault, dt is not None and fault.r_fault * c_bus <= 2.0 * dt)
+        if key not in self._treatments:
+            self._treatments[key] = (
+                self._fault_matrices(*key) if key else (self._network_matrix(), None)
+            )
+        return self._treatments[key]
+
+    def _fault_matrices(
+        self, bus: str, r_fault: float, algebraic: bool
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        a = self._network_matrix()
+        if bus == "pcc":
+            node, c_bus = "v_pcc_d", self.network.c_pcc
+            feeds = (("i_g_d", 1.0), ("i_sc_d", 1.0), ("i_a_d", 1.0))
+        else:
+            node, c_bus = "v_c_d", self.network.cf
+            feeds = (("i_f_d", 1.0), ("i_a_d", -1.0))
+        k = self._idx[node]
+        if not algebraic:
+            a[k : k + 2, k : k + 2] -= np.eye(2) / (r_fault * c_bus)
+            return a, None
+        z_node = 1.0 / complex(1.0 / r_fault, -self.omega0 * c_bus)
+        pin = np.zeros((2, self.n))
+        for lab, sign in feeds:
+            if lab in self._idx:
+                j = self._idx[lab]
+                pin[:, j : j + 2] = _block(sign * z_node)
+        own = np.zeros((2, self.n))
+        own[:, k : k + 2] = np.eye(2)
+        a += a[:, k : k + 2] @ (pin - own)  # every law reads the pinned voltage
+        a[k : k + 2] = (pin - own) / 1e-3  # the state tracks the pinned bus
+        return a, (pin if bus == "wt_mv" else None)
 
     # -- right-hand side -----------------------------------------------------
 
@@ -502,124 +525,60 @@ class SystemModel:
         fault: Optional[FaultSpec] = None,
         dt: Optional[float] = None,
     ) -> np.ndarray:
-        """Assembled state derivative; fault (if given) is currently active."""
-        net = self.network
+        """Assembled state derivative; fault (if given) is currently active.
+
+        x is one state of shape (n,) or a batch of states as the columns of
+        an (n, m) array; with a batch, any field of refs may also be an
+        m-vector, one value per column. Column j of a batch result agrees
+        with the single-state result for column j to roundoff.
+        """
+        a, v_pin = self._treatment(fault, dt)
+        dx = a @ x
         w0 = self.omega0
-
-        i_g = self.pair(x, "i_g_d")
-        i_sc = self.pair(x, "i_sc_d") if self.sc is not None else None
-        has_conv = self.control != NO_CONVERTER
-        i_f = self.pair(x, "i_f_d") if has_conv else np.zeros(2)
-        v_c_state = self.pair(x, "v_c_d")
-        i_a = self.pair(x, "i_a_d")
-        v_pcc_state = self.pair(x, "v_pcc_d")
-
-        fault_bus = fault.bus if (fault is not None and fault.r_fault < FAULT_OPEN_THRESHOLD) else None
-        mode_vc = self._fault_mode(fault, net.cf, dt) if fault_bus == "wt_mv" else "off"
-        mode_pcc = self._fault_mode(fault, net.c_pcc, dt) if fault_bus == "pcc" else "off"
-
-        # resolve effective node voltages; an algebraic fault pins the bus to
-        # its quasi-steady value v = i_net / (1/r - j w C)
-        v_c = v_c_state
-        v_pcc = v_pcc_state
-
-        dx = np.empty(self.n)
-
-        # converter control needs v_c; compute network-side currents that feed
-        # node laws first, then controller, then branch derivatives.
-        if mode_pcc == "algebraic":
-            i_into_pcc = i_a + i_g + (i_sc if i_sc is not None else 0.0)
-            zi = complex(i_into_pcc[0], i_into_pcc[1])
-            zv = zi / complex(1.0 / fault.r_fault, -w0 * net.c_pcc)
-            v_pcc = np.array([zv.real, zv.imag])
-        if mode_vc == "algebraic":
-            i_net_c = i_f - i_a
-            zi = complex(i_net_c[0], i_net_c[1])
-            zv = zi / complex(1.0 / fault.r_fault, -w0 * net.cf)
-            v_c = np.array([zv.real, zv.imag])
-
-        powers = self._interface_powers(v_c, i_a, i_g, i_sc, refs)
-        p_pc, q_pc = powers["p_pc"], powers["q_pc"]
-
-        v_inv = None
-        if self.control == GFL:
-            ctrl = x[-6:]
-            dctrl, v_inv, _ = gfl_rhs(ctrl, v_c, i_f, p_pc, q_pc, self.gfl, refs, self.q_mode, w0)
-        elif self.control == GFM:
-            ctrl = x[-6:]
-            dctrl, v_inv, _ = gfm_rhs(ctrl, v_c, i_f, i_a, p_pc, self.gfm, refs, net, w0)
-
-        v_g = refs.v_g_ref * np.array([math.cos(refs.v_g_angle), math.sin(refs.v_g_angle)])
-        dx[0:2] = grid_rhs(i_g, v_pcc, self.grid, w0, v_g=v_g)
-
-        k = 2
-        if i_sc is not None:
-            dx[k : k + 2] = sc_rhs(i_sc, v_pcc, self.sc, refs.phi_sc, w0)
-            k += 2
-
-        if has_conv:
-            di_f, dv_c, di_a = filter_cable_rhs(i_f, v_c, i_a, v_pcc, v_inv, net, w0)
-            dx[k : k + 2] = di_f
-            k += 2
-        else:
-            _, dv_c, di_a = filter_cable_rhs(np.zeros(2), v_c, i_a, v_pcc, np.zeros(2), net, w0)
-
-        # v_c node
-        if mode_vc == "algebraic":
-            dx[k : k + 2] = (v_c - v_c_state) / 1e-3  # state tracks the pinned bus
-        elif mode_vc == "shunt":
-            dx[k : k + 2] = dv_c - v_c / (fault.r_fault * net.cf)
-        else:
-            dx[k : k + 2] = dv_c
-        k += 2
-
-        dx[k : k + 2] = di_a
-        k += 2
-
-        i_into_pcc = i_a + i_g + (i_sc if i_sc is not None else 0.0)
-        if mode_pcc == "algebraic":
-            dx[k : k + 2] = (v_pcc - v_pcc_state) / 1e-3
-        elif mode_pcc == "shunt":
-            dx[k : k + 2] = (
-                pcc_node_rhs(v_pcc, i_into_pcc, net, w0) - v_pcc / (fault.r_fault * net.c_pcc)
-            )
-        else:
-            dx[k : k + 2] = pcc_node_rhs(v_pcc, i_into_pcc, net, w0)
-        k += 2
-
-        if has_conv:
-            dx[k : k + 6] = dctrl
-
+        e_g = refs.v_g_ref * w0 / self.grid.xg
+        dx[0] += e_g * np.cos(refs.v_g_angle)
+        dx[1] += e_g * np.sin(refs.v_g_angle)
+        if self.sc is not None:
+            k = self._idx["i_sc_d"]
+            e_sc = self.sc.e_mag * w0 / self.sc.x_sub
+            dx[k] += e_sc * np.cos(refs.phi_sc)
+            dx[k + 1] += e_sc * np.sin(refs.phi_sc)
+        if self.control != NO_CONVERTER:
+            v_c = self.pair(x, "v_c_d") if v_pin is None else v_pin @ x
+            i_f = self.pair(x, "i_f_d")
+            i_a = self.pair(x, "i_a_d")
+            p_pc, q_pc = power_pair(v_c, i_a)
+            if self.control == GFL:
+                dctrl, v_inv, _ = gfl_rhs(x[-6:], v_c, i_f, p_pc, q_pc, self.gfl, refs, self.q_mode, w0)
+            else:
+                dctrl, v_inv, _ = gfm_rhs(x[-6:], v_c, i_f, i_a, p_pc, self.gfm, refs, self.network, w0)
+            k = self._idx["i_f_d"]
+            dx[k : k + 2] += v_inv / self.network.lf
+            dx[-6:] = dctrl
         return dx
 
     # -- measurements ---------------------------------------------------------
 
-    def _interface_powers(self, v_c, i_a, i_g, i_sc, refs) -> dict:
-        p_pc, q_pc = power_pair(v_c, i_a)
-        v_g = refs.v_g_ref * np.array([math.cos(refs.v_g_angle), math.sin(refs.v_g_angle)])
-        p_g, q_g = power_pair(v_g, i_g)
-        out = {"p_pc": p_pc, "q_pc": q_pc, "p_g": p_g, "q_g": q_g}
-        if i_sc is not None:
-            v_sc = self.sc.e_mag * np.array([math.cos(refs.phi_sc), math.sin(refs.phi_sc)])
-            out["p_sc"], out["q_sc"] = power_pair(v_sc, i_sc)
+    def measure_powers(self, x: np.ndarray, refs: RefInputs) -> dict:
+        """Interface powers: converter output (turbine bus into the array
+        branch), grid source, condenser EMF. x may be a batch of columns."""
+        out = {}
+        out["p_pc"], out["q_pc"] = power_pair(self.pair(x, "v_c_d"), self.pair(x, "i_a_d"))
+        v_g = (refs.v_g_ref * np.cos(refs.v_g_angle), refs.v_g_ref * np.sin(refs.v_g_angle))
+        out["p_g"], out["q_g"] = power_pair(v_g, self.pair(x, "i_g_d"))
+        if self.sc is not None:
+            v_sc = (self.sc.e_mag * np.cos(refs.phi_sc), self.sc.e_mag * np.sin(refs.phi_sc))
+            out["p_sc"], out["q_sc"] = power_pair(v_sc, self.pair(x, "i_sc_d"))
         else:
             out["p_sc"], out["q_sc"] = 0.0, 0.0
         return out
-
-    def measure_powers(self, x: np.ndarray, refs: RefInputs) -> dict:
-        """Interface powers: converter output (turbine bus into the array
-        branch), grid source, condenser EMF."""
-        i_sc = self.pair(x, "i_sc_d") if self.sc is not None else None
-        return self._interface_powers(
-            self.pair(x, "v_c_d"), self.pair(x, "i_a_d"), self.pair(x, "i_g_d"), i_sc, refs
-        )
 
     def measure(self, x: np.ndarray, refs: RefInputs) -> dict:
         out = self.measure_powers(x, refs)
         v_c = self.pair(x, "v_c_d")
         v_pcc = self.pair(x, "v_pcc_d")
-        out["v_c_mag"] = math.hypot(v_c[0], v_c[1])
-        out["v_pcc_mag"] = math.hypot(v_pcc[0], v_pcc[1])
+        out["v_c_mag"] = np.hypot(v_c[0], v_c[1])
+        out["v_pcc_mag"] = np.hypot(v_pcc[0], v_pcc[1])
         return out
 
     # -- frame rotation helper -------------------------------------------------

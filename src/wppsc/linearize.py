@@ -4,6 +4,11 @@ Central differences with a per-coordinate step eps*max(1, |z_j|) give exact
 Jacobians on the linear network blocks and second-order accuracy on the
 control nonlinearities (trig terms, the voltage magnitude and the power
 products).
+
+numjac evaluates every perturbed point in one call: the function it
+differentiates maps a (size, m) array of points, one per column, to the
+(k, m) array of their values. SystemModel.rhs and SystemModel.measure both
+accept such column batches.
 """
 
 from __future__ import annotations
@@ -34,18 +39,17 @@ class LinearizationError(ValueError):
 
 
 def numjac(f: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Dense central-difference Jacobian of f at z0."""
+    """Dense central-difference Jacobian of f at z0.
+
+    f is called once, on the (size, 2*size) array whose column j is z0 + h_j e_j
+    and column size + j is z0 - h_j e_j, and must return one column of
+    values per column of points.
+    """
     z0 = np.asarray(z0, dtype=float)
-    f0 = np.asarray(f(z0), dtype=float)
-    jac = np.empty((f0.size, z0.size))
-    for j in range(z0.size):
-        h = eps * max(1.0, abs(z0[j]))
-        zp = z0.copy()
-        zm = z0.copy()
-        zp[j] += h
-        zm[j] -= h
-        jac[:, j] = (np.asarray(f(zp), dtype=float) - np.asarray(f(zm), dtype=float)) / (2.0 * h)
-    return jac
+    h = eps * np.maximum(1.0, np.abs(z0))
+    steps = np.diag(h)
+    values = np.asarray(f(z0[:, None] + np.hstack([steps, -steps])), dtype=float)
+    return (values[:, : z0.size] - values[:, z0.size :]) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -82,10 +86,6 @@ def _input_labels(model: SystemModel) -> tuple[str, ...]:
     return ("p_star", "v_g_ref", "v_turb_star")
 
 
-def _apply_input(refs: RefInputs, label: str, value: float) -> RefInputs:
-    return replace(refs, **{label: value})
-
-
 def linearize(
     model: SystemModel,
     x_eq: np.ndarray,
@@ -107,7 +107,7 @@ def linearize(
     if check_equilibrium:
         r = float(np.max(np.abs(model.rhs(x_eq, refs))))
         if not r < 1e-8:
-            raise ValueError(f"not an equilibrium: RHS inf-norm {r:.3e} >= 1e-8")
+            raise LinearizationError(f"not an equilibrium: RHS inf-norm {r:.3e} >= 1e-8")
 
     a = numjac(lambda x: model.rhs(x, refs), x_eq, eps)
 
@@ -115,10 +115,9 @@ def linearize(
     u0 = np.array([getattr(refs, lab) for lab in in_labels])
 
     def f_u(u: np.ndarray) -> np.ndarray:
-        r = refs
-        for lab, val in zip(in_labels, u):
-            r = _apply_input(r, lab, float(val))
-        return model.rhs(x_eq, r)
+        # one column of refs per column of inputs, all at the equilibrium state
+        r = replace(refs, **dict(zip(in_labels, u)))
+        return model.rhs(np.repeat(x_eq[:, None], u.shape[1], axis=1), r)
 
     b = numjac(f_u, u0, eps)
 

@@ -34,7 +34,6 @@ from .components import (
     RefInputs,
     SystemModel,
     power_pair,
-    rotate,
 )
 from .config import OperatingPoint, Scenario, build_model, refs_for
 from .linearize import numjac
@@ -92,29 +91,35 @@ def _unknown_layout(model: SystemModel) -> tuple[bool, bool]:
 
 
 def _refs_from_z(model: SystemModel, z: np.ndarray, refs: RefInputs) -> RefInputs:
+    """refs with the solved-for inputs read from z; rows of z are m-vectors
+    when z holds a batch of points as columns."""
     solves_phi, solves_q = _unknown_layout(model)
     k = model.n
     if solves_phi:
-        refs = replace(refs, phi_sc=float(z[k]))
+        refs = replace(refs, phi_sc=z[k])
         k += 1
     if solves_q:
-        refs = replace(refs, q_star=float(z[k]))
+        refs = replace(refs, q_star=z[k])
     return refs
 
 
 def _residual(model: SystemModel, z: np.ndarray, refs: RefInputs) -> np.ndarray:
+    """Plant RHS plus closure rows at z, of shape (size,) or (size, m)."""
     solves_phi, solves_q = _unknown_layout(model)
     x = z[: model.n]
     r = _refs_from_z(model, z, refs)
-    parts = [model.rhs(x, r)]
+    out = np.empty(z.shape)
+    out[: model.n] = model.rhs(x, r)
+    k = model.n
     if solves_phi:
+        # zero active power at the condenser EMF
         i_sc = model.pair(x, "i_sc_d")
-        v_sc = model.sc.e_mag * np.array([math.cos(r.phi_sc), math.sin(r.phi_sc)])
-        parts.append(np.array([power_pair(v_sc, i_sc)[0]]))
+        out[k] = model.sc.e_mag * (np.cos(r.phi_sc) * i_sc[0] + np.sin(r.phi_sc) * i_sc[1])
+        k += 1
     if solves_q:
         v_c = model.pair(x, "v_c_d")
-        parts.append(np.array([math.hypot(v_c[0], v_c[1]) - r.v_turb_star]))
-    return np.concatenate(parts)
+        out[k] = np.hypot(v_c[0], v_c[1]) - r.v_turb_star
+    return out
 
 
 def _row_scale(model: SystemModel) -> np.ndarray:
@@ -157,7 +162,7 @@ def _newton(
     z = np.asarray(z0, dtype=float).copy()
 
     def scaled(zz: np.ndarray) -> np.ndarray:
-        return scale * _residual(model, zz, refs)
+        return scale[:, None] * _residual(model, zz, refs)
 
     f_raw = _residual(model, z, refs)
     true_norm = float(np.max(np.abs(f_raw)))
@@ -323,7 +328,7 @@ def solve_equilibrium(model: SystemModel, refs: RefInputs) -> EquilibriumPoint:
             raise NonConvergenceError(total_iters, true_norm)
 
     x = z[: model.n]
-    refs_out = _refs_from_z(model, z, refs)
+    refs_out = _refs_from_z(model, z.tolist(), refs)  # plain floats in the result
     for lab in ("v_c_d", "v_pcc_d"):
         mag = float(np.hypot(*model.pair(x, lab)))
         if not VOLTAGE_BAND[0] < mag < VOLTAGE_BAND[1]:

@@ -1,0 +1,217 @@
+"""Per-component network right-hand sides and the plant composed from them.
+
+These are the branch and node equations written one component at a time.
+The library evaluates the same network as one assembled state matrix
+(``SystemModel.rhs``); the tests keep the component form as the reference it
+must reproduce.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+import numpy as np
+
+from wppsc.components import (
+    FAULT_OPEN_THRESHOLD,
+    GFL,
+    GFM,
+    NO_CONVERTER,
+    OMEGA0,
+    FaultSpec,
+    FilterCableParams,
+    GridParams,
+    RefInputs,
+    ScParams,
+    SystemModel,
+    gfl_rhs,
+    gfm_rhs,
+)
+
+
+def jrot(v: np.ndarray) -> np.ndarray:
+    """Multiply a dq pair by j: (d, q) -> (-q, d)."""
+    return np.array([-v[1], v[0]])
+
+
+def grid_rhs(
+    i_g: np.ndarray,
+    v_pcc: np.ndarray,
+    p: GridParams,
+    omega0: float = OMEGA0,
+    v_g: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Grid branch: L_g di/dt = -R_g i + j X_g i + v_g - v_pcc."""
+    if v_g is None:
+        v_g = np.array([p.v_ref, 0.0])
+    l_g = p.xg / omega0
+    return (-p.rg * i_g + p.xg * jrot(i_g) + v_g - v_pcc) / l_g
+
+
+def sc_rhs(
+    i_sc: np.ndarray,
+    v_pcc: np.ndarray,
+    p: ScParams,
+    phi_sc: float,
+    omega0: float = OMEGA0,
+) -> np.ndarray:
+    """Condenser branch with the subtransient inductance on the left side:
+
+        (X''/omega0) di/dt = -R_tr i + j(X'' + X_tr) i + v_sc - v_pcc
+
+    v_sc is the EMF phasor at angle phi_sc. The transformer resistance enters
+    dissipatively (-R_tr i).
+    """
+    v_sc = p.e_mag * np.array([math.cos(phi_sc), math.sin(phi_sc)])
+    l_sub = p.x_sub / omega0
+    x_tot = p.x_sub + p.x_tr
+    return (-p.r_tr * i_sc + x_tot * jrot(i_sc) + v_sc - v_pcc) / l_sub
+
+
+def filter_cable_rhs(
+    i_f: np.ndarray,
+    v_c: np.ndarray,
+    i_a: np.ndarray,
+    v_pcc: np.ndarray,
+    v_inv: np.ndarray,
+    p: FilterCableParams,
+    omega0: float = OMEGA0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Converter filter branch, shunt capacitor node and lumped array branch.
+
+        L_f  di_f/dt = -R_f i_f + j X_f i_f - v_c + v_inv
+        C_f  dv_c/dt = i_f - i_a + j omega0 C_f v_c
+        L_at di_a/dt = v_c - R_at i_a + j X_at i_a - v_pcc
+    """
+    xf = omega0 * p.lf
+    di_f = (-p.rf * i_f + xf * jrot(i_f) - v_c + v_inv) / p.lf
+
+    dv_c = (i_f - i_a) / p.cf + omega0 * jrot(v_c)
+
+    r_at = p.ra + p.rtf
+    l_at = p.la + p.ltf
+    x_at = omega0 * l_at
+    di_a = (v_c - r_at * i_a + x_at * jrot(i_a) - v_pcc) / l_at
+    return di_f, dv_c, di_a
+
+
+def pcc_node_rhs(
+    v_pcc: np.ndarray,
+    i_net: np.ndarray,
+    p: FilterCableParams,
+    omega0: float = OMEGA0,
+) -> np.ndarray:
+    """PCC shunt node: C_pcc dv/dt = sum of branch currents into the bus
+    + j omega0 C_pcc v."""
+    return i_net / p.c_pcc + omega0 * jrot(v_pcc)
+
+
+
+# ---------------------------------------------------------------------------
+# the plant composed component by component
+
+
+def _fault_mode(fault: Optional[FaultSpec], c_bus: float, dt: Optional[float]) -> str:
+    if fault is None or fault.r_fault >= FAULT_OPEN_THRESHOLD:
+        return "off"
+    if dt is not None and fault.r_fault * c_bus <= 2.0 * dt:
+        return "algebraic"
+    return "shunt"
+
+
+def _power_pair(v: np.ndarray, i: np.ndarray) -> tuple[float, float]:
+    return (
+        float(v[0] * i[0] + v[1] * i[1]),
+        float(v[1] * i[0] - v[0] * i[1]),
+    )
+
+
+def composed_rhs(
+    model: SystemModel,
+    x: np.ndarray,
+    refs: RefInputs,
+    fault: Optional[FaultSpec] = None,
+    dt: Optional[float] = None,
+) -> np.ndarray:
+    """State derivative of one plant state, component by component, with the
+    same fault treatments as ``SystemModel.rhs``."""
+    net = model.network
+    w0 = model.omega0
+
+    i_g = model.pair(x, "i_g_d")
+    i_sc = model.pair(x, "i_sc_d") if model.sc is not None else None
+    has_conv = model.control != NO_CONVERTER
+    i_f = model.pair(x, "i_f_d") if has_conv else np.zeros(2)
+    v_c_state = model.pair(x, "v_c_d")
+    i_a = model.pair(x, "i_a_d")
+    v_pcc_state = model.pair(x, "v_pcc_d")
+
+    fault_bus = fault.bus if (fault is not None and fault.r_fault < FAULT_OPEN_THRESHOLD) else None
+    mode_vc = _fault_mode(fault, net.cf, dt) if fault_bus == "wt_mv" else "off"
+    mode_pcc = _fault_mode(fault, net.c_pcc, dt) if fault_bus == "pcc" else "off"
+
+    # an algebraic fault pins the bus to its quasi-steady value
+    # v = i_net / (1/r - j w C)
+    v_c = v_c_state
+    v_pcc = v_pcc_state
+    dx = np.empty(model.n)
+    if mode_pcc == "algebraic":
+        i_into_pcc = i_a + i_g + (i_sc if i_sc is not None else 0.0)
+        zi = complex(i_into_pcc[0], i_into_pcc[1])
+        zv = zi / complex(1.0 / fault.r_fault, -w0 * net.c_pcc)
+        v_pcc = np.array([zv.real, zv.imag])
+    if mode_vc == "algebraic":
+        i_net_c = i_f - i_a
+        zi = complex(i_net_c[0], i_net_c[1])
+        zv = zi / complex(1.0 / fault.r_fault, -w0 * net.cf)
+        v_c = np.array([zv.real, zv.imag])
+
+    p_pc, q_pc = _power_pair(v_c, i_a)
+
+    v_inv = None
+    if model.control == GFL:
+        dctrl, v_inv, _ = gfl_rhs(x[-6:], v_c, i_f, p_pc, q_pc, model.gfl, refs, model.q_mode, w0)
+    elif model.control == GFM:
+        dctrl, v_inv, _ = gfm_rhs(x[-6:], v_c, i_f, i_a, p_pc, model.gfm, refs, net, w0)
+
+    v_g = refs.v_g_ref * np.array([math.cos(refs.v_g_angle), math.sin(refs.v_g_angle)])
+    dx[0:2] = grid_rhs(i_g, v_pcc, model.grid, w0, v_g=v_g)
+
+    k = 2
+    if i_sc is not None:
+        dx[k : k + 2] = sc_rhs(i_sc, v_pcc, model.sc, refs.phi_sc, w0)
+        k += 2
+
+    if has_conv:
+        di_f, dv_c, di_a = filter_cable_rhs(i_f, v_c, i_a, v_pcc, v_inv, net, w0)
+        dx[k : k + 2] = di_f
+        k += 2
+    else:
+        _, dv_c, di_a = filter_cable_rhs(np.zeros(2), v_c, i_a, v_pcc, np.zeros(2), net, w0)
+
+    if mode_vc == "algebraic":
+        dx[k : k + 2] = (v_c - v_c_state) / 1e-3  # state tracks the pinned bus
+    elif mode_vc == "shunt":
+        dx[k : k + 2] = dv_c - v_c / (fault.r_fault * net.cf)
+    else:
+        dx[k : k + 2] = dv_c
+    k += 2
+
+    dx[k : k + 2] = di_a
+    k += 2
+
+    i_into_pcc = i_a + i_g + (i_sc if i_sc is not None else 0.0)
+    if mode_pcc == "algebraic":
+        dx[k : k + 2] = (v_pcc - v_pcc_state) / 1e-3
+    elif mode_pcc == "shunt":
+        dx[k : k + 2] = (
+            pcc_node_rhs(v_pcc, i_into_pcc, net, w0) - v_pcc / (fault.r_fault * net.c_pcc)
+        )
+    else:
+        dx[k : k + 2] = pcc_node_rhs(v_pcc, i_into_pcc, net, w0)
+    k += 2
+
+    if has_conv:
+        dx[k : k + 6] = dctrl
+    return dx

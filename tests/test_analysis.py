@@ -5,13 +5,14 @@ import pytest
 
 from wppsc.analysis import (
     EigenRecord,
+    analyze_scenario,
     classify,
     damping,
     eigenvalues,
     step_response,
     sweep,
 )
-from wppsc.components import OMEGA0, rotated_refs
+from wppsc.components import OMEGA0, SystemModel, rotated_refs
 from wppsc.config import (
     GRID_CASES,
     OperatingPoint,
@@ -20,7 +21,7 @@ from wppsc.config import (
     refs_for,
     standard_operating_points,
 )
-from wppsc.linearize import StateSpaceModel, linearize
+from wppsc.linearize import LinearizationError, StateSpaceModel, linearize
 from wppsc.netbase import GridCase
 from wppsc.powerflow import solve_equilibrium
 
@@ -250,3 +251,19 @@ def test_sweep_captures_individual_failures():
     assert failed
     assert all(r.failure for r in failed)
     assert all(not r.stable for r in failed)
+
+
+def test_analyze_scenario_propagates_programming_errors(monkeypatch):
+    # only solver and linearisation failures become unsolved rows
+    def broken(self, x, refs, fault=None, dt=None):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(SystemModel, "rhs", broken)
+    s = Scenario(name="normal", grid=GRID_CASES["normal"], control="gfl", with_sc=False)
+    with pytest.raises(ValueError, match="broadcast"):
+        analyze_scenario(s)
+
+
+def test_eigenvalues_rejects_nonfinite_matrix_with_typed_error():
+    with pytest.raises(LinearizationError):
+        eigenvalues(make_ss([[0.0, np.nan], [1.0, -1.0]]))

@@ -1,6 +1,7 @@
 """Component RHS oracles, frame invariance and fault-mode plumbing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,17 +17,14 @@ from wppsc.components import (
     RefInputs,
     ScParams,
     SystemModel,
-    filter_cable_rhs,
     gfl_rhs,
     gfm_rhs,
-    grid_rhs,
-    jrot,
-    pcc_node_rhs,
     power_pair,
     rotate,
     rotated_refs,
-    sc_rhs,
 )
+
+from plant_oracle import composed_rhs, filter_cable_rhs, grid_rhs, jrot, pcc_node_rhs, sc_rhs
 
 
 def default_network():
@@ -231,6 +229,94 @@ def test_rhs_frame_rotation_invariance(control, with_sc):
         dx = model.rhs(x, refs)
         dy = model.rhs(model.rotated_state(x, alpha), rotated_refs(refs, alpha))
         assert np.allclose(dy, _rotate_deriv(model, dx, alpha), atol=1e-10)
+
+
+PLANTS = [
+    ("gfl", "reactive"),
+    ("gfl", "voltage"),
+    ("gfm", "reactive"),
+    ("none", "reactive"),
+]
+
+# (fault, dt): off, open-circuit threshold, resistive shunt and bolted
+# (algebraic) faults at both buses
+FAULT_TREATMENTS = [
+    (None, None),
+    (FaultSpec("pcc", FAULT_OPEN_THRESHOLD), 1e-4),
+    (FaultSpec("pcc", 1.0), 1e-6),
+    (FaultSpec("wt_mv", 5.0), 1e-6),
+    (FaultSpec("pcc", 1e-4), 1e-4),
+    (FaultSpec("wt_mv", 1e-4), 1e-4),
+]
+
+
+def _plant(control, q_mode, with_sc):
+    g = GridParams(rg=0.0210668, xg=0.3117878)
+    sc = ScParams() if with_sc else None
+    return SystemModel(g, default_network(), control=control, sc=sc, q_mode=q_mode)
+
+
+_REFS = RefInputs(
+    p_star=0.7, v_turb_star=1.02, q_star=0.05, v_g_ref=0.97, v_g_angle=0.1, phi_sc=0.04
+)
+
+
+@pytest.mark.parametrize("control,q_mode", PLANTS)
+@pytest.mark.parametrize("with_sc", [True, False])
+@pytest.mark.parametrize("fault,dt", FAULT_TREATMENTS)
+def test_assembled_rhs_matches_component_composition(control, q_mode, with_sc, fault, dt):
+    model = _plant(control, q_mode, with_sc)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        x = _random_state(model, rng)
+        ref = composed_rhs(model, x, _REFS, fault, dt)
+        got = model.rhs(x, _REFS, fault, dt)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("control,q_mode", PLANTS)
+@pytest.mark.parametrize("fault,dt", FAULT_TREATMENTS)
+def test_batched_rhs_matches_single_states(control, q_mode, fault, dt):
+    model = _plant(control, q_mode, True)
+    rng = np.random.default_rng(19)
+    xs = np.column_stack([_random_state(model, rng) for _ in range(7)])
+    batch = model.rhs(xs, _REFS, fault, dt)
+    assert batch.shape == xs.shape
+    for j in range(xs.shape[1]):
+        single = model.rhs(xs[:, j], _REFS, fault, dt)
+        assert np.max(np.abs(batch[:, j] - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("control,q_mode", PLANTS)
+def test_batched_rhs_reads_reference_columns(control, q_mode):
+    # refs fields given as m-vectors apply column by column
+    model = _plant(control, q_mode, True)
+    rng = np.random.default_rng(23)
+    m = 5
+    xs = np.column_stack([_random_state(model, rng) for _ in range(m)])
+    cols = {
+        "p_star": rng.uniform(0.1, 1.0, m),
+        "q_star": rng.uniform(-0.1, 0.1, m),
+        "v_turb_star": rng.uniform(0.92, 1.08, m),
+        "v_g_ref": rng.uniform(0.92, 1.08, m),
+        "phi_sc": rng.uniform(-0.2, 0.2, m),
+    }
+    batch = model.rhs(xs, replace(_REFS, **cols))
+    for j in range(m):
+        refs_j = replace(_REFS, **{k: float(v[j]) for k, v in cols.items()})
+        single = model.rhs(xs[:, j], refs_j)
+        assert np.max(np.abs(batch[:, j] - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+def test_batched_measure_matches_single_states():
+    model = _plant("gfl", "reactive", True)
+    rng = np.random.default_rng(29)
+    xs = np.column_stack([_random_state(model, rng) for _ in range(4)])
+    batch = model.measure(xs, _REFS)
+    for j in range(xs.shape[1]):
+        single = model.measure(xs[:, j], _REFS)
+        for name, value in single.items():
+            assert batch[name][j] == pytest.approx(value, rel=1e-14, abs=1e-15)
 
 
 def test_vacuous_fault_is_exact_noop():

@@ -87,6 +87,38 @@ def test_numjac_polynomial_exact():
     assert np.max(np.abs(jac - ref)) < 1e-8
 
 
+def _numjac_by_columns(f, z0, eps):
+    """Reference: one pair of single-point evaluations per coordinate."""
+    f0 = f(z0[:, None])[:, 0]
+    jac = np.empty((f0.size, z0.size))
+    for j in range(z0.size):
+        h = eps * max(1.0, abs(z0[j]))
+        zp = z0.copy()
+        zm = z0.copy()
+        zp[j] += h
+        zm[j] -= h
+        jac[:, j] = (f(zp[:, None])[:, 0] - f(zm[:, None])[:, 0]) / (2.0 * h)
+    return jac
+
+
+def test_numjac_batch_matches_column_loop():
+    def f(z):
+        return np.array(
+            [
+                np.sin(z[0]) * z[1] ** 2,
+                np.exp(0.3 * z[2]) - z[0] * z[3],
+                np.hypot(z[1], z[3]) / (1.0 + z[2] ** 2),
+            ]
+        )
+
+    z0 = np.array([0.4, -2.5, 30.0, 1e-3])
+    for eps in (1e-4, 1e-6, 1e-8):
+        ref = _numjac_by_columns(f, z0, eps)
+        got = numjac(f, z0, eps)
+        assert got.shape == (3, 4)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_passive_full_matrix_matches_closed_form():
     model, refs = passive_model("normal", with_sc=True)
     assert model.n == 10
