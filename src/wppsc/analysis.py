@@ -30,7 +30,7 @@ from .config import (
 from .linearize import LinearizationError, StateSpaceModel, linearize
 from .netbase import GridCase
 from .powerflow import InfeasibleError, NonConvergenceError, solve_equilibrium
-from .sim import TimeSeries
+from .sim import TimeSeries, march, zoh_step
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +38,6 @@ NULL_MODE_TOL = 1e-8
 STABILITY_TOL = 1e-6
 NEAR_SYNC_BAND_HZ = (40.0, 60.0)
 NEAR_SYNC_DAMPING = 0.20
-DIVERGENCE_LIMIT = 1e6
 
 
 def damping(lam: complex) -> Optional[float]:
@@ -250,7 +249,8 @@ def step_response(
     dt: float,
 ) -> TimeSeries:
     """Linear response of the channel's output to a reference step of the
-    given magnitude at t=0, fixed-step RK4 from a zero initial deviation.
+    given magnitude at t=0, from a zero initial deviation, stepped exactly
+    by zero-order hold (sim.zoh_step) at dt.
 
     Output columns are deviations from the linearization point.
     """
@@ -268,46 +268,17 @@ def step_response(
         )
     j = ss.input_labels.index(hits[0])
 
-    a = ss.a
-    bu = ss.b[:, j] * magnitude
-    n_steps = int(round(t_end / dt))
-    n_steps = max(n_steps, 1)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        return a @ x + bu
-
-    x = np.zeros(a.shape[0])
-    ys = np.empty((n_steps + 1, ss.c.shape[0]))
-    ys[0] = ss.c @ x
-    diverged = False
-    aborted = False
-    note = ""
-    last = n_steps
-    for k in range(n_steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            aborted = True
-            note = f"non-finite state at t={(k + 1) * dt:.6g} s; series truncated"
-            last = k
-            break
-        ys[k + 1] = ss.c @ x
-        if float(np.max(np.abs(x))) > DIVERGENCE_LIMIT:
-            diverged = True
-            note = f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at t={(k + 1) * dt:.6g} s"
-            last = k + 1
-            break
-    t = np.arange(last + 1) * dt
-    columns = {name: ys[: last + 1, i].copy() for i, name in enumerate(ss.output_labels)}
+    n_steps = max(int(round(t_end / dt)), 1)
+    x0 = np.zeros(ss.a.shape[0])
+    run = march(x0, n_steps, dt, [(0, zoh_step(ss.a, ss.b[:, j] * magnitude, dt))])
+    ys = run.states @ ss.c.T
+    columns = {name: ys[:, i].copy() for i, name in enumerate(ss.output_labels)}
     return TimeSeries(
-        t=t,
+        t=np.arange(len(ys)) * dt,
         columns=columns,
         dt=dt,
         meta=f"step_response channel={channel} input={hits[0]} magnitude={magnitude!r}",
-        diverged=diverged,
-        aborted=aborted,
-        note=note,
+        diverged=run.diverged,
+        aborted=run.aborted,
+        note=run.note,
     )

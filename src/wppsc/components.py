@@ -40,6 +40,7 @@ Q_MODE_VOLTAGE = "voltage"
 
 # Fault shunts at least this large are treated as an open circuit.
 FAULT_OPEN_THRESHOLD = 1e8
+FAULT_BUSES = ("pcc", "wt_mv")
 
 
 def rotate(v: np.ndarray, angle) -> np.ndarray:
@@ -234,8 +235,8 @@ class FaultSpec:
     r_fault: float
 
     def __post_init__(self) -> None:
-        if self.bus not in ("pcc", "wt_mv"):
-            raise ValueError(f"fault bus must be 'pcc' or 'wt_mv', got {self.bus!r}")
+        if self.bus not in FAULT_BUSES:
+            raise ValueError(f"fault bus must be one of {FAULT_BUSES}, got {self.bus!r}")
         if not (math.isfinite(self.r_fault) and self.r_fault > 0.0):
             raise ValueError(f"fault resistance must be > 0, got {self.r_fault}")
 
@@ -423,6 +424,11 @@ class SystemModel:
     def has_sc(self) -> bool:
         return self.sc is not None
 
+    @property
+    def affine(self) -> bool:
+        """rhs is affine in the state: the plant has no converter control."""
+        return self.control == NO_CONVERTER
+
     # -- linear network ------------------------------------------------------
 
     def _network_matrix(self) -> np.ndarray:
@@ -467,18 +473,20 @@ class SystemModel:
 
     def _treatment(
         self, fault: Optional[FaultSpec], dt: Optional[float]
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """State matrix with the active fault applied, and the (2, n) map from
-        the state to the turbine-bus voltage the controller reads when a
-        fault pins that bus (None: it reads v_c). Built on first use and
+    ) -> tuple[np.ndarray, Optional[tuple[int, np.ndarray]]]:
+        """State matrix with the active fault applied, and the bus the fault
+        pins (None when it pins none): the row of its node state and the
+        (2, n) map from the state to its voltage. Built on first use and
         cached per treatment.
 
         Very large resistances are an open circuit (no-op). A shunt whose
-        R*C time constant is short relative to the integration step is
-        handled quasi-statically: the bus is pinned to its node-law value
-        v = i_net / (1/r - j w0 C), which the branches and the controller
-        read, and the stored node state tracks it. Otherwise the shunt
-        joins the node ODE as an ordinary conductance.
+        R*C time constant is short relative to the integration step dt is
+        handled quasi-statically: the bus is algebraic, pinned to its
+        node-law value v = i_net / (1/r - j w0 C). The branches and the
+        controller read that value and nothing reads the node state; its
+        rows are zero and the integrator writes the pinned value into it
+        after every step. Without dt, or with a longer time constant, the
+        shunt joins the node ODE as an ordinary conductance.
         """
         key = None
         if fault is not None and fault.r_fault < FAULT_OPEN_THRESHOLD:
@@ -492,7 +500,7 @@ class SystemModel:
 
     def _fault_matrices(
         self, bus: str, r_fault: float, algebraic: bool
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    ) -> tuple[np.ndarray, Optional[tuple[int, np.ndarray]]]:
         a = self._network_matrix()
         if bus == "pcc":
             node, c_bus = "v_pcc_d", self.network.c_pcc
@@ -513,8 +521,13 @@ class SystemModel:
         own = np.zeros((2, self.n))
         own[:, k : k + 2] = np.eye(2)
         a += a[:, k : k + 2] @ (pin - own)  # every law reads the pinned voltage
-        a[k : k + 2] = (pin - own) / 1e-3  # the state tracks the pinned bus
-        return a, (pin if bus == "wt_mv" else None)
+        a[k : k + 2] = 0.0
+        return a, (k, pin)
+
+    def pinned_bus(self, fault: Optional[FaultSpec], dt: Optional[float]):
+        """(node-state row, (2, n) voltage map) of the bus the fault pins at
+        step dt, or None (see _treatment)."""
+        return self._treatment(fault, dt)[1]
 
     # -- right-hand side -----------------------------------------------------
 
@@ -532,7 +545,7 @@ class SystemModel:
         m-vector, one value per column. Column j of a batch result agrees
         with the single-state result for column j to roundoff.
         """
-        a, v_pin = self._treatment(fault, dt)
+        a, pinned = self._treatment(fault, dt)
         dx = a @ x
         w0 = self.omega0
         e_g = refs.v_g_ref * w0 / self.grid.xg
@@ -544,7 +557,9 @@ class SystemModel:
             dx[k] += e_sc * np.cos(refs.phi_sc)
             dx[k + 1] += e_sc * np.sin(refs.phi_sc)
         if self.control != NO_CONVERTER:
-            v_c = self.pair(x, "v_c_d") if v_pin is None else v_pin @ x
+            v_c = self.pair(x, "v_c_d")
+            if pinned is not None and pinned[0] == self._idx["v_c_d"]:
+                v_c = pinned[1] @ x
             i_f = self.pair(x, "i_f_d")
             i_a = self.pair(x, "i_a_d")
             p_pc, q_pc = power_pair(v_c, i_a)

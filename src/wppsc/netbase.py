@@ -3,44 +3,15 @@
 All quantities are per-unit on the single plant MVA base. An impedance is
 stored as a rectangular (r, x) pair; grid strength is expressed through the
 short-circuit ratio (SCR) and X/R ratio of the Thevenin equivalent seen at
-the connection bus. Two combination conventions coexist on purpose: exact
-complex arithmetic and the scalar magnitude convention used by the standard
-SCR formulas, which treats every branch as |Z|.
+the connection bus. Branches combine by the scalar magnitude convention of
+the standard SCR formulas, which treats every branch as |Z|; that is exact
+when the combined branches share their X/R angle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class ComplexPair:
-    """A two-component quantity: (re, im) for phasors, (d, q) for frame vectors."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"ComplexPair components must be finite, got ({self.a}, {self.b})")
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "ComplexPair":
-        return cls(z.real, z.imag)
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.a, self.b)
-
-    def __add__(self, other: "ComplexPair") -> "ComplexPair":
-        return ComplexPair(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "ComplexPair") -> "ComplexPair":
-        return ComplexPair(self.a - other.a, self.b - other.b)
-
-    def __abs__(self) -> float:
-        return math.hypot(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -65,14 +36,6 @@ class Impedance:
     @property
     def magnitude(self) -> float:
         return math.hypot(self.r, self.x)
-
-    @property
-    def angle(self) -> float:
-        return math.atan2(self.x, self.r)
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.r, self.x)
 
     def __add__(self, other: "Impedance") -> "Impedance":
         return Impedance(self.r + other.r, self.x + other.x)
@@ -112,12 +75,3 @@ def parallel_magnitude(z1: float, z2: float) -> float:
     if not (z1 > 0.0 and z2 > 0.0) or not (math.isfinite(z1) and math.isfinite(z2)):
         raise ValueError(f"parallel_magnitude requires positive finite magnitudes, got ({z1}, {z2})")
     return z1 * z2 / (z1 + z2)
-
-
-def parallel_complex(z1: Impedance, z2: Impedance) -> Impedance:
-    """Exact complex parallel combination of two branch impedances."""
-    s = z1.as_complex + z2.as_complex
-    if abs(s) < 1e-12 * (z1.magnitude + z2.magnitude):
-        raise ValueError("parallel_complex is singular: z1 + z2 is (near) zero")
-    z = z1.as_complex * z2.as_complex / s
-    return Impedance(z.real, z.imag)

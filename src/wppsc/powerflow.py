@@ -35,7 +35,6 @@ from .components import (
     SystemModel,
     power_pair,
 )
-from .config import OperatingPoint, Scenario, build_model, refs_for
 from .linearize import numjac
 
 RESIDUAL_TARGET = 1e-10
@@ -346,10 +345,3 @@ def solve_equilibrium(model: SystemModel, refs: RefInputs) -> EquilibriumPoint:
         residual_norm=true_norm,
         iterations=total_iters,
     )
-
-
-def solve_operating_point(scenario: Scenario, op: Optional[OperatingPoint] = None) -> EquilibriumPoint:
-    """Scenario-level wrapper: build the model and solve its equilibrium."""
-    if op is not None:
-        scenario = replace(scenario, op=op)
-    return solve_equilibrium(build_model(scenario), refs_for(scenario))

@@ -143,9 +143,9 @@ def composed_rhs(
     i_sc = model.pair(x, "i_sc_d") if model.sc is not None else None
     has_conv = model.control != NO_CONVERTER
     i_f = model.pair(x, "i_f_d") if has_conv else np.zeros(2)
-    v_c_state = model.pair(x, "v_c_d")
+    v_c = model.pair(x, "v_c_d")
     i_a = model.pair(x, "i_a_d")
-    v_pcc_state = model.pair(x, "v_pcc_d")
+    v_pcc = model.pair(x, "v_pcc_d")
 
     fault_bus = fault.bus if (fault is not None and fault.r_fault < FAULT_OPEN_THRESHOLD) else None
     mode_vc = _fault_mode(fault, net.cf, dt) if fault_bus == "wt_mv" else "off"
@@ -153,8 +153,6 @@ def composed_rhs(
 
     # an algebraic fault pins the bus to its quasi-steady value
     # v = i_net / (1/r - j w C)
-    v_c = v_c_state
-    v_pcc = v_pcc_state
     dx = np.empty(model.n)
     if mode_pcc == "algebraic":
         i_into_pcc = i_a + i_g + (i_sc if i_sc is not None else 0.0)
@@ -191,7 +189,7 @@ def composed_rhs(
         _, dv_c, di_a = filter_cable_rhs(np.zeros(2), v_c, i_a, v_pcc, np.zeros(2), net, w0)
 
     if mode_vc == "algebraic":
-        dx[k : k + 2] = (v_c - v_c_state) / 1e-3  # state tracks the pinned bus
+        dx[k : k + 2] = 0.0  # the integrator writes the pinned bus into the state
     elif mode_vc == "shunt":
         dx[k : k + 2] = dv_c - v_c / (fault.r_fault * net.cf)
     else:
@@ -203,7 +201,7 @@ def composed_rhs(
 
     i_into_pcc = i_a + i_g + (i_sc if i_sc is not None else 0.0)
     if mode_pcc == "algebraic":
-        dx[k : k + 2] = (v_pcc - v_pcc_state) / 1e-3
+        dx[k : k + 2] = 0.0
     elif mode_pcc == "shunt":
         dx[k : k + 2] = (
             pcc_node_rhs(v_pcc, i_into_pcc, net, w0) - v_pcc / (fault.r_fault * net.c_pcc)

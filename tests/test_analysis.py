@@ -192,7 +192,26 @@ def test_step_response_first_order_analytic():
     ts = step_response(ss, "power", 1.0, t_end=1.0, dt=1e-3)
     y = ts.column("p_pc")
     assert y[0] == 0.0
-    assert y[-1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
+    assert y[-1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+
+
+def test_step_response_is_exact_on_stiff_modes():
+    # dt * |lambda| = 100: far outside any explicit method's stability
+    # region, exact under zero-order hold
+    lam = 1e6
+    ss = StateSpaceModel(
+        a=np.array([[-lam]]),
+        b=np.array([[1.0]]),
+        c=np.array([[1.0]]),
+        state_labels=("x",),
+        input_labels=("p_star",),
+        output_labels=("p_pc",),
+    )
+    ts = step_response(ss, "power", 1.0, t_end=1e-2, dt=1e-4)
+    assert not (ts.diverged or ts.aborted)
+    assert ts.t.size == 101
+    expected = -np.expm1(-lam * ts.t) / lam
+    assert np.allclose(ts.column("p_pc"), expected, rtol=1e-12, atol=0.0)
 
 
 def test_step_response_zero_magnitude_is_zero():

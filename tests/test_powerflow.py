@@ -17,12 +17,10 @@ from wppsc.components import GFL, GFM, NO_CONVERTER, OMEGA0, Q_MODE_REACTIVE
 from wppsc.config import GRID_CASES, OperatingPoint, Scenario, build_model, refs_for
 from wppsc.netbase import GridCase, impedance_from_scr_xr
 from wppsc.powerflow import (
-    EquilibriumPoint,
     InfeasibleError,
     _pack,
     initial_guess,
     solve_equilibrium,
-    solve_operating_point,
 )
 from wppsc.sim import integrate
 
@@ -237,15 +235,6 @@ def test_initial_guess_no_load_passive():
     x0 = initial_guess(model, refs_for(s))
     assert np.allclose(x0[model.index("i_g_d") : model.index("i_g_d") + 2], 0.0, atol=1e-12)
     assert x0[model.index("v_pcc_d")] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_solve_operating_point_override():
-    s = scenario("normal", control=GFM, with_sc=True)
-    eq = solve_operating_point(s, op=OperatingPoint(1.08, 1.08, 0.5))
-    assert isinstance(eq, EquilibriumPoint)
-    assert eq.refs.v_g_ref == pytest.approx(1.08)
-    assert eq.refs.p_star == pytest.approx(0.5)
-    assert eq.residual_norm < 1e-8
 
 
 def test_reference_frame_choice_does_not_change_physics():

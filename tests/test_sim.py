@@ -9,14 +9,18 @@ import math
 import numpy as np
 import pytest
 
-from wppsc.components import GFM, NO_CONVERTER, OMEGA0, RefInputs, ScParams
+from wppsc.components import GFL, GFM, NO_CONVERTER, OMEGA0, RefInputs, ScParams
 from wppsc.config import GRID_CASES, OperatingPoint, Scenario, build_model, refs_for
 from wppsc.powerflow import solve_equilibrium
 from wppsc.sim import DERIVED_SIGNALS, Event, TimeSeries, integrate
 
 
 class StubModel:
-    """ẋ = rate·x, optionally returning NaN once the state passes a gate."""
+    """ẋ = rate·x, optionally returning NaN once the state passes a gate.
+    Not declared affine, so integrate steps it with RK4 as it does the
+    converter plant."""
+
+    affine = False
 
     def __init__(self, n=1, rate=-1.0, nan_above=None):
         self.n = n
@@ -30,7 +34,7 @@ class StubModel:
         return self.rate * np.asarray(x, dtype=float)
 
     def measure(self, x, refs):
-        return {name: 0.0 for name in DERIVED_SIGNALS}
+        return {name: np.zeros(np.shape(x)[1:]) for name in DERIVED_SIGNALS}
 
 
 def solved(case="normal", control=GFM, with_sc=True, p=1.0, **kw):
@@ -75,15 +79,63 @@ def test_dt_and_t_end_validation():
 
 def test_open_circuit_fault_is_exact_noop():
     # r_fault at or above the open threshold must not contaminate the
-    # trajectory: bit-identical to running with no events at all
+    # trajectory: bit-identical to running with no events at all, on the
+    # converter plant (RK4) and on the passive plant (exact ZOH)
+    for control, p in ((GFM, 1.0), (NO_CONVERTER, 0.0)):
+        model, eq = solved("normal", control, True, p=p)
+        x0 = eq.state.copy()
+        x0[model.index("v_c_d")] += 1e-3
+        events = [Event.fault_on(0.01, "pcc", 1e9), Event.fault_off(0.03, "pcc")]
+        a = integrate(model, x0, eq.refs, t_end=0.05, dt=1e-4, events=events)
+        b = integrate(model, x0, eq.refs, t_end=0.05, dt=1e-4)
+        for name in model.labels:
+            assert np.array_equal(a.columns[name], b.columns[name]), (control, name)
+
+
+@pytest.mark.parametrize("bus", ["wt_mv", "pcc"])
+def test_pinned_fault_bus_reports_node_law_voltage(bus):
+    # a bolted fault (r*C << dt) makes the bus algebraic: from the first
+    # post-fault sample on, the state and the derived magnitude carry the
+    # node-law voltage v = i_net / (1/r - j w0 C), not a lagging copy of it
+    model, eq = solved("weak", GFL, True, p=1.0)
+    r_f, k, dt = 1e-4, 200, 1e-4
+    ts = integrate(model, eq.state, eq.refs, t_end=0.03, dt=dt,
+                   events=[Event.fault_on(k * dt, bus, r_f)])
+    assert not (ts.diverged or ts.aborted)
+
+    def pair(name):
+        return ts.columns[name + "_d"] + 1j * ts.columns[name + "_q"]
+
+    net = model.network
+    if bus == "wt_mv":
+        node, i_net, c_bus = "v_c", pair("i_f") - pair("i_a"), net.cf
+    else:
+        node, i_net, c_bus = "v_pcc", pair("i_g") + pair("i_sc") + pair("i_a"), net.c_pcc
+    v_law = i_net / complex(1.0 / r_f, -OMEGA0 * c_bus)
+    post = slice(k + 1, None)
+    scale = np.max(np.abs(v_law[post]))
+    assert scale < 1e-3
+    assert np.max(np.abs(pair(node)[post] - v_law[post])) <= 1e-12 * scale
+    assert np.allclose(ts.columns[node + "_mag"][post], np.abs(v_law[post]),
+                       rtol=1e-12, atol=0.0)
+    # the sample at the fault step is the pre-fault state
+    assert abs(pair(node)[k]) > 0.9
+
+
+def test_reference_step_reaches_derived_powers_from_stepped_sample():
+    # derived signals are measured with the refs in force for each sample:
+    # a v_g_ref step moves p_g/q_g from the first sample after the event on
     model, eq = solved("normal", GFM, True)
-    x0 = eq.state.copy()
-    x0[model.index("v_c_d")] += 1e-3
-    events = [Event.fault_on(0.01, "pcc", 1e9), Event.fault_off(0.03, "pcc")]
-    a = integrate(model, x0, eq.refs, t_end=0.05, dt=1e-4, events=events)
-    b = integrate(model, x0, eq.refs, t_end=0.05, dt=1e-4)
-    for name in model.labels:
-        assert np.array_equal(a.columns[name], b.columns[name]), name
+    k, dt, delta = 20, 1e-4, 0.05
+    ts = integrate(model, eq.state, eq.refs, t_end=0.005, dt=dt,
+                   events=[Event.step_ref(k * dt, "v_g_ref", delta)])
+    v_ref = np.where(np.arange(ts.t.size) > k, eq.refs.v_g_ref + delta, eq.refs.v_g_ref)
+    v_g = v_ref * np.exp(1j * eq.refs.v_g_angle)
+    i_g = ts.columns["i_g_d"] + 1j * ts.columns["i_g_q"]
+    s_g = v_g * np.conj(i_g)
+    assert np.allclose(ts.columns["p_g"], s_g.real, rtol=1e-12, atol=1e-14)
+    assert np.allclose(ts.columns["q_g"], s_g.imag, rtol=1e-12, atol=1e-14)
+    assert abs(ts.columns["p_g"][k + 1] - ts.columns["p_g"][k]) > 1e-3
 
 
 def test_bolted_fault_collapses_turbine_bus():
