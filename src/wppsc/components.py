@@ -15,16 +15,20 @@ is an ODE rather than an algebraic constraint.
 
 Every branch and node law is linear in the state, so SystemModel assembles
 the network once as a dense state matrix (one matrix per fault treatment,
-built on first use). rhs adds the sources and the converter control to
-A @ x and accepts one state of shape (n,) or a batch of states as the
-columns of an (n, m) array through the same code.
+built on first use). SystemModel.derivative binds that matrix, the source
+vector b and the controller gains for given inputs and returns x -> dx =
+A x + b plus the converter control; the integrator binds it once per event
+segment, and rhs is one bound call. It accepts one state of shape (n,),
+whose controller runs on Python floats, or a batch of states as the
+columns of an (n, m) array, whose controller runs on row vectors, through
+the same code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -41,12 +45,6 @@ Q_MODE_VOLTAGE = "voltage"
 # Fault shunts at least this large are treated as an open circuit.
 FAULT_OPEN_THRESHOLD = 1e8
 FAULT_BUSES = ("pcc", "wt_mv")
-
-
-def rotate(v: np.ndarray, angle) -> np.ndarray:
-    """Rotate a dq pair counterclockwise by angle."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
 
 
 def power_pair(v: np.ndarray, i: np.ndarray) -> tuple[float, float]:
@@ -246,30 +244,31 @@ class FaultSpec:
 
 
 def gfl_rhs(
-    ctrl: np.ndarray,
-    v_c: np.ndarray,
-    i_f: np.ndarray,
+    ctrl: Sequence,
+    v_c: Sequence,
+    i_f: Sequence,
     p_pc: float,
     q_pc: float,
     p: GflParams,
     refs: RefInputs,
     q_mode: str = Q_MODE_REACTIVE,
-    omega0: float = OMEGA0,
-) -> tuple[np.ndarray, np.ndarray, dict]:
+) -> tuple[tuple, tuple]:
     """Grid-following control: PLL, outer power PI, inner current PI.
 
     ctrl = [theta_pll, s_pll, gamma_d, gamma_q, o_d, o_q] where theta_pll is
     stored relative to the synchronous frame so its rate is zero at an
-    equilibrium; the absolute rate omega0 + d(theta)/dt is reported in the
-    info dict. Measurements are the filter-capacitor voltage and converter
-    current rotated into the PLL frame; the inverter voltage reference is
-    rotated back into the common frame.
+    equilibrium (the absolute rate is omega0 + dctrl[0]). Measurements are
+    the filter-capacitor voltage and converter current rotated into the PLL
+    frame; the inverter voltage reference is rotated back into the common
+    frame. Returns (dctrl, v_inv) as tuples.
 
-    Every argument row may also be an m-vector (one value per column of a
-    batch of states); the results then carry the same columns.
+    Every argument row is a float for one state, or an m-vector (one value
+    per column of a batch of states); the results then carry the same
+    columns.
     """
     delta, s_pll, gamma_d, gamma_q, o_d, o_q = ctrl
-    c, s = np.cos(delta), np.sin(delta)
+    fn = math if isinstance(delta, float) else np
+    c, s = fn.cos(delta), fn.sin(delta)
 
     # measurements in the PLL frame: rotation by -delta
     v_md, v_mq = c * v_c[0] + s * v_c[1], c * v_c[1] - s * v_c[0]
@@ -286,7 +285,7 @@ def gfl_rhs(
         i_star_q = -(p.kp_pc * e_q + p.ki_pc * gamma_q)
         d_gamma_q = e_q
     elif q_mode == Q_MODE_VOLTAGE:
-        e_v = refs.v_turb_star - np.hypot(v_c[0], v_c[1])
+        e_v = refs.v_turb_star - fn.hypot(v_c[0], v_c[1])
         i_star_q = p.kp_pc * e_v + p.ki_pc * gamma_q
         d_gamma_q = e_v
     else:
@@ -295,28 +294,21 @@ def gfl_rhs(
     d_od, d_oq = i_star_d - i_md, i_star_q - i_mq
     v_sd = v_md + p.kp_cc * d_od + p.ki_cc * o_d
     v_sq = v_mq + p.kp_cc * d_oq + p.ki_cc * o_q
-    v_inv = np.array([c * v_sd - s * v_sq, s * v_sd + c * v_sq])
-
-    dctrl = np.array([d_delta, v_mq, e_p, d_gamma_q, d_od, d_oq])
-    info = {
-        "theta_dot_abs": omega0 + d_delta,
-        "i_star": (i_star_d, i_star_q),
-        "v_star": (v_sd, v_sq),
-    }
-    return dctrl, v_inv, info
+    v_inv = (c * v_sd - s * v_sq, s * v_sd + c * v_sq)
+    return (d_delta, v_mq, e_p, d_gamma_q, d_od, d_oq), v_inv
 
 
 def gfm_rhs(
-    ctrl: np.ndarray,
-    v_c: np.ndarray,
-    i_f: np.ndarray,
-    i_a: np.ndarray,
+    ctrl: Sequence,
+    v_c: Sequence,
+    i_f: Sequence,
+    i_a: Sequence,
     p_pc: float,
     p: GfmParams,
     refs: RefInputs,
     flt: FilterCableParams,
     omega0: float = OMEGA0,
-) -> tuple[np.ndarray, np.ndarray, dict]:
+) -> tuple[tuple, tuple]:
     """Grid-forming control: swing synchronization, outer voltage PI with
     capacitor-current feedforward, inner current PI with inductor
     feedforward.
@@ -327,10 +319,12 @@ def gfm_rhs(
 
         J domega/dt = p* - p_pc - D_p omega,   dtheta/dt = omega
 
-    Rows may be m-vectors, as for gfl_rhs.
+    Returns (dctrl, v_inv) as tuples; rows may be floats or m-vectors, as
+    for gfl_rhs.
     """
     delta, omega_pc, m_d, m_q, o_d, o_q = ctrl
-    c, s = np.cos(delta), np.sin(delta)
+    fn = math if isinstance(delta, float) else np
+    c, s = fn.cos(delta), fn.sin(delta)
 
     # measurements and feedforward in the controller frame: rotation by delta
     v_md, v_mq = c * v_c[0] - s * v_c[1], s * v_c[0] + c * v_c[1]
@@ -348,15 +342,8 @@ def gfm_rhs(
     xf = omega0 * flt.lf
     v_sd = v_md + p.kp_c * e_id + p.ki_c * o_d - xf * i_mq
     v_sq = v_mq + p.kp_c * e_iq + p.ki_c * o_q + xf * i_md
-    v_inv = np.array([c * v_sd + s * v_sq, c * v_sq - s * v_sd])
-
-    dctrl = np.array([omega_pc, d_omega, e_vd, e_vq, e_id, e_iq])
-    info = {
-        "theta_dot_abs": omega0 + omega_pc,
-        "i_star": (i_star_d, i_star_q),
-        "v_star_i": (v_sd, v_sq),
-    }
-    return dctrl, v_inv, info
+    v_inv = (c * v_sd + s * v_sq, c * v_sq - s * v_sd)
+    return (omega_pc, d_omega, e_vd, e_vq, e_id, e_iq), v_inv
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +518,67 @@ class SystemModel:
 
     # -- right-hand side -----------------------------------------------------
 
+    def derivative(
+        self,
+        refs: RefInputs,
+        fault: Optional[FaultSpec] = None,
+        dt: Optional[float] = None,
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """State derivative x -> dx with refs and the fault (if given, it is
+        active) bound once: the treatment matrix, the pinned bus, the source
+        terms and the controller gains.
+
+        x is one state of shape (n,) or a batch of states as the columns of
+        an (n, m) array; with a batch, any field of refs may also be an
+        m-vector, one value per column. Column j of a batch result agrees
+        with the single-state result for column j to roundoff. A single
+        state runs the controller on Python floats, a batch on row vectors.
+        """
+        a, pinned = self._treatment(fault, dt)
+        w0 = self.omega0
+        e_g = refs.v_g_ref * w0 / self.grid.xg
+        b = np.zeros((self.n, *np.broadcast(refs.v_g_ref, refs.v_g_angle, refs.phi_sc).shape))
+        b[0], b[1] = e_g * np.cos(refs.v_g_angle), e_g * np.sin(refs.v_g_angle)
+        if self.sc is not None:
+            k = self._idx["i_sc_d"]
+            e_sc = self.sc.e_mag * w0 / self.sc.x_sub
+            b[k], b[k + 1] = e_sc * np.cos(refs.phi_sc), e_sc * np.sin(refs.phi_sc)
+        b_cols = b.reshape(self.n, -1)
+        if self.control == NO_CONVERTER:
+
+            def passive(x: np.ndarray) -> np.ndarray:
+                dx = a @ x
+                dx += b if x.ndim == 1 else b_cols
+                return dx
+
+            return passive
+
+        kf, kv, ka = self._idx["i_f_d"], self._idx["v_c_d"], self._idx["i_a_d"]
+        pin_vc = pinned[1] if pinned is not None and pinned[0] == kv else None
+        lf, gfl, gfm, q_mode, net = self.network.lf, self.gfl, self.gfm, self.q_mode, self.network
+        is_gfl = self.control == GFL
+
+        def converter(x: np.ndarray) -> np.ndarray:
+            dx = a @ x
+            single = x.ndim == 1
+            dx += b if single else b_cols
+            rows = x.tolist() if single else x
+            v_c = rows[kv : kv + 2]
+            if pin_vc is not None:  # the controller reads the pinned bus voltage
+                v_c = (pin_vc @ x).tolist() if single else pin_vc @ x
+            i_f, i_a = rows[kf : kf + 2], rows[ka : ka + 2]
+            p_pc, q_pc = power_pair(v_c, i_a)
+            if is_gfl:
+                dctrl, v_inv = gfl_rhs(rows[-6:], v_c, i_f, p_pc, q_pc, gfl, refs, q_mode)
+            else:
+                dctrl, v_inv = gfm_rhs(rows[-6:], v_c, i_f, i_a, p_pc, gfm, refs, net, w0)
+            dx[kf] += v_inv[0] / lf
+            dx[kf + 1] += v_inv[1] / lf
+            dx[-6:] = dctrl
+            return dx
+
+        return converter
+
     def rhs(
         self,
         x: np.ndarray,
@@ -538,39 +586,9 @@ class SystemModel:
         fault: Optional[FaultSpec] = None,
         dt: Optional[float] = None,
     ) -> np.ndarray:
-        """Assembled state derivative; fault (if given) is currently active.
-
-        x is one state of shape (n,) or a batch of states as the columns of
-        an (n, m) array; with a batch, any field of refs may also be an
-        m-vector, one value per column. Column j of a batch result agrees
-        with the single-state result for column j to roundoff.
-        """
-        a, pinned = self._treatment(fault, dt)
-        dx = a @ x
-        w0 = self.omega0
-        e_g = refs.v_g_ref * w0 / self.grid.xg
-        dx[0] += e_g * np.cos(refs.v_g_angle)
-        dx[1] += e_g * np.sin(refs.v_g_angle)
-        if self.sc is not None:
-            k = self._idx["i_sc_d"]
-            e_sc = self.sc.e_mag * w0 / self.sc.x_sub
-            dx[k] += e_sc * np.cos(refs.phi_sc)
-            dx[k + 1] += e_sc * np.sin(refs.phi_sc)
-        if self.control != NO_CONVERTER:
-            v_c = self.pair(x, "v_c_d")
-            if pinned is not None and pinned[0] == self._idx["v_c_d"]:
-                v_c = pinned[1] @ x
-            i_f = self.pair(x, "i_f_d")
-            i_a = self.pair(x, "i_a_d")
-            p_pc, q_pc = power_pair(v_c, i_a)
-            if self.control == GFL:
-                dctrl, v_inv, _ = gfl_rhs(x[-6:], v_c, i_f, p_pc, q_pc, self.gfl, refs, self.q_mode, w0)
-            else:
-                dctrl, v_inv, _ = gfm_rhs(x[-6:], v_c, i_f, i_a, p_pc, self.gfm, refs, self.network, w0)
-            k = self._idx["i_f_d"]
-            dx[k : k + 2] += v_inv / self.network.lf
-            dx[-6:] = dctrl
-        return dx
+        """Assembled state derivative of one state or a batch of states; see
+        derivative, which binds refs and the fault for repeated calls."""
+        return self.derivative(refs, fault, dt)(x)
 
     # -- measurements ---------------------------------------------------------
 
@@ -595,29 +613,3 @@ class SystemModel:
         out["v_c_mag"] = np.hypot(v_c[0], v_c[1])
         out["v_pcc_mag"] = np.hypot(v_pcc[0], v_pcc[1])
         return out
-
-    # -- frame rotation helper -------------------------------------------------
-
-    def rotated_state(self, x: np.ndarray, alpha: float) -> np.ndarray:
-        """State rotated by a common frame angle alpha.
-
-        dq pairs rotate by alpha; the GFL PLL angle shifts by +alpha and the
-        GFM swing angle by -alpha (their measurement transforms are mutually
-        inverse). Integrator states are frame-local and unchanged. Callers
-        rotate source angles (v_g_angle, phi_sc) in RefInputs themselves.
-        """
-        y = np.array(x, dtype=float)
-        for lab in ("i_g_d", "i_sc_d", "i_f_d", "v_c_d", "i_a_d", "v_pcc_d"):
-            if lab in self._idx:
-                k = self._idx[lab]
-                y[k : k + 2] = rotate(x[k : k + 2], alpha)
-        if self.control == GFL:
-            y[self._idx["theta_pll"]] += alpha
-        elif self.control == GFM:
-            y[self._idx["theta_pc"]] -= alpha
-        return y
-
-
-def rotated_refs(refs: RefInputs, alpha: float) -> RefInputs:
-    """Source angles advanced by a common frame angle."""
-    return replace(refs, v_g_angle=refs.v_g_angle + alpha, phi_sc=refs.phi_sc + alpha)

@@ -2,7 +2,8 @@
 
 One march loop owns event segments, the divergence and non-finite checks
 and truncation. Within a segment a step rule advances the state by dt:
-classic RK4 for the converter plant, or, for affine dynamics x' = A x + b,
+classic RK4 for the converter plant, on the plant derivative bound once per
+event segment (SystemModel.derivative), or, for affine dynamics x' = A x + b,
 the exact zero-order hold x+ = Phi x + gamma with Phi and gamma from one
 expm of [[A, b], [0, 0]] dt (Van Loan, IEEE TAC 1978). The hold is exact at
 any stiffness: integrate uses it for the passive plant, where a fault of any
@@ -152,15 +153,17 @@ def zoh_step(a: np.ndarray, b: np.ndarray, dt: float) -> Step:
 
 def _rk4_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
               dt: float) -> Step:
-    """Classic RK4 step of the plant. A bus the fault pins is written with
-    its node-law value after every step, so the state carries it."""
+    """Classic RK4 step of the plant, its derivative bound once for the
+    segment. A bus the fault pins is written with its node-law value after
+    every step, so the state carries it."""
+    f = model.derivative(refs, fault, dt)
     pinned = model.pinned_bus(fault, dt) if fault is not None else None
 
     def step(x: np.ndarray) -> np.ndarray:
-        k1 = model.rhs(x, refs, fault, dt)
-        k2 = model.rhs(x + 0.5 * dt * k1, refs, fault, dt)
-        k3 = model.rhs(x + 0.5 * dt * k2, refs, fault, dt)
-        k4 = model.rhs(x + dt * k3, refs, fault, dt)
+        k1 = f(x)
+        k2 = f(x + 0.5 * dt * k1)
+        k3 = f(x + 0.5 * dt * k2)
+        k4 = f(x + dt * k3)
         x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if pinned is not None:
             k, pin = pinned

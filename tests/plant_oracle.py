@@ -3,12 +3,14 @@
 These are the branch and node equations written one component at a time.
 The library evaluates the same network as one assembled state matrix
 (``SystemModel.rhs``); the tests keep the component form as the reference it
-must reproduce.
+must reproduce. The frame-rotation helpers at the end move a state and its
+source angles to a rotated common frame, for the invariance checks.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -169,9 +171,9 @@ def composed_rhs(
 
     v_inv = None
     if model.control == GFL:
-        dctrl, v_inv, _ = gfl_rhs(x[-6:], v_c, i_f, p_pc, q_pc, model.gfl, refs, model.q_mode, w0)
+        dctrl, v_inv = gfl_rhs(x[-6:], v_c, i_f, p_pc, q_pc, model.gfl, refs, model.q_mode)
     elif model.control == GFM:
-        dctrl, v_inv, _ = gfm_rhs(x[-6:], v_c, i_f, i_a, p_pc, model.gfm, refs, net, w0)
+        dctrl, v_inv = gfm_rhs(x[-6:], v_c, i_f, i_a, p_pc, model.gfm, refs, net, w0)
 
     v_g = refs.v_g_ref * np.array([math.cos(refs.v_g_angle), math.sin(refs.v_g_angle)])
     dx[0:2] = grid_rhs(i_g, v_pcc, model.grid, w0, v_g=v_g)
@@ -182,7 +184,7 @@ def composed_rhs(
         k += 2
 
     if has_conv:
-        di_f, dv_c, di_a = filter_cable_rhs(i_f, v_c, i_a, v_pcc, v_inv, net, w0)
+        di_f, dv_c, di_a = filter_cable_rhs(i_f, v_c, i_a, v_pcc, np.array(v_inv), net, w0)
         dx[k : k + 2] = di_f
         k += 2
     else:
@@ -213,3 +215,38 @@ def composed_rhs(
     if has_conv:
         dx[k : k + 6] = dctrl
     return dx
+
+
+# ---------------------------------------------------------------------------
+# frame rotation
+
+
+def rotate(v: np.ndarray, angle) -> np.ndarray:
+    """Rotate a dq pair counterclockwise by angle."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+
+
+def rotated_state(model: SystemModel, x: np.ndarray, alpha: float) -> np.ndarray:
+    """State rotated by a common frame angle alpha.
+
+    dq pairs rotate by alpha; the GFL PLL angle shifts by +alpha and the
+    GFM swing angle by -alpha (their measurement transforms are mutually
+    inverse). Integrator states are frame-local and unchanged. Callers
+    rotate source angles (v_g_angle, phi_sc) with rotated_refs.
+    """
+    y = np.array(x, dtype=float)
+    for lab in ("i_g_d", "i_sc_d", "i_f_d", "v_c_d", "i_a_d", "v_pcc_d"):
+        if lab in model.labels:
+            k = model.index(lab)
+            y[k : k + 2] = rotate(x[k : k + 2], alpha)
+    if model.control == GFL:
+        y[model.index("theta_pll")] += alpha
+    elif model.control == GFM:
+        y[model.index("theta_pc")] -= alpha
+    return y
+
+
+def rotated_refs(refs: RefInputs, alpha: float) -> RefInputs:
+    """Source angles advanced by a common frame angle."""
+    return replace(refs, v_g_angle=refs.v_g_angle + alpha, phi_sc=refs.phi_sc + alpha)

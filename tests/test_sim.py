@@ -5,11 +5,12 @@ supplies the fault and energy checks.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wppsc.components import GFL, GFM, NO_CONVERTER, OMEGA0, RefInputs, ScParams
+from wppsc.components import GFL, GFM, NO_CONVERTER, OMEGA0, FaultSpec, RefInputs, ScParams
 from wppsc.config import GRID_CASES, OperatingPoint, Scenario, build_model, refs_for
 from wppsc.powerflow import solve_equilibrium
 from wppsc.sim import DERIVED_SIGNALS, Event, TimeSeries, integrate
@@ -28,10 +29,13 @@ class StubModel:
         self.rate = rate
         self.nan_above = nan_above
 
-    def rhs(self, x, refs, fault=None, dt=None):
-        if self.nan_above is not None and float(np.max(np.abs(x))) > self.nan_above:
-            return np.full(self.n, np.nan)
-        return self.rate * np.asarray(x, dtype=float)
+    def derivative(self, refs, fault=None, dt=None):
+        def f(x):
+            if self.nan_above is not None and float(np.max(np.abs(x))) > self.nan_above:
+                return np.full(self.n, np.nan)
+            return self.rate * np.asarray(x, dtype=float)
+
+        return f
 
     def measure(self, x, refs):
         return {name: np.zeros(np.shape(x)[1:]) for name in DERIVED_SIGNALS}
@@ -120,6 +124,60 @@ def test_pinned_fault_bus_reports_node_law_voltage(bus):
                        rtol=1e-12, atol=0.0)
     # the sample at the fault step is the pre-fault state
     assert abs(pair(node)[k]) > 0.9
+
+
+def rk4_reference(model, x0, dt, n_steps, schedule):
+    """Classic RK4 on model.rhs, one call per stage, with the pinned-bus
+    write after every step. schedule lists (first step, refs, fault)."""
+    xs = [np.array(x0, dtype=float)]
+    ends = [k for k, _, _ in schedule[1:]] + [n_steps]
+    for (start, refs, fault), end in zip(schedule, ends):
+        pinned = model.pinned_bus(fault, dt) if fault is not None else None
+        for _ in range(start, end):
+            x = xs[-1]
+            k1 = model.rhs(x, refs, fault, dt)
+            k2 = model.rhs(x + 0.5 * dt * k1, refs, fault, dt)
+            k3 = model.rhs(x + 0.5 * dt * k2, refs, fault, dt)
+            k4 = model.rhs(x + dt * k3, refs, fault, dt)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if pinned is not None:
+                k, pin = pinned
+                x[k : k + 2] = pin @ x
+            xs.append(x)
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("control", [GFL, GFM])
+@pytest.mark.parametrize("case", ["p_star_step", "bolted_wt_mv", "shunt_pcc"])
+def test_integrate_matches_rk4_on_rhs(control, case):
+    # the march binds the derivative once per event segment; its trajectory
+    # is the one classic RK4 gives stepping model.rhs call by call
+    model, eq = solved("weak", control, True, p=1.0)
+    if case == "p_star_step":
+        dt, n, delta = 1e-4, 300, 0.05
+        events = [Event.step_ref(0.0, "p_star", delta)]
+        schedule = [(0, replace(eq.refs, p_star=eq.refs.p_star + delta), None)]
+    else:
+        # a bolted turbine-bus fault is pinned at dt = 1e-4; a 0.05 pu PCC
+        # fault (r C = 5e-6 s) joins the node law at dt = 2e-6
+        if case == "bolted_wt_mv":
+            bus, r_f, dt, n = "wt_mv", 1e-4, 1e-4, 300
+        else:
+            bus, r_f, dt, n = "pcc", 0.05, 2e-6, 3000
+        k_on, k_off = n // 6, n // 2
+        fault = FaultSpec(bus, r_f)
+        assert (model.pinned_bus(fault, dt) is None) == (case == "shunt_pcc")
+        events = [Event.fault_on(k_on * dt, bus, r_f), Event.fault_off(k_off * dt, bus)]
+        schedule = [(0, eq.refs, None), (k_on, eq.refs, fault), (k_off, eq.refs, None)]
+    ts = integrate(model, eq.state, eq.refs, t_end=n * dt, dt=dt, events=events)
+    assert not (ts.diverged or ts.aborted)
+    got = np.column_stack([ts.columns[name] for name in model.labels])
+    ref = rk4_reference(model, eq.state, dt, n, schedule)
+    assert got.shape == ref.shape
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-12 * scale)
+    # the run moved: the event is visible in the trajectory
+    assert np.max(np.abs(ref[-1] - ref[0])) > 1e-4
 
 
 def test_reference_step_reaches_derived_powers_from_stepped_sample():
