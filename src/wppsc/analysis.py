@@ -1,9 +1,11 @@
 """Modal analysis and operating-point sweeps.
 
-Eigenvalues come from the dense nonsymmetric solver with left eigenvectors
-so every mode carries participation factors; conjugate pairs are folded to
-the upper half plane. Stability reports collect the classification used by
-the sweep CSVs and the acceptance checks.
+Eigenvalues come from the dense nonsymmetric solver, left eigenvectors from
+the inverse of the right ones, so every mode carries participation factors;
+conjugate pairs are folded to the upper half plane. Stability reports
+collect the classification used by the sweep CSVs and the acceptance checks.
+analyze_group solves, linearizes and decomposes the scenarios of one model
+as one batch; sweep calls it per grid case, control and condenser state.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .config import (
     GRID_CASES,
@@ -27,9 +28,10 @@ from .config import (
     scenario_key,
     standard_operating_points,
 )
-from .linearize import LinearizationError, StateSpaceModel, linearize
+# linearize and solve_equilibrium stay importable here for perfbench's tracer
+from .linearize import LinearizationError, StateSpaceModel, linearize, linearize_batch  # noqa: F401
 from .netbase import GridCase
-from .powerflow import InfeasibleError, NonConvergenceError, solve_equilibrium
+from .powerflow import EquilibriumPoint, solve_equilibria, solve_equilibrium  # noqa: F401
 from .sim import TimeSeries, march, zoh_step
 
 log = logging.getLogger(__name__)
@@ -73,66 +75,73 @@ class StabilityReport:
     null_modes_filtered: int = 0
     solved: bool = True
     failure: str = ""
+    newton_iterations: int = 0
+    residual_norm: float = math.nan
 
 
 def eigenvalues(ss: StateSpaceModel) -> list[EigenRecord]:
     """All modes of ss.a as records, conjugate pairs reported once (im >= 0).
 
-    Null modes (|lam| < 1e-8) are excluded and logged; participation is
-    |left * right| per state, normalized per mode.
+    Null modes (|lam| < 1e-8) are excluded and logged; the dominant states
+    of a mode have the largest participation |left * right|. One-member
+    spectra.
     """
-    a = np.asarray(ss.a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise LinearizationError("state matrix contains non-finite entries")
-    try:
-        w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
-    except scipy.linalg.LinAlgError as exc:
-        dump = np.array2string(a, max_line_width=200, precision=6)
-        raise RuntimeError(f"eigensolver failed: {exc}\nA =\n{dump}") from exc
-
-    records: list[EigenRecord] = []
-    dropped = 0
-    for k in range(len(w)):
-        lam = w[k]
-        if abs(lam) < NULL_MODE_TOL:
-            dropped += 1
-            continue
-        if lam.imag < 0.0:
-            continue
-        part = np.abs(vl[:, k] * vr[:, k])
-        peak = part.max()
-        if peak > 0.0:
-            part = part / peak
-        top = np.argsort(-part, kind="stable")[:3]
-        records.append(
-            EigenRecord(
-                re=float(lam.real),
-                im=float(lam.imag),
-                damping=float(damping(lam)),
-                freq_hz=abs(float(lam.imag)) / (2.0 * math.pi),
-                dominant_states=tuple(ss.state_labels[i] for i in top),
-                conjugate_pair=lam.imag > 0.0,
-            )
-        )
-    if dropped:
-        log.info("filtered %d null mode(s) with |lambda| < %g", dropped, NULL_MODE_TOL)
-    records.sort(key=lambda r: (-r.re, r.im))
+    (records,) = spectra([ss])
+    if isinstance(records, LinearizationError):
+        raise records
     return records
+
+
+def spectra(models: Sequence[StateSpaceModel]) -> list:
+    """eigenvalues of each model, from one stacked decomposition of the
+    same-size state matrices: member j is its records, or the
+    LinearizationError that rejects its matrix alone."""
+    error = "state matrix contains non-finite entries"
+    checked = [ss if np.all(np.isfinite(ss.a)) else LinearizationError(error) for ss in models]
+    return _advance(checked, _decompose)
+
+
+def _decompose(models: Sequence[StateSpaceModel]) -> list:
+    try:
+        w, vr = np.linalg.eig(np.stack([ss.a for ss in models]))
+        vl = np.linalg.inv(vr)  # row k is the left eigenvector of mode k
+    except np.linalg.LinAlgError as exc:
+        if len(models) > 1:  # retry one matrix at a time
+            return [_decompose([ss])[0] for ss in models]
+        dump = np.array2string(models[0].a, max_line_width=200, precision=6)
+        return [LinearizationError(f"eigensolver failed: {exc}\nA =\n{dump}")]
+    part = np.abs(vl.transpose(0, 2, 1) * vr)  # [member, state, mode]
+    top = np.argsort(-part, axis=1, kind="stable")[:, :3].transpose(0, 2, 1)
+    out = []
+    for lams, tops, ss in zip(w.tolist(), top.tolist(), models):
+        records: list[EigenRecord] = []
+        for lam, states in zip(map(complex, lams), tops):
+            if lam.imag >= 0.0 and abs(lam) >= NULL_MODE_TOL:
+                records.append(
+                    EigenRecord(
+                        re=lam.real,
+                        im=lam.imag,
+                        damping=damping(lam),
+                        freq_hz=abs(lam.imag) / (2.0 * math.pi),
+                        dominant_states=tuple(ss.state_labels[i] for i in states),
+                        conjugate_pair=lam.imag > 0.0,
+                    )
+                )
+        dropped = sum(abs(lam) < NULL_MODE_TOL for lam in lams)
+        if dropped:
+            log.info("filtered %d null mode(s) with |lambda| < %g", dropped, NULL_MODE_TOL)
+        out.append(sorted(records, key=lambda r: (-r.re, r.im)))
+    return out
 
 
 def classify(
     records: Sequence[EigenRecord],
     tol: float = STABILITY_TOL,
     *,
-    key: str = "",
-    grid_case: str = "",
-    control: str = "",
-    with_sc: bool = False,
-    op: Optional[OperatingPoint] = None,
     null_modes: int = 0,
 ) -> StabilityReport:
     """Stable iff every record has re < tol; flags lightly damped modes
-    in the 40..60 Hz band."""
+    in the 40..60 Hz band. The scenario fields are left blank."""
     max_re = max((r.re for r in records), default=float("-inf"))
     low = [r for r in records if r.im > 0.0 and r.freq_hz < 100.0]
     min_damp = min((r.damping for r in low), default=None)
@@ -143,11 +152,11 @@ def classify(
         and NEAR_SYNC_BAND_HZ[0] <= r.freq_hz <= NEAR_SYNC_BAND_HZ[1]
     )
     return StabilityReport(
-        scenario_key=key,
-        grid_case=grid_case,
-        control=control,
-        with_sc=with_sc,
-        op=op,
+        scenario_key="",
+        grid_case="",
+        control="",
+        with_sc=False,
+        op=None,
         stable=max_re < tol,
         max_re=max_re,
         min_damping_below_100hz=min_damp,
@@ -158,55 +167,48 @@ def classify(
 
 
 def analyze_scenario(scenario: Scenario) -> StabilityReport:
-    """Solve, linearize and classify one scenario. A scenario without a
-    usable equilibrium or linearization comes back as a report with
-    solved=False; any other error propagates."""
-    kkey = scenario_key(scenario)
-    meta = dict(
-        key=kkey,
-        grid_case=scenario.name,
-        control=scenario.control,
-        with_sc=scenario.with_sc,
-        op=scenario.op,
+    """Solve, linearize and classify one scenario (one-member analyze_group).
+    A scenario without a usable equilibrium or linearization comes back as a
+    report with solved=False; any other error propagates."""
+    return analyze_group([scenario])[0]
+
+
+def analyze_group(scenarios: Sequence[Scenario]) -> list[StabilityReport]:
+    """analyze_scenario for scenarios that differ only in their operating
+    point, and so share one model, as one batch; each report is the one its
+    scenario gives alone."""
+    if not scenarios:
+        return []
+    first = scenarios[0]
+    if any(replace(s, op=first.op) != first for s in scenarios[1:]):
+        raise ValueError("the scenarios of a group may differ only in their operating point")
+    model = build_model(first)
+    eqs = solve_equilibria(model, [refs_for(s) for s in scenarios])
+    systems = _advance(
+        eqs, lambda e: linearize_batch(model, [p.state for p in e], [p.refs for p in e])
     )
-    try:
-        model = build_model(scenario)
-        refs = refs_for(scenario)
-        eq = solve_equilibrium(model, refs)
-        ss = linearize(model, eq.state, eq.refs)
-        records = eigenvalues(ss)
-    except (NonConvergenceError, InfeasibleError, LinearizationError) as exc:
-        return StabilityReport(
-            scenario_key=kkey,
-            grid_case=scenario.name,
-            control=scenario.control,
-            with_sc=scenario.with_sc,
-            op=scenario.op,
-            stable=False,
-            max_re=float("nan"),
-            min_damping_below_100hz=None,
-            eigen=(),
-            solved=False,
-            failure=f"{type(exc).__name__}: {exc}",
-        )
-    null_count = ss.a.shape[0] - sum(2 if r.conjugate_pair else 1 for r in records)
-    return classify(records, null_modes=null_count, **meta)
+    reports = []
+    for s, eq, ss, records in zip(scenarios, eqs, systems, _advance(systems, spectra)):
+        if isinstance(records, Exception):
+            report = replace(classify([]), stable=False, max_re=math.nan, solved=False,
+                             failure=f"{type(records).__name__}: {records}")
+        else:
+            null_count = ss.a.shape[0] - sum(2 if r.conjugate_pair else 1 for r in records)
+            report = classify(records, null_modes=null_count)
+        residual = eq.residual_norm if isinstance(eq, EquilibriumPoint) else eq.final_residual
+        reports.append(replace(report, scenario_key=scenario_key(s), grid_case=s.name,
+                               control=s.control, with_sc=s.with_sc, op=s.op,
+                               newton_iterations=eq.iterations, residual_norm=residual))
+    return reports
 
 
-def _sweep_scenarios(
-    grid_cases: Mapping[str, GridCase],
-    ops: Sequence[OperatingPoint],
-    controls: Sequence[str],
-    sc_states: Sequence[bool],
-    base: Scenario,
-) -> list[Scenario]:
-    out = []
-    for name in sorted(grid_cases):
-        for control, with_sc, op in itertools.product(controls, sc_states, ops):
-            out.append(
-                replace(base, name=name, grid=grid_cases[name], control=control,
-                        with_sc=with_sc, op=op)
-            )
+def _advance(results: list, stage) -> list:
+    """results with the members that have not failed replaced by what one
+    call of the batch stage gives them."""
+    live = [j for j, r in enumerate(results) if not isinstance(r, Exception)]
+    out = list(results)
+    for j, r in zip(live, stage([results[j] for j in live]) if live else ()):
+        out[j] = r
     return out
 
 
@@ -219,18 +221,24 @@ def sweep(
     jobs: Optional[int] = None,
 ) -> list[StabilityReport]:
     """Grid cases x operating points x controls x SC on/off, one report per
-    cell. A cell whose solve or linearization fails is reported unsolved and
-    never aborts the batch; the result is sorted by scenario key so output
-    is order-stable regardless of worker timing."""
+    cell, from one analyze_group call per grid case, control and SC state,
+    spread over jobs worker processes when jobs > 1. A cell whose solve or
+    linearization fails is reported unsolved and never aborts the batch; the
+    result is sorted by scenario key, whatever the worker timing."""
     cases = dict(GRID_CASES) if grid_cases is None else dict(grid_cases)
     points = standard_operating_points() if ops is None else list(ops)
     template = base if base is not None else Scenario()
-    scenarios = _sweep_scenarios(cases, points, controls, sc_states, template)
+    groups = [  # the operating points of one grid case, control and condenser state
+        [replace(template, name=name, grid=cases[name], control=control, with_sc=with_sc, op=op)
+         for op in points]
+        for name in sorted(cases)
+        for control, with_sc in itertools.product(controls, sc_states)
+    ]
     if jobs is not None and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(analyze_scenario, scenarios, chunksize=8))
+            reports = [r for part in pool.map(analyze_group, groups) for r in part]
     else:
-        reports = [analyze_scenario(s) for s in scenarios]
+        reports = [r for g in groups for r in analyze_group(g)]
     reports.sort(key=lambda r: r.scenario_key)
     return reports
 

@@ -278,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
             dest="overrides",
             help="override a config entry after file parsing; repeatable",
         )
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers for sweep")
+        p.add_argument("--jobs", type=int, default=None, help="sweep workers, one model group each")
         p.add_argument("--verbose", action="store_true", help="print run summaries")
         if name == "eig":
             p.add_argument(

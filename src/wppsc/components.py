@@ -63,21 +63,16 @@ def _block(z: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridParams:
-    """Thevenin grid branch: ideal source v_ref behind rg + j xg."""
+    """Thevenin grid branch rg + j xg behind the v_g_ref source (RefInputs)."""
 
     rg: float
     xg: float
-    v_ref: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.xg) and self.xg > 0.0):
             raise ValueError(f"grid xg must be > 0, got {self.xg}")
         if not (math.isfinite(self.rg) and self.rg >= 0.0):
             raise ValueError(f"grid rg must be >= 0, got {self.rg}")
-        # v_ref range is an operating constraint checked at the config layer;
-        # the model itself also accepts a shorted source for passivity studies.
-        if not (math.isfinite(self.v_ref) and self.v_ref >= 0.0):
-            raise ValueError(f"grid v_ref must be >= 0, got {self.v_ref}")
 
 
 @dataclass(frozen=True)
@@ -223,6 +218,20 @@ class RefInputs:
     v_g_ref: float = 1.0
     v_g_angle: float = 0.0
     phi_sc: float = 0.0
+
+    @classmethod
+    def stack(cls, members: Sequence["RefInputs"]) -> "RefInputs":
+        """Inputs of a batch: a field the members share stays one value, any
+        other is the m-vector of their values."""
+        fields = zip(*(vars(r).values() for r in members))
+        return cls(*(v[0] if v.count(v[0]) == len(v) else np.array(v, dtype=float) for v in fields))
+
+    def take(self, cols) -> "RefInputs":
+        """The members cols (index, index array or mask) of a stacked batch."""
+        values = vars(self).values()
+        if not any(isinstance(v, np.ndarray) for v in values):  # shared by every member
+            return self
+        return RefInputs(*(v[cols] if isinstance(v, np.ndarray) else v for v in values))
 
 
 @dataclass(frozen=True)
@@ -423,11 +432,12 @@ class SystemModel:
         contributes 2x2 blocks of its complex coefficients. The sources, the
         inverter voltage and the controller rows are added by rhs."""
         net, w0, g = self.network, self.omega0, self.grid
-        a = np.zeros((self.n, self.n))
+        a = [[0.0] * self.n for _ in range(self.n)]  # filled as floats, one array at the end
 
         def put(row: str, col: str, z: complex) -> None:
-            r, c = self._idx[row], self._idx[col]
-            a[r : r + 2, c : c + 2] += _block(complex(z))
+            r, c, z = self._idx[row], self._idx[col], complex(z)
+            for i, j, v in ((0, 0, z.real), (0, 1, -z.imag), (1, 0, z.imag), (1, 1, z.real)):
+                a[r + i][c + j] += v
 
         # L_g di_g/dt = -R_g i_g + j X_g i_g + v_g - v_pcc
         l_g = g.xg / w0
@@ -456,7 +466,7 @@ class SystemModel:
         put("v_pcc_d", "i_g_d", 1.0 / net.c_pcc)
         put("v_pcc_d", "i_a_d", 1.0 / net.c_pcc)
         put("v_pcc_d", "v_pcc_d", 1j * w0)
-        return a
+        return np.array(a)
 
     def _treatment(
         self, fault: Optional[FaultSpec], dt: Optional[float]
@@ -587,7 +597,10 @@ class SystemModel:
         dt: Optional[float] = None,
     ) -> np.ndarray:
         """Assembled state derivative of one state or a batch of states; see
-        derivative, which binds refs and the fault for repeated calls."""
+        derivative, which binds refs and the fault for repeated calls. A
+        batch of one column is evaluated as one state."""
+        if x.ndim == 2 and x.shape[1] == 1:
+            return self.derivative(refs.take(0), fault, dt)(x[:, 0])[:, None]
         return self.derivative(refs, fault, dt)(x)
 
     # -- measurements ---------------------------------------------------------

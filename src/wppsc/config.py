@@ -144,9 +144,8 @@ def build_model(sc_spec: Scenario) -> SystemModel:
         z = sc_spec.grid
     else:
         z = impedance_from_scr_xr(sc_spec.grid)
-    grid = GridParams(rg=z.r, xg=z.x, v_ref=sc_spec.op.v_g_ref)
     return SystemModel(
-        grid=grid,
+        grid=GridParams(rg=z.r, xg=z.x),
         network=sc_spec.network.to_params(),
         control=sc_spec.control,
         gfl=sc_spec.gfl,

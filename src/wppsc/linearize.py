@@ -5,10 +5,11 @@ Jacobians on the linear network blocks and second-order accuracy on the
 control nonlinearities (trig terms, the voltage magnitude and the power
 products).
 
-numjac evaluates every perturbed point in one call: the function it
-differentiates maps a (size, m) array of points, one per column, to the
-(k, m) array of their values. SystemModel.rhs and SystemModel.measure both
-accept such column batches.
+numjac evaluates every perturbed point, of one base point or of m, in one
+call of a function that maps a (size, M) array of points, one per column,
+to the (k, M) array of their values, as SystemModel.rhs and measure do.
+linearize_batch linearizes m equilibria of one model with one call each
+for A, B and C.
 """
 
 from __future__ import annotations
@@ -39,17 +40,22 @@ class LinearizationError(ValueError):
 
 
 def numjac(f: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Dense central-difference Jacobian of f at z0.
+    """Dense central-difference Jacobian of f at z0 of shape (size,), or the
+    (m, k, size) stack of them at the m columns of z0 of shape (size, m).
 
-    f is called once, on the (size, 2*size) array whose column j is z0 + h_j e_j
-    and column size + j is z0 - h_j e_j, and must return one column of
-    values per column of points.
+    f is called once, on (size, 2*size*m) points, and must return one column
+    of values per column of points: column p*m + c is member c moved by
+    +h_p e_p (p < size) or -h_(p-size) e_(p-size), h_j = eps*max(1, |z_j|).
     """
     z0 = np.asarray(z0, dtype=float)
-    h = eps * np.maximum(1.0, np.abs(z0))
-    steps = np.diag(h)
-    values = np.asarray(f(z0[:, None] + np.hstack([steps, -steps])), dtype=float)
-    return (values[:, : z0.size] - values[:, z0.size :]) / (2.0 * h)
+    z = z0.reshape(z0.shape[0], -1)
+    size, m = z.shape
+    h = eps * np.maximum(1.0, np.abs(z))
+    steps = np.eye(size)[:, :, None] * h[:, None]
+    points = z[:, None] + np.concatenate([steps, -steps], axis=1)
+    values = np.asarray(f(points.reshape(size, -1)), dtype=float).reshape(-1, 2 * size, m)
+    jac = (values[:, :size] - values[:, size:]) / (2.0 * h)
+    return jac[..., 0] if z0.ndim == 1 else jac.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -93,55 +99,79 @@ def linearize(
     eps: float = 1e-6,
     check_equilibrium: bool = True,
 ) -> StateSpaceModel:
-    """Linearize the assembled ODE at (x_eq, refs).
+    """Linearize the assembled ODE at (x_eq, refs); one-member linearize_batch.
 
     The point must be an equilibrium (RHS below 1e-8) unless the check is
     explicitly waived; eps is the relative perturbation and must lie in
     [1e-8, 1e-4].
     """
-    if not 1e-8 <= eps <= 1e-4:
-        raise ValueError(f"eps must be in [1e-8, 1e-4], got {eps}")
     x_eq = np.asarray(x_eq, dtype=float)
     if x_eq.shape != (model.n,):
         raise ValueError(f"state must have shape ({model.n},), got {x_eq.shape}")
-    if check_equilibrium:
-        r = float(np.max(np.abs(model.rhs(x_eq, refs))))
-        if not r < 1e-8:
-            raise LinearizationError(f"not an equilibrium: RHS inf-norm {r:.3e} >= 1e-8")
+    (ss,) = linearize_batch(model, [x_eq], [refs], eps, check_equilibrium)
+    if isinstance(ss, LinearizationError):
+        raise ss
+    return ss
 
-    a = numjac(lambda x: model.rhs(x, refs), x_eq, eps)
+
+def linearize_batch(
+    model: SystemModel,
+    states: Sequence[np.ndarray],
+    refs: Sequence[RefInputs],
+    eps: float = 1e-6,
+    check_equilibrium: bool = True,
+) -> list:
+    """linearize at each (states[j], refs[j]): member j is its
+    StateSpaceModel, or the LinearizationError that rejects it alone."""
+    if not 1e-8 <= eps <= 1e-4:
+        raise ValueError(f"eps must be in [1e-8, 1e-4], got {eps}")
+    x_eq = np.stack(states, axis=1)
+    m = x_eq.shape[1]
+    stacked = RefInputs.stack(refs)
+
+    r_x = stacked.take(np.arange(2 * model.n * m) % m)  # numjac's column i is member i % m
+    a = numjac(lambda x: model.rhs(x, r_x), x_eq, eps)
 
     in_labels = _input_labels(model)
-    u0 = np.array([getattr(refs, lab) for lab in in_labels])
+    u0 = np.array([[getattr(r, lab) for r in refs] for lab in in_labels])
+    r_u = stacked.take(np.arange(2 * len(in_labels) * m) % m)
 
     def f_u(u: np.ndarray) -> np.ndarray:
-        # one column of refs per column of inputs, all at the equilibrium state
-        r = replace(refs, **dict(zip(in_labels, u)))
-        return model.rhs(np.repeat(x_eq[:, None], u.shape[1], axis=1), r)
+        # one column of refs per column of inputs, each at its member's state
+        r = replace(r_u, **dict(zip(in_labels, u)))
+        return model.rhs(np.tile(x_eq, 2 * len(in_labels)), r)
 
     b = numjac(f_u, u0, eps)
 
     def g(x: np.ndarray) -> np.ndarray:
-        m = model.measure(x, refs)
-        return np.array([m[k] for k in OUTPUT_LABELS])
+        meas = model.measure(x, r_x)
+        return np.array([meas[k] for k in OUTPUT_LABELS])
 
     c = numjac(g, x_eq, eps)
 
-    for name, mat, col_labels in (
-        ("A", a, model.labels),
-        ("B", b, in_labels),
-        ("C", c, model.labels),
-    ):
-        bad = np.argwhere(~np.isfinite(mat))
-        if bad.size:
-            i, j = int(bad[0][0]), int(bad[0][1])
+    residual = np.abs(model.rhs(x_eq, stacked)).max(axis=0) if check_equilibrium else np.zeros(m)
+    return [
+        LinearizationError(f"not an equilibrium: RHS inf-norm {r:.3e} >= 1e-8")
+        if not r < 1e-8
+        else _checked(model, a[j], b[j], c[j], in_labels)
+        for j, r in enumerate(residual)
+    ]
+
+
+def _checked(model: SystemModel, a, b, c, in_labels: tuple[str, ...]):
+    """The state-space model of A, B, C, or the LinearizationError naming
+    the first non-finite entry."""
+    labels = (model.labels, in_labels, model.labels)
+    for name, mat, col_labels in zip("ABC", (a, b, c), labels):
+        finite = np.isfinite(mat)
+        if not finite.all():
+            i, j = (int(k) for k in np.argwhere(~finite)[0])
             row_lab = model.labels[i] if name in ("A", "B") else OUTPUT_LABELS[i]
-            raise LinearizationError(
+            return LinearizationError(
                 f"non-finite {name} entry at row {i} ({row_lab}), column {j} ({col_labels[j]})",
                 row=i,
                 col=j,
             )
-
     return StateSpaceModel(
         a=a,
         b=b,

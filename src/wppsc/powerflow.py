@@ -14,13 +14,18 @@ unscaled RHS with target 1e-10 and acceptance 1e-8 in the ∞-norm. A cold
 start that stalls is retried along a source/power ramp (continuation) before
 the case is declared non-convergent (residual stuck between 1e-8 and 1e-3)
 or infeasible (stuck above 1e-3, e.g. power beyond the loadability limit).
+
+solve_equilibria solves the operating points of one model as one Newton on
+the columns of z: one RHS call per Jacobian stack and one stacked solve per
+iteration, while each column searches its own step and stops on its own. A
+column that fails the cold start takes the continuation alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -92,18 +97,14 @@ def _unknown_layout(model: SystemModel) -> tuple[bool, bool]:
 def _refs_from_z(model: SystemModel, z: np.ndarray, refs: RefInputs) -> RefInputs:
     """refs with the solved-for inputs read from z; rows of z are m-vectors
     when z holds a batch of points as columns."""
-    solves_phi, solves_q = _unknown_layout(model)
-    k = model.n
-    if solves_phi:
-        refs = replace(refs, phi_sc=z[k])
-        k += 1
-    if solves_q:
-        refs = replace(refs, q_star=z[k])
-    return refs
+    names = [name for name, solved in zip(("phi_sc", "q_star"), _unknown_layout(model)) if solved]
+    return replace(refs, **dict(zip(names, z[model.n :]))) if names else refs
 
 
 def _residual(model: SystemModel, z: np.ndarray, refs: RefInputs) -> np.ndarray:
     """Plant RHS plus closure rows at z, of shape (size,) or (size, m)."""
+    if z.ndim == 2 and z.shape[1] == 1:  # one column: as one state
+        return _residual(model, z[:, 0], refs.take(0))[:, None]
     solves_phi, solves_q = _unknown_layout(model)
     x = z[: model.n]
     r = _refs_from_z(model, z, refs)
@@ -156,39 +157,59 @@ def _newton(
     refs: RefInputs,
     scale: np.ndarray,
     max_iter: int = MAX_ITERATIONS,
-) -> tuple[np.ndarray, int, float, bool]:
-    """Damped Newton; returns (z, iterations, true residual norm, converged)."""
-    z = np.asarray(z0, dtype=float).copy()
-
-    def scaled(zz: np.ndarray) -> np.ndarray:
-        return scale[:, None] * _residual(model, zz, refs)
-
-    f_raw = _residual(model, z, refs)
-    true_norm = float(np.max(np.abs(f_raw)))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton on each column of z0 (size, m), refs stacked likewise.
+    A column leaves once its residual is below target or no step length
+    lowers its merit; only the others are evaluated. Returns (z, iterations,
+    true residual norms, converged), per column."""
+    z = np.array(z0, dtype=float)
+    f = _residual(model, z, refs)
+    iters = np.full(z.shape[1], max_iter)
+    col_scale = scale[:, None]
+    live = np.arange(z.shape[1])
+    z_l, f_l, r_l = z, f, refs  # the columns still iterating
+    done = np.abs(f).max(axis=0) < RESIDUAL_TARGET
     for it in range(1, max_iter + 1):
-        if true_norm < RESIDUAL_TARGET:
-            return z, it - 1, true_norm, True
-        f_s = scale * f_raw
-        jac = numjac(scaled, z, eps=1e-7)
-        try:
-            step = np.linalg.solve(jac, -f_s)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -f_s, rcond=None)[0]
-        merit = float(np.linalg.norm(f_s))
-        lam = 1.0
-        accepted = False
+        if it == 1 or np.count_nonzero(done):  # columns leave: converged or stalled
+            z[:, live], f[:, live] = z_l, f_l
+            iters[live[done]] = it - 1
+            live, z_l, f_l, r_l = live[~done], z_l[:, ~done], f_l[:, ~done], r_l.take(~done)
+            if not live.size:
+                break
+            # numjac's column i perturbs member i % m
+            cycled = r_l.take(np.arange(2 * z.shape[0] * live.size) % live.size)
+        f_s = col_scale * f_l
+        jac = numjac(lambda zz: col_scale * _residual(model, zz, cycled), z_l, eps=1e-7)
+        step = _solve(jac, -f_s)
+        merit = np.linalg.norm(f_s, axis=0)
+        lam, stalled = 1.0, np.ones(live.size, dtype=bool)  # until a step lowers the merit
         for _ in range(MAX_HALVINGS + 1):
-            z_try = z + lam * step
-            f_try = _residual(model, z_try, refs)
-            if float(np.linalg.norm(scale * f_try)) < merit:
-                z, f_raw = z_try, f_try
-                accepted = True
+            z_try = z_l + lam * step
+            f_try = _residual(model, z_try, r_l)
+            better = stalled & (np.linalg.norm(col_scale * f_try, axis=0) < merit)
+            if better.all():  # every column takes this step
+                z_l, f_l, stalled = z_try, f_try, ~better
+                break
+            z_l, f_l = np.where(better, z_try, z_l), np.where(better, f_try, f_l)
+            stalled &= ~better
+            if not np.count_nonzero(stalled):
                 break
             lam *= 0.5
-        true_norm = float(np.max(np.abs(f_raw)))
-        if not accepted:
-            return z, it, true_norm, true_norm < RESIDUAL_ACCEPT
-    return z, max_iter, true_norm, true_norm < RESIDUAL_ACCEPT
+        done = stalled | (np.abs(f_l).max(axis=0) < RESIDUAL_TARGET)
+    z[:, live], f[:, live] = z_l, f_l
+    norm = np.abs(f).max(axis=0)
+    return z, iters, norm, norm < RESIDUAL_ACCEPT
+
+
+def _solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Columns s_j of the stacked systems jac[j] s_j = rhs[:, j]; a singular
+    member alone falls back to least squares."""
+    try:
+        return np.linalg.solve(jac, rhs.T[..., None])[..., 0].T
+    except np.linalg.LinAlgError:
+        if len(jac) == 1:
+            return np.linalg.lstsq(jac[0], rhs, rcond=None)[0]
+        return np.hstack([_solve(jac[j : j + 1], rhs[:, j : j + 1]) for j in range(len(jac))])
 
 
 def initial_guess(model: SystemModel, refs: RefInputs) -> np.ndarray:
@@ -296,43 +317,61 @@ def _ramped_refs(refs: RefInputs, lam: float) -> RefInputs:
 
 
 def solve_equilibrium(model: SystemModel, refs: RefInputs) -> EquilibriumPoint:
-    """Find the equilibrium for the given reference inputs.
+    """Find the equilibrium for the given reference inputs (one-member
+    solve_equilibria).
 
     Raises NonConvergenceError or InfeasibleError when no acceptable solution
     is found; a converged solution outside the (0.5, 1.5) pu voltage sanity
     band is also reported infeasible.
     """
+    (eq,) = solve_equilibria(model, [refs])
+    if isinstance(eq, Exception):
+        raise eq
+    return eq
+
+
+def solve_equilibria(model: SystemModel, refs: Sequence[RefInputs]) -> list:
+    """Equilibria of one model for each member of refs, solved as one batch.
+    Member j is its EquilibriumPoint, or the NonConvergenceError or
+    InfeasibleError that solve_equilibrium would raise for it alone."""
     scale = _row_scale(model)
-    z0 = _pack(model, initial_guess(model, refs))
-    z, iters, true_norm, ok = _newton(model, z0, refs, scale)
-    total_iters = iters
-
-    if not ok:
-        # continuation: walk the sources/power from an easy point to the target
-        warm: Optional[np.ndarray] = None
-        for lam in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0):
-            r_lam = _ramped_refs(refs, lam)
-            z_start = warm if warm is not None else _pack(model, initial_guess(model, r_lam))
-            z_s, it_s, tn_s, ok_s = _newton(model, z_start, r_lam, scale)
-            total_iters += it_s
-            if not ok_s:
-                break
-            warm = z_s
-        if warm is not None:
-            z, iters, true_norm, ok = _newton(model, warm, refs, scale)
-            total_iters += iters
+    z0 = np.stack([_pack(model, initial_guess(model, r)) for r in refs], axis=1)
+    z, iters, norms, oks = _newton(model, z0, RefInputs.stack(refs), scale)
+    out = []
+    for j, r in enumerate(refs):
+        zj, total_iters, true_norm, ok = z[:, j], int(iters[j]), float(norms[j]), oks[j]
         if not ok:
-            if true_norm > INFEASIBLE_FLOOR:
-                raise InfeasibleError(total_iters, true_norm)
-            raise NonConvergenceError(total_iters, true_norm)
+            # continuation, alone: walk the sources/power from an easy point to the target
+            warm: Optional[np.ndarray] = None
+            for lam in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0):
+                r_lam = _ramped_refs(r, lam)
+                z_s = warm if warm is not None else _pack(model, initial_guess(model, r_lam))
+                z_s, it_s, _, ok_s = _newton(model, z_s[:, None], RefInputs.stack([r_lam]), scale)
+                total_iters += int(it_s[0])
+                if not ok_s[0]:
+                    break
+                warm = z_s[:, 0]
+            if warm is not None:
+                z_w, it_w, norm_w, ok_w = _newton(model, warm[:, None], RefInputs.stack([r]), scale)
+                zj, true_norm, ok = z_w[:, 0], float(norm_w[0]), ok_w[0]
+                total_iters += int(it_w[0])
+        out.append(_equilibrium(model, zj, r, total_iters, true_norm, ok))
+    return out
 
-    x = z[: model.n]
+
+def _equilibrium(model: SystemModel, z: np.ndarray, refs: RefInputs, iterations, true_norm, ok):
+    """The EquilibriumPoint of a Newton result z, or the error that rejects it."""
+    if not ok:
+        if true_norm > INFEASIBLE_FLOOR:
+            return InfeasibleError(iterations, true_norm)
+        return NonConvergenceError(iterations, true_norm)
+    x = z[: model.n].copy()
     refs_out = _refs_from_z(model, z.tolist(), refs)  # plain floats in the result
     for lab in ("v_c_d", "v_pcc_d"):
         mag = float(np.hypot(*model.pair(x, lab)))
         if not VOLTAGE_BAND[0] < mag < VOLTAGE_BAND[1]:
-            raise InfeasibleError(
-                total_iters,
+            return InfeasibleError(
+                iterations,
                 true_norm,
                 detail=f"|{lab[:-2]}| = {mag:.3f} pu outside the sanity band {VOLTAGE_BAND}",
             )
@@ -343,5 +382,5 @@ def solve_equilibrium(model: SystemModel, refs: RefInputs) -> EquilibriumPoint:
         phi_sc=refs_out.phi_sc,
         q_star=refs_out.q_star if solves_q else None,
         residual_norm=true_norm,
-        iterations=total_iters,
+        iterations=iterations,
     )

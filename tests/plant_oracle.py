@@ -45,8 +45,8 @@ def grid_rhs(
     v_g: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Grid branch: L_g di/dt = -R_g i + j X_g i + v_g - v_pcc."""
-    if v_g is None:
-        v_g = np.array([p.v_ref, 0.0])
+    if v_g is None:  # a 1 pu source at zero angle
+        v_g = np.array([1.0, 0.0])
     l_g = p.xg / omega0
     return (-p.rg * i_g + p.xg * jrot(i_g) + v_g - v_pcc) / l_g
 

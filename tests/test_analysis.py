@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wppsc.analysis import (
     EigenRecord,
+    analyze_group,
     analyze_scenario,
     classify,
     damping,
     eigenvalues,
+    spectra,
     step_response,
     sweep,
 )
@@ -288,3 +291,103 @@ def test_analyze_scenario_propagates_programming_errors(monkeypatch):
 def test_eigenvalues_rejects_nonfinite_matrix_with_typed_error():
     with pytest.raises(LinearizationError):
         eigenvalues(make_ss([[0.0, np.nan], [1.0, -1.0]]))
+
+
+def test_eigenvalues_reports_eigensolver_failure_with_typed_error(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    with pytest.raises(LinearizationError, match="eigensolver failed"):
+        eigenvalues(make_ss([[0.0, 1.0], [-1.0, -1.0]]))
+
+
+def test_spectra_isolate_a_nonfinite_member():
+    good = [make_ss([[0.0, 1.0], [-1.0, -1.0]]), make_ss(np.diag([-1.0, -2.0]))]
+    bad = make_ss([[0.0, np.nan], [1.0, -1.0]])
+    out = spectra([good[0], bad, good[1]])
+    assert isinstance(out[1], LinearizationError)
+    assert out[0] == eigenvalues(good[0])
+    assert out[2] == eigenvalues(good[1])
+
+
+def test_spectra_retry_a_failed_stack_one_matrix_at_a_time(monkeypatch):
+    # the eigensolver rejects any stack holding the marked matrix
+    real_eig = np.linalg.eig
+    marked = make_ss([[7.0, 1.0], [0.0, -3.0]])
+
+    def picky(a):
+        if np.any(np.all(a == marked.a, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eig(a)
+
+    good = [make_ss([[0.0, 1.0], [-1.0, -1.0]]), make_ss(np.diag([-1.0, -2.0]))]
+    expected = [eigenvalues(ss) for ss in good]
+    monkeypatch.setattr(np.linalg, "eig", picky)
+    out = spectra([good[0], marked, good[1]])
+    assert isinstance(out[1], LinearizationError)
+    assert "eigensolver failed" in str(out[1])
+    assert [out[0], out[2]] == expected
+
+
+def assert_same_report(got, ref):
+    """Equal classification and solver diagnostics, eigenvalues to 1e-8
+    relative."""
+    assert got.scenario_key == ref.scenario_key
+    assert (got.solved, got.stable, got.null_modes_filtered, got.newton_iterations) == (
+        ref.solved, ref.stable, ref.null_modes_filtered, ref.newton_iterations)
+    assert got.failure == ref.failure
+    assert len(got.eigen) == len(ref.eigen)
+    for e, f in zip(got.eigen, ref.eigen):
+        assert abs(complex(e.re, e.im) - complex(f.re, f.im)) <= 1e-8 * math.hypot(f.re, f.im)
+
+
+def test_analyze_group_matches_each_scenario_alone():
+    base = Scenario(name="weak", grid=GRID_CASES["weak"], control="gfl", with_sc=True)
+    group = [replace(base, op=op) for op in standard_operating_points()]
+    reports = analyze_group(group)
+    assert len(reports) == 27
+    for s, got in zip(group, reports):
+        assert got.solved
+        assert_same_report(got, analyze_scenario(s))
+
+
+def test_analyze_group_isolates_an_infeasible_member():
+    # an SCR 0.2 grid cannot carry 1 pu; it carries 0.1 pu
+    base = Scenario(name="feeble", grid=GridCase(scr=0.2, x_r=5.0), control="gfl", with_sc=False)
+    ops = [OperatingPoint(1.0, 1.0, 0.1), OperatingPoint(1.0, 1.0, 1.0),
+           OperatingPoint(1.08, 1.0, 0.1), OperatingPoint(1.0, 1.08, 0.1)]
+    group = [replace(base, op=op) for op in ops]
+    reports = analyze_group(group)
+    assert [r.solved for r in reports] == [True, False, True, True]
+    assert reports[1].failure.startswith("InfeasibleError")
+    for s, got in zip(group, reports):
+        assert_same_report(got, analyze_scenario(s))
+
+
+def test_analyze_group_rejects_scenarios_with_different_models():
+    a = Scenario(name="weak", grid=GRID_CASES["weak"], control="gfl", with_sc=True)
+    with pytest.raises(ValueError, match="operating point"):
+        analyze_group([a, replace(a, with_sc=False)])
+
+
+def test_report_carries_the_solver_diagnostics():
+    s = Scenario(name="normal", grid=GRID_CASES["normal"], control="gfm", with_sc=True)
+    eq = solve_equilibrium(build_model(s), refs_for(s))
+    report = analyze_scenario(s)
+    assert (report.newton_iterations, report.residual_norm) == (eq.iterations, eq.residual_norm)
+    assert report.residual_norm < 1e-8
+    infeasible = analyze_scenario(replace(s, grid=GridCase(scr=0.2, x_r=5.0), with_sc=False))
+    assert not infeasible.solved
+    assert infeasible.newton_iterations > 0
+    assert infeasible.residual_norm > 1e-3
+
+
+def test_sweep_with_a_pool_matches_the_serial_sweep():
+    cases = {k: GRID_CASES[k] for k in ("weak", "strong")}
+    ops = standard_operating_points()[::9]
+    kwargs = dict(grid_cases=cases, ops=ops, controls=("gfl",), sc_states=(False, True))
+    serial = sweep(**kwargs)
+    pooled = sweep(**kwargs, jobs=2)
+    assert [(r.scenario_key, r.solved, r.stable, r.max_re) for r in pooled] == [
+        (r.scenario_key, r.solved, r.stable, r.max_re) for r in serial]

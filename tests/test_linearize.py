@@ -13,7 +13,7 @@ import pytest
 
 from wppsc.components import GFM, NO_CONVERTER, OMEGA0, RefInputs
 from wppsc.config import GRID_CASES, NetworkSpec, OperatingPoint, Scenario, build_model, refs_for
-from wppsc.linearize import LinearizationError, StateSpaceModel, linearize, numjac
+from wppsc.linearize import LinearizationError, StateSpaceModel, linearize, linearize_batch, numjac
 from wppsc.powerflow import solve_equilibrium
 
 
@@ -117,6 +117,33 @@ def test_numjac_batch_matches_column_loop():
         got = numjac(f, z0, eps)
         assert got.shape == (3, 4)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_numjac_stack_is_each_point_alone():
+    # the perturbed points of a member are those it gets alone, bit for bit
+    def f(z):
+        return np.array([np.sin(z[0]) * z[1] ** 2, np.exp(0.3 * z[2]) - z[0] * z[3]])
+
+    z0 = np.array([[0.4, 1.1, -0.3], [-2.5, 0.2, 4.0], [30.0, -1.0, 0.5], [1e-3, 2.0, -7.0]])
+    got = numjac(f, z0, 1e-6)
+    assert got.shape == (3, 2, 4)
+    for j in range(3):
+        assert np.array_equal(got[j], numjac(f, z0[:, j], 1e-6))
+
+
+def test_linearize_batch_rejects_only_the_member_off_equilibrium():
+    s = Scenario(name="normal", grid=GRID_CASES["normal"], control="gfl", with_sc=True,
+                 op=OperatingPoint(1.0, 1.0, 1.0))
+    model = build_model(s)
+    eq = solve_equilibrium(model, refs_for(s))
+    eq2 = solve_equilibrium(model, refs_for(Scenario(op=OperatingPoint(0.92, 1.08, 0.5))))
+    out = linearize_batch(model, [eq.state, eq.state + 1e-3, eq2.state], [eq.refs, eq.refs, eq2.refs])
+    assert isinstance(out[1], LinearizationError)
+    assert "not an equilibrium" in str(out[1])
+    for ss, e in ((out[0], eq), (out[2], eq2)):
+        alone = linearize(model, e.state, e.refs)
+        for got, ref in ((ss.a, alone.a), (ss.b, alone.b), (ss.c, alone.c)):
+            assert rel_matrix_err(got, ref) < 1e-9
 
 
 def test_passive_full_matrix_matches_closed_form():

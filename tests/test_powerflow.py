@@ -8,6 +8,7 @@ code with the solver under test; agreement on frame-invariant quantities
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from wppsc.netbase import GridCase, impedance_from_scr_xr
 from wppsc.powerflow import (
     InfeasibleError,
     _pack,
+    _solve,
     initial_guess,
+    solve_equilibria,
     solve_equilibrium,
 )
 from wppsc.sim import integrate
@@ -273,3 +276,33 @@ def test_all_three_cases_solve_at_rated_export():
                 s = scenario(case, control=control, with_sc=with_sc)
                 eq = solve_equilibrium(build_model(s), refs_for(s))
                 assert eq.residual_norm < 1e-8, (case, control, with_sc)
+
+
+def test_stacked_solve_falls_back_to_least_squares_for_a_singular_member_only():
+    rng = np.random.default_rng(3)
+    jac = rng.normal(size=(3, 4, 4))
+    jac[1, :, 2] = 0.0  # member 1 is singular
+    rhs = rng.normal(size=(4, 3))
+    steps = _solve(jac, rhs)
+    for j in (0, 2):
+        assert np.allclose(steps[:, j], np.linalg.solve(jac[j], rhs[:, j]), rtol=1e-12, atol=0.0)
+    assert np.allclose(steps[:, 1], np.linalg.lstsq(jac[1], rhs[:, 1], rcond=None)[0], rtol=1e-12)
+
+
+def test_batch_members_match_their_solves_alone():
+    # a hard member takes the continuation on its own; the others are unaffected
+    model = build_model(scenario("weak", GFL, with_sc=False))
+    refs = [refs_for(scenario("weak", GFL, False, op=op))
+            for op in ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.92, 1.08, 0.1))]
+    refs[1] = replace(refs[1], p_star=3.0)  # beyond the loadability limit
+    batch = solve_equilibria(model, refs)
+    assert isinstance(batch[1], InfeasibleError)
+    with pytest.raises(InfeasibleError) as exc:
+        solve_equilibrium(model, refs[1])
+    assert (batch[1].iterations, batch[1].final_residual) == (exc.value.iterations,
+                                                            exc.value.final_residual)
+    for j in (0, 2):
+        alone = solve_equilibrium(model, refs[j])
+        assert batch[j].iterations == alone.iterations
+        assert batch[j].residual_norm < 1e-8
+        assert np.allclose(batch[j].state, alone.state, rtol=0.0, atol=1e-12)
