@@ -258,7 +258,8 @@ def step_response(
 ) -> TimeSeries:
     """Linear response of the channel's output to a reference step of the
     given magnitude at t=0, from a zero initial deviation, stepped exactly
-    by zero-order hold (sim.zoh_step) at dt.
+    by zero-order hold at dt: sim.zoh_step gives the map (Phi, gamma) and
+    sim.march fills the series by repeated squaring of it.
 
     Output columns are deviations from the linearization point.
     """

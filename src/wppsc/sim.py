@@ -1,14 +1,16 @@
 """Fixed-step time marching of the plant and of linear models.
 
-One march loop owns event segments, the divergence and non-finite checks
-and truncation. Within a segment a step rule advances the state by dt:
-classic RK4 for the converter plant, on the plant derivative bound once per
-event segment (SystemModel.derivative), or, for affine dynamics x' = A x + b,
-the exact zero-order hold x+ = Phi x + gamma with Phi and gamma from one
-expm of [[A, b], [0, 0]] dt (Van Loan, IEEE TAC 1978). The hold is exact at
-any stiffness: integrate uses it for the passive plant, where a fault of any
-resistance is a plain shunt conductance, and analysis.step_response for the
-linear model.
+One march owns event segments, the divergence and non-finite checks and
+truncation. Within a segment a step rule advances the state by dt: classic
+RK4 for the converter plant, on the plant derivative bound once per event
+segment (SystemModel.derivative), one Python step at a time; or, for affine
+dynamics x' = A x + b, the exact zero-order hold x+ = Phi x + gamma with
+Phi and gamma from one expm of [[A, b], [0, 0]] dt (Van Loan, IEEE TAC
+1978), held as data and filled by doubling: rows h..2h-1 of a segment are
+rows 0..h-1 mapped by the h-th power of the hold, which is then squared.
+The hold is exact at any stiffness: integrate uses it for the passive
+plant, where a fault of any resistance is a plain shunt conductance, and
+analysis.step_response for the linear model.
 
 Events snap to the nearest step boundary and take effect at the start of
 that step. Row 0 of the captured series is the initial condition before any
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -112,6 +114,13 @@ class TimeSeries:
 Step = Callable[[np.ndarray], np.ndarray]
 
 
+class Affine(NamedTuple):
+    """The step x -> phi @ x + gamma, as data so that march can square it."""
+
+    phi: np.ndarray
+    gamma: np.ndarray
+
+
 class Run(NamedTuple):
     """States of a marched trajectory, truncated at its last valid sample."""
 
@@ -122,33 +131,66 @@ class Run(NamedTuple):
 
 
 def march(x0: np.ndarray, n_steps: int, dt: float,
-          segments: Sequence[tuple[int, Step]]) -> Run:
+          segments: Sequence[tuple[int, Union[Step, Affine]]]) -> Run:
     """Step x0 through n_steps steps of dt. segments lists (first step,
     step rule) in increasing order, the first starting at step 0; each rule
-    holds until the next segment begins."""
+    holds until the next segment begins. A Step is called once per step.
+    An Affine segment is filled by doubling and runs on through a next one
+    with a bit-identical map, so that a no-op event keeps the rounding."""
     states = np.empty((n_steps + 1, x0.size))
     states[0] = x0
-    ends = [k for k, _ in segments[1:]] + [n_steps]
-    for (start, step), end in zip(segments, ends):
-        for k in range(start, end):
-            x_new = step(states[k])
-            peak = float(np.abs(x_new).max())
-            if not math.isfinite(peak):
-                note = f"non-finite state at t={(k + 1) * dt:.6g} s; series truncated"
-                return Run(states[: k + 1], False, True, note)
-            states[k + 1] = x_new
-            if peak > DIVERGENCE_LIMIT:
-                note = f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at t={(k + 1) * dt:.6g} s"
-                return Run(states[: k + 2], True, False, note)
+    kept = list(segments[:1])
+    for seg in segments[1:]:
+        if not (isinstance(seg[1], Affine) and isinstance(kept[-1][1], Affine)
+                and all(map(np.array_equal, kept[-1][1], seg[1]))):
+            kept.append(seg)
+    ends = [k for k, _ in kept[1:]] + [n_steps]
+    for (start, rule), end in zip(kept, ends):
+        if isinstance(rule, Affine):
+            bad = _fill_affine(states, start, end, rule)
+        else:
+            bad = None
+            for k in range(start, end):
+                states[k + 1] = rule(states[k])
+                if not float(np.abs(states[k + 1]).max()) <= DIVERGENCE_LIMIT:
+                    bad = k + 1
+                    break
+        if bad is not None:
+            at = f"at t={bad * dt:.6g} s"
+            if not np.isfinite(states[bad]).all():  # dropped, and the run aborts
+                return Run(states[:bad], False, True, f"non-finite state {at}; series truncated")
+            return Run(states[: bad + 1], True, False,
+                       f"state magnitude exceeded {DIVERGENCE_LIMIT:g} {at}")
     return Run(states, False, False, "")
 
 
-def zoh_step(a: np.ndarray, b: np.ndarray, dt: float) -> Step:
+def _fill_affine(states: np.ndarray, start: int, end: int, rule: Affine) -> Optional[int]:
+    """Fill rows start+1..end, each block the h rows before it mapped by the
+    h-th power of the step; return the first bad row, or None. The power is
+    squared only while finite: an undriven unstable mode must not meet inf*0."""
+    (phi, gamma), h, k = rule, 1, start  # rows to k are filled
+    while k < end:
+        rows = states[k + 1 : min(k + 1 + h, end + 1)]
+        np.matmul(states[k + 1 - h : k + 1 - h + len(rows)], phi.T, out=rows)
+        rows += gamma
+        bad = np.flatnonzero(~(np.abs(rows).max(axis=1) <= DIVERGENCE_LIMIT))
+        if bad.size:
+            return k + 1 + int(bad[0])
+        k += len(rows)
+        if k == end:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = Affine(phi @ phi, phi @ gamma + gamma)
+        if all(np.isfinite(v).all() for v in square):
+            (phi, gamma), h = square, 2 * h
+    return None
+
+
+def zoh_step(a: np.ndarray, b: np.ndarray, dt: float) -> Affine:
     """Exact step of x' = a x + b over dt with b held constant."""
     n = a.shape[0]
     e = scipy.linalg.expm(np.block([[a, b[:, None]], [np.zeros((1, n + 1))]]) * dt)
-    phi, gamma = e[:n, :n], e[:n, n]
-    return lambda x: phi @ x + gamma
+    return Affine(e[:n, :n], e[:n, n])
 
 
 def _rk4_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
@@ -174,7 +216,7 @@ def _rk4_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
 
 
 def _affine_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
-                 dt: float) -> Step:
+                 dt: float) -> Affine:
     """Exact step of an affine plant: A and b from one rhs call on the
     columns [0 | I]; without dt a fault is an ordinary shunt conductance."""
     cols = model.rhs(np.eye(model.n, model.n + 1, 1), refs, fault)

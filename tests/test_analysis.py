@@ -27,6 +27,7 @@ from wppsc.config import (
 from wppsc.linearize import LinearizationError, StateSpaceModel, linearize
 from wppsc.netbase import GridCase
 from wppsc.powerflow import solve_equilibrium
+from wppsc.sim import zoh_step
 
 from plant_oracle import rotated_refs, rotated_state
 
@@ -198,6 +199,23 @@ def test_step_response_first_order_analytic():
     y = ts.column("p_pc")
     assert y[0] == 0.0
     assert y[-1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+
+
+def test_step_response_matches_extended_precision_march():
+    # the doubled fill against the same hold map stepped one sample at a
+    # time in long double, on a gate-8 linear model
+    _, _, ss = solved_ss("strong", "gfm", True, op=OperatingPoint(1.0, 1.0, 0.5))
+    dt, n_steps, magnitude = 2e-4, 2000, 1e-3
+    ts = step_response(ss, "power", magnitude, t_end=n_steps * dt, dt=dt)
+    j = ss.input_labels.index("p_star")
+    phi, gamma = (v.astype(np.longdouble) for v in zoh_step(ss.a, ss.b[:, j] * magnitude, dt))
+    xs = np.zeros((n_steps + 1, ss.a.shape[0]), dtype=np.longdouble)
+    for k in range(n_steps):
+        xs[k + 1] = phi @ xs[k] + gamma
+    ref = (xs @ ss.c.T.astype(np.longdouble)).astype(float)
+    for i, name in enumerate(ss.output_labels):
+        peak = np.max(np.abs(ref[:, i]))
+        assert np.max(np.abs(ts.column(name) - ref[:, i])) <= 1e-11 * peak, name
 
 
 def test_step_response_is_exact_on_stiff_modes():

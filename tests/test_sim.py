@@ -5,6 +5,7 @@ supplies the fault and energy checks.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,16 @@ import pytest
 from wppsc.components import GFL, GFM, NO_CONVERTER, OMEGA0, FaultSpec, RefInputs, ScParams
 from wppsc.config import GRID_CASES, OperatingPoint, Scenario, build_model, refs_for
 from wppsc.powerflow import solve_equilibrium
-from wppsc.sim import DERIVED_SIGNALS, Event, TimeSeries, integrate
+from wppsc.sim import (
+    DERIVED_SIGNALS,
+    DIVERGENCE_LIMIT,
+    Affine,
+    Event,
+    Run,
+    TimeSeries,
+    integrate,
+    march,
+)
 
 
 class StubModel:
@@ -313,6 +323,72 @@ def test_abort_on_nonfinite_keeps_last_valid_sample():
     assert "non-finite" in ts.note
     assert np.all(np.isfinite(ts.columns["x0"]))
     assert ts.t.size < 1001
+
+
+def reference_march(x0, n_steps, dt, segments):
+    """One affine step per Python iteration, truncated as a plain loop
+    would: a non-finite state is dropped and aborts, a finite one beyond
+    the limit is kept and diverges."""
+    states = [np.asarray(x0, dtype=float)]
+    ends = [k for k, _ in segments[1:]] + [n_steps]
+    for (start, (phi, gamma)), end in zip(segments, ends):
+        for k in range(start, end):
+            x = phi @ states[-1] + gamma
+            peak = float(np.abs(x).max())
+            t = f"t={(k + 1) * dt:.6g} s"
+            if not math.isfinite(peak):
+                return Run(np.array(states), False, True, f"non-finite state at {t}; series truncated")
+            states.append(x)
+            if peak > DIVERGENCE_LIMIT:
+                return Run(np.array(states), True, False,
+                           f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at {t}")
+    return Run(np.array(states), False, False, "")
+
+
+def spiral(growth, theta=0.1):
+    c, s = math.cos(theta), math.sin(theta)
+    return growth * np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize(
+    "x0, segments, bad_row",
+    [
+        # a growing spiral crosses the limit inside the doubled block 512..1023
+        ([1.0, 0.0], [(0, Affine(spiral(1.02), np.array([1e-3, 0.0])))], 703),
+        # exact doublings cross on a block's first row (2**4) and last (2**4 - 1)
+        ([22.0], [(0, Affine(np.array([[2.0]]), np.zeros(1)))], 16),
+        ([40.0], [(0, Affine(np.array([[2.0]]), np.zeros(1)))], 15),
+        # a NaN input aborts at row 1 and keeps row 0
+        ([1.0, 1.0], [(0, Affine(np.eye(2), np.array([np.nan, 0.0])))], 1),
+        # a decaying segment, then a growing one that crosses in its block 128..255
+        ([1.0, 0.0], [(0, Affine(spiral(0.99), np.array([0.5, 0.0]))),
+                      (300, Affine(spiral(1.05, 0.3), np.zeros(2)))], 551),
+    ],
+)
+def test_affine_march_truncates_like_the_step_loop(x0, segments, bad_row):
+    dt, n_steps = 1e-3, 2000
+    ref = reference_march(x0, n_steps, dt, segments)
+    run = march(np.array(x0), n_steps, dt, segments)
+    assert ref.diverged or ref.aborted
+    assert f"t={bad_row * dt:.6g} s" in ref.note
+    assert run.states.shape == ref.states.shape
+    assert (run.diverged, run.aborted, run.note) == (ref.diverged, ref.aborted, ref.note)
+    scale = np.abs(ref.states).max(axis=0)
+    assert np.all(np.abs(run.states - ref.states) <= 1e-12 * scale)
+
+
+def test_affine_march_keeps_an_undriven_unstable_mode_at_zero():
+    # the first state grows 1.1x per step but starts at and is driven by 0;
+    # powers of the map overflow long before step 20,000, so the fill must
+    # keep using the last finite one rather than meet inf * 0
+    rule = Affine(np.diag([1.1, 0.5]), np.array([0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run = march(np.zeros(2), 20_000, 1e-3, [(0, rule)])
+    assert not (run.diverged or run.aborted) and run.note == ""
+    assert run.states.shape == (20_001, 2)
+    assert np.all(run.states[:, 0] == 0.0)
+    assert run.states[-1, 1] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_reference_step_lands_on_grid_index():
