@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 equilibrium solver failure,
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -258,7 +259,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parse_args leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="wppsc",
         description="Small-signal stability and short-circuit-strength analysis "

@@ -15,20 +15,22 @@ is an ODE rather than an algebraic constraint.
 
 Every branch and node law is linear in the state, so SystemModel assembles
 the network once as a dense state matrix (one matrix per fault treatment,
-built on first use). SystemModel.derivative binds that matrix, the source
-vector b and the controller gains for given inputs and returns x -> dx =
-A x + b plus the converter control; the integrator binds it once per event
-segment, and rhs is one bound call. It accepts one state of shape (n,),
-whose controller runs on Python floats, or a batch of states as the
-columns of an (n, m) array, whose controller runs on row vectors, through
-the same code.
+built on first use) around a small nonlinear controller. SystemModel.split
+says that once: for given inputs and fault the plant is
+x' = a x + b + E g(C x), with a the treatment matrix, b the sources, C the
+linear map to the controller inputs, g the controller and E the rows its
+outputs add to (Split). SystemModel.derivative binds it as x -> dx, and rhs
+is one bound call. It accepts one state of shape (n,), whose controller
+runs on Python floats, or a batch of states as the columns of an (n, m)
+array, whose controller runs on row vectors, through the same code. The
+integrator folds the linear part of its RK4 stages from the same split.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -359,6 +361,27 @@ def gfm_rhs(
 # assembled system
 
 
+class Split(NamedTuple):
+    """The plant over one event segment as x' = a x + b + E g(C x), and the
+    bus it pins. a is the state matrix under the fault treatment and b the
+    source vector. g is the controller: it maps the state rows `reads`,
+    read after the pinned-bus write, to outputs that add to the state rows
+    `writes`, as Python floats or as row vectors alike. So C is the rows
+    `reads` of the pinned-bus write (the identity with the pinned node's
+    rows replaced by its voltage map, see SystemModel._treatment), and E the
+    columns `writes` of the identity. For the converter plant the inputs are
+    v_c, i_f, i_a and the six controller states, and the outputs v_inv / lf
+    (into the i_f rows) and the six controller rates; the passive plant has
+    no controller, and both lists are empty."""
+
+    a: np.ndarray
+    b: np.ndarray
+    reads: list[int]
+    writes: list[int]
+    g: Callable[[Sequence], Sequence]
+    pinned: Optional[tuple[int, np.ndarray]]
+
+
 class SystemModel:
     """One scenario's assembled ODE: x_dot = rhs(x, refs).
 
@@ -408,6 +431,14 @@ class SystemModel:
         self.n = len(labels)
         self._idx = {name: k for k, name in enumerate(labels)}
         self._treatments: dict = {}
+        # the state rows the controller reads and those its outputs add to (Split)
+        self._reads: list[int] = []
+        self._writes: list[int] = []
+        if control != NO_CONVERTER:
+            kv, kf, ka = self._idx["v_c_d"], self._idx["i_f_d"], self._idx["i_a_d"]
+            ctrl = list(range(self.n - 6, self.n))
+            self._reads = [kv, kv + 1, kf, kf + 1, ka, ka + 1, *ctrl]
+            self._writes = [kf, kf + 1, *ctrl]
 
     def index(self, label: str) -> int:
         return self._idx[label]
@@ -521,29 +552,16 @@ class SystemModel:
         a[k : k + 2] = 0.0
         return a, (k, pin)
 
-    def pinned_bus(self, fault: Optional[FaultSpec], dt: Optional[float]):
-        """(node-state row, (2, n) voltage map) of the bus the fault pins at
-        step dt, or None (see _treatment)."""
-        return self._treatment(fault, dt)[1]
-
     # -- right-hand side -----------------------------------------------------
 
-    def derivative(
+    def split(
         self,
         refs: RefInputs,
         fault: Optional[FaultSpec] = None,
         dt: Optional[float] = None,
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """State derivative x -> dx with refs and the fault (if given, it is
-        active) bound once: the treatment matrix, the pinned bus, the source
-        terms and the controller gains.
-
-        x is one state of shape (n,) or a batch of states as the columns of
-        an (n, m) array; with a batch, any field of refs may also be an
-        m-vector, one value per column. Column j of a batch result agrees
-        with the single-state result for column j to roundoff. A single
-        state runs the controller on Python floats, a batch on row vectors.
-        """
+    ) -> Split:
+        """The plant with refs and the fault (if given, it is active) bound,
+        as x' = a x + b + E g(C x) (see Split)."""
         a, pinned = self._treatment(fault, dt)
         w0 = self.omega0
         e_g = refs.v_g_ref * w0 / self.grid.xg
@@ -553,41 +571,55 @@ class SystemModel:
             k = self._idx["i_sc_d"]
             e_sc = self.sc.e_mag * w0 / self.sc.x_sub
             b[k], b[k + 1] = e_sc * np.cos(refs.phi_sc), e_sc * np.sin(refs.phi_sc)
-        b_cols = b.reshape(self.n, -1)
         if self.control == NO_CONVERTER:
+            return Split(a, b, [], [], lambda u: (), pinned)
 
-            def passive(x: np.ndarray) -> np.ndarray:
-                dx = a @ x
-                dx += b if x.ndim == 1 else b_cols
-                return dx
-
-            return passive
-
-        kf, kv, ka = self._idx["i_f_d"], self._idx["v_c_d"], self._idx["i_a_d"]
-        pin_vc = pinned[1] if pinned is not None and pinned[0] == kv else None
         lf, gfl, gfm, q_mode, net = self.network.lf, self.gfl, self.gfm, self.q_mode, self.network
         is_gfl = self.control == GFL
 
-        def converter(x: np.ndarray) -> np.ndarray:
+        def g(u):
+            v_c, i_f, i_a = u[0:2], u[2:4], u[4:6]
+            p_pc, q_pc = power_pair(v_c, i_a)
+            if is_gfl:
+                dctrl, v_inv = gfl_rhs(u[6:12], v_c, i_f, p_pc, q_pc, gfl, refs, q_mode)
+            else:
+                dctrl, v_inv = gfm_rhs(u[6:12], v_c, i_f, i_a, p_pc, gfm, refs, net, w0)
+            return (v_inv[0] / lf, v_inv[1] / lf, *dctrl)
+
+        return Split(a, b, self._reads, self._writes, g, pinned)
+
+    def derivative(
+        self,
+        refs: RefInputs,
+        fault: Optional[FaultSpec] = None,
+        dt: Optional[float] = None,
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """State derivative x -> a x + b + E g(C x) of the plant split with
+        refs and the fault bound once (see split).
+
+        x is one state of shape (n,) or a batch of states as the columns of
+        an (n, m) array; with a batch, any field of refs may also be an
+        m-vector, one value per column. Column j of a batch result agrees
+        with the single-state result for column j to roundoff. A single
+        state runs the controller on Python floats, a batch on row vectors.
+        """
+        a, b, reads, writes, g, pinned = self.split(refs, fault, dt)
+        b_cols = b.reshape(self.n, -1)
+
+        def f(x: np.ndarray) -> np.ndarray:
             dx = a @ x
             single = x.ndim == 1
             dx += b if single else b_cols
+            if pinned is not None and reads:  # the controller reads the pinned bus
+                k, pin = pinned
+                x = x.copy()
+                x[k : k + 2] = pin @ x
             rows = x.tolist() if single else x
-            v_c = rows[kv : kv + 2]
-            if pin_vc is not None:  # the controller reads the pinned bus voltage
-                v_c = (pin_vc @ x).tolist() if single else pin_vc @ x
-            i_f, i_a = rows[kf : kf + 2], rows[ka : ka + 2]
-            p_pc, q_pc = power_pair(v_c, i_a)
-            if is_gfl:
-                dctrl, v_inv = gfl_rhs(rows[-6:], v_c, i_f, p_pc, q_pc, gfl, refs, q_mode)
-            else:
-                dctrl, v_inv = gfm_rhs(rows[-6:], v_c, i_f, i_a, p_pc, gfm, refs, net, w0)
-            dx[kf] += v_inv[0] / lf
-            dx[kf + 1] += v_inv[1] / lf
-            dx[-6:] = dctrl
+            for r, out in zip(writes, g([rows[i] for i in reads])):
+                dx[r] += out
             return dx
 
-        return converter
+        return f
 
     def rhs(
         self,

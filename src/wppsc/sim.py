@@ -2,8 +2,10 @@
 
 One march owns event segments, the divergence and non-finite checks and
 truncation. Within a segment a step rule advances the state by dt: classic
-RK4 for the converter plant, on the plant derivative bound once per event
-segment (SystemModel.derivative), one Python step at a time; or, for affine
+RK4 for the converter plant, one Python step at a time, on the plant split
+x' = a x + b + E g(C x) bound once per event segment (SystemModel.split),
+with the linear part of its four stages folded into maps then, so that a
+step runs only the controller g between two matvecs; or, for affine
 dynamics x' = A x + b, the exact zero-order hold x+ = Phi x + gamma with
 Phi and gamma from one expm of [[A, b], [0, 0]] dt (Van Loan, IEEE TAC
 1978), held as data and filled by doubling: rows h..2h-1 of a segment are
@@ -195,22 +197,54 @@ def zoh_step(a: np.ndarray, b: np.ndarray, dt: float) -> Affine:
 
 def _rk4_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
               dt: float) -> Step:
-    """Classic RK4 step of the plant, its derivative bound once for the
-    segment. A bus the fault pins is written with its node-law value after
-    every step, so the state carries it."""
-    f = model.derivative(refs, fault, dt)
-    pinned = model.pinned_bus(fault, dt) if fault is not None else None
+    """Classic RK4 step of the plant x' = a x + b + E g(C x) (SystemModel.split),
+    its linear part folded once for the segment. Every stage state, so every
+    stage input C y_i and the step's result, is affine in
+    z = [x; 1; g_1; ...; g_4], g_j the controller output at stage j, and
+    stage i reads g_j only for j < i. A step is one matvec for the four
+    stage inputs, the controller on Python floats at each stage with the few
+    terms in earlier outputs added on floats, and one matvec for the result,
+    which ends with the pinned-bus write (if any)."""
+    a, b, reads, writes, g, pinned = model.split(refs, fault, dt)
+    n, k_in, l_out = model.n, len(reads), len(writes)
+    settle = np.eye(n)  # the pinned-bus write, which the controller reads through
+    if pinned is not None:
+        k, pin = pinned
+        settle[k : k + 2] = pin
+    c, e = settle[reads], np.eye(n)[:, writes]
+    inputs = []
+
+    def stage(y: np.ndarray, j: int) -> np.ndarray:  # the stage derivative as a map of z
+        inputs.append(c @ y)
+        k = a @ y
+        k[:, n] += b
+        k[:, n + 1 + j * l_out : n + 1 + (j + 1) * l_out] += e
+        return k
+
+    x = np.eye(n, n + 1 + 4 * l_out)
+    k1 = stage(x, 0)
+    k2 = stage(x + 0.5 * dt * k1, 1)
+    k3 = stage(x + 0.5 * dt * k2, 2)
+    k4 = stage(x + dt * k3, 3)
+    x_new = settle @ (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    # contiguous copies for the per-step matvecs: the parts in x and in 1 of
+    # the four stage inputs and the result, and the result's part in g_1..g_4
+    maps = np.vstack([*inputs, x_new])
+    lin_x, lin_1, x_g = maps[:, :n].copy(), maps[:, n].copy(), x_new[:, n + 1 :].copy()
+    couplings = [[(r, j, float(w[r, j])) for r, j in zip(*np.nonzero(w))]
+                 for w in (u[:, n + 1 :] for u in inputs)]
+    n_in = 4 * k_in
 
     def step(x: np.ndarray) -> np.ndarray:
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if pinned is not None:
-            k, pin = pinned
-            x_new[k : k + 2] = pin @ x_new
-        return x_new
+        v = lin_x @ x + lin_1
+        u = v[:n_in].tolist()
+        out = []
+        for i, terms in enumerate(couplings):
+            u_i = u[i * k_in : (i + 1) * k_in]
+            for r, j, w in terms:
+                u_i[r] += w * out[j]
+            out += g(u_i)
+        return v[n_in:] + np.dot(x_g, out)  # np.dot converts a list faster than @
 
     return step
 

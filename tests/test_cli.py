@@ -77,6 +77,21 @@ def test_manifest_echoes_overrides(tmp_path):
     assert cfg["op"] == expected["op"]
 
 
+def test_successive_calls_keep_their_own_overrides(tmp_path):
+    # the parser is built once; no --set value of one call reaches the next
+    def config_of(name, *overrides):
+        out = tmp_path / name
+        assert main(["steady", "--out", str(out), *overrides]) == 0
+        return json.loads((out / "manifest.json").read_text())["config"]
+
+    power = config_of("power", "--set", "op.p_turb_ref=0.3")
+    grid = config_of("grid", "--set", "grid.scr=2.5")
+    plain = config_of("plain")
+    assert power["op"]["p_turb_ref"] == 0.3 and power["grid"] == plain["grid"]
+    assert grid["grid"]["scr"] == 2.5 and grid["op"] == plain["op"]
+    assert plain["op"]["p_turb_ref"] != 0.3 and plain["grid"]["scr"] != 2.5
+
+
 def test_config_error_exit_2_names_key(tmp_path, capsys):
     code, _ = run(tmp_path, "steady", "--set", "grid.scr=-1")
     assert code == 2

@@ -362,7 +362,7 @@ def test_bolted_fault_pins_pcc_bus():
     k = model.index("v_pcc_d")
     # the bus is algebraic: nothing moves its node state, which the
     # integrator overwrites with the pinned value, and the laws read that value
-    node, pin = model.pinned_bus(fault, 2e-4)
+    node, pin = model.split(refs, fault, 2e-4).pinned
     assert node == k
     assert np.allclose(pin @ x, v_eff, rtol=1e-10)
     assert np.array_equal(dx[k : k + 2], np.zeros(2))

@@ -11,7 +11,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wppsc.components import GFL, GFM, NO_CONVERTER, OMEGA0, FaultSpec, RefInputs, ScParams
+from wppsc.components import (
+    GFL,
+    GFM,
+    NO_CONVERTER,
+    OMEGA0,
+    FaultSpec,
+    RefInputs,
+    ScParams,
+    Split,
+)
 from wppsc.config import GRID_CASES, OperatingPoint, Scenario, build_model, refs_for
 from wppsc.powerflow import solve_equilibrium
 from wppsc.sim import (
@@ -27,7 +36,9 @@ from wppsc.sim import (
 
 
 class StubModel:
-    """ẋ = rate·x, optionally returning NaN once the state passes a gate.
+    """ẋ = rate·x, optionally returning NaN once the state passes a gate,
+    in the plant's split form x' = a x + b + E g(C x): a = rate·I, and g
+    reads every state row and adds zero to each, or NaN past the gate.
     Not declared affine, so integrate steps it with RK4 as it does the
     converter plant."""
 
@@ -39,13 +50,14 @@ class StubModel:
         self.rate = rate
         self.nan_above = nan_above
 
-    def derivative(self, refs, fault=None, dt=None):
-        def f(x):
-            if self.nan_above is not None and float(np.max(np.abs(x))) > self.nan_above:
-                return np.full(self.n, np.nan)
-            return self.rate * np.asarray(x, dtype=float)
+    def split(self, refs, fault=None, dt=None):
+        def g(u):
+            if self.nan_above is not None and max(map(abs, u)) > self.nan_above:
+                return [math.nan] * self.n
+            return [0.0] * self.n
 
-        return f
+        rows = list(range(self.n))
+        return Split(self.rate * np.eye(self.n), np.zeros(self.n), rows, rows, g, None)
 
     def measure(self, x, refs):
         return {name: np.zeros(np.shape(x)[1:]) for name in DERIVED_SIGNALS}
@@ -136,32 +148,88 @@ def test_pinned_fault_bus_reports_node_law_voltage(bus):
     assert abs(pair(node)[k]) > 0.9
 
 
+def reference_loop(x0, n_steps, dt, segments):
+    """One step per Python iteration, truncated as a plain loop would: a
+    non-finite state is dropped and aborts, a finite one beyond the limit
+    is kept and diverges. segments lists (first step, step function)."""
+    states = [np.asarray(x0, dtype=float)]
+    ends = [k for k, _ in segments[1:]] + [n_steps]
+    for (start, step), end in zip(segments, ends):
+        for k in range(start, end):
+            x = step(states[-1])
+            peak = float(np.abs(x).max())
+            t = f"t={(k + 1) * dt:.6g} s"
+            if not math.isfinite(peak):
+                return Run(np.array(states), False, True, f"non-finite state at {t}; series truncated")
+            states.append(x)
+            if peak > DIVERGENCE_LIMIT:
+                return Run(np.array(states), True, False,
+                           f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at {t}")
+    return Run(np.array(states), False, False, "")
+
+
+def classic_rk4(model, refs, fault, dt):
+    """Classic RK4 step on model.derivative, one call per stage, with the
+    pinned-bus write after the step."""
+    f = model.derivative(refs, fault, dt)
+    pinned = model.split(refs, fault, dt).pinned
+
+    def step(x):
+        k1 = f(x)
+        k2 = f(x + 0.5 * dt * k1)
+        k3 = f(x + 0.5 * dt * k2)
+        k4 = f(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if pinned is not None:
+            k, pin = pinned
+            x[k : k + 2] = pin @ x
+        return x
+
+    return step
+
+
 def rk4_reference(model, x0, dt, n_steps, schedule):
-    """Classic RK4 on model.rhs, one call per stage, with the pinned-bus
-    write after every step. schedule lists (first step, refs, fault)."""
-    xs = [np.array(x0, dtype=float)]
-    ends = [k for k, _, _ in schedule[1:]] + [n_steps]
-    for (start, refs, fault), end in zip(schedule, ends):
-        pinned = model.pinned_bus(fault, dt) if fault is not None else None
-        for _ in range(start, end):
-            x = xs[-1]
-            k1 = model.rhs(x, refs, fault, dt)
-            k2 = model.rhs(x + 0.5 * dt * k1, refs, fault, dt)
-            k3 = model.rhs(x + 0.5 * dt * k2, refs, fault, dt)
-            k4 = model.rhs(x + dt * k3, refs, fault, dt)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if pinned is not None:
-                k, pin = pinned
-                x[k : k + 2] = pin @ x
-            xs.append(x)
-    return np.array(xs)
+    """Classic RK4 run; schedule lists (first step, refs, fault)."""
+    segments = [(k, classic_rk4(model, refs, fault, dt)) for k, refs, fault in schedule]
+    return reference_loop(x0, n_steps, dt, segments)
+
+
+@pytest.mark.parametrize(
+    "control, q_mode", [(GFL, "reactive"), (GFL, "voltage"), (GFM, "reactive")]
+)
+@pytest.mark.parametrize("with_sc", [True, False])
+@pytest.mark.parametrize(
+    "fault, dt",
+    [
+        (None, 2e-4),
+        (FaultSpec("pcc", 0.05), 2e-6),  # r C = 5e-6 s: a shunt in the node law
+        (FaultSpec("pcc", 0.05), 2e-4),  # pinned PCC
+        (FaultSpec("wt_mv", 1e-4), 1e-4),  # pinned turbine bus, read by the controller
+    ],
+)
+def test_rk4_step_is_classic_rk4_on_the_derivative(control, q_mode, with_sc, fault, dt):
+    # the step folds the linear part of the four stages into maps once per
+    # segment; from any state, one step is classic RK4 on the bound derivative
+    model, eq = solved("weak", control, with_sc, p=1.0, q_mode=q_mode)
+    assert (model.split(eq.refs, fault, dt).pinned is None) == (fault is None or dt < 1e-5)
+    events = [] if fault is None else [Event.fault_on(0.0, fault.bus, fault.r_fault)]
+    step = classic_rk4(model, eq.refs, fault, dt)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        x = eq.state + rng.normal(scale=1e-2, size=model.n)
+        ts = integrate(model, x, eq.refs, t_end=dt, dt=dt, events=events)
+        got = np.array([ts.columns[name][1] for name in model.labels])
+        ref = step(x)
+        peak = max(np.abs(x).max(), np.abs(ref).max())
+        assert np.max(np.abs(got - ref)) <= 1e-13 * peak
+        assert np.max(np.abs(ref - x)) > 1e-5 * peak  # the step moves the state
 
 
 @pytest.mark.parametrize("control", [GFL, GFM])
 @pytest.mark.parametrize("case", ["p_star_step", "bolted_wt_mv", "shunt_pcc"])
 def test_integrate_matches_rk4_on_rhs(control, case):
-    # the march binds the derivative once per event segment; its trajectory
-    # is the one classic RK4 gives stepping model.rhs call by call
+    # the march folds the RK4 stages once per event segment; its trajectory
+    # is the one classic RK4 gives stepping the derivative call by call
     model, eq = solved("weak", control, True, p=1.0)
     if case == "p_star_step":
         dt, n, delta = 1e-4, 300, 0.05
@@ -176,18 +244,38 @@ def test_integrate_matches_rk4_on_rhs(control, case):
             bus, r_f, dt, n = "pcc", 0.05, 2e-6, 3000
         k_on, k_off = n // 6, n // 2
         fault = FaultSpec(bus, r_f)
-        assert (model.pinned_bus(fault, dt) is None) == (case == "shunt_pcc")
+        assert (model.split(eq.refs, fault, dt).pinned is None) == (case == "shunt_pcc")
         events = [Event.fault_on(k_on * dt, bus, r_f), Event.fault_off(k_off * dt, bus)]
         schedule = [(0, eq.refs, None), (k_on, eq.refs, fault), (k_off, eq.refs, None)]
     ts = integrate(model, eq.state, eq.refs, t_end=n * dt, dt=dt, events=events)
     assert not (ts.diverged or ts.aborted)
     got = np.column_stack([ts.columns[name] for name in model.labels])
-    ref = rk4_reference(model, eq.state, dt, n, schedule)
+    ref = rk4_reference(model, eq.state, dt, n, schedule).states
     assert got.shape == ref.shape
-    scale = np.max(np.abs(ref), axis=0)
+    # a column whose peak is below 1e-3 of the state peak (GFM m_d: 8.9e-9
+    # pu) is held to 1e-3 of the state peak, so roundoff there is not read
+    # as a relative error
+    peak = np.max(np.abs(ref), axis=0)
+    scale = np.maximum(peak, 1e-3 * peak.max())
     assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-12 * scale)
     # the run moved: the event is visible in the trajectory
     assert np.max(np.abs(ref[-1] - ref[0])) > 1e-4
+
+
+@pytest.mark.parametrize("p, rows", [(0.5, 599), (1.0, 538)])
+def test_diverging_fault_run_truncates_like_classic_rk4(p, rows):
+    # weak/GFL without the condenser loses synchronism under a cleared
+    # 0.05 pu PCC fault at dt = 2e-4 (pinned bus): the run ends on the same
+    # sample as a classic RK4 loop, with the same flag and note
+    model, eq = solved("weak", GFL, False, p=p)
+    dt, n = 2e-4, 1250
+    fault = FaultSpec("pcc", 0.05)
+    events = [Event.fault_on(0.05, "pcc", 0.05), Event.fault_off(0.10, "pcc")]
+    ts = integrate(model, eq.state, eq.refs, t_end=n * dt, dt=dt, events=events)
+    ref = rk4_reference(model, eq.state, dt, n, [(0, eq.refs, None), (250, eq.refs, fault),
+                                                 (500, eq.refs, None)])
+    assert ref.diverged and not ref.aborted and len(ref.states) == rows
+    assert (ts.t.size, ts.diverged, ts.aborted, ts.note) == (rows, True, False, ref.note)
 
 
 def test_reference_step_reaches_derived_powers_from_stepped_sample():
@@ -326,23 +414,9 @@ def test_abort_on_nonfinite_keeps_last_valid_sample():
 
 
 def reference_march(x0, n_steps, dt, segments):
-    """One affine step per Python iteration, truncated as a plain loop
-    would: a non-finite state is dropped and aborts, a finite one beyond
-    the limit is kept and diverges."""
-    states = [np.asarray(x0, dtype=float)]
-    ends = [k for k, _ in segments[1:]] + [n_steps]
-    for (start, (phi, gamma)), end in zip(segments, ends):
-        for k in range(start, end):
-            x = phi @ states[-1] + gamma
-            peak = float(np.abs(x).max())
-            t = f"t={(k + 1) * dt:.6g} s"
-            if not math.isfinite(peak):
-                return Run(np.array(states), False, True, f"non-finite state at {t}; series truncated")
-            states.append(x)
-            if peak > DIVERGENCE_LIMIT:
-                return Run(np.array(states), True, False,
-                           f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at {t}")
-    return Run(np.array(states), False, False, "")
+    """One affine step per Python iteration (see reference_loop)."""
+    steps = [(k, lambda x, phi=phi, gamma=gamma: phi @ x + gamma) for k, (phi, gamma) in segments]
+    return reference_loop(x0, n_steps, dt, steps)
 
 
 def spiral(growth, theta=0.1):
