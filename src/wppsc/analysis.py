@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
@@ -235,6 +234,9 @@ def sweep(
         for control, with_sc in itertools.product(controls, sc_states)
     ]
     if jobs is not None and jobs > 1:
+        # imported here so that wppsc starts without the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = [r for part in pool.map(analyze_group, groups) for r in part]
     else:

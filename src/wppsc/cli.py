@@ -294,8 +294,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")  # exits 2
+    logging.basicConfig()  # a stderr handler, unless the root logger has one already
+    # set on every call: basicConfig leaves the level alone once a handler exists
+    logging.getLogger().setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         scenario = _load_scenario(args.config, args.overrides)
     except ConfigError as exc:

@@ -468,6 +468,10 @@ def load_config(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(path, "config file not found")
+    except OSError as e:
+        raise ConfigError(path, f"cannot read config file: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(path, f"config file is not UTF-8: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(path, f"invalid JSON: {e}")
 

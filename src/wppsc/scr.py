@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .components import NO_CONVERTER, OMEGA0, ScParams
 from .config import GRID_CASES, Scenario, build_model, preset_scenario, refs_for
@@ -93,6 +92,8 @@ def fit_condenser_impedance() -> CondenserFit:
     the enhanced column are what the single-impedance model leaves over; rows
     beyond the flag threshold are reported, not hidden.
     """
+    from scipy.optimize import minimize  # imported here so that wppsc starts without scipy
+
     t_o = CALIBRATION_SCR_NO_SC
     t_sc = CALIBRATION_SCR_WITH_SC
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .components import FAULT_BUSES, FaultSpec, RefInputs, SystemModel
 
@@ -190,6 +189,8 @@ def _fill_affine(states: np.ndarray, start: int, end: int, rule: Affine) -> Opti
 
 def zoh_step(a: np.ndarray, b: np.ndarray, dt: float) -> Affine:
     """Exact step of x' = a x + b over dt with b held constant."""
+    import scipy.linalg  # imported here so that wppsc starts without scipy
+
     n = a.shape[0]
     e = scipy.linalg.expm(np.block([[a, b[:, None]], [np.zeros((1, n + 1))]]) * dt)
     return Affine(e[:n, :n], e[:n, n])

@@ -3,7 +3,12 @@ manifest round trip, exit codes, and the shipped preset files."""
 
 import csv
 import json
+import logging
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +95,32 @@ def test_successive_calls_keep_their_own_overrides(tmp_path):
     assert power["op"]["p_turb_ref"] == 0.3 and power["grid"] == plain["grid"]
     assert grid["grid"]["scr"] == 2.5 and grid["op"] == plain["op"]
     assert plain["op"]["p_turb_ref"] != 0.3 and plain["grid"]["scr"] != 2.5
+
+
+def test_verbose_sets_the_log_level_on_every_call(tmp_path):
+    root = logging.getLogger()
+    saved = root.level
+    levels = []
+    try:
+        for flags in ((), ("--verbose",), ()):
+            assert main(["steady", "--out", str(tmp_path), *flags]) == 0
+            levels.append(root.level)
+    finally:
+        root.setLevel(saved)
+    assert levels == [logging.WARNING, logging.INFO, logging.WARNING]
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "not-utf8"])
+def test_unreadable_config_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "case.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out = run(tmp_path, "steady", "--config", str(path))
+    assert code == 2
+    assert f"config error: {path}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_error_exit_2_names_key(tmp_path, capsys):
@@ -201,6 +232,15 @@ def test_sweep_csv_full_grid(tmp_path):
     assert stable <= {"true", "false"} and "false" in stable
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "sweep", "--jobs", jobs)
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before the manifest
+
+
 def test_scr_csv(tmp_path):
     code, out = run(tmp_path, "scr")
     assert code == 0
@@ -282,3 +322,27 @@ def test_out_directory_created_deep(tmp_path):
     code = main(["steady", "--out", str(nested)])
     assert code == 0
     assert (nested / "steady.csv").exists()
+
+
+_IMPORT_GUARD = """
+import sys
+from wppsc import cli
+
+for argv in (["steady"], ["eig"], ["sweep"], ["sweep", "--jobs", "1"],
+             ["fault", "--set", "sim.t_end=0.01"]):
+    assert cli.main([argv[0], "--out", sys.argv[1], *argv[1:]]) == 0, argv
+print("\\n".join(m for m in sys.modules
+                 if m.split(".")[0] in ("scipy", "multiprocessing")
+                 or m.startswith("concurrent.futures")))
+"""
+
+
+def test_cli_runs_without_loading_scipy_or_the_process_pool(tmp_path):
+    # a fresh interpreter: the modules loaded by the import and by the
+    # commands that need neither scipy nor a worker pool
+    src = Path(wppsc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

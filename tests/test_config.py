@@ -172,6 +172,11 @@ def test_load_config(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="JSON"):
         load_config(str(bad))
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config(str(tmp_path))
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(str(bad))
 
 
 def test_preset_scenarios():
