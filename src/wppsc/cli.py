@@ -78,7 +78,7 @@ def _write_manifest(out_dir: str, subcommand: str, resolved: dict) -> None:
 
 def _load_scenario(config_path: Optional[str], overrides: Sequence[str]) -> Scenario:
     raw = load_config(config_path) if config_path else {}
-    if isinstance(raw, dict) and set(raw) == {"version", "subcommand", "config"}:
+    if set(raw) == {"version", "subcommand", "config"}:
         # a previously written manifest: rerun from its resolved config
         raw = raw["config"]
     raw = apply_overrides(raw, overrides)
@@ -307,7 +307,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # a file at or above the path
+        print(f"argument --out: cannot make directory {out_dir!r}: {exc.strerror}", file=sys.stderr)
+        return 2
     _write_manifest(out_dir, args.command, to_dict(scenario))
     try:
         return _HANDLERS[args.command](scenario, args, out_dir)

@@ -19,7 +19,10 @@ built on first use) around a small nonlinear controller. SystemModel.split
 says that once: for given inputs and fault the plant is
 x' = a x + b + E g(C x), with a the treatment matrix, b the sources, C the
 linear map to the controller inputs, g the controller and E the rows its
-outputs add to (Split). SystemModel.derivative binds it as x -> dx, and rhs
+outputs add to (Split). The controller is one function per mode
+(gfl_controller, gfm_controller) that reads its gains and refs once and
+returns g, which maps the 12 flat inputs to the 8 outputs with the
+converter power inlined. SystemModel.derivative binds it as x -> dx, and rhs
 is one bound call. It accepts one state of shape (n,), whose controller
 runs on Python floats, or a batch of states as the columns of an (n, m)
 array, whose controller runs on row vectors, through the same code. The
@@ -254,107 +257,98 @@ class FaultSpec:
 # converter controls
 
 
-def gfl_rhs(
-    ctrl: Sequence,
-    v_c: Sequence,
-    i_f: Sequence,
-    p_pc: float,
-    q_pc: float,
-    p: GflParams,
-    refs: RefInputs,
-    q_mode: str = Q_MODE_REACTIVE,
-) -> tuple[tuple, tuple]:
-    """Grid-following control: PLL, outer power PI, inner current PI.
+def gfl_controller(
+    p: GflParams, refs: RefInputs, q_mode: str, lf: float
+) -> Callable[[Sequence], tuple]:
+    """Grid-following control (PLL, outer power PI, inner current PI) with
+    its gains and refs bound: g(u) -> the eight controller outputs.
 
-    ctrl = [theta_pll, s_pll, gamma_d, gamma_q, o_d, o_q] where theta_pll is
-    stored relative to the synchronous frame so its rate is zero at an
-    equilibrium (the absolute rate is omega0 + dctrl[0]). Measurements are
-    the filter-capacitor voltage and converter current rotated into the PLL
-    frame; the inverter voltage reference is rotated back into the common
-    frame. Returns (dctrl, v_inv) as tuples.
+    u = [v_c (2), i_f (2), i_a (2), theta_pll, s_pll, gamma_d, gamma_q, o_d,
+    o_q], where theta_pll is stored relative to the synchronous frame so its
+    rate is zero at an equilibrium (the absolute rate is omega0 + its rate).
+    Measurements are the filter-capacitor voltage and converter current
+    rotated into the PLL frame; the inverter voltage reference is rotated
+    back into the common frame. The outputs are v_inv / lf (d, q), the
+    inverter's term in the filter-current rate, then the six controller
+    rates.
 
-    Every argument row is a float for one state, or an m-vector (one value
-    per column of a batch of states); the results then carry the same
-    columns.
+    Every entry of u is a float for one state, or an m-vector (one value per
+    column of a batch of states); the outputs then carry the same columns.
     """
-    delta, s_pll, gamma_d, gamma_q, o_d, o_q = ctrl
-    fn = math if isinstance(delta, float) else np
-    c, s = fn.cos(delta), fn.sin(delta)
-
-    # measurements in the PLL frame: rotation by -delta
-    v_md, v_mq = c * v_c[0] + s * v_c[1], c * v_c[1] - s * v_c[0]
-    i_md, i_mq = c * i_f[0] + s * i_f[1], c * i_f[1] - s * i_f[0]
-
-    d_delta = p.kp_pll * v_mq + p.ki_pll * s_pll
-
-    e_p = refs.p_star - p_pc
-    i_star_d = p.kp_pc * e_p + p.ki_pc * gamma_d
-
-    if q_mode == Q_MODE_REACTIVE:
-        e_q = refs.q_star - q_pc
-        # raising i_q lowers q, hence the inverted PI output
-        i_star_q = -(p.kp_pc * e_q + p.ki_pc * gamma_q)
-        d_gamma_q = e_q
-    elif q_mode == Q_MODE_VOLTAGE:
-        e_v = refs.v_turb_star - fn.hypot(v_c[0], v_c[1])
-        i_star_q = p.kp_pc * e_v + p.ki_pc * gamma_q
-        d_gamma_q = e_v
-    else:
+    if q_mode not in (Q_MODE_REACTIVE, Q_MODE_VOLTAGE):
         raise ValueError(f"unknown q-channel mode {q_mode!r}")
+    voltage = q_mode == Q_MODE_VOLTAGE
+    kp_pll, ki_pll, kp_pc, ki_pc, kp_cc, ki_cc = (
+        p.kp_pll, p.ki_pll, p.kp_pc, p.ki_pc, p.kp_cc, p.ki_cc)
+    p_star, q_star, v_star = refs.p_star, refs.q_star, refs.v_turb_star
 
-    d_od, d_oq = i_star_d - i_md, i_star_q - i_mq
-    v_sd = v_md + p.kp_cc * d_od + p.ki_cc * o_d
-    v_sq = v_mq + p.kp_cc * d_oq + p.ki_cc * o_q
-    v_inv = (c * v_sd - s * v_sq, s * v_sd + c * v_sq)
-    return (d_delta, v_mq, e_p, d_gamma_q, d_od, d_oq), v_inv
+    def g(u: Sequence) -> tuple:
+        v_cd, v_cq, i_fd, i_fq, i_ad, i_aq, delta, s_pll, gamma_d, gamma_q, o_d, o_q = u
+        fn = math if isinstance(delta, float) else np
+        c, s = fn.cos(delta), fn.sin(delta)
+        # measurements in the PLL frame: rotation by -delta
+        v_md, v_mq = c * v_cd + s * v_cq, c * v_cq - s * v_cd
+        i_md, i_mq = c * i_fd + s * i_fq, c * i_fq - s * i_fd
+        e_p = p_star - (v_cd * i_ad + v_cq * i_aq)
+        i_star_d = kp_pc * e_p + ki_pc * gamma_d
+        if voltage:
+            e_q = v_star - fn.hypot(v_cd, v_cq)
+            i_star_q = kp_pc * e_q + ki_pc * gamma_q
+        else:
+            e_q = q_star - (v_cq * i_ad - v_cd * i_aq)
+            # raising i_q lowers q, hence the inverted PI output
+            i_star_q = -(kp_pc * e_q + ki_pc * gamma_q)
+        d_od, d_oq = i_star_d - i_md, i_star_q - i_mq
+        v_sd = v_md + kp_cc * d_od + ki_cc * o_d
+        v_sq = v_mq + kp_cc * d_oq + ki_cc * o_q
+        return ((c * v_sd - s * v_sq) / lf, (s * v_sd + c * v_sq) / lf,
+                kp_pll * v_mq + ki_pll * s_pll, v_mq, e_p, e_q, d_od, d_oq)
+
+    return g
 
 
-def gfm_rhs(
-    ctrl: Sequence,
-    v_c: Sequence,
-    i_f: Sequence,
-    i_a: Sequence,
-    p_pc: float,
-    p: GfmParams,
-    refs: RefInputs,
-    flt: FilterCableParams,
-    omega0: float = OMEGA0,
-) -> tuple[tuple, tuple]:
-    """Grid-forming control: swing synchronization, outer voltage PI with
+def gfm_controller(
+    p: GfmParams, refs: RefInputs, flt: FilterCableParams, omega0: float = OMEGA0
+) -> Callable[[Sequence], tuple]:
+    """Grid-forming control (swing synchronization, outer voltage PI with
     capacitor-current feedforward, inner current PI with inductor
-    feedforward.
+    feedforward) with its gains and refs bound: g(u) -> the eight
+    controller outputs.
 
-    ctrl = [theta_pc, omega_pc, m_d, m_q, o_d, o_q], theta_pc relative to the
-    synchronous frame (absolute rate is omega0 + omega_pc). The swing advances
-    the applied EMF angle when power falls short of its reference:
+    u = [v_c (2), i_f (2), i_a (2), theta_pc, omega_pc, m_d, m_q, o_d, o_q],
+    theta_pc relative to the synchronous frame (absolute rate is omega0 +
+    omega_pc). The swing advances the applied EMF angle when power falls
+    short of its reference:
 
         J domega/dt = p* - p_pc - D_p omega,   dtheta/dt = omega
 
-    Returns (dctrl, v_inv) as tuples; rows may be floats or m-vectors, as
-    for gfl_rhs.
+    The outputs are v_inv / lf (d, q) and the six controller rates; entries
+    may be floats or m-vectors, as for gfl_controller.
     """
-    delta, omega_pc, m_d, m_q, o_d, o_q = ctrl
-    fn = math if isinstance(delta, float) else np
-    c, s = fn.cos(delta), fn.sin(delta)
-
-    # measurements and feedforward in the controller frame: rotation by delta
-    v_md, v_mq = c * v_c[0] - s * v_c[1], s * v_c[0] + c * v_c[1]
-    i_md, i_mq = c * i_f[0] - s * i_f[1], s * i_f[0] + c * i_f[1]
-    i_ffd, i_ffq = c * i_a[0] - s * i_a[1], s * i_a[0] + c * i_a[1]
-
-    d_omega = (refs.p_star - p_pc - p.d_p * omega_pc) / p.j_vsm
-
-    e_vd, e_vq = refs.v_turb_star - v_md, -v_mq
+    j_vsm, d_p, kp_v, ki_v, kp_c, ki_c = p.j_vsm, p.d_p, p.kp_v, p.ki_v, p.kp_c, p.ki_c
+    p_star, v_star, lf = refs.p_star, refs.v_turb_star, flt.lf
     b_cf = omega0 * flt.cf  # capacitor susceptance 1 / x_cf
-    i_star_d = i_ffd + p.kp_v * e_vd + p.ki_v * m_d - v_mq * b_cf
-    i_star_q = i_ffq + p.kp_v * e_vq + p.ki_v * m_q + v_md * b_cf
+    xf = omega0 * lf
 
-    e_id, e_iq = i_star_d - i_md, i_star_q - i_mq
-    xf = omega0 * flt.lf
-    v_sd = v_md + p.kp_c * e_id + p.ki_c * o_d - xf * i_mq
-    v_sq = v_mq + p.kp_c * e_iq + p.ki_c * o_q + xf * i_md
-    v_inv = (c * v_sd + s * v_sq, c * v_sq - s * v_sd)
-    return (omega_pc, d_omega, e_vd, e_vq, e_id, e_iq), v_inv
+    def g(u: Sequence) -> tuple:
+        v_cd, v_cq, i_fd, i_fq, i_ad, i_aq, delta, omega_pc, m_d, m_q, o_d, o_q = u
+        fn = math if isinstance(delta, float) else np
+        c, s = fn.cos(delta), fn.sin(delta)
+        # measurements and feedforward in the controller frame: rotation by delta
+        v_md, v_mq = c * v_cd - s * v_cq, s * v_cd + c * v_cq
+        i_md, i_mq = c * i_fd - s * i_fq, s * i_fd + c * i_fq
+        i_ffd, i_ffq = c * i_ad - s * i_aq, s * i_ad + c * i_aq
+        d_omega = (p_star - (v_cd * i_ad + v_cq * i_aq) - d_p * omega_pc) / j_vsm
+        e_vd, e_vq = v_star - v_md, -v_mq
+        i_star_d = i_ffd + kp_v * e_vd + ki_v * m_d - v_mq * b_cf
+        i_star_q = i_ffq + kp_v * e_vq + ki_v * m_q + v_md * b_cf
+        e_id, e_iq = i_star_d - i_md, i_star_q - i_mq
+        v_sd = v_md + kp_c * e_id + ki_c * o_d - xf * i_mq
+        v_sq = v_mq + kp_c * e_iq + ki_c * o_q + xf * i_md
+        return ((c * v_sd + s * v_sq) / lf, (c * v_sq - s * v_sd) / lf,
+                omega_pc, d_omega, e_vd, e_vq, e_id, e_iq)
+
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +358,17 @@ def gfm_rhs(
 class Split(NamedTuple):
     """The plant over one event segment as x' = a x + b + E g(C x), and the
     bus it pins. a is the state matrix under the fault treatment and b the
-    source vector. g is the controller: it maps the state rows `reads`,
-    read after the pinned-bus write, to outputs that add to the state rows
-    `writes`, as Python floats or as row vectors alike. So C is the rows
-    `reads` of the pinned-bus write (the identity with the pinned node's
-    rows replaced by its voltage map, see SystemModel._treatment), and E the
-    columns `writes` of the identity. For the converter plant the inputs are
-    v_c, i_f, i_a and the six controller states, and the outputs v_inv / lf
-    (into the i_f rows) and the six controller rates; the passive plant has
-    no controller, and both lists are empty."""
+    source vector. g is the controller with its gains and refs bound
+    (gfl_controller, gfm_controller): it maps the flat list of the values of
+    the state rows `reads`, read after the pinned-bus write, to a tuple of
+    outputs that add to the state rows `writes` in that order, as Python
+    floats or as row vectors alike. So C is the rows `reads` of the
+    pinned-bus write (the identity with the pinned node's rows replaced by
+    its voltage map, see SystemModel._treatment), and E the columns `writes`
+    of the identity. For the converter plant the 12 inputs are v_c, i_f, i_a
+    and the six controller states, and the 8 outputs v_inv / lf (into the
+    i_f rows) and the six controller rates; the passive plant has no
+    controller, and both lists are empty."""
 
     a: np.ndarray
     b: np.ndarray
@@ -573,19 +569,10 @@ class SystemModel:
             b[k], b[k + 1] = e_sc * np.cos(refs.phi_sc), e_sc * np.sin(refs.phi_sc)
         if self.control == NO_CONVERTER:
             return Split(a, b, [], [], lambda u: (), pinned)
-
-        lf, gfl, gfm, q_mode, net = self.network.lf, self.gfl, self.gfm, self.q_mode, self.network
-        is_gfl = self.control == GFL
-
-        def g(u):
-            v_c, i_f, i_a = u[0:2], u[2:4], u[4:6]
-            p_pc, q_pc = power_pair(v_c, i_a)
-            if is_gfl:
-                dctrl, v_inv = gfl_rhs(u[6:12], v_c, i_f, p_pc, q_pc, gfl, refs, q_mode)
-            else:
-                dctrl, v_inv = gfm_rhs(u[6:12], v_c, i_f, i_a, p_pc, gfm, refs, net, w0)
-            return (v_inv[0] / lf, v_inv[1] / lf, *dctrl)
-
+        if self.control == GFL:
+            g = gfl_controller(self.gfl, refs, self.q_mode, self.network.lf)
+        else:
+            g = gfm_controller(self.gfm, refs, self.network, w0)
         return Split(a, b, self._reads, self._writes, g, pinned)
 
     def derivative(

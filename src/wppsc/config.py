@@ -465,7 +465,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(path, "config file not found")
     except OSError as e:
@@ -474,6 +474,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(path, f"config file is not UTF-8: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(path, f"invalid JSON: {e}")
+    if not isinstance(raw, dict):
+        raise ConfigError(path, f"config must be an object, got {raw!r}")
+    return raw
 
 
 def preset_scenario(case: str, control: str = GFL, with_sc: bool = True, **op_kwargs) -> Scenario:

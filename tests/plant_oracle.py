@@ -27,8 +27,8 @@ from wppsc.components import (
     RefInputs,
     ScParams,
     SystemModel,
-    gfl_rhs,
-    gfm_rhs,
+    gfl_controller,
+    gfm_controller,
 )
 
 
@@ -122,13 +122,6 @@ def _fault_mode(fault: Optional[FaultSpec], c_bus: float, dt: Optional[float]) -
     return "shunt"
 
 
-def _power_pair(v: np.ndarray, i: np.ndarray) -> tuple[float, float]:
-    return (
-        float(v[0] * i[0] + v[1] * i[1]),
-        float(v[1] * i[0] - v[0] * i[1]),
-    )
-
-
 def composed_rhs(
     model: SystemModel,
     x: np.ndarray,
@@ -167,13 +160,13 @@ def composed_rhs(
         zv = zi / complex(1.0 / fault.r_fault, -w0 * net.cf)
         v_c = np.array([zv.real, zv.imag])
 
-    p_pc, q_pc = _power_pair(v_c, i_a)
-
-    v_inv = None
-    if model.control == GFL:
-        dctrl, v_inv = gfl_rhs(x[-6:], v_c, i_f, p_pc, q_pc, model.gfl, refs, model.q_mode)
-    elif model.control == GFM:
-        dctrl, v_inv = gfm_rhs(x[-6:], v_c, i_f, i_a, p_pc, model.gfm, refs, net, w0)
+    if has_conv:  # the controller outputs v_inv / lf and the six controller rates
+        u = [float(v) for v in (*v_c, *i_f, *i_a, *x[-6:])]
+        if model.control == GFL:
+            out = gfl_controller(model.gfl, refs, model.q_mode, net.lf)(u)
+        else:
+            out = gfm_controller(model.gfm, refs, net, w0)(u)
+        v_inv, dctrl = net.lf * np.array(out[:2]), out[2:]
 
     v_g = refs.v_g_ref * np.array([math.cos(refs.v_g_angle), math.sin(refs.v_g_angle)])
     dx[0:2] = grid_rhs(i_g, v_pcc, model.grid, w0, v_g=v_g)

@@ -123,6 +123,27 @@ def test_unreadable_config_exit_2(tmp_path, capsys, content):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", '"x"'])
+def test_non_object_config_exit_2_names_file(tmp_path, capsys, content):
+    path = tmp_path / "case.json"
+    path.write_text(content)
+    code, out = run(tmp_path, "steady", "--config", str(path))
+    assert code == 2
+    assert f"config error: {path}: config must be an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_out_on_a_file_exit_2(tmp_path, capsys, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker / "sub" if below else blocker
+    code = main(["steady", "--out", str(out)])
+    assert code == 2
+    assert "argument --out" in capsys.readouterr().err
+    assert blocker.read_text() == "keep" and os.listdir(tmp_path) == ["taken"]
+
+
 def test_config_error_exit_2_names_key(tmp_path, capsys):
     code, _ = run(tmp_path, "steady", "--set", "grid.scr=-1")
     assert code == 2

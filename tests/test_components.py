@@ -17,8 +17,8 @@ from wppsc.components import (
     RefInputs,
     ScParams,
     SystemModel,
-    gfl_rhs,
-    gfm_rhs,
+    gfl_controller,
+    gfm_controller,
     power_pair,
 )
 
@@ -118,69 +118,76 @@ def test_pcc_node_rhs_formula():
     assert np.allclose(out, expect, rtol=1e-12)
 
 
+def gfl_outputs(p, refs, v_c, p_pc=0.0, q_pc=0.0, q_mode="reactive", ctrl=(0.0,) * 6):
+    """Bound GFL controller outputs with no filter current, i_a chosen so
+    that the converter power is (p_pc, q_pc) at v_c; the outputs are
+    v_inv / lf (d, q) and then the six controller rates."""
+    i_a = np.linalg.solve([[v_c[0], v_c[1]], [v_c[1], -v_c[0]]], [p_pc, q_pc])
+    g = gfl_controller(p, refs, q_mode, default_network().lf)
+    return g([*map(float, v_c), 0.0, 0.0, *map(float, i_a), *ctrl])
+
+
+def gfm_outputs(p, refs, p_pc, ctrl=(0.0,) * 6):
+    """Bound GFM controller outputs at v_c = (1, 0) with no filter current
+    and i_a = (p_pc, 0), so that the converter power is p_pc."""
+    g = gfm_controller(p, refs, default_network())
+    return g([1.0, 0.0, 0.0, 0.0, p_pc, 0.0, *ctrl])
+
+
 def test_pll_rate_oracle():
     # frozen: kp_pll 20, locked frame sees v_q 0.05, integrator 0
     #         -> absolute synchronization rate 315.1592653589793
     p = GflParams(kp_pll=20.0, ki_pll=400.0)
-    ctrl = np.zeros(6)
-    v_c = np.array([0.9, 0.05])
-    dctrl, _ = gfl_rhs(ctrl, v_c, np.zeros(2), 0.0, 0.0, p, RefInputs())
-    assert OMEGA0 + dctrl[0] == pytest.approx(OMEGA0 + 1.0, rel=1e-12)
-    assert dctrl[0] == pytest.approx(1.0, rel=1e-12)
-    assert dctrl[1] == pytest.approx(0.05, rel=1e-12)
+    out = gfl_outputs(p, RefInputs(), np.array([0.9, 0.05]))
+    assert OMEGA0 + out[2] == pytest.approx(OMEGA0 + 1.0, rel=1e-12)
+    assert out[2] == pytest.approx(1.0, rel=1e-12)
+    assert out[3] == pytest.approx(0.05, rel=1e-12)
 
 
 def test_gfl_reactive_channel_signs():
     p = GflParams()
     refs = RefInputs(p_star=0.8, q_star=0.0)
-    ctrl = np.zeros(6)
     v_c = np.array([1.0, 0.0])
     # plant exporting too much reactive power must push i_q up
-    dctrl, _ = gfl_rhs(ctrl, v_c, np.zeros(2), 0.8, 0.2, p, refs, q_mode="reactive")
+    out = gfl_outputs(p, refs, v_c, 0.8, 0.2, q_mode="reactive")
     # with no filter current, the q-axis current error is the current order i*_q
-    assert dctrl[5] > 0.0
-    assert dctrl[3] == pytest.approx(-0.2, rel=1e-12)
+    assert out[7] > 0.0
+    assert out[5] == pytest.approx(-0.2, rel=1e-12)
 
 
 def test_gfl_voltage_channel_signs():
     p = GflParams()
     refs = RefInputs(p_star=0.8, v_turb_star=1.0)
-    ctrl = np.zeros(6)
     # undervoltage must raise the q-axis current order
-    dctrl, _ = gfl_rhs(
-        ctrl, np.array([0.95, 0.0]), np.zeros(2), 0.8, 0.0, p, refs, q_mode="voltage"
-    )
+    out = gfl_outputs(p, refs, np.array([0.95, 0.0]), 0.8, 0.0, q_mode="voltage")
     # with no filter current, the q-axis current error is the current order i*_q
-    assert dctrl[5] > 0.0
-    assert dctrl[3] == pytest.approx(0.05, rel=1e-12)
+    assert out[7] > 0.0
+    assert out[5] == pytest.approx(0.05, rel=1e-12)
 
 
 def test_gfl_power_channel_integrates_error():
     p = GflParams()
     refs = RefInputs(p_star=1.0)
-    dctrl, _ = gfl_rhs(np.zeros(6), np.array([1.0, 0.0]), np.zeros(2), 0.9, 0.0, p, refs)
-    assert dctrl[2] == pytest.approx(0.1, rel=1e-12)
+    out = gfl_outputs(p, refs, np.array([1.0, 0.0]), 0.9, 0.0)
+    assert out[4] == pytest.approx(0.1, rel=1e-12)
 
 
 def test_gfm_swing_oracle():
     # frozen: defaults, p* 1.0, measured 0.999, omega 0 -> accel 0.005
     p = GfmParams()
-    net = default_network()
-    ctrl = np.zeros(6)
     refs = RefInputs(p_star=1.0, v_turb_star=1.0)
-    dctrl, _ = gfm_rhs(ctrl, np.array([1.0, 0.0]), np.zeros(2), np.zeros(2), 0.999, p, refs, net)
-    assert dctrl[1] == pytest.approx(0.005, rel=1e-10)
-    assert dctrl[0] == 0.0
+    out = gfm_outputs(p, refs, 0.999)
+    assert out[3] == pytest.approx(0.005, rel=1e-10)
+    assert out[2] == 0.0
 
 
 def test_gfm_swing_damping_term():
     p = GfmParams()
-    net = default_network()
     ctrl = np.zeros(6)
     ctrl[1] = 0.01  # rotor speed offset
     refs = RefInputs(p_star=1.0)
-    dctrl, _ = gfm_rhs(ctrl, np.array([1.0, 0.0]), np.zeros(2), np.zeros(2), 1.0, p, refs, net)
-    assert dctrl[1] == pytest.approx(-p.d_p * 0.01 / p.j_vsm, rel=1e-10)
+    out = gfm_outputs(p, refs, 1.0, ctrl=ctrl.tolist())
+    assert out[3] == pytest.approx(-p.d_p * 0.01 / p.j_vsm, rel=1e-10)
 
 
 def test_model_dimensions_and_labels():
@@ -269,6 +276,26 @@ def _plant(control, q_mode, with_sc):
 _REFS = RefInputs(
     p_star=0.7, v_turb_star=1.02, q_star=0.05, v_g_ref=0.97, v_g_angle=0.1, phi_sc=0.04
 )
+
+
+@pytest.mark.parametrize("control,q_mode", [p for p in PLANTS if p[0] != "none"])
+def test_bound_controller_floats_match_row_vectors(control, q_mode):
+    # one controller function serves one state (Python floats) and a batch
+    # (row vectors); column j of the batch outputs is the float result for
+    # column j
+    if control == "gfl":
+        g = gfl_controller(GflParams(), _REFS, q_mode, default_network().lf)
+    else:
+        g = gfm_controller(GfmParams(), _REFS, default_network())
+    rng = np.random.default_rng(31)
+    u = np.vstack([rng.uniform(0.5, 1.0, (6, 9)) * rng.choice([-1.0, 1.0], (6, 9)),
+                   rng.uniform(-0.3, 0.3, (6, 9))])
+    rows = np.array(g(list(u)))
+    assert rows.shape == (8, 9)
+    for j in range(u.shape[1]):
+        floats = g(u[:, j].tolist())
+        assert all(type(v) is float for v in floats)
+        assert np.allclose(rows[:, j], floats, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("control,q_mode", PLANTS)

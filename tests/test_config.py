@@ -177,6 +177,10 @@ def test_load_config(tmp_path):
     bad.write_bytes(b"\xff\xfe{}")
     with pytest.raises(ConfigError, match="not UTF-8"):
         load_config(str(bad))
+    bad.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="must be an object") as exc:
+        load_config(str(bad))
+    assert exc.value.key == str(bad)
 
 
 def test_preset_scenarios():

@@ -413,6 +413,36 @@ def test_abort_on_nonfinite_keeps_last_valid_sample():
     assert ts.t.size < 1001
 
 
+def scripted(rows):
+    """A step rule that returns the given rows in turn, whatever the state."""
+    rows = iter(np.array(rows, dtype=float))
+    return lambda x: next(rows)
+
+
+UNDER, OVER = np.nextafter(DIVERGENCE_LIMIT, 0.0), np.nextafter(DIVERGENCE_LIMIT, np.inf)
+
+
+@pytest.mark.parametrize(
+    "row, kept, diverged, aborted",
+    [
+        # every entry just inside, so that the sum of squares is 4x the limit's square
+        ([UNDER] * 4, 4, False, False),
+        # one entry just outside: kept and flagged at its row
+        ([0.0, 0.0, -OVER, 0.0], 3, True, False),
+        # a NaN is dropped and aborts
+        ([0.0, np.nan, 0.0, 0.0], 2, False, True),
+        # a squared norm that overflows is flagged, with no warning
+        ([1e200] * 4, 3, True, False),
+    ],
+)
+def test_divergence_check_reads_every_entry(row, kept, diverged, aborted):
+    run = march(np.zeros(4), 3, 1e-3, [(0, scripted([[1.0] * 4, row, row]))])
+    assert (len(run.states), run.diverged, run.aborted) == (kept, diverged, aborted)
+    assert np.array_equal(run.states[1:], np.array([[1.0] * 4, row, row])[: kept - 1])
+    if diverged or aborted:
+        assert "t=0.002 s" in run.note
+
+
 def reference_march(x0, n_steps, dt, segments):
     """One affine step per Python iteration (see reference_loop)."""
     steps = [(k, lambda x, phi=phi, gamma=gamma: phi @ x + gamma) for k, (phi, gamma) in segments]
