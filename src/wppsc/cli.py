@@ -19,6 +19,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .analysis import eigenvalues, step_response, sweep
 from .config import (
@@ -86,11 +88,13 @@ def _load_scenario(config_path: Optional[str], overrides: Sequence[str]) -> Scen
 
 
 def _write_series(path: str, ts: TimeSeries) -> None:
+    """The bytes _write_csv would write for the series (shortest round-trip
+    floats), formatted a row of Python floats at a time."""
     names = list(ts.columns)
-    header = ["t"] + names
-    cols = [ts.t] + [ts.columns[name] for name in names]
-    rows = (tuple(col[i] for col in cols) for i in range(len(ts.t)))
-    _write_csv(path, header, rows)
+    rows = np.column_stack([ts.t, *(ts.columns[name] for name in names)]).tolist()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(["t", *names]) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _series_exit(ts: TimeSeries) -> int:

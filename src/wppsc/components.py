@@ -43,9 +43,11 @@ OMEGA0 = TWO_PI * 50.0  # rad/s at 50 Hz
 GFL = "gfl"
 GFM = "gfm"
 NO_CONVERTER = "none"
+CONTROLS = (GFL, GFM, NO_CONVERTER)
 
 Q_MODE_REACTIVE = "reactive"
 Q_MODE_VOLTAGE = "voltage"
+Q_MODES = (Q_MODE_REACTIVE, Q_MODE_VOLTAGE)
 
 # Fault shunts at least this large are treated as an open circuit.
 FAULT_OPEN_THRESHOLD = 1e8
@@ -96,7 +98,6 @@ class ScParams:
     r_tr: float = 0.08
     x_tr: float = 0.1
     e_mag: float = 1.0
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x_sub) and self.x_sub > 0.0):
@@ -128,8 +129,7 @@ class GflParams:
     ki_cc: float = 20.0
 
     def __post_init__(self) -> None:
-        for name in ("kp_pll", "ki_pll", "kp_pc", "ki_pc", "kp_cc", "ki_cc"):
-            v = getattr(self, name)
+        for name, v in vars(self).items():
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"gfl gain {name} must be > 0, got {v}")
 
@@ -147,8 +147,7 @@ class GfmParams:
     ki_c: float = 20.0
 
     def __post_init__(self) -> None:
-        for name in ("j_vsm", "d_p", "kp_v", "ki_v", "kp_c", "ki_c"):
-            v = getattr(self, name)
+        for name, v in vars(self).items():
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"gfm gain {name} must be > 0, got {v}")
 
@@ -182,31 +181,6 @@ class FilterCableParams:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.la < 0.0 or self.ltf < 0.0:
             raise ValueError("la and ltf must be >= 0")
-
-    @classmethod
-    def from_reactances(
-        cls,
-        rf: float = 0.005,
-        xf: float = 0.08,
-        x_cf: float = 15.0,
-        ra: float = 0.006,
-        xa: float = 0.03,
-        rtf: float = 0.005,
-        xtf: float = 0.06,
-        c_pcc: float = 1e-4,
-        omega0: float = OMEGA0,
-    ) -> "FilterCableParams":
-        """Build from engineering reactances at the nominal frequency."""
-        return cls(
-            rf=rf,
-            lf=xf / omega0,
-            cf=1.0 / (omega0 * x_cf),
-            ra=ra,
-            la=xa / omega0,
-            rtf=rtf,
-            ltf=xtf / omega0,
-            c_pcc=c_pcc,
-        )
 
 
 @dataclass(frozen=True)
@@ -275,8 +249,6 @@ def gfl_controller(
     Every entry of u is a float for one state, or an m-vector (one value per
     column of a batch of states); the outputs then carry the same columns.
     """
-    if q_mode not in (Q_MODE_REACTIVE, Q_MODE_VOLTAGE):
-        raise ValueError(f"unknown q-channel mode {q_mode!r}")
     voltage = q_mode == Q_MODE_VOLTAGE
     kp_pll, ki_pll, kp_pc, ki_pc, kp_cc, ki_cc = (
         p.kp_pll, p.ki_pll, p.kp_pc, p.ki_pc, p.kp_cc, p.ki_cc)
@@ -383,7 +355,7 @@ class SystemModel:
 
     State layout (dq pairs contiguous):
         i_g, [i_sc], [i_f], v_c, i_a, v_pcc, [6 controller states]
-    i_sc appears only with the condenser enabled, i_f and the controller
+    i_sc appears only when sc is given, i_f and the controller
     block only when a converter is present. Dimensions: converter without
     condenser 16, with condenser 18; the passive (converter-open) network is
     8 or 10.
@@ -400,16 +372,16 @@ class SystemModel:
         q_mode: str = Q_MODE_REACTIVE,
         omega0: float = OMEGA0,
     ) -> None:
-        if control not in (GFL, GFM, NO_CONVERTER):
+        if control not in CONTROLS:
             raise ValueError(f"control must be one of gfl/gfm/none, got {control!r}")
-        if q_mode not in (Q_MODE_REACTIVE, Q_MODE_VOLTAGE):
+        if q_mode not in Q_MODES:
             raise ValueError(f"q_mode must be reactive or voltage, got {q_mode!r}")
         self.grid = grid
         self.network = network
         self.control = control
         self.gfl = gfl if gfl is not None else (GflParams() if control == GFL else None)
         self.gfm = gfm if gfm is not None else (GfmParams() if control == GFM else None)
-        self.sc = sc if (sc is not None and sc.enabled) else None
+        self.sc = sc
         self.q_mode = q_mode
         self.omega0 = omega0
 

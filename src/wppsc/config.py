@@ -1,24 +1,34 @@
 """Scenario schema: parsing, validation, defaults and model assembly.
 
-A scenario is a plain JSON-compatible dict. Parsing expands every default,
-rejects unknown keys, and reports problems by dotted key path so a CLI user
-can find the offending entry. The fully-resolved dict round-trips losslessly
-through to_dict()/parse_scenario().
+A scenario is a plain JSON-compatible dict whose sections are the frozen
+dataclasses that describe the study case (the grid, the gains of the
+configured control, the condenser, the network and the operating point),
+each keyed by its field names. control and sim hold Scenario's own fields
+under their config names, and sc.enabled is Scenario.with_sc, the one
+condenser switch. to_dict writes a scenario in field order, and the default
+scenario so written, once at import, is the schema: one reader checks each
+section against its defaults for unknown keys, each value's type (that of
+its default), finiteness and the allowed control and q-channel names, and
+reports problems by dotted key path so a CLI user can find the offending
+entry; each class checks its own ranges. The fully-resolved dict
+round-trips losslessly through to_dict()/parse_scenario().
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from dataclasses import dataclass, field
+from typing import Any
 
 from .components import (
+    CONTROLS,
     GFL,
     GFM,
     NO_CONVERTER,
+    OMEGA0,
     Q_MODE_REACTIVE,
-    Q_MODE_VOLTAGE,
+    Q_MODES,
     FilterCableParams,
     GflParams,
     GfmParams,
@@ -71,14 +81,17 @@ class NetworkSpec:
     c_pcc: float = 1e-4
 
     def to_params(self) -> FilterCableParams:
-        return FilterCableParams.from_reactances(
+        """Inductances and capacitances in pu at the nominal frequency."""
+        if self.x_cf == 0.0:  # an infinite filter capacitance
+            raise ValueError(f"filter x_cf must be > 0, got {self.x_cf}")
+        return FilterCableParams(
             rf=self.rf,
-            xf=self.xf,
-            x_cf=self.x_cf,
+            lf=self.xf / OMEGA0,
+            cf=1.0 / (OMEGA0 * self.x_cf),
             ra=self.ra,
-            xa=self.xa,
+            la=self.xa / OMEGA0,
             rtf=self.rtf,
-            xtf=self.xtf,
+            ltf=self.xtf / OMEGA0,
             c_pcc=self.c_pcc,
         )
 
@@ -102,10 +115,6 @@ class Scenario:
     events: tuple[Event, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.control not in (GFL, GFM, NO_CONVERTER):
-            raise ValueError(f"control must be gfl/gfm/none, got {self.control!r}")
-        if self.q_mode not in (Q_MODE_REACTIVE, Q_MODE_VOLTAGE):
-            raise ValueError(f"q_mode must be reactive/voltage, got {self.q_mode!r}")
         if not 1e-6 <= self.dt <= 1e-3:
             raise ValueError(f"dt must be in [1e-6, 1e-3], got {self.dt}")
         if not 0.0 < self.t_end <= 60.0:
@@ -138,14 +147,15 @@ def standard_operating_points() -> tuple[OperatingPoint, ...]:
     )
 
 
+def _grid_params(grid: GridCase | Impedance) -> GridParams:
+    z = grid if isinstance(grid, Impedance) else impedance_from_scr_xr(grid)
+    return GridParams(rg=z.r, xg=z.x)
+
+
 def build_model(sc_spec: Scenario) -> SystemModel:
     """Assemble the nonlinear plant for a scenario."""
-    if isinstance(sc_spec.grid, Impedance):
-        z = sc_spec.grid
-    else:
-        z = impedance_from_scr_xr(sc_spec.grid)
     return SystemModel(
-        grid=GridParams(rg=z.r, xg=z.x),
+        grid=_grid_params(sc_spec.grid),
         network=sc_spec.network.to_params(),
         control=sc_spec.control,
         gfl=sc_spec.gfl,
@@ -179,54 +189,102 @@ def scenario_key(sc_spec: Scenario) -> str:
 # dict <-> Scenario
 
 
-def _check_keys(d: dict, allowed: set[str], path: str) -> None:
+# Each event kind's keys after t and kind, with their defaults; the kind is
+# also the name of the Event constructor that checks them.
+_EVENTS = {
+    "fault_on": {"bus": "pcc", "r_fault": 1e-4},
+    "fault_off": {"bus": "pcc"},
+    "step_ref": {"channel": "p_star", "delta": 0.0},
+}
+
+
+def to_dict(sc_spec: Scenario) -> dict:
+    """Fully-resolved config dict; parse_scenario(to_dict(s)) == s."""
+    gains = {GFL: sc_spec.gfl, GFM: sc_spec.gfm}.get(sc_spec.control)
+    return {
+        "name": sc_spec.name,
+        "grid": dict(vars(sc_spec.grid)),
+        "control": {
+            "type": sc_spec.control,
+            "q_channel_mode": sc_spec.q_mode,
+            "gains": dict(vars(gains)) if gains else {},
+        },
+        "sc": {"enabled": sc_spec.with_sc, **vars(sc_spec.sc)},
+        "network": dict(vars(sc_spec.network)),
+        "op": dict(vars(sc_spec.op)),
+        "sim": {"dt": sc_spec.dt, "t_end": sc_spec.t_end},
+        "events": [
+            {"t": ev.t, "kind": ev.kind, **{k: getattr(ev, k) for k in _EVENTS[ev.kind]}}
+            for ev in sc_spec.events
+        ],
+    }
+
+
+# Every config key and its default: the resolved default scenario, the gains
+# of each control (read only under that control) and an explicit grid branch.
+_DEFAULTS = to_dict(Scenario())
+_CONTROL = {**_DEFAULTS["control"], "gains": {}}
+_GAINS = {GFL: vars(GflParams()), GFM: vars(GfmParams()), NO_CONVERTER: {}}
+_IMPEDANCE = {"r": 0.0, "x": 0.0}
+
+
+def _key(path: str, k: str) -> str:
+    return f"{path}.{k}" if path else k
+
+
+def _read(d: Any, table: dict[str, Any], path: str, choices: dict = {}) -> dict[str, Any]:
+    """The config section d at path, with table's defaults filled in.
+
+    A value must have its default's type: true/false, a finite number (an
+    int becomes a float) or a string, one of choices[key] if given. Objects
+    and lists pass as they are, for the reader of their own section.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(path, f"expected an object, got {d!r}")
     for k in d:
-        if k not in allowed:
-            raise ConfigError(f"{path}.{k}" if path else k, "unknown key")
+        if k not in table:
+            raise ConfigError(_key(path, k), "unknown key")
+    out = dict(table)
+    for k, default in table.items():
+        if k not in d:
+            continue
+        v = d[k]
+        if isinstance(default, bool):
+            if not isinstance(v, bool):
+                raise ConfigError(_key(path, k), f"expected true/false, got {v!r}")
+        elif isinstance(default, (int, float)):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(_key(path, k), f"expected a number, got {v!r}")
+            v = float(v)
+            if not math.isfinite(v):
+                raise ConfigError(_key(path, k), "must be finite")
+        elif isinstance(default, str):
+            if not isinstance(v, str):
+                raise ConfigError(_key(path, k), f"expected a string, got {v!r}")
+            if k in choices and v not in choices[k]:
+                raise ConfigError(_key(path, k), f"must be {'/'.join(choices[k])}, got {v!r}")
+        out[k] = v
+    return out
 
 
-def _get_num(d: dict, key: str, default: float, path: str) -> float:
-    v = d.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {v!r}")
-    if not math.isfinite(float(v)):
-        raise ConfigError(f"{path}.{key}", "must be finite")
-    return float(v)
-
-
-def _get_str(d: dict, key: str, default: str, path: str) -> str:
-    v = d.get(key, default)
-    if not isinstance(v, str):
-        raise ConfigError(f"{path}.{key}", f"expected a string, got {v!r}")
-    return v
-
-
-def _get_bool(d: dict, key: str, default: bool, path: str) -> bool:
-    v = d.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}", f"expected true/false, got {v!r}")
-    return v
-
-
-def _build(path: str, ctor, **kwargs):
+def _build(path: str, ctor, *args, **kwargs):
     try:
-        return ctor(**kwargs)
+        return ctor(*args, **kwargs)
     except ValueError as e:
         raise ConfigError(path, str(e)) from e
 
 
 def _parse_grid(d: Any) -> GridCase | Impedance:
-    if not isinstance(d, dict):
-        raise ConfigError("grid", f"expected an object, got {d!r}")
-    if "r" in d or "x" in d:
-        _check_keys(d, {"r", "x"}, "grid")
-        r = _get_num(d, "r", 0.0, "grid")
-        x = _get_num(d, "x", 0.0, "grid")
-        return _build("grid", Impedance, r=r, x=x)
-    _check_keys(d, {"scr", "x_r"}, "grid")
-    scr = _get_num(d, "scr", 3.2, "grid")
-    x_r = _get_num(d, "x_r", 14.8, "grid")
-    return _build("grid.scr", GridCase, scr=scr, x_r=x_r)
+    if isinstance(d, dict) and ("r" in d or "x" in d):
+        grid = _build("grid", Impedance, **_read(d, _IMPEDANCE, "grid"))
+    else:
+        grid = _build("grid.scr", GridCase, **_read(d, _DEFAULTS["grid"], "grid"))
+    _build("grid", _grid_params, grid)  # the Thevenin branch needs a reactance
+    return grid
+
+
+def _section(top: dict, name: str, cls):
+    return _build(name, cls, **_read(top[name], _DEFAULTS[name], name))
 
 
 def _parse_events(items: Any) -> tuple[Event, ...]:
@@ -238,31 +296,14 @@ def _parse_events(items: Any) -> tuple[Event, ...]:
         path = f"events.{i}"
         if not isinstance(d, dict):
             raise ConfigError(path, f"expected an object, got {d!r}")
-        kind = _get_str(d, "kind", "", path)
-        t = _get_num(d, "t", -1.0, path)
-        if kind == "fault_on":
-            _check_keys(d, {"kind", "t", "bus", "r_fault"}, path)
-            ev = _build(
-                path,
-                Event.fault_on,
-                t=t,
-                bus=_get_str(d, "bus", "pcc", path),
-                r_fault=_get_num(d, "r_fault", 1e-4, path),
-            )
-        elif kind == "fault_off":
-            _check_keys(d, {"kind", "t", "bus"}, path)
-            ev = _build(path, Event.fault_off, t=t, bus=_get_str(d, "bus", "pcc", path))
-        elif kind == "step_ref":
-            _check_keys(d, {"kind", "t", "channel", "delta"}, path)
-            ev = _build(
-                path,
-                Event.step_ref,
-                t=t,
-                channel=_get_str(d, "channel", "p_star", path),
-                delta=_get_num(d, "delta", 0.0, path),
-            )
-        else:
+        kind = d.get("kind", "")
+        if not isinstance(kind, str):
+            raise ConfigError(f"{path}.kind", f"expected a string, got {kind!r}")
+        if kind not in _EVENTS:
             raise ConfigError(f"{path}.kind", f"unknown event kind {kind!r}")
+        values = _read(d, {"t": -1.0, "kind": kind, **_EVENTS[kind]}, path)
+        del values["kind"]
+        ev = _build(path, getattr(Event, kind), **values)
         if ev.t < last_t:
             raise ConfigError(f"{path}.t", "events must be sorted by time")
         last_t = ev.t
@@ -270,158 +311,40 @@ def _parse_events(items: Any) -> tuple[Event, ...]:
     return tuple(out)
 
 
-_TOP_KEYS = {"name", "grid", "control", "sc", "network", "op", "sim", "events"}
-_CONTROL_KEYS = {"type", "q_channel_mode", "gains"}
-_GFL_GAIN_KEYS = {"kp_pll", "ki_pll", "kp_pc", "ki_pc", "kp_cc", "ki_cc"}
-_GFM_GAIN_KEYS = {"j_vsm", "d_p", "kp_v", "ki_v", "kp_c", "ki_c"}
-_SC_KEYS = {"enabled", "x_sub", "r_tr", "x_tr", "e_mag"}
-_NETWORK_KEYS = {"rf", "xf", "x_cf", "ra", "xa", "rtf", "xtf", "c_pcc"}
-_OP_KEYS = {"v_g_ref", "v_turb_ref", "p_turb_ref"}
-_SIM_KEYS = {"dt", "t_end"}
-
-
 def parse_scenario(raw: dict) -> Scenario:
     """Validate a config dict and expand defaults into a Scenario."""
     if not isinstance(raw, dict):
         raise ConfigError("", f"config must be an object, got {raw!r}")
-    _check_keys(raw, _TOP_KEYS, "")
-
-    name = _get_str(raw, "name", "scenario", "")
-
-    grid = _parse_grid(raw.get("grid", {}))
-
-    ctl = raw.get("control", {})
-    if not isinstance(ctl, dict):
-        raise ConfigError("control", f"expected an object, got {ctl!r}")
-    _check_keys(ctl, _CONTROL_KEYS, "control")
-    control = _get_str(ctl, "type", GFL, "control")
-    if control not in (GFL, GFM, NO_CONVERTER):
-        raise ConfigError("control.type", f"must be gfl/gfm/none, got {control!r}")
-    q_mode = _get_str(ctl, "q_channel_mode", Q_MODE_REACTIVE, "control")
-    if q_mode not in (Q_MODE_REACTIVE, Q_MODE_VOLTAGE):
-        raise ConfigError("control.q_channel_mode", f"must be reactive/voltage, got {q_mode!r}")
-    gains = ctl.get("gains", {})
-    if not isinstance(gains, dict):
-        raise ConfigError("control.gains", f"expected an object, got {gains!r}")
-    gfl_defaults, gfm_defaults = GflParams(), GfmParams()
-    if control == GFL:
-        _check_keys(gains, _GFL_GAIN_KEYS, "control.gains")
-        gfl = _build(
-            "control.gains",
-            GflParams,
-            **{k: _get_num(gains, k, getattr(gfl_defaults, k), "control.gains") for k in _GFL_GAIN_KEYS},
-        )
-        gfm = gfm_defaults
-    elif control == GFM:
-        _check_keys(gains, _GFM_GAIN_KEYS, "control.gains")
-        gfm = _build(
-            "control.gains",
-            GfmParams,
-            **{k: _get_num(gains, k, getattr(gfm_defaults, k), "control.gains") for k in _GFM_GAIN_KEYS},
-        )
-        gfl = gfl_defaults
-    else:
-        _check_keys(gains, set(), "control.gains")
-        gfl, gfm = gfl_defaults, gfm_defaults
-
-    sc_d = raw.get("sc", {})
-    if not isinstance(sc_d, dict):
-        raise ConfigError("sc", f"expected an object, got {sc_d!r}")
-    _check_keys(sc_d, _SC_KEYS, "sc")
-    with_sc = _get_bool(sc_d, "enabled", True, "sc")
-    sc_defaults = ScParams()
-    sc = _build(
-        "sc",
-        ScParams,
-        x_sub=_get_num(sc_d, "x_sub", sc_defaults.x_sub, "sc"),
-        r_tr=_get_num(sc_d, "r_tr", sc_defaults.r_tr, "sc"),
-        x_tr=_get_num(sc_d, "x_tr", sc_defaults.x_tr, "sc"),
-        e_mag=_get_num(sc_d, "e_mag", sc_defaults.e_mag, "sc"),
-    )
-
-    net_d = raw.get("network", {})
-    if not isinstance(net_d, dict):
-        raise ConfigError("network", f"expected an object, got {net_d!r}")
-    _check_keys(net_d, _NETWORK_KEYS, "network")
-    net_defaults = NetworkSpec()
-    network = _build(
-        "network",
-        NetworkSpec,
-        **{k: _get_num(net_d, k, getattr(net_defaults, k), "network") for k in _NETWORK_KEYS},
-    )
+    top = _read(raw, _DEFAULTS, "")
+    grid = _parse_grid(top["grid"])
+    ctl = _read(top["control"], _CONTROL, "control", {"type": CONTROLS, "q_channel_mode": Q_MODES})
+    control = ctl["type"]
+    gains = _read(ctl["gains"], _GAINS[control], "control.gains")
+    gfl = _build("control.gains", GflParams, **gains) if control == GFL else GflParams()
+    gfm = _build("control.gains", GfmParams, **gains) if control == GFM else GfmParams()
+    sc = _read(top["sc"], _DEFAULTS["sc"], "sc")
+    with_sc = sc.pop("enabled")
+    sc = _build("sc", ScParams, **sc)
+    network = _section(top, "network", NetworkSpec)
     _build("network", network.to_params)
-
-    op_d = raw.get("op", {})
-    if not isinstance(op_d, dict):
-        raise ConfigError("op", f"expected an object, got {op_d!r}")
-    _check_keys(op_d, _OP_KEYS, "op")
-    op_defaults = OperatingPoint()
-    op = _build(
-        "op",
-        OperatingPoint,
-        **{k: _get_num(op_d, k, getattr(op_defaults, k), "op") for k in _OP_KEYS},
-    )
-
-    sim_d = raw.get("sim", {})
-    if not isinstance(sim_d, dict):
-        raise ConfigError("sim", f"expected an object, got {sim_d!r}")
-    _check_keys(sim_d, _SIM_KEYS, "sim")
-    dt = _get_num(sim_d, "dt", 5e-5, "sim")
-    t_end = _get_num(sim_d, "t_end", 2.0, "sim")
-
-    events = _parse_events(raw.get("events", []))
-
+    op = _section(top, "op", OperatingPoint)
+    sim = _read(top["sim"], _DEFAULTS["sim"], "sim")
     return _build(
         "",
         Scenario,
-        name=name,
+        name=top["name"],
         grid=grid,
         control=control,
-        q_mode=q_mode,
+        q_mode=ctl["q_channel_mode"],
         with_sc=with_sc,
         sc=sc,
         gfl=gfl,
         gfm=gfm,
         network=network,
         op=op,
-        dt=dt,
-        t_end=t_end,
-        events=events,
+        events=_parse_events(top["events"]),
+        **sim,
     )
-
-
-def to_dict(sc_spec: Scenario) -> dict:
-    """Fully-resolved config dict; parse_scenario(to_dict(s)) == s."""
-    if isinstance(sc_spec.grid, Impedance):
-        grid = {"r": sc_spec.grid.r, "x": sc_spec.grid.x}
-    else:
-        grid = {"scr": sc_spec.grid.scr, "x_r": sc_spec.grid.x_r}
-    if sc_spec.control == GFL:
-        gains = {k: getattr(sc_spec.gfl, k) for k in sorted(_GFL_GAIN_KEYS)}
-    elif sc_spec.control == GFM:
-        gains = {k: getattr(sc_spec.gfm, k) for k in sorted(_GFM_GAIN_KEYS)}
-    else:
-        gains = {}
-    return {
-        "name": sc_spec.name,
-        "grid": grid,
-        "control": {"type": sc_spec.control, "q_channel_mode": sc_spec.q_mode, "gains": gains},
-        "sc": {
-            "enabled": sc_spec.with_sc,
-            "x_sub": sc_spec.sc.x_sub,
-            "r_tr": sc_spec.sc.r_tr,
-            "x_tr": sc_spec.sc.x_tr,
-            "e_mag": sc_spec.sc.e_mag,
-        },
-        "network": {k: getattr(sc_spec.network, k) for k in sorted(_NETWORK_KEYS)},
-        "op": {
-            "v_g_ref": sc_spec.op.v_g_ref,
-            "v_turb_ref": sc_spec.op.v_turb_ref,
-            "p_turb_ref": sc_spec.op.p_turb_ref,
-        },
-        "sim": {"dt": sc_spec.dt, "t_end": sc_spec.t_end},
-        "events": [ev.to_dict() for ev in sc_spec.events],
-    }
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:

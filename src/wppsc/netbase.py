@@ -37,9 +37,6 @@ class Impedance:
     def magnitude(self) -> float:
         return math.hypot(self.r, self.x)
 
-    def __add__(self, other: "Impedance") -> "Impedance":
-        return Impedance(self.r + other.r, self.x + other.x)
-
 
 @dataclass(frozen=True)
 class GridCase:

@@ -78,16 +78,6 @@ class Event:
             raise ValueError(f"step delta must be finite, got {delta}")
         return cls(t=t, kind="step_ref", channel=channel, delta=delta)
 
-    def to_dict(self) -> dict:
-        d = {"t": self.t, "kind": self.kind}
-        if self.kind == "fault_on":
-            d.update(bus=self.bus, r_fault=self.r_fault)
-        elif self.kind == "fault_off":
-            d.update(bus=self.bus)
-        else:
-            d.update(channel=self.channel, delta=self.delta)
-        return d
-
 
 @dataclass
 class TimeSeries:

@@ -150,6 +150,24 @@ def test_config_error_exit_2_names_key(tmp_path, capsys):
     assert "grid.scr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ('grid={"r": 0.02}', "grid"),
+        ("grid.x=-0.3", "grid"),
+        ("grid.x_r=0", "grid"),
+        ("network.x_cf=0", "network"),
+    ],
+)
+def test_unbuildable_plant_exit_2_before_manifest(tmp_path, capsys, override, key):
+    # each passes its own class's checks but leaves the grid branch without
+    # reactance or the filter with an infinite capacitance
+    code, out = run(tmp_path, "steady", "--set", override)
+    assert code == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_exit_2(tmp_path, capsys):
     code, _ = run(tmp_path, "eig", "--set", "turbo=1")
     assert code == 2
@@ -319,6 +337,13 @@ def test_grid_case_presets_match_library(tmp_path):
     for case in ("weak", "normal", "strong"):
         raw = json.loads(open(preset_path(case)).read())
         assert parse_scenario(raw) == preset_scenario(case)
+
+
+def test_grid_case_presets_are_the_resolved_form():
+    for case in ("weak", "normal", "strong"):
+        text = json.dumps(to_dict(preset_scenario(case)), indent=2) + "\n"
+        with open(preset_path(case), encoding="utf-8") as fh:
+            assert fh.read() == text
 
 
 def test_operating_grid_preset_contents():

@@ -22,6 +22,8 @@ from wppsc.components import (
     power_pair,
 )
 
+from wppsc.config import NetworkSpec
+
 from plant_oracle import (
     composed_rhs,
     filter_cable_rhs,
@@ -33,10 +35,6 @@ from plant_oracle import (
     rotated_state,
     sc_rhs,
 )
-
-
-def default_network():
-    return FilterCableParams.from_reactances()
 
 
 def test_jrot_and_rotate():
@@ -88,7 +86,7 @@ def test_sc_rhs_vanishes_at_branch_steady_state():
 
 
 def test_filter_cable_rhs_vanishes_at_phasor_solution():
-    net = default_network()
+    net = NetworkSpec().to_params()
     w0 = OMEGA0
     v_c = complex(0.99, 0.03)
     v_pcc = complex(0.96, -0.01)
@@ -110,7 +108,7 @@ def test_filter_cable_rhs_vanishes_at_phasor_solution():
 
 
 def test_pcc_node_rhs_formula():
-    net = default_network()
+    net = NetworkSpec().to_params()
     v = np.array([0.95, 0.05])
     i_net = np.array([0.01, -0.02])
     out = pcc_node_rhs(v, i_net, net)
@@ -123,14 +121,14 @@ def gfl_outputs(p, refs, v_c, p_pc=0.0, q_pc=0.0, q_mode="reactive", ctrl=(0.0,)
     that the converter power is (p_pc, q_pc) at v_c; the outputs are
     v_inv / lf (d, q) and then the six controller rates."""
     i_a = np.linalg.solve([[v_c[0], v_c[1]], [v_c[1], -v_c[0]]], [p_pc, q_pc])
-    g = gfl_controller(p, refs, q_mode, default_network().lf)
+    g = gfl_controller(p, refs, q_mode, NetworkSpec().to_params().lf)
     return g([*map(float, v_c), 0.0, 0.0, *map(float, i_a), *ctrl])
 
 
 def gfm_outputs(p, refs, p_pc, ctrl=(0.0,) * 6):
     """Bound GFM controller outputs at v_c = (1, 0) with no filter current
     and i_a = (p_pc, 0), so that the converter power is p_pc."""
-    g = gfm_controller(p, refs, default_network())
+    g = gfm_controller(p, refs, NetworkSpec().to_params())
     return g([1.0, 0.0, 0.0, 0.0, p_pc, 0.0, *ctrl])
 
 
@@ -191,7 +189,7 @@ def test_gfm_swing_damping_term():
 
 
 def test_model_dimensions_and_labels():
-    net = default_network()
+    net = NetworkSpec().to_params()
     g = GridParams(rg=0.02, xg=0.3)
     m = SystemModel(g, net, control="gfl", sc=ScParams())
     assert m.n == 18
@@ -210,7 +208,7 @@ def test_model_dimensions_and_labels():
 
 
 def test_model_rejects_unknown_control():
-    net = default_network()
+    net = NetworkSpec().to_params()
     with pytest.raises(ValueError):
         SystemModel(GridParams(rg=0.02, xg=0.3), net, control="droop")
 
@@ -235,7 +233,7 @@ def _rotate_deriv(model, dx, alpha):
 @pytest.mark.parametrize("control", ["gfl", "gfm", "none"])
 @pytest.mark.parametrize("with_sc", [True, False])
 def test_rhs_frame_rotation_invariance(control, with_sc):
-    net = default_network()
+    net = NetworkSpec().to_params()
     g = GridParams(rg=0.0210668, xg=0.3117878)
     model = SystemModel(g, net, control=control, sc=ScParams() if with_sc else None)
     refs = RefInputs(p_star=0.7, v_turb_star=1.0, q_star=0.05, phi_sc=0.04)
@@ -270,7 +268,7 @@ FAULT_TREATMENTS = [
 def _plant(control, q_mode, with_sc):
     g = GridParams(rg=0.0210668, xg=0.3117878)
     sc = ScParams() if with_sc else None
-    return SystemModel(g, default_network(), control=control, sc=sc, q_mode=q_mode)
+    return SystemModel(g, NetworkSpec().to_params(), control=control, sc=sc, q_mode=q_mode)
 
 
 _REFS = RefInputs(
@@ -284,9 +282,9 @@ def test_bound_controller_floats_match_row_vectors(control, q_mode):
     # (row vectors); column j of the batch outputs is the float result for
     # column j
     if control == "gfl":
-        g = gfl_controller(GflParams(), _REFS, q_mode, default_network().lf)
+        g = gfl_controller(GflParams(), _REFS, q_mode, NetworkSpec().to_params().lf)
     else:
-        g = gfm_controller(GfmParams(), _REFS, default_network())
+        g = gfm_controller(GfmParams(), _REFS, NetworkSpec().to_params())
     rng = np.random.default_rng(31)
     u = np.vstack([rng.uniform(0.5, 1.0, (6, 9)) * rng.choice([-1.0, 1.0], (6, 9)),
                    rng.uniform(-0.3, 0.3, (6, 9))])
@@ -363,7 +361,7 @@ def test_batched_measure_matches_single_states():
 
 
 def test_vacuous_fault_is_exact_noop():
-    net = default_network()
+    net = NetworkSpec().to_params()
     model = SystemModel(GridParams(rg=0.02, xg=0.3), net, control="gfl", sc=ScParams())
     rng = np.random.default_rng(5)
     x = _random_state(model, rng)
@@ -375,7 +373,7 @@ def test_vacuous_fault_is_exact_noop():
 
 
 def test_bolted_fault_pins_pcc_bus():
-    net = default_network()
+    net = NetworkSpec().to_params()
     model = SystemModel(GridParams(rg=0.02, xg=0.3), net, control="none", sc=None)
     rng = np.random.default_rng(9)
     x = _random_state(model, rng)
@@ -399,7 +397,7 @@ def test_bolted_fault_pins_pcc_bus():
 
 
 def test_resistive_fault_joins_node_law():
-    net = default_network()
+    net = NetworkSpec().to_params()
     model = SystemModel(GridParams(rg=0.02, xg=0.3), net, control="none", sc=None)
     rng = np.random.default_rng(13)
     x = _random_state(model, rng)
@@ -423,7 +421,7 @@ def test_fault_spec_validation():
 
 
 def test_measure_reports_interface_quantities():
-    net = default_network()
+    net = NetworkSpec().to_params()
     model = SystemModel(GridParams(rg=0.02, xg=0.3), net, control="gfl", sc=ScParams())
     x = np.zeros(model.n)
     x[model.index("v_c_d")] = 0.98
@@ -434,14 +432,6 @@ def test_measure_reports_interface_quantities():
     assert out["p_pc"] == pytest.approx(0.488, abs=1e-12)
     assert out["q_pc"] == pytest.approx(0.108, abs=1e-12)
     assert out["v_c_mag"] == pytest.approx(math.hypot(0.98, 0.02), rel=1e-12)
-
-
-def test_from_reactances_conversion():
-    net = FilterCableParams.from_reactances(xf=0.08, x_cf=15.0, xa=0.03, xtf=0.06)
-    assert net.lf == pytest.approx(0.08 / OMEGA0, rel=1e-12)
-    assert net.cf == pytest.approx(1.0 / (OMEGA0 * 15.0), rel=1e-12)
-    assert net.la == pytest.approx(0.03 / OMEGA0, rel=1e-12)
-    assert net.ltf == pytest.approx(0.06 / OMEGA0, rel=1e-12)
 
 
 def test_parameter_validation():

@@ -1,14 +1,27 @@
 """Config parsing, serialization round-trips, and override handling."""
 
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wppsc.components import GFL, GFM, Q_MODE_VOLTAGE
+from wppsc.components import (
+    CONTROLS,
+    FAULT_BUSES,
+    GFL,
+    GFM,
+    OMEGA0,
+    Q_MODE_VOLTAGE,
+    Q_MODES,
+    GflParams,
+    GfmParams,
+)
 from wppsc.config import (
     GRID_CASES,
     OP_GRID_VALUES,
     ConfigError,
+    NetworkSpec,
     OperatingPoint,
     Scenario,
     apply_overrides,
@@ -20,6 +33,7 @@ from wppsc.config import (
     to_dict,
 )
 from wppsc.netbase import GridCase, Impedance
+from wppsc.sim import STEP_CHANNELS
 
 
 FULL = {
@@ -115,6 +129,24 @@ def test_value_validation():
     with pytest.raises(ConfigError) as e:
         parse_scenario({"op": {"p_turb_ref": "full"}})
     assert e.value.key == "op.p_turb_ref"
+    with pytest.raises(ConfigError) as e:
+        parse_scenario({"name": 5})
+    assert e.value.key == "name"
+    assert str(e.value) == "name: expected a string, got 5"
+
+
+def test_integers_are_read_as_floats():
+    # the manifest writes 1.0, not 1, whichever form the input used
+    d = to_dict(parse_scenario({"grid": {"scr": 2}, "op": {"p_turb_ref": 1}}))
+    assert type(d["grid"]["scr"]) is float and type(d["op"]["p_turb_ref"]) is float
+
+
+def test_network_spec_to_params():
+    net = NetworkSpec(xf=0.08, x_cf=15.0, xa=0.03, xtf=0.06).to_params()
+    assert net.lf == pytest.approx(0.08 / OMEGA0, rel=1e-12)
+    assert net.cf == pytest.approx(1.0 / (OMEGA0 * 15.0), rel=1e-12)
+    assert net.la == pytest.approx(0.03 / OMEGA0, rel=1e-12)
+    assert net.ltf == pytest.approx(0.06 / OMEGA0, rel=1e-12)
 
 
 def test_event_parsing_rules():
@@ -217,3 +249,114 @@ def test_standard_operating_grid():
 def test_q_channel_mode_voltage_parses():
     s = parse_scenario({"control": {"type": "gfl", "q_channel_mode": "voltage"}})
     assert s.q_mode == Q_MODE_VOLTAGE
+
+
+# ---------------------------------------------------------------------------
+# the schema over drawn configs: valid values, random subsets of keys
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _some(keys):
+    """A dict holding a random subset of keys, each drawn from its strategy."""
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+_NONNEG = _num(0.0, 1.0)
+_SECTIONS = {
+    "sc": {
+        "enabled": st.booleans(),
+        "x_sub": _num(1e-3, 1.0),
+        "r_tr": _NONNEG,
+        "x_tr": _NONNEG,
+        "e_mag": _num(0.0, 1.5),
+    },
+    "network": {
+        "rf": _NONNEG,
+        "xf": _num(1e-3, 1.0),
+        "x_cf": _num(1e-2, 100.0),
+        "ra": _NONNEG,
+        "xa": _num(1e-3, 0.2),
+        "rtf": _NONNEG,
+        "xtf": _num(1e-3, 0.2),
+        "c_pcc": _num(1e-6, 1e-2),
+    },
+    "op": {"v_g_ref": _num(0.8, 1.2), "v_turb_ref": _num(0.8, 1.2), "p_turb_ref": _num(0.0, 1.2)},
+    "sim": {"dt": _num(1e-6, 1e-3), "t_end": _num(1e-3, 60.0)},
+}
+_GRIDS = st.one_of(
+    _some({"scr": _num(0.05, 10.0), "x_r": _num(0.1, 30.0)}),
+    st.fixed_dictionaries({"x": _num(1e-2, 2.0)}, optional={"r": _NONNEG}),
+)
+_GAIN_CLASSES = {GFL: GflParams, GFM: GfmParams}
+_EVENTS = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("fault_on")},
+        optional={"bus": st.sampled_from(FAULT_BUSES), "r_fault": _num(1e-6, 10.0)},
+    ),
+    st.fixed_dictionaries({"kind": st.just("fault_off")}, optional={"bus": st.sampled_from(FAULT_BUSES)}),
+    st.fixed_dictionaries(
+        {"kind": st.just("step_ref")},
+        optional={"channel": st.sampled_from(STEP_CHANNELS), "delta": _num(-1.0, 1.0)},
+    ),
+)
+
+
+@st.composite
+def _controls(draw):
+    kind = draw(st.sampled_from(CONTROLS))
+    cls = _GAIN_CLASSES.get(kind)
+    gains = {f.name: _num(1e-3, 1e3) for f in fields(cls)} if cls else {}
+    ctl = draw(_some({"q_channel_mode": st.sampled_from(Q_MODES), "gains": _some(gains)}))
+    if kind != GFL or draw(st.booleans()):  # gfl is also the default
+        ctl["type"] = kind
+    return ctl
+
+
+@st.composite
+def _event_lists(draw):
+    events = draw(st.lists(_EVENTS, max_size=3))
+    times = draw(st.lists(_num(0.0, 60.0), min_size=len(events), max_size=len(events)))
+    return [{**ev, "t": t} for ev, t in zip(events, sorted(times))]
+
+
+_CONFIGS = _some(
+    {
+        "name": st.text(max_size=8),
+        "grid": _GRIDS,
+        "control": _controls(),
+        "events": _event_lists(),
+        **{name: _some(keys) for name, keys in _SECTIONS.items()},
+    }
+)
+
+
+def _contains(resolved, raw):
+    """Every entry of raw is in resolved with the same value."""
+    if isinstance(raw, dict):
+        return all(k in resolved and _contains(resolved[k], v) for k, v in raw.items())
+    if isinstance(raw, list):
+        return len(raw) == len(resolved) and all(map(_contains, resolved, raw))
+    return resolved == raw
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_CONFIGS, st.data())
+def test_drawn_configs_round_trip_and_name_unknown_keys(raw, data):
+    s = parse_scenario(raw)
+    d = to_dict(s)
+    assert _contains(d, raw)
+    assert parse_scenario(d) == s
+    assert to_dict(parse_scenario(d)) == d
+    # one unknown key at a random depth is reported by its dotted path
+    events = [f"events.{i}" for i in range(len(raw.get("events", [])))]
+    path = data.draw(st.sampled_from(["", "grid", "control", "control.gains", *_SECTIONS, *events]))
+    bad = node = json.loads(json.dumps(raw))
+    for part in path.split(".") if path else ():
+        node = node[int(part)] if part.isdigit() else node.setdefault(part, {})
+    node["zz_unknown"] = 1.0
+    with pytest.raises(ConfigError) as e:
+        parse_scenario(bad)
+    assert e.value.key == (f"{path}.zz_unknown" if path else "zz_unknown")

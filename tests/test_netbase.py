@@ -86,15 +86,6 @@ def test_parallel_complex_rejects_resonant_pair():
         parallel_complex(Impedance(0.0, 1.0), Impedance(0.0, -1.0))
 
 
-def test_impedance_series_add():
-    a = Impedance(r=0.01, x=0.3)
-    b = Impedance(r=0.02, x=0.1)
-    c = a + b
-    assert c.r == pytest.approx(0.03)
-    assert c.x == pytest.approx(0.4)
-    assert c.magnitude == pytest.approx(math.hypot(0.03, 0.4), rel=1e-12)
-
-
 def test_impedance_validation():
     with pytest.raises(ValueError):
         Impedance(r=-0.01, x=0.3)
