@@ -497,26 +497,21 @@ class SystemModel:
     def _fault_matrices(
         self, bus: str, r_fault: float, algebraic: bool
     ) -> tuple[np.ndarray, Optional[tuple[int, np.ndarray]]]:
+        """The fault-free matrix with a shunt of r_fault at bus: a
+        conductance in the node law or, when algebraic, the node pinned to
+        v = z i_net with z = 1 / (1/r - j w0 C). The map to i_net is read off
+        the node's own law: times C, and with the node's own block zeroed, it
+        is the net current that the branches feed into the node."""
         a = self._network_matrix()
-        if bus == "pcc":
-            node, c_bus = "v_pcc_d", self.network.c_pcc
-            feeds = (("i_g_d", 1.0), ("i_sc_d", 1.0), ("i_a_d", 1.0))
-        else:
-            node, c_bus = "v_c_d", self.network.cf
-            feeds = (("i_f_d", 1.0), ("i_a_d", -1.0))
-        k = self._idx[node]
+        k = self._idx["v_pcc_d" if bus == "pcc" else "v_c_d"]
+        c_bus = self.network.c_pcc if bus == "pcc" else self.network.cf
         if not algebraic:
             a[k : k + 2, k : k + 2] -= np.eye(2) / (r_fault * c_bus)
             return a, None
-        z_node = 1.0 / complex(1.0 / r_fault, -self.omega0 * c_bus)
-        pin = np.zeros((2, self.n))
-        for lab, sign in feeds:
-            if lab in self._idx:
-                j = self._idx[lab]
-                pin[:, j : j + 2] = _block(sign * z_node)
-        own = np.zeros((2, self.n))
-        own[:, k : k + 2] = np.eye(2)
-        a += a[:, k : k + 2] @ (pin - own)  # every law reads the pinned voltage
+        i_net = c_bus * a[k : k + 2]
+        i_net[:, k : k + 2] = 0.0
+        pin = _block(1.0 / complex(1.0 / r_fault, -self.omega0 * c_bus)) @ i_net
+        a += a[:, k : k + 2] @ (pin - np.eye(2, self.n, k))  # every law reads the pinned voltage
         a[k : k + 2] = 0.0
         return a, (k, pin)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .components import (
@@ -255,7 +255,10 @@ def _read(d: Any, table: dict[str, Any], path: str, choices: dict = {}) -> dict[
         elif isinstance(default, (int, float)):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(_key(path, k), f"expected a number, got {v!r}")
-            v = float(v)
+            try:
+                v = float(v)
+            except OverflowError:  # an integer beyond the float range
+                v = math.inf
             if not math.isfinite(v):
                 raise ConfigError(_key(path, k), "must be finite")
         elif isinstance(default, str):
@@ -278,7 +281,9 @@ def _parse_grid(d: Any) -> GridCase | Impedance:
     if isinstance(d, dict) and ("r" in d or "x" in d):
         grid = _build("grid", Impedance, **_read(d, _IMPEDANCE, "grid"))
     else:
-        grid = _build("grid.scr", GridCase, **_read(d, _DEFAULTS["grid"], "grid"))
+        grid = GridCase(**_DEFAULTS["grid"])
+        for k, v in _read(d, _DEFAULTS["grid"], "grid").items():  # an error names its field
+            grid = _build(f"grid.{k}", replace, grid, **{k: v})
     _build("grid", _grid_params, grid)  # the Thevenin branch needs a reactance
     return grid
 
@@ -330,7 +335,7 @@ def parse_scenario(raw: dict) -> Scenario:
     op = _section(top, "op", OperatingPoint)
     sim = _read(top["sim"], _DEFAULTS["sim"], "sim")
     return _build(
-        "",
+        "sim",
         Scenario,
         name=top["name"],
         grid=grid,

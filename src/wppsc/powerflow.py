@@ -15,6 +15,13 @@ start that stalls is retried along a source/power ramp (continuation) before
 the case is declared non-convergent (residual stuck between 1e-8 and 1e-3)
 or infeasible (stuck above 1e-3, e.g. power beyond the loadability limit).
 
+Newton starts from the assembled network matrix itself (initial_guess): one
+linear solve per batch with the converter current held, a constant-P fixed
+point on that current per member, and the controller integrators
+back-computed from their steady relations. With the shunt capacitors in the
+solve, the start lies on the normal, small-angle side of the power-flow nose
+curve even at weak-grid edges, where a second, large-angle solution exists.
+
 solve_equilibria solves the operating points of one model as one Newton on
 the columns of z: one RHS call per Jacobian stack and one stacked solve per
 iteration, while each column searches its own step and stops on its own. A
@@ -29,17 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .components import (
-    GFL,
-    GFM,
-    NO_CONVERTER,
-    OMEGA0,
-    Q_MODE_REACTIVE,
-    Q_MODE_VOLTAGE,
-    RefInputs,
-    SystemModel,
-    power_pair,
-)
+from .components import GFL, Q_MODE_REACTIVE, RefInputs, SystemModel, power_pair
 from .linearize import numjac
 
 RESIDUAL_TARGET = 1e-10
@@ -212,98 +209,80 @@ def _solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.hstack([_solve(jac[j : j + 1], rhs[:, j : j + 1]) for j in range(len(jac))])
 
 
-def initial_guess(model: SystemModel, refs: RefInputs) -> np.ndarray:
-    """Warm-start state: linear phasor solve of the series R-L network (shunt
-    capacitors left out) with the converter as a constant-P injection,
-    controller integrators back-computed from the steady relations."""
-    net = model.network
-    w0 = model.omega0
+def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarray) -> np.ndarray:
+    """Newton's start for each member of refs, as the columns of z; scale is
+    Newton's row scale (_row_scale), which keeps the solve well conditioned at
+    any grid strength.
 
-    v_g = refs.v_g_ref * complex(math.cos(refs.v_g_angle), math.sin(refs.v_g_angle))
-    z_g = complex(model.grid.rg, -model.grid.xg)
-    z_at = complex(net.ra + net.rtf, -w0 * (net.la + net.ltf))
-    z_f = complex(net.rf, -w0 * net.lf)
-    has_conv = model.control != NO_CONVERTER
-    has_sc = model.has_sc
-    e_sc = complex(model.sc.e_mag, 0.0) if has_sc else 0.0
-    z_sc = complex(model.sc.r_tr, -(model.sc.x_sub + model.sc.x_tr)) if has_sc else None
-
-    p = refs.p_star if has_conv else 0.0
-    v_c = complex(1.0, 0.0)
-    v_pcc = complex(1.0, 0.0)
-    i_a = complex(0.0, 0.0)
-    for _ in range(3):
-        i_a = (p / v_c).conjugate() if p != 0.0 else complex(0.0, 0.0)
-        y = 1.0 / z_g + (1.0 / z_sc if has_sc else 0.0)
-        v_pcc = (i_a + v_g / z_g + (e_sc / z_sc if has_sc else 0.0)) / y
-        v_c = v_pcc + z_at * i_a if has_conv else v_pcc
-
-    i_g = (v_g - v_pcc) / z_g
-    i_sc = (e_sc - v_pcc) / z_sc if has_sc else None
-    i_f = i_a if has_conv else complex(0.0, 0.0)
-    v_inv = v_c + z_f * i_f
-
-    x = np.zeros(model.n)
-
-    def put(label: str, value: complex) -> None:
-        k = model.index(label)
-        x[k] = value.real
-        x[k + 1] = value.imag
-
-    put("i_g_d", i_g)
-    if has_sc:
-        put("i_sc_d", i_sc)
-    if has_conv:
-        put("i_f_d", i_f)
-    put("v_c_d", v_c)
-    put("i_a_d", i_a)
-    put("v_pcc_d", v_pcc)
-
-    if model.control == GFL:
-        g = model.gfl
-        delta = math.atan2(v_c.imag, v_c.real)
-        spin = complex(math.cos(delta), math.sin(delta))
-        i_m = i_f / spin
-        v_m = v_c / spin
-        v_star = v_inv / spin
-        x[model.index("theta_pll")] = delta
-        x[model.index("gamma_d")] = i_m.real / g.ki_pc
-        sign = -1.0 if model.q_mode == Q_MODE_REACTIVE else 1.0
-        x[model.index("gamma_q")] = sign * i_m.imag / g.ki_pc
-        o = (v_star - v_m) / g.ki_cc
-        x[model.index("o_d")] = o.real
-        x[model.index("o_q")] = o.imag
-    elif model.control == GFM:
-        g = model.gfm
-        delta = -math.atan2(v_c.imag, v_c.real)
-        spin = complex(math.cos(delta), math.sin(delta))
-        i_m = i_f * spin
-        i_ff = i_a * spin
-        v_m = v_c * spin
-        v_star = v_inv * spin
-        x_cf = 1.0 / (w0 * net.cf)
-        e_v = complex(refs.v_turb_star, 0.0) - v_m
-        x[model.index("theta_pc")] = delta
-        m = (i_m - i_ff - g.kp_v * e_v - 1j * v_m / x_cf) / g.ki_v
-        x[model.index("m_d")] = m.real
-        x[model.index("m_q")] = m.imag
-        xf = w0 * net.lf
-        o = (v_star - v_m - 1j * xf * i_m) / g.ki_c
-        x[model.index("o_d")] = o.real
-        x[model.index("o_q")] = o.imag
-    return x
-
-
-def _pack(model: SystemModel, x: np.ndarray) -> np.ndarray:
+    One linear solve of the assembled fault-free network gives the state
+    driven by the members' sources and the state per unit converter current
+    i_a: the rows the controller writes hold the controller states at zero
+    and i_a at its value, and every other state law is at rest. Per member,
+    i_a then follows a constant-P fixed point on the turbine bus voltage,
+    the state is the superposition of the two, and the controller
+    integrators are back-computed from the steady relations, with the
+    inverter voltage read from the filter law."""
+    n, w0, net = model.n, model.omega0, model.network
     solves_phi, solves_q = _unknown_layout(model)
-    extras = []
-    if solves_phi:
-        extras.append(0.0)
+    a, b, _, writes, _, _ = model.split(RefInputs.stack(refs))
+    kv, ka = model.index("v_c_d"), model.index("i_a_d")
+    b = b.reshape(n, -1)  # one source column, or one per member
+    scale = scale[:n, None]
+    k, eye, lhs = b.shape[1], np.eye(n), scale * a
+    if writes:  # the i_f rows hold i_a, the controller rows hold their states
+        lhs[writes] = eye[[ka, ka + 1, *writes[2:]]]
+    # i_a is zero in the source columns and one unit (d, q) in the last two
+    x = np.linalg.solve(lhs, np.concatenate((-scale * b, eye[:, writes[:2]]), axis=1))
+    z = np.zeros((n + solves_phi + solves_q, len(refs)))  # the closure unknowns last
+    if not writes:  # the passive plant: the network is the whole plant
+        z[:n] = x
+        return z
+
+    v_c_cols = [complex(*v) for v in x[kv : kv + 2].T.tolist()]  # v_c of each column of x
+    v_src, v_d, v_q = v_c_cols[:k], v_c_cols[k], v_c_cols[k + 1]
+    i_a = []
+    for j, r in enumerate(refs):
+        v_c = complex(1.0, 0.0)
+        for _ in range(3):
+            i = (r.p_star / v_c).conjugate() if r.p_star != 0.0 else 0j
+            v_c = v_src[j % k] + v_d * i.real + v_q * i.imag
+        i_a.append(i)
+    z[:n] = x[:, :k] + x[:, k:] @ np.array([[i.real for i in i_a], [i.imag for i in i_a]])
+    kf = model.index("i_f_d")
+    v_inv = -net.lf * (a[kf : kf + 2] @ z[:n])  # the filter law at rest
+    states, q = [], []
+    for r, i_aj, u, w in zip(refs, i_a, z.T.tolist(), v_inv.T.tolist()):
+        v_c, i_f, v_inv_j = complex(*u[kv : kv + 2]), complex(*u[kf : kf + 2]), complex(*w)
+        q.append(power_pair(u[kv : kv + 2], u[ka : ka + 2])[1])  # q_star, when solved for
+        if model.control == GFL:
+            g = model.gfl
+            delta = math.atan2(v_c.imag, v_c.real)
+            spin = complex(math.cos(delta), math.sin(delta))
+            i_m = i_f / spin
+            v_m = v_c / spin
+            v_star = v_inv_j / spin
+            sign = -1.0 if model.q_mode == Q_MODE_REACTIVE else 1.0
+            o = (v_star - v_m) / g.ki_cc
+            states.append((delta, 0.0, i_m.real / g.ki_pc, sign * i_m.imag / g.ki_pc,
+                           o.real, o.imag))
+        else:
+            g = model.gfm
+            delta = -math.atan2(v_c.imag, v_c.real)
+            spin = complex(math.cos(delta), math.sin(delta))
+            i_m = i_f * spin
+            i_ff = i_aj * spin
+            v_m = v_c * spin
+            v_star = v_inv_j * spin
+            x_cf = 1.0 / (w0 * net.cf)
+            e_v = complex(r.v_turb_star, 0.0) - v_m
+            m = (i_m - i_ff - g.kp_v * e_v - 1j * v_m / x_cf) / g.ki_v
+            xf = w0 * net.lf
+            o = (v_star - v_m - 1j * xf * i_m) / g.ki_c
+            states.append((delta, 0.0, m.real, m.imag, o.real, o.imag))
+    z[n - 6 : n] = np.array(states).T
     if solves_q:
-        v_c = model.pair(x, "v_c_d")
-        i_a = model.pair(x, "i_a_d")
-        extras.append(power_pair(v_c, i_a)[1])
-    return np.concatenate([x, np.array(extras)]) if extras else np.asarray(x, float).copy()
+        z[-1] = q
+    return z
 
 
 def _ramped_refs(refs: RefInputs, lam: float) -> RefInputs:
@@ -335,7 +314,7 @@ def solve_equilibria(model: SystemModel, refs: Sequence[RefInputs]) -> list:
     Member j is its EquilibriumPoint, or the NonConvergenceError or
     InfeasibleError that solve_equilibrium would raise for it alone."""
     scale = _row_scale(model)
-    z0 = np.stack([_pack(model, initial_guess(model, r)) for r in refs], axis=1)
+    z0 = initial_guess(model, refs, scale)
     z, iters, norms, oks = _newton(model, z0, RefInputs.stack(refs), scale)
     out = []
     for j, r in enumerate(refs):
@@ -345,7 +324,7 @@ def solve_equilibria(model: SystemModel, refs: Sequence[RefInputs]) -> list:
             warm: Optional[np.ndarray] = None
             for lam in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0):
                 r_lam = _ramped_refs(r, lam)
-                z_s = warm if warm is not None else _pack(model, initial_guess(model, r_lam))
+                z_s = warm if warm is not None else initial_guess(model, [r_lam], scale)[:, 0]
                 z_s, it_s, _, ok_s = _newton(model, z_s[:, None], RefInputs.stack([r_lam]), scale)
                 total_iters += int(it_s[0])
                 if not ok_s[0]:

@@ -52,11 +52,6 @@ def _check_nonnegative(name: str, value: float) -> float:
     return float(value)
 
 
-def scr_base(z_g: float) -> float:
-    """Short-circuit ratio at the PCC: 1 / |z_grid| on the plant base."""
-    return 1.0 / _check_positive("z_g", z_g)
-
-
 def scr_wt(z_g: float, z_atf: float) -> float:
     """Short-circuit ratio at the turbine MV bus, behind the lumped array
     cable and plant transformer."""

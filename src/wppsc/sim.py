@@ -249,11 +249,10 @@ def _rk4_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
 
 def _affine_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
                  dt: float) -> Affine:
-    """Exact step of an affine plant: A and b from one rhs call on the
-    columns [0 | I]; without dt a fault is an ordinary shunt conductance."""
-    cols = model.rhs(np.eye(model.n, model.n + 1, 1), refs, fault)
-    b = cols[:, 0]
-    return zoh_step(cols[:, 1:] - b[:, None], b, dt)
+    """Exact step of an affine plant x' = a x + b (SystemModel.split);
+    without dt a fault is an ordinary shunt conductance."""
+    a, b = model.split(refs, fault)[:2]
+    return zoh_step(a, b, dt)
 
 
 def _segments(events: Sequence[Event], refs: RefInputs, dt: float,

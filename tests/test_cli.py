@@ -168,6 +168,13 @@ def test_unbuildable_plant_exit_2_before_manifest(tmp_path, capsys, override, ke
     assert not out.exists()
 
 
+def test_integer_beyond_float_range_exit_2(tmp_path, capsys):
+    code, out = run(tmp_path, "steady", "--set", "op.p_turb_ref=1" + "0" * 400)
+    assert code == 2
+    assert "config error: op.p_turb_ref: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_exit_2(tmp_path, capsys):
     code, _ = run(tmp_path, "eig", "--set", "turbo=1")
     assert code == 2

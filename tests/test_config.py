@@ -122,13 +122,21 @@ def test_value_validation():
     with pytest.raises(ConfigError) as e:
         parse_scenario({"control": {"type": "gfl", "q_channel_mode": "bananas"}})
     assert e.value.key == "control.q_channel_mode"
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as e:
         parse_scenario({"sim": {"dt": 0.5}})
-    with pytest.raises(ConfigError):
+    assert str(e.value) == "sim: dt must be in [1e-6, 1e-3], got 0.5"
+    with pytest.raises(ConfigError) as e:
         parse_scenario({"sim": {"t_end": -1.0}})
+    assert e.value.key == "sim"
+    with pytest.raises(ConfigError) as e:
+        parse_scenario({"grid": {"x_r": -1}})
+    assert str(e.value) == "grid.x_r: grid case x_r must be >= 0, got -1.0"
     with pytest.raises(ConfigError) as e:
         parse_scenario({"op": {"p_turb_ref": "full"}})
     assert e.value.key == "op.p_turb_ref"
+    with pytest.raises(ConfigError) as e:
+        parse_scenario({"op": {"p_turb_ref": 10**400}})  # beyond the float range
+    assert str(e.value) == "op.p_turb_ref: must be finite"
     with pytest.raises(ConfigError) as e:
         parse_scenario({"name": 5})
     assert e.value.key == "name"

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 from scipy.optimize import fsolve
 
+from wppsc.analysis import analyze_scenario
 from wppsc.components import GFL, GFM, NO_CONVERTER, OMEGA0, Q_MODE_REACTIVE
 from wppsc.config import GRID_CASES, OperatingPoint, Scenario, build_model, refs_for
 from wppsc.netbase import GridCase, impedance_from_scr_xr
 from wppsc.powerflow import (
     InfeasibleError,
-    _pack,
+    _row_scale,
     _solve,
     initial_guess,
     solve_equilibria,
@@ -220,24 +221,42 @@ def test_initial_guess_structure():
     s = scenario("strong", control=GFL, with_sc=True)
     model = build_model(s)
     refs = refs_for(s)
-    x0 = initial_guess(model, refs)
+    z = initial_guess(model, [refs], _row_scale(model))[:, 0]
+    x0 = z[: model.n]
     assert x0.shape == (model.n,)
     # unit voltage seeds, near-rated current seed on the export path
     assert x0[model.index("v_c_d")] == pytest.approx(1.0, rel=0.1)
     assert x0[model.index("v_pcc_d")] == pytest.approx(1.0, rel=0.1)
     assert abs(x0[model.index("i_a_d")] - 1.0) <= 0.2
-    z = _pack(model, x0)
     # one trailing slot for the condenser angle, one for solved q; both zero
     assert z.shape == (model.n + 2,)
     assert z[model.n] == 0.0
 
 
 def test_initial_guess_no_load_passive():
+    # the network with its shunt capacitors is the whole plant: the guess is
+    # its equilibrium
     s = scenario("normal", control=NO_CONVERTER, with_sc=False, op=(1.0, 1.0, 0.0))
     model = build_model(s)
-    x0 = initial_guess(model, refs_for(s))
-    assert np.allclose(x0[model.index("i_g_d") : model.index("i_g_d") + 2], 0.0, atol=1e-12)
-    assert x0[model.index("v_pcc_d")] == pytest.approx(1.0, abs=1e-12)
+    refs = refs_for(s)
+    x0 = initial_guess(model, [refs], _row_scale(model))[:, 0]
+    assert np.abs(model.rhs(x0, refs)).max() <= 1e-11
+
+
+def test_weak_grid_start_lands_on_the_normal_operating_point():
+    # two power-flow solutions exist this close to the nose; the warm start
+    # must not lead Newton to the large-angle, low-voltage one
+    s = Scenario(
+        name="edge",
+        grid=GridCase(scr=1.3, x_r=5.0),
+        control=GFM,
+        with_sc=False,
+        op=OperatingPoint(0.8, 1.2, 1.2),
+    )
+    model = build_model(s)
+    eq = solve_equilibrium(model, refs_for(s))
+    assert abs(math.atan2(*model.pair(eq.state, "v_c_d")[::-1])) < math.pi / 2
+    assert analyze_scenario(s).stable
 
 
 def test_reference_frame_choice_does_not_change_physics():

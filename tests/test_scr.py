@@ -18,18 +18,8 @@ from wppsc.scr import (
     escr_with_sc,
     fit_condenser_impedance,
     measure_scr_from_fault,
-    scr_base,
     scr_wt,
 )
-
-
-def test_scr_base_values():
-    assert scr_base(0.625) == pytest.approx(1.6, rel=1e-12)
-    assert scr_base(0.3125) == pytest.approx(3.2, rel=1e-12)
-    assert scr_base(1.0) == pytest.approx(1.0, rel=1e-12)
-    for bad in (0.0, -0.5, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            scr_base(bad)
 
 
 def test_scr_wt_values():
