@@ -245,10 +245,7 @@ def sweep(
     return reports
 
 
-_CHANNELS = {
-    "power": (("p_star",), "p_pc"),
-    "voltage": (("v_turb_star", "q_star"), "v_c_mag"),
-}
+_CHANNELS = {"power": ("p_star",), "voltage": ("v_turb_star", "q_star")}
 
 
 def step_response(
@@ -271,7 +268,7 @@ def step_response(
         raise ValueError("step magnitude and t_end must be finite, t_end > 0")
     if not (math.isfinite(dt) and 0.0 < dt <= t_end):
         raise ValueError(f"dt must satisfy 0 < dt <= t_end, got {dt}")
-    input_names, _ = _CHANNELS[channel]
+    input_names = _CHANNELS[channel]
     hits = [name for name in input_names if name in ss.input_labels]
     if not hits:
         raise ValueError(

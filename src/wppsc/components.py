@@ -13,20 +13,24 @@ PCC bus -> grid Thevenin branch, with the synchronous condenser branch also
 tied to the PCC. The PCC carries a small shunt capacitance so the node law
 is an ODE rather than an algebraic constraint.
 
-Every branch and node law is linear in the state, so SystemModel assembles
-the network once as a dense state matrix (one matrix per fault treatment,
-built on first use) around a small nonlinear controller. SystemModel.split
-says that once: for given inputs and fault the plant is
-x' = a x + b + E g(C x), with a the treatment matrix, b the sources, C the
-linear map to the controller inputs, g the controller and E the rows its
-outputs add to (Split). The controller is one function per mode
-(gfl_controller, gfm_controller) that reads its gains and refs once and
-returns g, which maps the 12 flat inputs to the 8 outputs with the
-converter power inlined. SystemModel.derivative binds it as x -> dx, and rhs
-is one bound call. It accepts one state of shape (n,), whose controller
-runs on Python floats, or a batch of states as the columns of an (n, m)
-array, whose controller runs on row vectors, through the same code. The
-integrator folds the linear part of its RK4 stages from the same split.
+Every branch and node law is linear in the state. SystemModel states each
+once, in one table of (state, s, {column: z}) entries that read
+s dx/dt = sum of z x_column, with s the branch inductance or the node
+capacitance. The state labels, the dense network matrix (one per fault
+treatment, built on first use), the per-row s (SystemModel.lc, which
+Newton's row scale reads) and the faulted node's capacitance all come from
+that table. SystemModel.split wraps the network around a small nonlinear
+controller: for given inputs and fault the plant is x' = a x + b + E g(C x),
+with a the treatment matrix, b the sources, C the linear map to the
+controller inputs, g the controller and E the rows its outputs add to
+(Split). The controller is one function per mode (gfl_controller,
+gfm_controller) that reads its gains and refs once and returns g, which maps
+the 12 flat inputs to the 8 outputs with the converter power inlined.
+SystemModel.rhs evaluates the split on one state of shape (n,), whose
+controller runs on Python floats, or on a batch of states as the columns of
+an (n, m) array, whose controller runs on row vectors, through the same
+code. The integrator folds the linear part of its RK4 stages from the same
+split.
 """
 
 from __future__ import annotations
@@ -51,7 +55,13 @@ Q_MODES = (Q_MODE_REACTIVE, Q_MODE_VOLTAGE)
 
 # Fault shunts at least this large are treated as an open circuit.
 FAULT_OPEN_THRESHOLD = 1e8
-FAULT_BUSES = ("pcc", "wt_mv")
+_FAULT_NODES = {"pcc": "v_pcc", "wt_mv": "v_c"}  # the node state of each fault bus
+FAULT_BUSES = tuple(_FAULT_NODES)
+
+_CONTROLLER_STATES = {
+    GFL: ("theta_pll", "s_pll", "gamma_d", "gamma_q", "o_d", "o_q"),
+    GFM: ("theta_pc", "omega_pc", "m_d", "m_q", "o_d", "o_q"),
+}
 
 
 def power_pair(v: np.ndarray, i: np.ndarray) -> tuple[float, float]:
@@ -279,9 +289,7 @@ def gfl_controller(
     return g
 
 
-def gfm_controller(
-    p: GfmParams, refs: RefInputs, flt: FilterCableParams, omega0: float = OMEGA0
-) -> Callable[[Sequence], tuple]:
+def gfm_controller(p: GfmParams, refs: RefInputs, flt: FilterCableParams) -> Callable[[Sequence], tuple]:
     """Grid-forming control (swing synchronization, outer voltage PI with
     capacitor-current feedforward, inner current PI with inductor
     feedforward) with its gains and refs bound: g(u) -> the eight
@@ -299,8 +307,8 @@ def gfm_controller(
     """
     j_vsm, d_p, kp_v, ki_v, kp_c, ki_c = p.j_vsm, p.d_p, p.kp_v, p.ki_v, p.kp_c, p.ki_c
     p_star, v_star, lf = refs.p_star, refs.v_turb_star, flt.lf
-    b_cf = omega0 * flt.cf  # capacitor susceptance 1 / x_cf
-    xf = omega0 * lf
+    b_cf = OMEGA0 * flt.cf  # capacitor susceptance 1 / x_cf
+    xf = OMEGA0 * lf
 
     def g(u: Sequence) -> tuple:
         v_cd, v_cq, i_fd, i_fq, i_ad, i_aq, delta, omega_pc, m_d, m_q, o_d, o_q = u
@@ -370,7 +378,6 @@ class SystemModel:
         gfm: Optional[GfmParams] = None,
         sc: Optional[ScParams] = None,
         q_mode: str = Q_MODE_REACTIVE,
-        omega0: float = OMEGA0,
     ) -> None:
         if control not in CONTROLS:
             raise ValueError(f"control must be one of gfl/gfm/none, got {control!r}")
@@ -383,21 +390,32 @@ class SystemModel:
         self.gfm = gfm if gfm is not None else (GfmParams() if control == GFM else None)
         self.sc = sc
         self.q_mode = q_mode
-        self.omega0 = omega0
 
-        labels = ["i_g_d", "i_g_q"]
-        if self.sc is not None:
-            labels += ["i_sc_d", "i_sc_q"]
+        # each network law as (state, s, {column: z}): s dx/dt = sum of z x_column
+        # over dq pairs, s the branch inductance or the node capacitance; split
+        # adds the sources, the controller the inverter voltage
+        net, l_at = network, network.la + network.ltf
+        laws = [("i_g", grid.xg / OMEGA0, {"i_g": complex(-grid.rg, grid.xg), "v_pcc": -1.0})]
+        if sc is not None:
+            laws.append(("i_sc", sc.x_sub / OMEGA0,
+                         {"i_sc": complex(-sc.r_tr, sc.x_sub + sc.x_tr), "v_pcc": -1.0}))
         if control != NO_CONVERTER:
-            labels += ["i_f_d", "i_f_q"]
-        labels += ["v_c_d", "v_c_q", "i_a_d", "i_a_q", "v_pcc_d", "v_pcc_q"]
-        if control == GFL:
-            labels += ["theta_pll", "s_pll", "gamma_d", "gamma_q", "o_d", "o_q"]
-        elif control == GFM:
-            labels += ["theta_pc", "omega_pc", "m_d", "m_q", "o_d", "o_q"]
-        self.labels: tuple[str, ...] = tuple(labels)
-        self.n = len(labels)
-        self._idx = {name: k for k, name in enumerate(labels)}
+            laws.append(("i_f", net.lf, {"i_f": complex(-net.rf, OMEGA0 * net.lf), "v_c": -1.0}))
+        laws += [
+            ("v_c", net.cf, {"i_f": 1.0, "v_c": 1j * OMEGA0 * net.cf, "i_a": -1.0}),
+            ("i_a", l_at, {"v_c": 1.0, "i_a": complex(-(net.ra + net.rtf), OMEGA0 * l_at), "v_pcc": -1.0}),
+            ("v_pcc", net.c_pcc, {"i_g": 1.0, "i_sc": 1.0, "i_a": 1.0, "v_pcc": 1j * OMEGA0 * net.c_pcc}),
+        ]
+        self._laws = laws
+        labels, lc = [], []
+        for state, s, _ in laws:
+            labels += (state + "_d", state + "_q")
+            lc += (s, s)
+        self.labels: tuple[str, ...] = (*labels, *_CONTROLLER_STATES.get(control, ()))
+        # the s of each network row: the only place a row's L or C is kept
+        self.lc: tuple[float, ...] = tuple(lc)
+        self.n = len(self.labels)
+        self._idx = {name: k for k, name in enumerate(self.labels)}
         self._treatments: dict = {}
         # the state rows the controller reads and those its outputs add to (Split)
         self._reads: list[int] = []
@@ -427,44 +445,16 @@ class SystemModel:
     # -- linear network ------------------------------------------------------
 
     def _network_matrix(self) -> np.ndarray:
-        """State matrix of the fault-free network: each branch and node law
-        contributes 2x2 blocks of its complex coefficients. The sources, the
-        inverter voltage and the controller rows are added by rhs."""
-        net, w0, g = self.network, self.omega0, self.grid
+        """State matrix of the fault-free network: each law contributes the
+        2x2 blocks of its coefficients over its s."""
         a = [[0.0] * self.n for _ in range(self.n)]  # filled as floats, one array at the end
-
-        def put(row: str, col: str, z: complex) -> None:
-            r, c, z = self._idx[row], self._idx[col], complex(z)
-            for i, j, v in ((0, 0, z.real), (0, 1, -z.imag), (1, 0, z.imag), (1, 1, z.real)):
-                a[r + i][c + j] += v
-
-        # L_g di_g/dt = -R_g i_g + j X_g i_g + v_g - v_pcc
-        l_g = g.xg / w0
-        put("i_g_d", "i_g_d", complex(-g.rg, g.xg) / l_g)
-        put("i_g_d", "v_pcc_d", -1.0 / l_g)
-        if self.sc is not None:
-            # (X''/w0) di_sc/dt = -R_tr i_sc + j(X'' + X_tr) i_sc + v_sc - v_pcc
-            l_sub = self.sc.x_sub / w0
-            put("i_sc_d", "i_sc_d", complex(-self.sc.r_tr, self.sc.x_sub + self.sc.x_tr) / l_sub)
-            put("i_sc_d", "v_pcc_d", -1.0 / l_sub)
-            put("v_pcc_d", "i_sc_d", 1.0 / net.c_pcc)
-        if self.control != NO_CONVERTER:
-            # L_f di_f/dt = -R_f i_f + j X_f i_f - v_c + v_inv
-            put("i_f_d", "i_f_d", complex(-net.rf, w0 * net.lf) / net.lf)
-            put("i_f_d", "v_c_d", -1.0 / net.lf)
-            put("v_c_d", "i_f_d", 1.0 / net.cf)
-        # C_f dv_c/dt = i_f - i_a + j w0 C_f v_c
-        put("v_c_d", "v_c_d", 1j * w0)
-        put("v_c_d", "i_a_d", -1.0 / net.cf)
-        # L_at di_a/dt = v_c - R_at i_a + j X_at i_a - v_pcc
-        l_at = net.la + net.ltf
-        put("i_a_d", "v_c_d", 1.0 / l_at)
-        put("i_a_d", "i_a_d", complex(-(net.ra + net.rtf), w0 * l_at) / l_at)
-        put("i_a_d", "v_pcc_d", -1.0 / l_at)
-        # C_pcc dv_pcc/dt = i_g + i_sc + i_a + j w0 C_pcc v_pcc
-        put("v_pcc_d", "i_g_d", 1.0 / net.c_pcc)
-        put("v_pcc_d", "i_a_d", 1.0 / net.c_pcc)
-        put("v_pcc_d", "v_pcc_d", 1j * w0)
+        for state, s, terms in self._laws:
+            r = self._idx[state + "_d"]
+            for col, z in terms.items():
+                if col + "_d" in self._idx:  # i_sc and i_f only where present
+                    c, z = self._idx[col + "_d"], complex(z) / s
+                    for i, j, v in ((0, 0, z.real), (0, 1, -z.imag), (1, 0, z.imag), (1, 1, z.real)):
+                        a[r + i][c + j] += v
         return np.array(a)
 
     def _treatment(
@@ -486,8 +476,8 @@ class SystemModel:
         """
         key = None
         if fault is not None and fault.r_fault < FAULT_OPEN_THRESHOLD:
-            c_bus = self.network.c_pcc if fault.bus == "pcc" else self.network.cf
-            key = (fault.bus, fault.r_fault, dt is not None and fault.r_fault * c_bus <= 2.0 * dt)
+            k = self._idx[_FAULT_NODES[fault.bus] + "_d"]
+            key = (k, fault.r_fault, dt is not None and fault.r_fault * self.lc[k] <= 2.0 * dt)
         if key not in self._treatments:
             self._treatments[key] = (
                 self._fault_matrices(*key) if key else (self._network_matrix(), None)
@@ -495,22 +485,21 @@ class SystemModel:
         return self._treatments[key]
 
     def _fault_matrices(
-        self, bus: str, r_fault: float, algebraic: bool
+        self, k: int, r_fault: float, algebraic: bool
     ) -> tuple[np.ndarray, Optional[tuple[int, np.ndarray]]]:
-        """The fault-free matrix with a shunt of r_fault at bus: a
+        """The fault-free matrix with a shunt of r_fault at the node of row k: a
         conductance in the node law or, when algebraic, the node pinned to
         v = z i_net with z = 1 / (1/r - j w0 C). The map to i_net is read off
         the node's own law: times C, and with the node's own block zeroed, it
         is the net current that the branches feed into the node."""
         a = self._network_matrix()
-        k = self._idx["v_pcc_d" if bus == "pcc" else "v_c_d"]
-        c_bus = self.network.c_pcc if bus == "pcc" else self.network.cf
+        c_bus = self.lc[k]
         if not algebraic:
             a[k : k + 2, k : k + 2] -= np.eye(2) / (r_fault * c_bus)
             return a, None
         i_net = c_bus * a[k : k + 2]
         i_net[:, k : k + 2] = 0.0
-        pin = _block(1.0 / complex(1.0 / r_fault, -self.omega0 * c_bus)) @ i_net
+        pin = _block(1.0 / complex(1.0 / r_fault, -OMEGA0 * c_bus)) @ i_net
         a += a[:, k : k + 2] @ (pin - np.eye(2, self.n, k))  # every law reads the pinned voltage
         a[k : k + 2] = 0.0
         return a, (k, pin)
@@ -526,54 +515,20 @@ class SystemModel:
         """The plant with refs and the fault (if given, it is active) bound,
         as x' = a x + b + E g(C x) (see Split)."""
         a, pinned = self._treatment(fault, dt)
-        w0 = self.omega0
-        e_g = refs.v_g_ref * w0 / self.grid.xg
+        e_g = refs.v_g_ref * OMEGA0 / self.grid.xg
         b = np.zeros((self.n, *np.broadcast(refs.v_g_ref, refs.v_g_angle, refs.phi_sc).shape))
         b[0], b[1] = e_g * np.cos(refs.v_g_angle), e_g * np.sin(refs.v_g_angle)
         if self.sc is not None:
             k = self._idx["i_sc_d"]
-            e_sc = self.sc.e_mag * w0 / self.sc.x_sub
+            e_sc = self.sc.e_mag * OMEGA0 / self.sc.x_sub
             b[k], b[k + 1] = e_sc * np.cos(refs.phi_sc), e_sc * np.sin(refs.phi_sc)
         if self.control == NO_CONVERTER:
             return Split(a, b, [], [], lambda u: (), pinned)
         if self.control == GFL:
             g = gfl_controller(self.gfl, refs, self.q_mode, self.network.lf)
         else:
-            g = gfm_controller(self.gfm, refs, self.network, w0)
+            g = gfm_controller(self.gfm, refs, self.network)
         return Split(a, b, self._reads, self._writes, g, pinned)
-
-    def derivative(
-        self,
-        refs: RefInputs,
-        fault: Optional[FaultSpec] = None,
-        dt: Optional[float] = None,
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """State derivative x -> a x + b + E g(C x) of the plant split with
-        refs and the fault bound once (see split).
-
-        x is one state of shape (n,) or a batch of states as the columns of
-        an (n, m) array; with a batch, any field of refs may also be an
-        m-vector, one value per column. Column j of a batch result agrees
-        with the single-state result for column j to roundoff. A single
-        state runs the controller on Python floats, a batch on row vectors.
-        """
-        a, b, reads, writes, g, pinned = self.split(refs, fault, dt)
-        b_cols = b.reshape(self.n, -1)
-
-        def f(x: np.ndarray) -> np.ndarray:
-            dx = a @ x
-            single = x.ndim == 1
-            dx += b if single else b_cols
-            if pinned is not None and reads:  # the controller reads the pinned bus
-                k, pin = pinned
-                x = x.copy()
-                x[k : k + 2] = pin @ x
-            rows = x.tolist() if single else x
-            for r, out in zip(writes, g([rows[i] for i in reads])):
-                dx[r] += out
-            return dx
-
-        return f
 
     def rhs(
         self,
@@ -582,12 +537,31 @@ class SystemModel:
         fault: Optional[FaultSpec] = None,
         dt: Optional[float] = None,
     ) -> np.ndarray:
-        """Assembled state derivative of one state or a batch of states; see
-        derivative, which binds refs and the fault for repeated calls. A
-        batch of one column is evaluated as one state."""
-        if x.ndim == 2 and x.shape[1] == 1:
-            return self.derivative(refs.take(0), fault, dt)(x[:, 0])[:, None]
-        return self.derivative(refs, fault, dt)(x)
+        """State derivative a x + b + E g(C x) of the plant split with refs
+        and the fault (see split).
+
+        x is one state of shape (n,) or a batch of states as the columns of
+        an (n, m) array; with a batch, any field of refs may also be an
+        m-vector, one value per column. Column j of a batch result agrees
+        with the single-state result for column j to roundoff. A single
+        state, or a batch of one column, runs the controller on Python
+        floats, a batch on row vectors.
+        """
+        column = x.ndim == 2 and x.shape[1] == 1
+        if column:
+            x, refs = x[:, 0], refs.take(0)
+        a, b, reads, writes, g, pinned = self.split(refs, fault, dt)
+        single = x.ndim == 1
+        dx = a @ x
+        dx += b if single else b.reshape(self.n, -1)
+        if pinned is not None and reads:  # the controller reads the pinned bus
+            k, pin = pinned
+            x = x.copy()
+            x[k : k + 2] = pin @ x
+        rows = x.tolist() if single else x
+        for r, out in zip(writes, g([rows[i] for i in reads])):
+            dx[r] += out
+        return dx[:, None] if column else dx
 
     # -- measurements ---------------------------------------------------------
 

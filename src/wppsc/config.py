@@ -37,7 +37,7 @@ from .components import (
     ScParams,
     SystemModel,
 )
-from .netbase import GridCase, Impedance, impedance_from_scr_xr
+from .netbase import MAX_SCR, GridCase, Impedance, impedance_from_scr_xr
 from .sim import Event
 
 
@@ -280,6 +280,9 @@ def _build(path: str, ctor, *args, **kwargs):
 def _parse_grid(d: Any) -> GridCase | Impedance:
     if isinstance(d, dict) and ("r" in d or "x" in d):
         grid = _build("grid", Impedance, **_read(d, _IMPEDANCE, "grid"))
+        if grid.magnitude < 1.0 / MAX_SCR:
+            raise ConfigError(
+                "grid", f"grid branch |z| must be >= {1.0 / MAX_SCR:g} pu, got {grid.magnitude:g}")
     else:
         grid = GridCase(**_DEFAULTS["grid"])
         for k, v in _read(d, _DEFAULTS["grid"], "grid").items():  # an error names its field

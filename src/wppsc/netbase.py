@@ -13,6 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# Grid strength beyond this SCR (a Thevenin branch below 1 / MAX_SCR pu) is
+# far outside physical grids, and there the equilibrium solve turns erratic.
+MAX_SCR = 1e4
+
 
 @dataclass(frozen=True)
 class Impedance:
@@ -46,8 +50,8 @@ class GridCase:
     x_r: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.scr) and self.scr > 0.0):
-            raise ValueError(f"grid case scr must be > 0, got {self.scr}")
+        if not 0.0 < self.scr <= MAX_SCR:
+            raise ValueError(f"grid case scr must be in (0, {MAX_SCR:g}], got {self.scr}")
         if not (math.isfinite(self.x_r) and self.x_r >= 0.0):
             raise ValueError(f"grid case x_r must be >= 0, got {self.x_r}")
 

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .components import GFL, Q_MODE_REACTIVE, RefInputs, SystemModel, power_pair
+from .components import GFL, GFM, OMEGA0, Q_MODE_REACTIVE, RefInputs, SystemModel, power_pair
 from .linearize import numjac
 
 RESIDUAL_TARGET = 1e-10
@@ -120,32 +120,16 @@ def _residual(model: SystemModel, z: np.ndarray, refs: RefInputs) -> np.ndarray:
 
 
 def _row_scale(model: SystemModel) -> np.ndarray:
-    """Multipliers that undo the stiff 1/L, 1/C factors row by row."""
-    net = model.network
-    w0 = model.omega0
-    scale = {
-        "i_g": model.grid.xg / w0,
-        "i_sc": model.sc.x_sub / w0 if model.has_sc else 1.0,
-        "i_f": net.lf,
-        "v_c": net.cf,
-        "i_a": net.la + net.ltf,
-        "v_pcc": net.c_pcc,
-    }
-    out = []
-    for lab in model.labels:
-        base = lab.rsplit("_", 1)[0] if lab.endswith(("_d", "_q")) else lab
-        if base in scale:
-            out.append(scale[base])
-        elif lab == "theta_pll":
-            g = model.gfl
-            out.append(1.0 / (1.0 + g.kp_pll + g.ki_pll))
-        elif lab == "omega_pc":
-            out.append(model.gfm.j_vsm)
-        else:
-            out.append(1.0)
-    solves_phi, solves_q = _unknown_layout(model)
-    out += [1.0] * (int(solves_phi) + int(solves_q))
-    return np.array(out)
+    """Multipliers that undo the stiff 1/L, 1/C factors row by row: each
+    network row's L or C (SystemModel.lc), the swing row's inertia and the
+    PLL row's gain sum, and 1 on every other row."""
+    out = np.ones(model.n + sum(_unknown_layout(model)))
+    out[: len(model.lc)] = model.lc
+    if model.control == GFL:
+        out[model.index("theta_pll")] = 1.0 / (1.0 + model.gfl.kp_pll + model.gfl.ki_pll)
+    elif model.control == GFM:
+        out[model.index("omega_pc")] = model.gfm.j_vsm
+    return out
 
 
 def _newton(
@@ -222,7 +206,7 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
     the state is the superposition of the two, and the controller
     integrators are back-computed from the steady relations, with the
     inverter voltage read from the filter law."""
-    n, w0, net = model.n, model.omega0, model.network
+    n, net = model.n, model.network
     solves_phi, solves_q = _unknown_layout(model)
     a, b, _, writes, _, _ = model.split(RefInputs.stack(refs))
     kv, ka = model.index("v_c_d"), model.index("i_a_d")
@@ -249,7 +233,7 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
         i_a.append(i)
     z[:n] = x[:, :k] + x[:, k:] @ np.array([[i.real for i in i_a], [i.imag for i in i_a]])
     kf = model.index("i_f_d")
-    v_inv = -net.lf * (a[kf : kf + 2] @ z[:n])  # the filter law at rest
+    v_inv = -model.lc[kf] * (a[kf : kf + 2] @ z[:n])  # the filter law at rest
     states, q = [], []
     for r, i_aj, u, w in zip(refs, i_a, z.T.tolist(), v_inv.T.tolist()):
         v_c, i_f, v_inv_j = complex(*u[kv : kv + 2]), complex(*u[kf : kf + 2]), complex(*w)
@@ -273,10 +257,10 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
             i_ff = i_aj * spin
             v_m = v_c * spin
             v_star = v_inv_j * spin
-            x_cf = 1.0 / (w0 * net.cf)
+            x_cf = 1.0 / (OMEGA0 * net.cf)
             e_v = complex(r.v_turb_star, 0.0) - v_m
             m = (i_m - i_ff - g.kp_v * e_v - 1j * v_m / x_cf) / g.ki_v
-            xf = w0 * net.lf
+            xf = OMEGA0 * net.lf
             o = (v_star - v_m - 1j * xf * i_m) / g.ki_c
             states.append((delta, 0.0, m.real, m.imag, o.real, o.imag))
     z[n - 6 : n] = np.array(states).T

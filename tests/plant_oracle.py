@@ -132,7 +132,7 @@ def composed_rhs(
     """State derivative of one plant state, component by component, with the
     same fault treatments as ``SystemModel.rhs``."""
     net = model.network
-    w0 = model.omega0
+    w0 = OMEGA0
 
     i_g = model.pair(x, "i_g_d")
     i_sc = model.pair(x, "i_sc_d") if model.sc is not None else None
@@ -165,7 +165,7 @@ def composed_rhs(
         if model.control == GFL:
             out = gfl_controller(model.gfl, refs, model.q_mode, net.lf)(u)
         else:
-            out = gfm_controller(model.gfm, refs, net, w0)(u)
+            out = gfm_controller(model.gfm, refs, net)(u)
         v_inv, dctrl = net.lf * np.array(out[:2]), out[2:]
 
     v_g = refs.v_g_ref * np.array([math.cos(refs.v_g_angle), math.sin(refs.v_g_angle)])

@@ -113,6 +113,21 @@ def test_bad_grid_strength_names_dotted_path():
     assert "grid.scr" in str(e.value)
 
 
+def test_grid_scr_beyond_physical_range_names_grid_scr():
+    parse_scenario({"grid": {"scr": 1e4}})
+    with pytest.raises(ConfigError) as e:
+        parse_scenario({"grid": {"scr": 1.5e4}})
+    assert str(e.value) == "grid.scr: grid case scr must be in (0, 10000], got 15000.0"
+
+
+def test_grid_branch_below_minimum_impedance_names_grid():
+    parse_scenario({"grid": {"r": 0.0, "x": 1e-4}})
+    with pytest.raises(ConfigError) as e:
+        parse_scenario({"grid": {"r": 1e-5, "x": 5e-5}})
+    assert e.value.key == "grid"
+    assert "grid branch |z| must be >= 0.0001 pu" in str(e.value)
+
+
 def test_value_validation():
     with pytest.raises(ConfigError):
         parse_scenario({"op": {"v_g_ref": 1.5}})

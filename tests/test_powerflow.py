@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize import fsolve
 
 from wppsc.analysis import analyze_scenario
-from wppsc.components import GFL, GFM, NO_CONVERTER, OMEGA0, Q_MODE_REACTIVE
+from wppsc.components import GFL, GFM, NO_CONVERTER, OMEGA0, Q_MODE_REACTIVE, Q_MODES
 from wppsc.config import GRID_CASES, OperatingPoint, Scenario, build_model, refs_for
 from wppsc.netbase import GridCase, impedance_from_scr_xr
 from wppsc.powerflow import (
@@ -38,6 +38,43 @@ def scenario(case="normal", control=GFL, with_sc=True, op=(1.0, 1.0, 1.0), **kw)
         op=OperatingPoint(*op),
         **kw,
     )
+
+
+def row_scale_table(model):
+    """Newton's row scale written out from the parameters: each row's L or
+    C by its state label, the PLL gain sum, the swing inertia, 1 elsewhere,
+    and 1 on the closure rows."""
+    net = model.network
+    scale = {
+        "i_g": model.grid.xg / OMEGA0,
+        "i_sc": model.sc.x_sub / OMEGA0 if model.has_sc else 1.0,
+        "i_f": net.lf,
+        "v_c": net.cf,
+        "i_a": net.la + net.ltf,
+        "v_pcc": net.c_pcc,
+    }
+    out = []
+    for lab in model.labels:
+        base = lab.rsplit("_", 1)[0] if lab.endswith(("_d", "_q")) else lab
+        if base in scale:
+            out.append(scale[base])
+        elif lab == "theta_pll":
+            out.append(1.0 / (1.0 + model.gfl.kp_pll + model.gfl.ki_pll))
+        elif lab == "omega_pc":
+            out.append(model.gfm.j_vsm)
+        else:
+            out.append(1.0)
+    closures = model.has_sc + (model.control == GFL and model.q_mode == Q_MODE_REACTIVE)
+    return np.array(out + [1.0] * closures)
+
+
+@pytest.mark.parametrize("control", [GFL, GFM, NO_CONVERTER])
+@pytest.mark.parametrize("with_sc", [True, False])
+@pytest.mark.parametrize("q_mode", Q_MODES)
+def test_row_scale_matches_the_parameter_table(control, with_sc, q_mode):
+    model = build_model(scenario("weak", control, with_sc, q_mode=q_mode))
+    got, want = _row_scale(model), row_scale_table(model)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def phasor_oracle(case, with_sc, p, v_turb, v_g, sc=None, net=None):

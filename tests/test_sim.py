@@ -169,9 +169,12 @@ def reference_loop(x0, n_steps, dt, segments):
 
 
 def classic_rk4(model, refs, fault, dt):
-    """Classic RK4 step on model.derivative, one call per stage, with the
+    """Classic RK4 step on model.rhs, one call per stage, with the
     pinned-bus write after the step."""
-    f = model.derivative(refs, fault, dt)
+
+    def f(x):
+        return model.rhs(x, refs, fault, dt)
+
     pinned = model.split(refs, fault, dt).pinned
 
     def step(x):
@@ -209,7 +212,7 @@ def rk4_reference(model, x0, dt, n_steps, schedule):
 )
 def test_rk4_step_is_classic_rk4_on_the_derivative(control, q_mode, with_sc, fault, dt):
     # the step folds the linear part of the four stages into maps once per
-    # segment; from any state, one step is classic RK4 on the bound derivative
+    # segment; from any state, one step is classic RK4 on rhs
     model, eq = solved("weak", control, with_sc, p=1.0, q_mode=q_mode)
     assert (model.split(eq.refs, fault, dt).pinned is None) == (fault is None or dt < 1e-5)
     events = [] if fault is None else [Event.fault_on(0.0, fault.bus, fault.r_fault)]
@@ -229,7 +232,7 @@ def test_rk4_step_is_classic_rk4_on_the_derivative(control, q_mode, with_sc, fau
 @pytest.mark.parametrize("case", ["p_star_step", "bolted_wt_mv", "shunt_pcc"])
 def test_integrate_matches_rk4_on_rhs(control, case):
     # the march folds the RK4 stages once per event segment; its trajectory
-    # is the one classic RK4 gives stepping the derivative call by call
+    # is the one classic RK4 gives stepping rhs call by call
     model, eq = solved("weak", control, True, p=1.0)
     if case == "p_star_step":
         dt, n, delta = 1e-4, 300, 0.05
