@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import eigenvalues, step_response, sweep
+from .components import NO_CONVERTER
 from .config import (
     ConfigError,
     Scenario,
@@ -146,6 +147,9 @@ def _cmd_eig(scenario: Scenario, args, out_dir: str) -> int:
 def _step_request(scenario: Scenario) -> tuple[str, float]:
     """Channel and magnitude for the linear step: the first step_ref event,
     or a 1e-3 pu power step when the schedule has none."""
+    if scenario.control == NO_CONVERTER:
+        raise ConfigError("control.type", "the step subcommand needs a converter reference to step, "
+                                          f"got {NO_CONVERTER!r}")
     for i, ev in enumerate(scenario.events):
         if ev.kind != "step_ref":
             continue

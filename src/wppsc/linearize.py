@@ -8,8 +8,8 @@ products).
 numjac evaluates every perturbed point, of one base point or of m, in one
 call of a function that maps a (size, M) array of points, one per column,
 to the (k, M) array of their values, as SystemModel.rhs and measure do.
-linearize_batch linearizes m equilibria of one model with one call each
-for A, B and C.
+linearize_batch linearizes m equilibria of one model with one call: the
+difference of [rhs; outputs] over z = [x; u] holds A, B and C as its blocks.
 """
 
 from __future__ import annotations
@@ -126,28 +126,20 @@ def linearize_batch(
     if not 1e-8 <= eps <= 1e-4:
         raise ValueError(f"eps must be in [1e-8, 1e-4], got {eps}")
     x_eq = np.stack(states, axis=1)
-    m = x_eq.shape[1]
+    n, m = x_eq.shape
     stacked = RefInputs.stack(refs)
-
-    r_x = stacked.take(np.arange(2 * model.n * m) % m)  # numjac's column i is member i % m
-    a = numjac(lambda x: model.rhs(x, r_x), x_eq, eps)
-
     in_labels = _input_labels(model)
     u0 = np.array([[getattr(r, lab) for r in refs] for lab in in_labels])
-    r_u = stacked.take(np.arange(2 * len(in_labels) * m) % m)
+    # numjac's column i is member i % m
+    cycled = stacked.take(np.arange(2 * (n + len(in_labels)) * m) % m)
 
-    def f_u(u: np.ndarray) -> np.ndarray:
-        # one column of refs per column of inputs, each at its member's state
-        r = replace(r_u, **dict(zip(in_labels, u)))
-        return model.rhs(np.tile(x_eq, 2 * len(in_labels)), r)
+    def f(z: np.ndarray) -> np.ndarray:
+        x, r = z[:n], replace(cycled, **dict(zip(in_labels, z[n:])))
+        meas = model.measure(x, r)
+        return np.concatenate((model.rhs(x, r), [meas[k] for k in OUTPUT_LABELS]))
 
-    b = numjac(f_u, u0, eps)
-
-    def g(x: np.ndarray) -> np.ndarray:
-        meas = model.measure(x, r_x)
-        return np.array([meas[k] for k in OUTPUT_LABELS])
-
-    c = numjac(g, x_eq, eps)
+    jac = numjac(f, np.concatenate((x_eq, u0)), eps)
+    a, b, c = jac[:, :n, :n], jac[:, :n, n:], jac[:, n:, :n]
 
     residual = np.abs(model.rhs(x_eq, stacked)).max(axis=0) if check_equilibrium else np.zeros(m)
     return [

@@ -10,10 +10,10 @@ zero, which removes the rotational null space from the Newton system.
 Newton iterates on a row-scaled residual (each branch/node row multiplied by
 its inductance/capacitance, controller rows normalized by their gain sums)
 so the Jacobian is well conditioned; convergence is judged on the true
-unscaled RHS with target 1e-10 and acceptance 1e-8 in the ∞-norm. A cold
-start that stalls is retried along a source/power ramp (continuation) before
-the case is declared non-convergent (residual stuck between 1e-8 and 1e-3)
-or infeasible (stuck above 1e-3, e.g. power beyond the loadability limit).
+unscaled RHS with target 1e-10 and acceptance 1e-8 in the ∞-norm. A solve
+that stalls is declared non-convergent (residual stuck between 1e-8 and
+1e-3) or infeasible (stuck above 1e-3, e.g. power beyond the loadability
+limit).
 
 Newton starts from the assembled network matrix itself (initial_guess): one
 linear solve per batch with the converter current held, a constant-P fixed
@@ -25,14 +25,15 @@ curve even at weak-grid edges, where a second, large-angle solution exists.
 solve_equilibria solves the operating points of one model as one Newton on
 the columns of z: one RHS call per Jacobian stack and one stacked solve per
 iteration, while each column searches its own step and stops on its own. A
-column that fails the cold start takes the continuation alone.
+column that fails is solved once more alone, so that its error is the one
+its solve alone reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class EquilibriumPoint:
     state: np.ndarray
     refs: RefInputs
     phi_sc: float
-    q_star: Optional[float]
+    q_star: float | None
     residual_norm: float
     iterations: int
 
@@ -137,7 +138,6 @@ def _newton(
     z0: np.ndarray,
     refs: RefInputs,
     scale: np.ndarray,
-    max_iter: int = MAX_ITERATIONS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on each column of z0 (size, m), refs stacked likewise.
     A column leaves once its residual is below target or no step length
@@ -145,12 +145,12 @@ def _newton(
     true residual norms, converged), per column."""
     z = np.array(z0, dtype=float)
     f = _residual(model, z, refs)
-    iters = np.full(z.shape[1], max_iter)
+    iters = np.full(z.shape[1], MAX_ITERATIONS)
     col_scale = scale[:, None]
     live = np.arange(z.shape[1])
     z_l, f_l, r_l = z, f, refs  # the columns still iterating
     done = np.abs(f).max(axis=0) < RESIDUAL_TARGET
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         if it == 1 or np.count_nonzero(done):  # columns leave: converged or stalled
             z[:, live], f[:, live] = z_l, f_l
             iters[live[done]] = it - 1
@@ -269,16 +269,6 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
     return z
 
 
-def _ramped_refs(refs: RefInputs, lam: float) -> RefInputs:
-    p0 = min(0.1, refs.p_star)
-    return replace(
-        refs,
-        v_g_ref=1.0 + (refs.v_g_ref - 1.0) * lam,
-        v_turb_star=1.0 + (refs.v_turb_star - 1.0) * lam,
-        p_star=p0 + (refs.p_star - p0) * lam,
-    )
-
-
 def solve_equilibrium(model: SystemModel, refs: RefInputs) -> EquilibriumPoint:
     """Find the equilibrium for the given reference inputs (one-member
     solve_equilibria).
@@ -300,25 +290,11 @@ def solve_equilibria(model: SystemModel, refs: Sequence[RefInputs]) -> list:
     scale = _row_scale(model)
     z0 = initial_guess(model, refs, scale)
     z, iters, norms, oks = _newton(model, z0, RefInputs.stack(refs), scale)
-    out = []
-    for j, r in enumerate(refs):
-        zj, total_iters, true_norm, ok = z[:, j], int(iters[j]), float(norms[j]), oks[j]
-        if not ok:
-            # continuation, alone: walk the sources/power from an easy point to the target
-            warm: Optional[np.ndarray] = None
-            for lam in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0):
-                r_lam = _ramped_refs(r, lam)
-                z_s = warm if warm is not None else initial_guess(model, [r_lam], scale)[:, 0]
-                z_s, it_s, _, ok_s = _newton(model, z_s[:, None], RefInputs.stack([r_lam]), scale)
-                total_iters += int(it_s[0])
-                if not ok_s[0]:
-                    break
-                warm = z_s[:, 0]
-            if warm is not None:
-                z_w, it_w, norm_w, ok_w = _newton(model, warm[:, None], RefInputs.stack([r]), scale)
-                zj, true_norm, ok = z_w[:, 0], float(norm_w[0]), ok_w[0]
-                total_iters += int(it_w[0])
-        out.append(_equilibrium(model, zj, r, total_iters, true_norm, ok))
+    out = [_equilibrium(model, z[:, j], r, int(iters[j]), float(norms[j]), oks[j])
+           for j, r in enumerate(refs)]
+    if len(refs) > 1:  # a failure's residual and count as alone, without the batch's rounding
+        out = [solve_equilibria(model, [r])[0] if isinstance(eq, Exception) else eq
+               for eq, r in zip(out, refs)]
     return out
 
 

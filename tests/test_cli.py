@@ -258,9 +258,11 @@ def test_step_takes_channel_from_first_step_event(tmp_path):
 
 def test_step_rejects_unsupported_channel(tmp_path, capsys):
     events = '[{"kind": "step_ref", "t": 0.0, "channel": "v_g_ref", "delta": 0.05}]'
-    code, _ = run(tmp_path, "step", "--set", f"events={events}")
-    assert code == 2
-    assert "events.0.channel" in capsys.readouterr().err
+    for override, key in ((f"events={events}", "events.0.channel"),
+                          ("control.type=none", "control.type")):  # the passive plant has no reference
+        code, _ = run(tmp_path, "step", "--set", override)
+        assert code == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
 
 
 def test_sweep_csv_full_grid(tmp_path):

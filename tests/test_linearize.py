@@ -7,13 +7,21 @@ structure checks.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wppsc.components import GFM, NO_CONVERTER, OMEGA0, RefInputs
+from wppsc.components import GFL, GFM, NO_CONVERTER, OMEGA0, Q_MODE_REACTIVE, Q_MODE_VOLTAGE, RefInputs
 from wppsc.config import GRID_CASES, NetworkSpec, OperatingPoint, Scenario, build_model, refs_for
-from wppsc.linearize import LinearizationError, StateSpaceModel, linearize, linearize_batch, numjac
+from wppsc.linearize import (
+    OUTPUT_LABELS,
+    LinearizationError,
+    StateSpaceModel,
+    linearize,
+    linearize_batch,
+    numjac,
+)
 from wppsc.powerflow import solve_equilibrium
 
 
@@ -144,6 +152,49 @@ def test_linearize_batch_rejects_only_the_member_off_equilibrium():
         alone = linearize(model, e.state, e.refs)
         for got, ref in ((ss.a, alone.a), (ss.b, alone.b), (ss.c, alone.c)):
             assert rel_matrix_err(got, ref) < 1e-9
+
+
+def linearize_by_blocks(model, states, refs, in_labels, eps=1e-6):
+    """Reference: three central differences over the members' stack, A over
+    x with the inputs held, B over the inputs with x held, and C of the
+    outputs over x; numjac's column i is member i % m in each."""
+    x_eq = np.stack(states, axis=1)
+    m = x_eq.shape[1]
+    stacked = RefInputs.stack(refs)
+    r_x = stacked.take(np.arange(2 * model.n * m) % m)
+    a = numjac(lambda x: model.rhs(x, r_x), x_eq, eps)
+    u0 = np.array([[getattr(r, lab) for r in refs] for lab in in_labels])
+    r_u = stacked.take(np.arange(2 * len(in_labels) * m) % m)
+
+    def f_u(u):  # one column of refs per column of inputs, each at its member's state
+        return model.rhs(np.tile(x_eq, 2 * len(in_labels)), replace(r_u, **dict(zip(in_labels, u))))
+
+    b = numjac(f_u, u0, eps)
+    c = numjac(lambda x: np.array([model.measure(x, r_x)[k] for k in OUTPUT_LABELS]), x_eq, eps)
+    return a, b, c
+
+
+@pytest.mark.parametrize("with_sc", [False, True])
+@pytest.mark.parametrize("control, q_mode", [
+    (GFL, Q_MODE_REACTIVE), (GFL, Q_MODE_VOLTAGE), (GFM, Q_MODE_REACTIVE), (NO_CONVERTER, Q_MODE_REACTIVE),
+])
+def test_linearize_batch_matches_three_differences(control, q_mode, with_sc):
+    # one difference over [x; u] holds the blocks of A, B and C, member by member
+    scenarios = [Scenario(grid=GRID_CASES["normal"], control=control, q_mode=q_mode, with_sc=with_sc,
+                          op=OperatingPoint(*op))
+                 for op in ((1.0, 1.0, 1.0), (0.92, 1.08, 0.5), (1.08, 0.92, 0.1))]
+    model = build_model(scenarios[0])
+    eqs = [solve_equilibrium(model, refs_for(s)) for s in scenarios]
+    states, refs = [e.state for e in eqs], [e.refs for e in eqs]
+    got = linearize_batch(model, states, refs)
+    ref = linearize_by_blocks(model, states, refs, got[0].input_labels)
+    for j, ss in enumerate(got):
+        # C is elementwise in x, so it is bit-equal. A and B carry the matmul's
+        # rounding, which depends on the batch width, over 2h: up to ~5e-10
+        # relative on B with the condenser's 1/L rows
+        assert np.array_equal(ss.c, ref[2][j]), j
+        for name, mat, r in zip("AB", (ss.a, ss.b), ref):
+            assert rel_matrix_err(mat, r[j]) <= 1e-9, (name, j)
 
 
 def test_passive_full_matrix_matches_closed_form():

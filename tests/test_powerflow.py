@@ -12,14 +12,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import fsolve
 
 from wppsc.analysis import analyze_scenario
-from wppsc.components import GFL, GFM, NO_CONVERTER, OMEGA0, Q_MODE_REACTIVE, Q_MODES
+from wppsc.components import CONTROLS, GFL, GFM, NO_CONVERTER, OMEGA0, Q_MODE_REACTIVE, Q_MODES
 from wppsc.config import GRID_CASES, OperatingPoint, Scenario, build_model, refs_for
 from wppsc.netbase import GridCase, impedance_from_scr_xr
 from wppsc.powerflow import (
+    VOLTAGE_BAND,
+    EquilibriumPoint,
     InfeasibleError,
+    NonConvergenceError,
     _row_scale,
     _solve,
     initial_guess,
@@ -346,7 +350,7 @@ def test_stacked_solve_falls_back_to_least_squares_for_a_singular_member_only():
 
 
 def test_batch_members_match_their_solves_alone():
-    # a hard member takes the continuation on its own; the others are unaffected
+    # a failed member reports its solve alone; the others are unaffected
     model = build_model(scenario("weak", GFL, with_sc=False))
     refs = [refs_for(scenario("weak", GFL, False, op=op))
             for op in ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.92, 1.08, 0.1))]
@@ -362,3 +366,42 @@ def test_batch_members_match_their_solves_alone():
         assert batch[j].iterations == alone.iterations
         assert batch[j].residual_norm < 1e-8
         assert np.allclose(batch[j].state, alone.state, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def valid_scenarios(draw):
+    """A scenario anywhere in the validated ranges: grid SCR log-uniform in
+    [0.3, 1e4], X/R, the operating box, every control and q mode, the
+    condenser on or off."""
+    return Scenario(
+        grid=GridCase(10.0 ** draw(st.floats(math.log10(0.3), 4.0)), draw(st.floats(0.5, 25.0))),
+        control=draw(st.sampled_from(CONTROLS)),
+        q_mode=draw(st.sampled_from(Q_MODES)),
+        with_sc=draw(st.booleans()),
+        op=OperatingPoint(draw(st.floats(0.8, 1.2)), draw(st.floats(0.8, 1.2)), draw(st.floats(0.0, 1.2))),
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(valid_scenarios())
+def test_drawn_scenario_solves_or_fails_typed_alike_alone_and_in_a_batch(s):
+    # A solved member's iteration count is not compared: the 1e-10 target sits
+    # near the RHS's rounding floor (mostly from SCR ~1e3 up), so the batch's
+    # rounding can move the count, by up to tens of iterations.
+    model = build_model(s)
+    try:
+        alone = solve_equilibrium(model, refs_for(s))
+    except (InfeasibleError, NonConvergenceError) as exc:
+        alone = exc
+    else:
+        assert alone.residual_norm < 1e-8
+        for lab in ("v_c_d", "v_pcc_d"):
+            assert VOLTAGE_BAND[0] < math.hypot(*model.pair(alone.state, lab)) < VOLTAGE_BAND[1]
+    standard = [refs_for(replace(s, op=OperatingPoint(*op))) for op in ((1.0, 1.0, 1.0), (0.92, 1.08, 0.5))]
+    batch = solve_equilibria(model, [refs_for(s), *standard])[0]
+    assert type(batch) is type(alone)
+    if isinstance(alone, EquilibriumPoint):
+        assert batch.residual_norm < 1e-8
+        assert np.max(np.abs(batch.state - alone.state)) <= 1e-10 * max(1.0, np.max(np.abs(alone.state)))
+    else:  # a failure is solved again alone
+        assert (batch.iterations, batch.final_residual) == (alone.iterations, alone.final_residual)
