@@ -248,6 +248,18 @@ def sweep(
 _CHANNELS = {"power": ("p_star",), "voltage": ("v_turb_star", "q_star")}
 
 
+def step_input(channel: str, input_labels: Sequence[str]) -> str:
+    """The input among input_labels that a step on channel drives."""
+    if channel not in _CHANNELS:
+        raise ValueError(f"channel must be one of {sorted(_CHANNELS)}, got {channel!r}")
+    hits = [name for name in _CHANNELS[channel] if name in input_labels]
+    if not hits:
+        raise ValueError(
+            f"channel {channel!r} needs one of {_CHANNELS[channel]} in input labels {input_labels}"
+        )
+    return hits[0]
+
+
 def step_response(
     ss: StateSpaceModel,
     channel: str,
@@ -262,19 +274,12 @@ def step_response(
 
     Output columns are deviations from the linearization point.
     """
-    if channel not in _CHANNELS:
-        raise ValueError(f"channel must be one of {sorted(_CHANNELS)}, got {channel!r}")
+    name = step_input(channel, ss.input_labels)
     if not (math.isfinite(magnitude) and math.isfinite(t_end) and t_end > 0.0):
         raise ValueError("step magnitude and t_end must be finite, t_end > 0")
     if not (math.isfinite(dt) and 0.0 < dt <= t_end):
         raise ValueError(f"dt must satisfy 0 < dt <= t_end, got {dt}")
-    input_names = _CHANNELS[channel]
-    hits = [name for name in input_names if name in ss.input_labels]
-    if not hits:
-        raise ValueError(
-            f"channel {channel!r} needs one of {input_names} in input labels {ss.input_labels}"
-        )
-    j = ss.input_labels.index(hits[0])
+    j = ss.input_labels.index(name)
 
     n_steps = max(int(round(t_end / dt)), 1)
     x0 = np.zeros(ss.a.shape[0])
@@ -285,7 +290,7 @@ def step_response(
         t=np.arange(len(ys)) * dt,
         columns=columns,
         dt=dt,
-        meta=f"step_response channel={channel} input={hits[0]} magnitude={magnitude!r}",
+        meta=f"step_response channel={channel} input={name} magnitude={magnitude!r}",
         diverged=run.diverged,
         aborted=run.aborted,
         note=run.note,

@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import eigenvalues, step_response, sweep
-from .components import NO_CONVERTER
+from .analysis import eigenvalues, step_input, step_response, sweep
 from .config import (
     ConfigError,
     Scenario,
@@ -35,7 +34,7 @@ from .config import (
     scenario_key,
     to_dict,
 )
-from .linearize import linearize
+from .linearize import input_labels, linearize
 from .powerflow import InfeasibleError, NonConvergenceError, solve_equilibrium
 from .scr import enhancement_report
 from .sim import TimeSeries, integrate
@@ -144,28 +143,30 @@ def _cmd_eig(scenario: Scenario, args, out_dir: str) -> int:
     return 0
 
 
-def _step_request(scenario: Scenario) -> tuple[str, float]:
+def _step_request(scenario: Scenario, model) -> tuple[str, float]:
     """Channel and magnitude for the linear step: the first step_ref event,
     or a 1e-3 pu power step when the schedule has none."""
-    if scenario.control == NO_CONVERTER:
-        raise ConfigError("control.type", "the step subcommand needs a converter reference to step, "
-                                          f"got {NO_CONVERTER!r}")
+    channel, magnitude = "power", 1e-3
     for i, ev in enumerate(scenario.events):
         if ev.kind != "step_ref":
             continue
-        channel = _STEP_CHANNEL_MAP.get(ev.channel)
+        channel, magnitude = _STEP_CHANNEL_MAP.get(ev.channel), ev.delta
         if channel is None:
             raise ConfigError(
                 f"events.{i}.channel",
                 f"the step subcommand supports {sorted(_STEP_CHANNEL_MAP)}, got {ev.channel!r}",
             )
-        return channel, ev.delta
-    return "power", 1e-3
+        break
+    try:
+        step_input(channel, input_labels(model))
+    except ValueError as e:  # the plant has no reference on the channel
+        raise ConfigError("control.type", f"{scenario.control!r} plant: {e}") from e
+    return channel, magnitude
 
 
 def _cmd_step(scenario: Scenario, args, out_dir: str) -> int:
-    channel, magnitude = _step_request(scenario)
     model = build_model(scenario)
+    channel, magnitude = _step_request(scenario, model)
     eq = solve_equilibrium(model, refs_for(scenario))
     ss = linearize(model, eq.state, eq.refs)
     ts = step_response(ss, channel, magnitude, t_end=scenario.t_end, dt=scenario.dt)

@@ -84,7 +84,8 @@ class StateSpaceModel:
             raise ValueError(f"C shape {self.c.shape} does not match labels")
 
 
-def _input_labels(model: SystemModel) -> tuple[str, ...]:
+def input_labels(model: SystemModel) -> tuple[str, ...]:
+    """The references the model's B columns are taken over, in order."""
     if model.control == NO_CONVERTER:
         return ("v_g_ref",)
     if model.control == GFL and model.q_mode == Q_MODE_REACTIVE:
@@ -128,7 +129,7 @@ def linearize_batch(
     x_eq = np.stack(states, axis=1)
     n, m = x_eq.shape
     stacked = RefInputs.stack(refs)
-    in_labels = _input_labels(model)
+    in_labels = input_labels(model)
     u0 = np.array([[getattr(r, lab) for r in refs] for lab in in_labels])
     # numjac's column i is member i % m
     cycled = stacked.take(np.arange(2 * (n + len(in_labels)) * m) % m)

@@ -10,10 +10,10 @@ zero, which removes the rotational null space from the Newton system.
 Newton iterates on a row-scaled residual (each branch/node row multiplied by
 its inductance/capacitance, controller rows normalized by their gain sums)
 so the Jacobian is well conditioned; convergence is judged on the true
-unscaled RHS with target 1e-10 and acceptance 1e-8 in the ∞-norm. A solve
-that stalls is declared non-convergent (residual stuck between 1e-8 and
-1e-3) or infeasible (stuck above 1e-3, e.g. power beyond the loadability
-limit).
+unscaled RHS with target 1e-10 and acceptance 1e-8 in the ∞-norm. A cold
+start that stalls is retried along a source/power ramp (continuation) before
+the case is declared non-convergent (residual stuck between 1e-8 and 1e-3)
+or infeasible (stuck above 1e-3, e.g. power beyond the loadability limit).
 
 Newton starts from the assembled network matrix itself (initial_guess): one
 linear solve per batch with the converter current held, a constant-P fixed
@@ -25,8 +25,8 @@ curve even at weak-grid edges, where a second, large-angle solution exists.
 solve_equilibria solves the operating points of one model as one Newton on
 the columns of z: one RHS call per Jacobian stack and one stacked solve per
 iteration, while each column searches its own step and stops on its own. A
-column that fails is solved once more alone, so that its error is the one
-its solve alone reports.
+column that fails is solved again alone, where a cold start that stalls
+takes the continuation, so that its error is the one it has alone.
 """
 
 from __future__ import annotations
@@ -269,6 +269,16 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
     return z
 
 
+def _ramped_refs(refs: RefInputs, lam: float) -> RefInputs:
+    p0 = min(0.1, refs.p_star)
+    return replace(
+        refs,
+        v_g_ref=1.0 + (refs.v_g_ref - 1.0) * lam,
+        v_turb_star=1.0 + (refs.v_turb_star - 1.0) * lam,
+        p_star=p0 + (refs.p_star - p0) * lam,
+    )
+
+
 def solve_equilibrium(model: SystemModel, refs: RefInputs) -> EquilibriumPoint:
     """Find the equilibrium for the given reference inputs (one-member
     solve_equilibria).
@@ -290,12 +300,29 @@ def solve_equilibria(model: SystemModel, refs: Sequence[RefInputs]) -> list:
     scale = _row_scale(model)
     z0 = initial_guess(model, refs, scale)
     z, iters, norms, oks = _newton(model, z0, RefInputs.stack(refs), scale)
-    out = [_equilibrium(model, z[:, j], r, int(iters[j]), float(norms[j]), oks[j])
-           for j, r in enumerate(refs)]
-    if len(refs) > 1:  # a failure's residual and count as alone, without the batch's rounding
-        out = [solve_equilibria(model, [r])[0] if isinstance(eq, Exception) else eq
-               for eq, r in zip(out, refs)]
-    return out
+    if len(refs) > 1:  # a member that fails is solved alone, without the batch's rounding
+        out = [_equilibrium(model, z[:, j], r, int(iters[j]), float(norms[j]), oks[j])
+               for j, r in enumerate(refs)]
+        return [solve_equilibria(model, [r])[0] if isinstance(eq, Exception) else eq
+                for eq, r in zip(out, refs)]
+    (r,) = refs
+    zj, total_iters, true_norm, ok = z[:, 0], int(iters[0]), float(norms[0]), oks[0]
+    if not ok:
+        # continuation: walk the sources/power from an easy point to the target
+        warm: np.ndarray | None = None
+        for lam in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0):
+            r_lam = _ramped_refs(r, lam)
+            z_s = warm if warm is not None else initial_guess(model, [r_lam], scale)[:, 0]
+            z_s, it_s, _, ok_s = _newton(model, z_s[:, None], RefInputs.stack([r_lam]), scale)
+            total_iters += int(it_s[0])
+            if not ok_s[0]:
+                break
+            warm = z_s[:, 0]
+        if warm is not None:
+            z_w, it_w, norm_w, ok_w = _newton(model, warm[:, None], RefInputs.stack([r]), scale)
+            zj, true_norm, ok = z_w[:, 0], float(norm_w[0]), ok_w[0]
+            total_iters += int(it_w[0])
+    return [_equilibrium(model, zj, r, total_iters, true_norm, ok)]
 
 
 def _equilibrium(model: SystemModel, z: np.ndarray, refs: RefInputs, iterations, true_norm, ok):

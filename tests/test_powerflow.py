@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import fsolve
 
 from wppsc.analysis import analyze_scenario
-from wppsc.components import CONTROLS, GFL, GFM, NO_CONVERTER, OMEGA0, Q_MODE_REACTIVE, Q_MODES
+from wppsc.components import (
+    CONTROLS, GFL, GFM, NO_CONVERTER, OMEGA0, Q_MODE_REACTIVE, Q_MODES, RefInputs,
+)
 from wppsc.config import GRID_CASES, OperatingPoint, Scenario, build_model, refs_for
 from wppsc.netbase import GridCase, impedance_from_scr_xr
 from wppsc.powerflow import (
@@ -24,6 +26,7 @@ from wppsc.powerflow import (
     EquilibriumPoint,
     InfeasibleError,
     NonConvergenceError,
+    _newton,
     _row_scale,
     _solve,
     initial_guess,
@@ -368,13 +371,31 @@ def test_batch_members_match_their_solves_alone():
         assert np.allclose(batch[j].state, alone.state, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("grid, control, with_sc, op", [
+    ((0.5, 0.05), GFL, False, (1.04, 0.99, 0.6)),
+    ((0.4, 0.07), GFM, False, (0.98, 0.96, 0.49)),
+    ((0.0026, 6.0), NO_CONVERTER, True, (0.81, 0.9, 0.88)),
+])
+def test_continuation_solves_where_the_cold_start_stalls(grid, control, with_sc, op):
+    # a nearly resistive weak grid, or a grid of SCR 0.0026: Newton from the
+    # cold start stalls, and the source/power ramp reaches the equilibrium
+    s = Scenario(grid=GridCase(*grid), control=control, with_sc=with_sc, op=OperatingPoint(*op))
+    model, refs = build_model(s), refs_for(s)
+    scale = _row_scale(model)
+    *_, cold_ok = _newton(model, initial_guess(model, [refs], scale), RefInputs.stack([refs]), scale)
+    assert not cold_ok[0]
+    assert solve_equilibrium(model, refs).residual_norm < 1e-8
+    assert solve_equilibria(model, [refs_for(scenario()), refs])[1].residual_norm < 1e-8
+
+
 @st.composite
 def valid_scenarios(draw):
     """A scenario anywhere in the validated ranges: grid SCR log-uniform in
-    [0.3, 1e4], X/R, the operating box, every control and q mode, the
+    [1e-4, 1e4] (the config takes any SCR in (0, 1e4]), X/R from nearly
+    resistive to 30, the operating box, every control and q mode, the
     condenser on or off."""
     return Scenario(
-        grid=GridCase(10.0 ** draw(st.floats(math.log10(0.3), 4.0)), draw(st.floats(0.5, 25.0))),
+        grid=GridCase(10.0 ** draw(st.floats(-4.0, 4.0)), draw(st.floats(0.05, 30.0))),
         control=draw(st.sampled_from(CONTROLS)),
         q_mode=draw(st.sampled_from(Q_MODES)),
         with_sc=draw(st.booleans()),
