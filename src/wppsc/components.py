@@ -26,6 +26,8 @@ controller inputs, g the controller and E the rows its outputs add to
 (Split). The controller is one function per mode (gfl_controller,
 gfm_controller) that reads its gains and refs once and returns g, which maps
 the 12 flat inputs to the 8 outputs with the converter power inlined.
+SystemModel.sources and SystemModel.controller give b by row and g alone,
+which is what the Jacobians difference (linearize.split_jacobian).
 SystemModel.rhs evaluates the split on one state of shape (n,), whose
 controller runs on Python floats, or on a batch of states as the columns of
 an (n, m) array, whose controller runs on row vectors, through the same
@@ -418,13 +420,13 @@ class SystemModel:
         self._idx = {name: k for k, name in enumerate(self.labels)}
         self._treatments: dict = {}
         # the state rows the controller reads and those its outputs add to (Split)
-        self._reads: list[int] = []
-        self._writes: list[int] = []
+        self.reads: list[int] = []
+        self.writes: list[int] = []
         if control != NO_CONVERTER:
             kv, kf, ka = self._idx["v_c_d"], self._idx["i_f_d"], self._idx["i_a_d"]
             ctrl = list(range(self.n - 6, self.n))
-            self._reads = [kv, kv + 1, kf, kf + 1, ka, ka + 1, *ctrl]
-            self._writes = [kf, kf + 1, *ctrl]
+            self.reads = [kv, kv + 1, kf, kf + 1, ka, ka + 1, *ctrl]
+            self.writes = [kf, kf + 1, *ctrl]
 
     def index(self, label: str) -> int:
         return self._idx[label]
@@ -443,6 +445,11 @@ class SystemModel:
         return self.control == NO_CONVERTER
 
     # -- linear network ------------------------------------------------------
+
+    @property
+    def a(self) -> np.ndarray:
+        """The fault-free state matrix: Split.a without a fault."""
+        return self._treatment(None, None)[0]
 
     def _network_matrix(self) -> np.ndarray:
         """State matrix of the fault-free network: each law contributes the
@@ -515,20 +522,30 @@ class SystemModel:
         """The plant with refs and the fault (if given, it is active) bound,
         as x' = a x + b + E g(C x) (see Split)."""
         a, pinned = self._treatment(fault, dt)
-        e_g = refs.v_g_ref * OMEGA0 / self.grid.xg
         b = np.zeros((self.n, *np.broadcast(refs.v_g_ref, refs.v_g_angle, refs.phi_sc).shape))
-        b[0], b[1] = e_g * np.cos(refs.v_g_angle), e_g * np.sin(refs.v_g_angle)
+        for k, v in self.sources(refs).items():
+            b[k] = v
+        return Split(a, b, self.reads, self.writes, self.controller(refs), pinned)
+
+    def sources(self, refs: RefInputs) -> dict:
+        """The entries of Split.b by state row: the grid source drives the
+        i_g rows and the condenser EMF the i_sc rows. Each is a float or an
+        m-vector, as the refs' fields are."""
+        e_g = refs.v_g_ref * OMEGA0 / self.grid.xg
+        out = {0: e_g * np.cos(refs.v_g_angle), 1: e_g * np.sin(refs.v_g_angle)}
         if self.sc is not None:
             k = self._idx["i_sc_d"]
             e_sc = self.sc.e_mag * OMEGA0 / self.sc.x_sub
-            b[k], b[k + 1] = e_sc * np.cos(refs.phi_sc), e_sc * np.sin(refs.phi_sc)
-        if self.control == NO_CONVERTER:
-            return Split(a, b, [], [], lambda u: (), pinned)
+            out[k], out[k + 1] = e_sc * np.cos(refs.phi_sc), e_sc * np.sin(refs.phi_sc)
+        return out
+
+    def controller(self, refs: RefInputs) -> Callable[[Sequence], Sequence]:
+        """Split.g: the controller with its gains and refs bound."""
         if self.control == GFL:
-            g = gfl_controller(self.gfl, refs, self.q_mode, self.network.lf)
-        else:
-            g = gfm_controller(self.gfm, refs, self.network)
-        return Split(a, b, self._reads, self._writes, g, pinned)
+            return gfl_controller(self.gfl, refs, self.q_mode, self.network.lf)
+        if self.control == GFM:
+            return gfm_controller(self.gfm, refs, self.network)
+        return lambda u: ()
 
     def rhs(
         self,

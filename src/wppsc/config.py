@@ -119,6 +119,8 @@ class Scenario:
             raise ValueError(f"dt must be in [1e-6, 1e-3], got {self.dt}")
         if not 0.0 < self.t_end <= 60.0:
             raise ValueError(f"t_end must be in (0, 60], got {self.t_end}")
+        if self.t_end < self.dt:
+            raise ValueError(f"t_end must be >= dt, got t_end {self.t_end} < dt {self.dt}")
 
 
 # Grid strength cases swept in the study (SCR at the turbine MV terminal,

@@ -1,15 +1,16 @@
 """Numerical linearization of the plant ODE around an operating point.
 
-Central differences with a per-coordinate step eps*max(1, |z_j|) give exact
-Jacobians on the linear network blocks and second-order accuracy on the
-control nonlinearities (trig terms, the voltage magnitude and the power
-products).
+numjac takes central differences with a per-coordinate step
+eps*max(1, |z_j|), second-order accurate on the control nonlinearities, of a
+function that maps a (size, M) array of points, one per column, to the
+(k, M) array of their values; one call covers one base point or m.
 
-numjac evaluates every perturbed point, of one base point or of m, in one
-call of a function that maps a (size, M) array of points, one per column,
-to the (k, M) array of their values, as SystemModel.rhs and measure do.
-linearize_batch linearizes m equilibria of one model with one call: the
-difference of [rhs; outputs] over z = [x; u] holds A, B and C as its blocks.
+The plant is x' = a x + b + E g(C x) (SystemModel.split), so split_jacobian
+takes the network matrix a as it is and makes one numjac call on the
+nonlinear part alone, over the inputs it reads. Newton's Jacobian
+(powerflow) and linearize_batch are built that way; linearize_batch
+linearizes m equilibria of one model with one call, its outputs (which read
+only v_c and i_a) differenced with the controller.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .components import (
     Q_MODE_REACTIVE,
     RefInputs,
     SystemModel,
+    power_pair,
 )
 
 OUTPUT_LABELS = ("p_pc", "v_c_mag", "q_pc")
@@ -115,6 +117,56 @@ def linearize(
     return ss
 
 
+def split_jacobian(
+    model: SystemModel,
+    fields: Sequence[str],
+    rows: Sequence[int],
+    extra: Callable[[list, RefInputs], list],
+    extra_rows: Sequence[int],
+) -> Callable[[np.ndarray, RefInputs, float], np.ndarray]:
+    """The Jacobian of [x; the refs fields] -> [x'; extra outputs], bound for
+    the model as jac(z, refs, eps): its (m, n + outputs, size) stack at the
+    columns of z (size, m), refs stacked likewise. The state block is the
+    network matrix a (SystemModel.a), exact, plus one numjac call on the
+    nonlinear part: the controller outputs, into its writes rows, and
+    extra(xs, r), into extra_rows (a state row, or n + i for output i), over
+    the controller's reads, the state rows `rows` and the fields. xs holds
+    the state rows read (None elsewhere), r the refs with the fields rebound."""
+    n, reads = model.n, model.reads
+    inputs = np.array([*reads, *(k for k in rows if k not in reads), *range(n, n + len(fields))], int)
+    k = len(inputs) - len(fields)  # the state rows first
+    shape = (n + sum(r >= n for r in extra_rows), n + len(fields))
+    # the flat offsets of the (output row, input) pairs in one member's matrix
+    at = (np.array([*model.writes, *extra_rows], int)[:, None] * shape[1] + inputs).ravel()
+
+    def jac(z: np.ndarray, refs: RefInputs, eps: float) -> np.ndarray:
+        m = z.shape[1]
+        out = np.zeros((m, *shape))
+        out[:, :n, :n] = model.a
+        if len(inputs):
+            # numjac's column i is member i % m; a batch of one broadcasts as it is
+            cycled = refs.take(np.arange(2 * len(inputs) * m) % m) if m > 1 else refs
+
+            def f(u: np.ndarray) -> list:
+                r = replace(cycled, **dict(zip(fields, u[k:]))) if fields else cycled
+                xs = [None] * n
+                for i, row in zip(inputs[:k].tolist(), u):
+                    xs[i] = row
+                return [*model.controller(r)([xs[i] for i in reads]), *extra(xs, r)]
+
+            out.reshape(m, -1)[:, at] += numjac(f, z[inputs], eps).reshape(m, -1)
+        return out
+
+    return jac
+
+
+def _outputs(model: SystemModel, x) -> list:
+    """The OUTPUT_LABELS values at x, as SystemModel.measure gives them."""
+    v_c = model.pair(x, "v_c_d")
+    p, q = power_pair(v_c, model.pair(x, "i_a_d"))
+    return [p, np.hypot(v_c[0], v_c[1]), q]
+
+
 def linearize_batch(
     model: SystemModel,
     states: Sequence[np.ndarray],
@@ -130,16 +182,18 @@ def linearize_batch(
     n, m = x_eq.shape
     stacked = RefInputs.stack(refs)
     in_labels = input_labels(model)
-    u0 = np.array([[getattr(r, lab) for r in refs] for lab in in_labels])
-    # numjac's column i is member i % m
-    cycled = stacked.take(np.arange(2 * (n + len(in_labels)) * m) % m)
-
-    def f(z: np.ndarray) -> np.ndarray:
-        x, r = z[:n], replace(cycled, **dict(zip(in_labels, z[n:])))
-        meas = model.measure(x, r)
-        return np.concatenate((model.rhs(x, r), [meas[k] for k in OUTPUT_LABELS]))
-
-    jac = numjac(f, np.concatenate((x_eq, u0)), eps)
+    fields = [lab for lab in in_labels if lab != "v_g_ref"]
+    u0 = np.array([[getattr(r, lab) for r in refs] for lab in fields]).reshape(-1, m)
+    kv, ka = model.index("v_c_d"), model.index("i_a_d")
+    difference = split_jacobian(model, fields, [kv, kv + 1, ka, ka + 1],
+                                lambda xs, r: _outputs(model, xs), range(n, n + len(OUTPUT_LABELS)))
+    jac = difference(np.concatenate((x_eq, u0)), stacked, eps)
+    # b is linear in v_g_ref: its column is the sources at v_g_ref = 1 less those at 0
+    s1, s0 = (model.sources(RefInputs(v_g_ref=v, v_g_angle=stacked.v_g_angle)) for v in (1.0, 0.0))
+    col = n + in_labels.index("v_g_ref")
+    jac = np.concatenate((jac[..., :col], np.zeros((*jac.shape[:2], 1)), jac[..., col:]), axis=2)
+    for k in s1:
+        jac[:, k, col] = s1[k] - s0[k]
     a, b, c = jac[:, :n, :n], jac[:, :n, n:], jac[:, n:, :n]
 
     residual = np.abs(model.rhs(x_eq, stacked)).max(axis=0) if check_equilibrium else np.zeros(m)

@@ -23,10 +23,15 @@ solve, the start lies on the normal, small-angle side of the power-flow nose
 curve even at weak-grid edges, where a second, large-angle solution exists.
 
 solve_equilibria solves the operating points of one model as one Newton on
-the columns of z: one RHS call per Jacobian stack and one stacked solve per
-iteration, while each column searches its own step and stops on its own. A
-column that fails is solved again alone, where a cold start that stalls
-takes the continuation, so that its error is the one it has alone.
+the columns of z: one Jacobian stack and one stacked solve per iteration,
+while each column searches its own step and stops on its own. A column that
+fails is solved again alone, where a cold start that stalls takes the
+continuation, so that its error is the one it has alone.
+
+The Jacobian is linearize.split_jacobian over the unknowns: the network
+matrix exactly, plus one central difference of the controller, the
+condenser's source rows of b and the closure rows over the controller's
+inputs, i_sc and the closure unknowns.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from .components import GFL, GFM, OMEGA0, Q_MODE_REACTIVE, RefInputs, SystemModel, power_pair
-from .linearize import numjac
+# numjac stays importable here for perfbench's tracer
+from .linearize import numjac, split_jacobian  # noqa: F401
 
 RESIDUAL_TARGET = 1e-10
 RESIDUAL_ACCEPT = 1e-8
@@ -86,16 +92,16 @@ class EquilibriumPoint:
     iterations: int
 
 
-def _unknown_layout(model: SystemModel) -> tuple[bool, bool]:
-    solves_phi = model.has_sc
+def _unknowns(model: SystemModel) -> list[str]:
+    """The refs fields Newton solves for, in the order they follow the state."""
     solves_q = model.control == GFL and model.q_mode == Q_MODE_REACTIVE
-    return solves_phi, solves_q
+    return ["phi_sc"] * model.has_sc + ["q_star"] * solves_q
 
 
 def _refs_from_z(model: SystemModel, z: np.ndarray, refs: RefInputs) -> RefInputs:
     """refs with the solved-for inputs read from z; rows of z are m-vectors
     when z holds a batch of points as columns."""
-    names = [name for name, solved in zip(("phi_sc", "q_star"), _unknown_layout(model)) if solved]
+    names = _unknowns(model)
     return replace(refs, **dict(zip(names, z[model.n :]))) if names else refs
 
 
@@ -103,28 +109,50 @@ def _residual(model: SystemModel, z: np.ndarray, refs: RefInputs) -> np.ndarray:
     """Plant RHS plus closure rows at z, of shape (size,) or (size, m)."""
     if z.ndim == 2 and z.shape[1] == 1:  # one column: as one state
         return _residual(model, z[:, 0], refs.take(0))[:, None]
-    solves_phi, solves_q = _unknown_layout(model)
-    x = z[: model.n]
-    r = _refs_from_z(model, z, refs)
+    x, r = z[: model.n], _refs_from_z(model, z, refs)
     out = np.empty(z.shape)
     out[: model.n] = model.rhs(x, r)
-    k = model.n
-    if solves_phi:
-        # zero active power at the condenser EMF
-        i_sc = model.pair(x, "i_sc_d")
-        out[k] = model.sc.e_mag * (np.cos(r.phi_sc) * i_sc[0] + np.sin(r.phi_sc) * i_sc[1])
-        k += 1
-    if solves_q:
-        v_c = model.pair(x, "v_c_d")
-        out[k] = np.hypot(v_c[0], v_c[1]) - r.v_turb_star
+    for k, row in enumerate(_closures(model, x, r), model.n):
+        out[k] = row
     return out
+
+
+def _closures(model: SystemModel, x, r: RefInputs) -> list:
+    """The closure rows at the states x (an array, or a list of state rows):
+    zero active power at the condenser EMF, then |v_c| on its target, each
+    where its unknown is solved for."""
+    unknowns, out = _unknowns(model), []
+    if "phi_sc" in unknowns:
+        i_sc = model.pair(x, "i_sc_d")
+        out.append(model.sc.e_mag * (np.cos(r.phi_sc) * i_sc[0] + np.sin(r.phi_sc) * i_sc[1]))
+    if "q_star" in unknowns:
+        v_c = model.pair(x, "v_c_d")
+        out.append(np.hypot(v_c[0], v_c[1]) - r.v_turb_star)
+    return out
+
+
+def _jacobian(model: SystemModel, scale: np.ndarray):
+    """Newton's Jacobian of the row-scaled residual, bound for the model as
+    jac(z, refs) (split_jacobian over the closure unknowns): its nonlinear
+    part adds the condenser's source rows of b and the closure rows, which
+    read v_c among the controller's reads."""
+    n = model.n
+    fields = _unknowns(model)
+    k_sc = [model.index("i_sc_d") + i for i in (0, 1)] if model.has_sc else []
+
+    def extra(xs: list, r: RefInputs) -> list:
+        src = model.sources(r) if k_sc else {}
+        return [*(src[k] for k in k_sc), *_closures(model, xs, r)]
+
+    jac = split_jacobian(model, fields, k_sc, extra, [*k_sc, *range(n, n + len(fields))])
+    return lambda z, refs: scale[:, None] * jac(z, refs, 1e-7)
 
 
 def _row_scale(model: SystemModel) -> np.ndarray:
     """Multipliers that undo the stiff 1/L, 1/C factors row by row: each
     network row's L or C (SystemModel.lc), the swing row's inertia and the
     PLL row's gain sum, and 1 on every other row."""
-    out = np.ones(model.n + sum(_unknown_layout(model)))
+    out = np.ones(model.n + len(_unknowns(model)))
     out[: len(model.lc)] = model.lc
     if model.control == GFL:
         out[model.index("theta_pll")] = 1.0 / (1.0 + model.gfl.kp_pll + model.gfl.ki_pll)
@@ -146,7 +174,7 @@ def _newton(
     z = np.array(z0, dtype=float)
     f = _residual(model, z, refs)
     iters = np.full(z.shape[1], MAX_ITERATIONS)
-    col_scale = scale[:, None]
+    col_scale, jacobian = scale[:, None], _jacobian(model, scale)
     live = np.arange(z.shape[1])
     z_l, f_l, r_l = z, f, refs  # the columns still iterating
     done = np.abs(f).max(axis=0) < RESIDUAL_TARGET
@@ -157,10 +185,8 @@ def _newton(
             live, z_l, f_l, r_l = live[~done], z_l[:, ~done], f_l[:, ~done], r_l.take(~done)
             if not live.size:
                 break
-            # numjac's column i perturbs member i % m
-            cycled = r_l.take(np.arange(2 * z.shape[0] * live.size) % live.size)
         f_s = col_scale * f_l
-        jac = numjac(lambda zz: col_scale * _residual(model, zz, cycled), z_l, eps=1e-7)
+        jac = jacobian(z_l, r_l)
         step = _solve(jac, -f_s)
         merit = np.linalg.norm(f_s, axis=0)
         lam, stalled = 1.0, np.ones(live.size, dtype=bool)  # until a step lowers the merit
@@ -207,7 +233,7 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
     integrators are back-computed from the steady relations, with the
     inverter voltage read from the filter law."""
     n, net = model.n, model.network
-    solves_phi, solves_q = _unknown_layout(model)
+    unknowns = _unknowns(model)
     a, b, _, writes, _, _ = model.split(RefInputs.stack(refs))
     kv, ka = model.index("v_c_d"), model.index("i_a_d")
     b = b.reshape(n, -1)  # one source column, or one per member
@@ -217,7 +243,7 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
         lhs[writes] = eye[[ka, ka + 1, *writes[2:]]]
     # i_a is zero in the source columns and one unit (d, q) in the last two
     x = np.linalg.solve(lhs, np.concatenate((-scale * b, eye[:, writes[:2]]), axis=1))
-    z = np.zeros((n + solves_phi + solves_q, len(refs)))  # the closure unknowns last
+    z = np.zeros((n + len(unknowns), len(refs)))  # the closure unknowns last
     if not writes:  # the passive plant: the network is the whole plant
         z[:n] = x
         return z
@@ -264,7 +290,7 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
             o = (v_star - v_m - 1j * xf * i_m) / g.ki_c
             states.append((delta, 0.0, m.real, m.imag, o.real, o.imag))
     z[n - 6 : n] = np.array(states).T
-    if solves_q:
+    if "q_star" in unknowns:
         z[-1] = q
     return z
 
@@ -341,12 +367,11 @@ def _equilibrium(model: SystemModel, z: np.ndarray, refs: RefInputs, iterations,
                 true_norm,
                 detail=f"|{lab[:-2]}| = {mag:.3f} pu outside the sanity band {VOLTAGE_BAND}",
             )
-    solves_phi, solves_q = _unknown_layout(model)
     return EquilibriumPoint(
         state=x,
         refs=refs_out,
         phi_sc=refs_out.phi_sc,
-        q_star=refs_out.q_star if solves_q else None,
+        q_star=refs_out.q_star if "q_star" in _unknowns(model) else None,
         residual_norm=true_norm,
         iterations=iterations,
     )

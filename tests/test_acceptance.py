@@ -137,6 +137,12 @@ def test_c3_every_sweep_point_solves(full_sweep):
     assert failures == []
 
 
+def test_c3_sweep_newton_iterations_do_not_rise(full_sweep):
+    # the seed-0 sweep's Newton iterations in all, when the Jacobian was the
+    # difference of the whole residual; a less accurate Jacobian shows here
+    assert sum(r.newton_iterations for r in full_sweep) <= 1261
+
+
 def test_c3_residuals_below_1e8_spot_check():
     for case in GRID_CASES:
         for control, with_sc in ((GFL, False), (GFL, True), (GFM, False), (GFM, True)):

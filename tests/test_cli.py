@@ -175,6 +175,14 @@ def test_integer_beyond_float_range_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_t_end_below_dt_exit_2(tmp_path, capsys):
+    # each is in range alone; together the step response has no step to take
+    code, out = run(tmp_path, "step", "--set", "sim.t_end=1e-5", "--set", "sim.dt=1e-4")
+    assert code == 2
+    assert "config error: sim: t_end must be >= dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_exit_2(tmp_path, capsys):
     code, _ = run(tmp_path, "eig", "--set", "turbo=1")
     assert code == 2

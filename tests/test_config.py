@@ -144,6 +144,9 @@ def test_value_validation():
         parse_scenario({"sim": {"t_end": -1.0}})
     assert e.value.key == "sim"
     with pytest.raises(ConfigError) as e:
+        parse_scenario({"sim": {"t_end": 1e-5, "dt": 1e-4}})
+    assert str(e.value) == "sim: t_end must be >= dt, got t_end 1e-05 < dt 0.0001"
+    with pytest.raises(ConfigError) as e:
         parse_scenario({"grid": {"x_r": -1}})
     assert str(e.value) == "grid.x_r: grid case x_r must be >= 0, got -1.0"
     with pytest.raises(ConfigError) as e:

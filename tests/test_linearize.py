@@ -197,6 +197,26 @@ def test_linearize_batch_matches_three_differences(control, q_mode, with_sc):
             assert rel_matrix_err(mat, r[j]) <= 1e-9, (name, j)
 
 
+@pytest.mark.parametrize("with_sc", [False, True])
+@pytest.mark.parametrize("control, q_mode", [
+    (GFL, Q_MODE_REACTIVE), (GFL, Q_MODE_VOLTAGE), (GFM, Q_MODE_REACTIVE), (NO_CONVERTER, Q_MODE_REACTIVE),
+])
+def test_a_is_the_network_matrix_outside_the_controller_rows(control, q_mode, with_sc):
+    # only the controller's writes rows are differenced: every other row of A
+    # is the fault-free network matrix bit for bit, and C is the difference of
+    # measure over x bit for bit, alone as in a batch
+    s = Scenario(grid=GRID_CASES["weak"], control=control, q_mode=q_mode, with_sc=with_sc,
+                 op=OperatingPoint(1.0, 1.0, 0.5))
+    model = build_model(s)
+    eq = solve_equilibrium(model, refs_for(s))
+    ss = linearize(model, eq.state, eq.refs)
+    rows = [k for k in range(model.n) if k not in model.writes]
+    assert len(rows) == model.n - (8 if control != NO_CONVERTER else 0)
+    assert np.array_equal(ss.a[rows], model.split(eq.refs).a[rows])
+    _, _, c = linearize_by_blocks(model, [eq.state], [eq.refs], ss.input_labels)
+    assert np.array_equal(ss.c, c[0])
+
+
 def test_passive_full_matrix_matches_closed_form():
     model, refs = passive_model("normal", with_sc=True)
     assert model.n == 10

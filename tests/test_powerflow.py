@@ -17,16 +17,21 @@ from scipy.optimize import fsolve
 
 from wppsc.analysis import analyze_scenario
 from wppsc.components import (
-    CONTROLS, GFL, GFM, NO_CONVERTER, OMEGA0, Q_MODE_REACTIVE, Q_MODES, RefInputs,
+    CONTROLS, GFL, GFM, NO_CONVERTER, OMEGA0, Q_MODE_REACTIVE, Q_MODE_VOLTAGE, Q_MODES, RefInputs,
 )
-from wppsc.config import GRID_CASES, OperatingPoint, Scenario, build_model, refs_for
+from wppsc.config import (
+    GRID_CASES, OperatingPoint, Scenario, build_model, refs_for, standard_operating_points,
+)
+from wppsc.linearize import numjac
 from wppsc.netbase import GridCase, impedance_from_scr_xr
 from wppsc.powerflow import (
     VOLTAGE_BAND,
     EquilibriumPoint,
     InfeasibleError,
     NonConvergenceError,
+    _jacobian,
     _newton,
+    _residual,
     _row_scale,
     _solve,
     initial_guess,
@@ -426,3 +431,48 @@ def test_drawn_scenario_solves_or_fails_typed_alike_alone_and_in_a_batch(s):
         assert np.max(np.abs(batch.state - alone.state)) <= 1e-10 * max(1.0, np.max(np.abs(alone.state)))
     else:  # a failure is solved again alone
         assert (batch.iterations, batch.final_residual) == (alone.iterations, alone.final_residual)
+
+
+def newton_jacobian_by_difference(model, z, refs, scale):
+    """Reference: Newton's Jacobian as one central difference of the whole
+    row-scaled residual over z, the (n + k)-state way; numjac's column i is
+    member i % m."""
+    m = z.shape[1]
+    cycled = refs.take(np.arange(2 * z.shape[0] * m) % m)
+    return numjac(lambda zz: scale[:, None] * _residual(model, zz, cycled), z, eps=1e-7)
+
+
+@pytest.mark.parametrize("members", [1, 27])
+@pytest.mark.parametrize("with_sc", [False, True])
+@pytest.mark.parametrize("control, q_mode", [
+    (GFL, Q_MODE_REACTIVE), (GFL, Q_MODE_VOLTAGE), (GFM, Q_MODE_REACTIVE), (NO_CONVERTER, Q_MODE_REACTIVE),
+])
+def test_split_jacobian_matches_the_residual_difference(control, q_mode, with_sc, members):
+    # at Newton's start and at the solution, the split Jacobian is the
+    # difference of the whole residual wherever the nonlinear part enters:
+    # the controller's writes rows, the closure rows and the unknowns'
+    # columns (the condenser source rows of b enter there). Everywhere else it
+    # is the scaled network matrix bit for bit; there the reference holds only
+    # the rounding of a linear difference, up to 1.5e-9 of max|J| on the
+    # passive plant
+    ops = standard_operating_points()[:: 27 // members]
+    scenarios = [scenario("weak", control, with_sc, (op.v_g_ref, op.v_turb_ref, op.p_turb_ref),
+                          q_mode=q_mode) for op in ops]
+    model = build_model(scenarios[0])
+    refs = [refs_for(s) for s in scenarios]
+    stacked, scale, n = RefInputs.stack(refs), _row_scale(model), model.n
+    solved = ["phi_sc"] * with_sc + ["q_star"] * (control == GFL and q_mode == Q_MODE_REACTIVE)
+    z_eq = np.array([[*e.state, *(getattr(e, name) for name in solved)]
+                     for e in solve_equilibria(model, refs)]).T
+    size = n + len(solved)
+    nonlinear = np.zeros((size, size), dtype=bool)
+    nonlinear[model.writes], nonlinear[n:], nonlinear[:, n:] = True, True, True
+    exact = np.zeros((size, size))
+    exact[:n, :n] = scale[:n, None] * model.split(stacked).a
+    jac = _jacobian(model, scale)
+    for z in (initial_guess(model, refs, scale), z_eq):
+        assert z.shape == (size, members)
+        got, ref = jac(z, stacked), newton_jacobian_by_difference(model, z, stacked, scale)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)[:, nonlinear], initial=0.0) <= 1e-9 * np.max(np.abs(ref))
+        assert (got[:, ~nonlinear] == exact[~nonlinear]).all()
