@@ -179,7 +179,7 @@ def analyze_group(scenarios: Sequence[Scenario]) -> list[StabilityReport]:
     if not scenarios:
         return []
     first = scenarios[0]
-    if any(replace(s, op=first.op) != first for s in scenarios[1:]):
+    if any({**vars(s), "op": first.op} != vars(first) for s in scenarios[1:]):
         raise ValueError("the scenarios of a group may differ only in their operating point")
     model = build_model(first)
     eqs = solve_equilibria(model, [refs_for(s) for s in scenarios])

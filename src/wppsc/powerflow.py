@@ -17,10 +17,11 @@ or infeasible (stuck above 1e-3, e.g. power beyond the loadability limit).
 
 Newton starts from the assembled network matrix itself (initial_guess): one
 linear solve per batch with the converter current held, a constant-P fixed
-point on that current per member, and the controller integrators
-back-computed from their steady relations. With the shunt capacitors in the
-solve, the start lies on the normal, small-angle side of the power-flow nose
-curve even at weak-grid edges, where a second, large-angle solution exists.
+point on that current per member, and the controller integrators from one
+batched least-squares solve of the rows g writes, in which g is affine. With
+the shunt capacitors in the solve, the start lies on the normal, small-angle
+side of the power-flow nose curve even at weak-grid edges, where a second,
+large-angle solution exists.
 
 solve_equilibria solves the operating points of one model as one Newton on
 the columns of z: one Jacobian stack and one stacked solve per iteration,
@@ -36,13 +37,12 @@ inputs, i_sc and the closure unknowns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .components import GFL, GFM, OMEGA0, Q_MODE_REACTIVE, RefInputs, SystemModel, power_pair
+from .components import GFL, GFM, Q_MODE_REACTIVE, RefInputs, SystemModel, power_pair
 # numjac stays importable here for perfbench's tracer
 from .linearize import numjac, split_jacobian  # noqa: F401
 
@@ -228,13 +228,14 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
     driven by the members' sources and the state per unit converter current
     i_a: the rows the controller writes hold the controller states at zero
     and i_a at its value, and every other state law is at rest. Per member,
-    i_a then follows a constant-P fixed point on the turbine bus voltage,
-    the state is the superposition of the two, and the controller
-    integrators are back-computed from the steady relations, with the
-    inverter voltage read from the filter law."""
-    n, net = model.n, model.network
-    unknowns = _unknowns(model)
-    a, b, _, writes, _, _ = model.split(RefInputs.stack(refs))
+    i_a then follows a constant-P fixed point on the turbine bus voltage, and
+    the state is the superposition of the two. The controller angle is that
+    of v_c (negated for the grid-forming frame), and the four integrators
+    minimise Newton's row-scaled residual on the rows the controller writes:
+    g is affine in them, so its value with each set to one gives their
+    columns."""
+    n, stacked, unknowns = model.n, RefInputs.stack(refs), _unknowns(model)
+    a, b, reads, writes, _, _ = model.split(stacked)
     kv, ka = model.index("v_c_d"), model.index("i_a_d")
     b = b.reshape(n, -1)  # one source column, or one per member
     scale = scale[:n, None]
@@ -258,40 +259,17 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
             v_c = v_src[j % k] + v_d * i.real + v_q * i.imag
         i_a.append(i)
     z[:n] = x[:, :k] + x[:, k:] @ np.array([[i.real for i in i_a], [i.imag for i in i_a]])
-    kf = model.index("i_f_d")
-    v_inv = -model.lc[kf] * (a[kf : kf + 2] @ z[:n])  # the filter law at rest
-    states, q = [], []
-    for r, i_aj, u, w in zip(refs, i_a, z.T.tolist(), v_inv.T.tolist()):
-        v_c, i_f, v_inv_j = complex(*u[kv : kv + 2]), complex(*u[kf : kf + 2]), complex(*w)
-        q.append(power_pair(u[kv : kv + 2], u[ka : ka + 2])[1])  # q_star, when solved for
-        if model.control == GFL:
-            g = model.gfl
-            delta = math.atan2(v_c.imag, v_c.real)
-            spin = complex(math.cos(delta), math.sin(delta))
-            i_m = i_f / spin
-            v_m = v_c / spin
-            v_star = v_inv_j / spin
-            sign = -1.0 if model.q_mode == Q_MODE_REACTIVE else 1.0
-            o = (v_star - v_m) / g.ki_cc
-            states.append((delta, 0.0, i_m.real / g.ki_pc, sign * i_m.imag / g.ki_pc,
-                           o.real, o.imag))
-        else:
-            g = model.gfm
-            delta = -math.atan2(v_c.imag, v_c.real)
-            spin = complex(math.cos(delta), math.sin(delta))
-            i_m = i_f * spin
-            i_ff = i_aj * spin
-            v_m = v_c * spin
-            v_star = v_inv_j * spin
-            x_cf = 1.0 / (OMEGA0 * net.cf)
-            e_v = complex(r.v_turb_star, 0.0) - v_m
-            m = (i_m - i_ff - g.kp_v * e_v - 1j * v_m / x_cf) / g.ki_v
-            xf = OMEGA0 * net.lf
-            o = (v_star - v_m - 1j * xf * i_m) / g.ki_c
-            states.append((delta, 0.0, m.real, m.imag, o.real, o.imag))
-    z[n - 6 : n] = np.array(states).T
     if "q_star" in unknowns:
-        z[-1] = q
+        z[-1] = power_pair(z[kv : kv + 2], z[ka : ka + 2])[1]
+    z[n - 6] = np.arctan2(z[kv + 1], z[kv]) * (-1.0 if model.control == GFM else 1.0)
+    # the writes rows at five probes per member: the integrators at zero, then each at one
+    g, probes = model.controller(_refs_from_z(model, z, stacked)), np.eye(5, 4, -1).T[..., None]
+    f = np.repeat((a[writes] @ z[:n])[:, None], 5, axis=1)
+    for row, out in zip(f, g([*z[reads[:-4]], *probes])):
+        row += out
+    f *= scale[writes, :, None]
+    jt = (f[:, 1:] - f[:, :1]).transpose(2, 1, 0)  # per member, the integrators' columns as rows
+    z[n - 4 : n] = -np.linalg.solve(jt @ jt.transpose(0, 2, 1), jt @ f[:, 0].T[..., None])[..., 0].T
     return z
 
 

@@ -385,8 +385,14 @@ def test_analyze_group_isolates_an_infeasible_member():
 
 def test_analyze_group_rejects_scenarios_with_different_models():
     a = Scenario(name="weak", grid=GRID_CASES["weak"], control="gfl", with_sc=True)
-    with pytest.raises(ValueError, match="operating point"):
-        analyze_group([a, replace(a, with_sc=False)])
+    others = (
+        replace(a, with_sc=False),
+        replace(a, gfl=replace(a.gfl, kp_pll=a.gfl.kp_pll + 1.0)),  # a nested gain
+        replace(a, name="other"),
+    )
+    for b in others:
+        with pytest.raises(ValueError, match="operating point"):
+            analyze_group([a, b])
 
 
 def test_report_carries_the_solver_diagnostics():

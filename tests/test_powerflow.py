@@ -18,6 +18,7 @@ from scipy.optimize import fsolve
 from wppsc.analysis import analyze_scenario
 from wppsc.components import (
     CONTROLS, GFL, GFM, NO_CONVERTER, OMEGA0, Q_MODE_REACTIVE, Q_MODE_VOLTAGE, Q_MODES, RefInputs,
+    power_pair,
 )
 from wppsc.config import (
     GRID_CASES, OperatingPoint, Scenario, build_model, refs_for, standard_operating_points,
@@ -277,9 +278,34 @@ def test_initial_guess_structure():
     assert x0[model.index("v_c_d")] == pytest.approx(1.0, rel=0.1)
     assert x0[model.index("v_pcc_d")] == pytest.approx(1.0, rel=0.1)
     assert abs(x0[model.index("i_a_d")] - 1.0) <= 0.2
-    # one trailing slot for the condenser angle, one for solved q; both zero
+    # one trailing slot for the condenser angle, at zero, and one for solved
+    # q, at the converter's reactive power in the start state
     assert z.shape == (model.n + 2,)
     assert z[model.n] == 0.0
+    assert z[-1] == power_pair(model.pair(x0, "v_c_d"), model.pair(x0, "i_a_d"))[1]
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+@pytest.mark.parametrize("control", [GFL, GFM])
+@pytest.mark.parametrize("q_mode", Q_MODES)
+@pytest.mark.parametrize("with_sc", [True, False])
+def test_start_integrators_are_the_least_squares_solution(case, control, q_mode, with_sc):
+    # the start's four integrators minimise the row-scaled residual of the
+    # rows the controller writes, in which it is affine: moving each by one
+    # gives its column J, and the gradient J^T f vanishes at the start
+    scenarios = [scenario(case, control, with_sc, (op.v_g_ref, op.v_turb_ref, op.p_turb_ref),
+                          q_mode=q_mode) for op in standard_operating_points()]
+    model, members = build_model(scenarios[0]), [refs_for(s) for s in scenarios]
+    refs, scale = RefInputs.stack(members), _row_scale(model)
+    z = initial_guess(model, members, scale)
+
+    def f(zz):
+        return (scale[:, None] * _residual(model, zz, refs))[model.writes]
+
+    f0, n = f(z), model.n
+    jac = np.stack([f(z + np.eye(len(z), 1, -k)) - f0 for k in range(n - 4, n)], axis=1)
+    grad = np.einsum("rkm,rm->km", jac, f0)
+    assert np.max(np.abs(grad)) <= 1e-12 * np.max(np.abs(jac)) * max(1.0, np.max(np.abs(f0)))
 
 
 def test_initial_guess_no_load_passive():
