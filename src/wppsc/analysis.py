@@ -111,25 +111,21 @@ def _decompose(models: Sequence[StateSpaceModel]) -> list:
         return [LinearizationError(f"eigensolver failed: {exc}\nA =\n{dump}")]
     part = np.abs(vl.transpose(0, 2, 1) * vr)  # [member, state, mode]
     top = np.argsort(-part, axis=1, kind="stable")[:, :3].transpose(0, 2, 1)
+    re, im = w.real, w.imag
+    mag = np.hypot(re, im)  # abs of each mode, to the bit
+    keep = (im >= 0.0) & (mag >= NULL_MODE_TOL)
+    damp = np.divide(-re, mag, out=np.zeros_like(re), where=keep)
+    order = np.lexsort((im, -re, ~keep))  # per member: the kept modes first, by (-re, im)
+    cols = [np.take_along_axis(v, order, axis=1) for v in (re, im, damp, np.abs(im) / (2.0 * math.pi))]
+    tops = np.take_along_axis(top, order[..., None], axis=1)
     out = []
-    for lams, tops, ss in zip(w.tolist(), top.tolist(), models):
-        records: list[EigenRecord] = []
-        for lam, states in zip(map(complex, lams), tops):
-            if lam.imag >= 0.0 and abs(lam) >= NULL_MODE_TOL:
-                records.append(
-                    EigenRecord(
-                        re=lam.real,
-                        im=lam.imag,
-                        damping=damping(lam),
-                        freq_hz=abs(lam.imag) / (2.0 * math.pi),
-                        dominant_states=tuple(ss.state_labels[i] for i in states),
-                        conjugate_pair=lam.imag > 0.0,
-                    )
-                )
-        dropped = sum(abs(lam) < NULL_MODE_TOL for lam in lams)
+    for j, ss in enumerate(models):
+        kept, labels = int(keep[j].sum()), ss.state_labels
+        out.append([EigenRecord(r, i, d, f, tuple(labels[k] for k in t), i > 0.0) for r, i, d, f, t
+                    in zip(*(c[j, :kept].tolist() for c in cols), tops[j, :kept].tolist())])
+        dropped = int(np.count_nonzero(mag[j] < NULL_MODE_TOL))
         if dropped:
             log.info("filtered %d null mode(s) with |lambda| < %g", dropped, NULL_MODE_TOL)
-        out.append(sorted(records, key=lambda r: (-r.re, r.im)))
     return out
 
 

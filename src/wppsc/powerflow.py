@@ -8,20 +8,19 @@ turbine terminal voltage on its target. The grid source angle is fixed at
 zero, which removes the rotational null space from the Newton system.
 
 Newton iterates on a row-scaled residual (each branch/node row multiplied by
-its inductance/capacitance, controller rows normalized by their gain sums)
-so the Jacobian is well conditioned; convergence is judged on the true
-unscaled RHS with target 1e-10 and acceptance 1e-8 in the ∞-norm. A cold
-start that stalls is retried along a source/power ramp (continuation) before
-the case is declared non-convergent (residual stuck between 1e-8 and 1e-3)
-or infeasible (stuck above 1e-3, e.g. power beyond the loadability limit).
+its inductance/capacitance) so the Jacobian is well conditioned; convergence
+is judged after a step on the true unscaled RHS, with target 1e-10 and
+acceptance 1e-8 in the ∞-norm. A cold start that stalls is retried along a
+source/power ramp (continuation) before the case is declared non-convergent
+(residual stuck between 1e-8 and 1e-3) or infeasible (stuck above 1e-3, e.g.
+power beyond the loadability limit).
 
-Newton starts from the assembled network matrix itself (initial_guess): one
-linear solve per batch with the converter current held, a constant-P fixed
-point on that current per member, and the controller integrators from one
-batched least-squares solve of the rows g writes, in which g is affine. With
-the shunt capacitors in the solve, the start lies on the normal, small-angle
-side of the power-flow nose curve even at weak-grid edges, where a second,
-large-angle solution exists.
+Newton starts at the plant's power flow (initial_guess): every control
+settles with p_pc = p_star and |v_c| = v_turb_star at the turbine bus (a PV
+bus) and no active power at the condenser EMF, and the network is linear, so
+a small Newton on i_a and phi_sc (_power_flow) gives the whole state. Newton's
+first step certifies that start: a step whose true residual lands below
+target is taken whole, so a start at the solution takes one step, unhalved.
 
 solve_equilibria solves the operating points of one model as one Newton on
 the columns of z: one Jacobian stack and one stacked solve per iteration,
@@ -150,14 +149,9 @@ def _jacobian(model: SystemModel, scale: np.ndarray):
 
 def _row_scale(model: SystemModel) -> np.ndarray:
     """Multipliers that undo the stiff 1/L, 1/C factors row by row: each
-    network row's L or C (SystemModel.lc), the swing row's inertia and the
-    PLL row's gain sum, and 1 on every other row."""
+    network row's L or C (SystemModel.lc), and 1 on every other row."""
     out = np.ones(model.n + len(_unknowns(model)))
     out[: len(model.lc)] = model.lc
-    if model.control == GFL:
-        out[model.index("theta_pll")] = 1.0 / (1.0 + model.gfl.kp_pll + model.gfl.ki_pll)
-    elif model.control == GFM:
-        out[model.index("omega_pc")] = model.gfm.j_vsm
     return out
 
 
@@ -168,18 +162,19 @@ def _newton(
     scale: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on each column of z0 (size, m), refs stacked likewise.
-    A column leaves once its residual is below target or no step length
-    lowers its merit; only the others are evaluated. Returns (z, iterations,
-    true residual norms, converged), per column."""
+    Each column takes at least one step, a step that lowers its merit or
+    lands its true residual below target, and leaves once below target or
+    when no step length lowers its merit; only the others are evaluated.
+    Returns (z, iterations, true residual norms, converged), per column."""
     z = np.array(z0, dtype=float)
     f = _residual(model, z, refs)
     iters = np.full(z.shape[1], MAX_ITERATIONS)
     col_scale, jacobian = scale[:, None], _jacobian(model, scale)
     live = np.arange(z.shape[1])
     z_l, f_l, r_l = z, f, refs  # the columns still iterating
-    done = np.abs(f).max(axis=0) < RESIDUAL_TARGET
+    done = np.zeros(z.shape[1], dtype=bool)
     for it in range(1, MAX_ITERATIONS + 1):
-        if it == 1 or np.count_nonzero(done):  # columns leave: converged or stalled
+        if np.count_nonzero(done):  # columns leave: converged or stalled
             z[:, live], f[:, live] = z_l, f_l
             iters[live[done]] = it - 1
             live, z_l, f_l, r_l = live[~done], z_l[:, ~done], f_l[:, ~done], r_l.take(~done)
@@ -193,7 +188,8 @@ def _newton(
         for _ in range(MAX_HALVINGS + 1):
             z_try = z_l + lam * step
             f_try = _residual(model, z_try, r_l)
-            better = stalled & (np.linalg.norm(col_scale * f_try, axis=0) < merit)
+            better = stalled & ((np.linalg.norm(col_scale * f_try, axis=0) < merit)
+                                | (np.abs(f_try).max(axis=0) < RESIDUAL_TARGET))
             if better.all():  # every column takes this step
                 z_l, f_l, stalled = z_try, f_try, ~better
                 break
@@ -220,45 +216,38 @@ def _solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarray) -> np.ndarray:
-    """Newton's start for each member of refs, as the columns of z; scale is
-    Newton's row scale (_row_scale), which keeps the solve well conditioned at
-    any grid strength.
+    """Newton's start for each member of refs, as the columns of z: the
+    plant's power flow. scale is Newton's row scale (_row_scale), which
+    keeps the linear solve well conditioned at any grid strength.
 
-    One linear solve of the assembled fault-free network gives the state
-    driven by the members' sources and the state per unit converter current
-    i_a: the rows the controller writes hold the controller states at zero
-    and i_a at its value, and every other state law is at rest. Per member,
-    i_a then follows a constant-P fixed point on the turbine bus voltage, and
-    the state is the superposition of the two. The controller angle is that
-    of v_c (negated for the grid-forming frame), and the four integrators
-    minimise Newton's row-scaled residual on the rows the controller writes:
-    g is affine in them, so its value with each set to one gives their
-    columns."""
-    n, stacked, unknowns = model.n, RefInputs.stack(refs), _unknowns(model)
-    a, b, reads, writes, _, _ = model.split(stacked)
+    One linear solve of the fault-free network, with the rows the controller
+    writes holding i_a and the controller states, gives the state per grid
+    source, per unit i_a and per unit condenser EMF (d, q); the state is their
+    superposition at the i_a and phi_sc of _power_flow. The controller angle
+    is that of v_c (negated for the grid-forming frame), and the four
+    integrators minimise Newton's row-scaled residual on the rows the
+    controller writes: g is affine in them, so its value with each set to
+    one gives their columns."""
+    n, m, stacked, unknowns = model.n, len(refs), RefInputs.stack(refs), _unknowns(model)
+    a, b, reads, writes, _, _ = model.split(replace(stacked, phi_sc=0.0))
     kv, ka = model.index("v_c_d"), model.index("i_a_d")
-    b = b.reshape(n, -1)  # one source column, or one per member
-    scale = scale[:n, None]
-    k, eye, lhs = b.shape[1], np.eye(n), scale * a
+    b = b.reshape(n, -1)  # one grid source column, or one per member
+    k, eye, scale, ks = b.shape[1], np.eye(n), scale[:n, None], kv  # ks: i_sc's row, if any
+    lhs, rhs = scale * a, np.hstack((-scale * b, np.zeros((n, 4))))  # then unit i_a, unit EMF
     if writes:  # the i_f rows hold i_a, the controller rows hold their states
         lhs[writes] = eye[[ka, ka + 1, *writes[2:]]]
-    # i_a is zero in the source columns and one unit (d, q) in the last two
-    x = np.linalg.solve(lhs, np.concatenate((-scale * b, eye[:, writes[:2]]), axis=1))
-    z = np.zeros((n + len(unknowns), len(refs)))  # the closure unknowns last
+        rhs[writes[:2], [k, k + 1]] = 1.0
+    if model.has_sc:  # the EMF at angle 0 (d) and pi/2 (q), apart from the grid source
+        ks = model.index("i_sc_d")
+        rhs[[ks, ks + 1], [k + 2, k + 3]] = rhs[ks, 0]
+        rhs[ks : ks + 2, :k] = 0.0
+    x = np.linalg.solve(lhs, rhs)
+    u = _power_flow(model, x[kv] + 1j * x[kv + 1], x[ks] + 1j * x[ks + 1], k, stacked, m)
+    z = np.zeros((n + len(unknowns), m))  # the closure unknowns last, phi_sc first
+    z[:n] = x[:, :k] + x[:, k:] @ np.array([u[0], u[1], np.cos(u[2]), np.sin(u[2])])
+    z[n : n + model.has_sc] = u[2]
     if not writes:  # the passive plant: the network is the whole plant
-        z[:n] = x
         return z
-
-    v_c_cols = [complex(*v) for v in x[kv : kv + 2].T.tolist()]  # v_c of each column of x
-    v_src, v_d, v_q = v_c_cols[:k], v_c_cols[k], v_c_cols[k + 1]
-    i_a = []
-    for j, r in enumerate(refs):
-        v_c = complex(1.0, 0.0)
-        for _ in range(3):
-            i = (r.p_star / v_c).conjugate() if r.p_star != 0.0 else 0j
-            v_c = v_src[j % k] + v_d * i.real + v_q * i.imag
-        i_a.append(i)
-    z[:n] = x[:, :k] + x[:, k:] @ np.array([[i.real for i in i_a], [i.imag for i in i_a]])
     if "q_star" in unknowns:
         z[-1] = power_pair(z[kv : kv + 2], z[ka : ka + 2])[1]
     z[n - 6] = np.arctan2(z[kv + 1], z[kv]) * (-1.0 if model.control == GFM else 1.0)
@@ -271,6 +260,51 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
     jt = (f[:, 1:] - f[:, :1]).transpose(2, 1, 0)  # per member, the integrators' columns as rows
     z[n - 4 : n] = -np.linalg.solve(jt @ jt.transpose(0, 2, 1), jt @ f[:, 0].T[..., None])[..., 0].T
     return z
+
+
+def _power_flow(model: SystemModel, v, i_sc, k: int, refs: RefInputs, m: int) -> np.ndarray:
+    """The plant's power flow of m members, as the columns of u: i_a (d, q)
+    and phi_sc with p_pc = p_star and |v_c| = v_turb_star at the turbine bus
+    and no active power at the condenser EMF, on the equations whose
+    unknowns the plant has; v and i_sc are the v_c and i_sc phasors of the
+    columns of initial_guess's network solve. A damped Newton in which each
+    member steps, halves and stops on its own, at its best finite iterate,
+    from i_a at p_star / vt in phase with v_c at zero i_a and, with the
+    condenser, the EMF angle without power at that i_a."""
+    (v0, va, vs), (s0, sa, ss) = ((c[:k], c[k], c[k + 2]) for c in (v, i_sc))
+    p, vt, e_mag = refs.p_star, refs.v_turb_star, model.sc.e_mag if model.has_sc else 0.0
+    rows = np.flatnonzero([bool(model.writes)] * 2 + [model.has_sc])
+    sel, d_i, d_e = np.ix_(rows, rows), np.array([[1.0], [1j], [0.0]]), np.array([[0.0], [0.0], [1j]])
+    dv_i, dsc_i, d_ic = va * d_i, sa * d_i, d_i.conj()  # over (i_a d, i_a q, phi_sc)
+    u, i = np.zeros((3, m)), p / vt * np.exp(1j * np.angle(v0 + vs))
+    u[0], u[1] = i.real, i.imag
+    if e_mag:  # Re(e conj(g)) = -Re(ss) on the EMF e, g the i_sc with the EMF shorted
+        g = s0 + sa * i
+        u[2] = np.angle(g) + np.arccos(np.clip(-ss.real / np.abs(g), -1.0, 1.0))
+
+    def flow(u: np.ndarray) -> tuple:  # the residual rows, and their Jacobian per member
+        i, e = u[0] + 1j * u[1], np.exp(1j * u[2])
+        vc, isc, de = v0 + va * i + vs * e, s0 + sa * i + ss * e, d_e * e
+        ic, vcc, iscc, dv = i.conj(), vc.conj(), isc.conj(), dv_i + vs * de
+        f = np.array([vc * ic - p, vc * vcc - vt**2, e_mag * e * iscc]).real
+        jac = np.array([dv * ic + vc * d_ic, 2.0 * vcc * dv, e_mag * (de * iscc + e * (dsc_i + ss * de).conj())])
+        return f[rows], jac.real[sel].transpose(2, 0, 1)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trial is never taken
+        f, jac = flow(u)
+        merit, lam, step = (f * f).sum(axis=0), np.ones(m), np.zeros_like(u)
+        for _ in range(MAX_ITERATIONS * (MAX_HALVINGS + 1)):  # a step, or a halving of it
+            live = (merit >= RESIDUAL_TARGET**2) & (lam >= 0.5**MAX_HALVINGS)
+            if not live.any():
+                break
+            step[rows] = np.where(lam == 1.0, _solve(jac, -f), step[rows])
+            f_try, jac_try = flow(u + lam * step)
+            m_try = (f_try * f_try).sum(axis=0)
+            better = live & (m_try < merit)
+            u, f, merit = (np.where(better, new, old)
+                           for new, old in ((u + lam * step, u), (f_try, f), (m_try, merit)))
+            jac, lam = np.where(better[:, None, None], jac_try, jac), np.where(better, 1.0, 0.5 * lam)
+    return u
 
 
 def _ramped_refs(refs: RefInputs, lam: float) -> RefInputs:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wppsc.analysis import (
+    NULL_MODE_TOL,
     EigenRecord,
     analyze_group,
     analyze_scenario,
@@ -24,9 +25,9 @@ from wppsc.config import (
     refs_for,
     standard_operating_points,
 )
-from wppsc.linearize import LinearizationError, StateSpaceModel, linearize
+from wppsc.linearize import LinearizationError, StateSpaceModel, linearize, linearize_batch
 from wppsc.netbase import GridCase
-from wppsc.powerflow import solve_equilibrium
+from wppsc.powerflow import solve_equilibria, solve_equilibrium
 from wppsc.sim import zoh_step
 
 from plant_oracle import rotated_refs, rotated_state
@@ -346,6 +347,36 @@ def test_spectra_retry_a_failed_stack_one_matrix_at_a_time(monkeypatch):
     assert isinstance(out[1], LinearizationError)
     assert "eigensolver failed" in str(out[1])
     assert [out[0], out[2]] == expected
+
+
+def mode_by_mode_records(ss):
+    """The records of ss built one mode at a time from Python complex
+    numbers, the way spectra's stacked construction must reproduce bit for
+    bit."""
+    w, vr = np.linalg.eig(ss.a)
+    part = np.abs(np.linalg.inv(vr).T * vr)
+    records = []
+    for k, lam in enumerate(map(complex, w.tolist())):
+        if lam.imag >= 0.0 and abs(lam) >= NULL_MODE_TOL:
+            top = np.argsort(-part[:, k], kind="stable")[:3].tolist()
+            records.append(EigenRecord(lam.real, lam.imag, damping(lam), abs(lam.imag) / (2.0 * math.pi),
+                                       tuple(ss.state_labels[i] for i in top), lam.imag > 0.0))
+    return sorted(records, key=lambda r: (-r.re, r.im))
+
+
+def test_spectra_records_match_a_mode_by_mode_reference():
+    base = Scenario(name="weak", grid=GRID_CASES["weak"], control="gfl", with_sc=True)
+    model = build_model(base)
+    eqs = solve_equilibria(model, [refs_for(replace(base, op=op)) for op in standard_operating_points()])
+    plants = linearize_batch(model, [e.state for e in eqs], [e.refs for e in eqs])
+    # with null modes, a real spectrum, and a repeated eigenvalue
+    small = [make_ss(np.diag([0.0, -1.0, -1.0])), make_ss([[0.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])]
+    for group in (plants, small):
+        for got, ss in zip(spectra(group), group):
+            want = mode_by_mode_records(ss)
+            assert [tuple(vars(r).values()) for r in got] == [tuple(vars(r).values()) for r in want]
+            assert all(type(r.re) is float and type(r.damping) is float and type(r.conjugate_pair) is bool
+                       and all(type(lab) is str for lab in r.dominant_states) for r in got)
 
 
 def assert_same_report(got, ref):
