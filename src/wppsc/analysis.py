@@ -129,13 +129,8 @@ def _decompose(models: Sequence[StateSpaceModel]) -> list:
     return out
 
 
-def classify(
-    records: Sequence[EigenRecord],
-    tol: float = STABILITY_TOL,
-    *,
-    null_modes: int = 0,
-) -> StabilityReport:
-    """Stable iff every record has re < tol; flags lightly damped modes
+def classify(records: Sequence[EigenRecord], *, null_modes: int = 0) -> StabilityReport:
+    """Stable iff every record has re < STABILITY_TOL; flags lightly damped modes
     in the 40..60 Hz band. The scenario fields are left blank."""
     max_re = max((r.re for r in records), default=float("-inf"))
     low = [r for r in records if r.im > 0.0 and r.freq_hz < 100.0]
@@ -152,7 +147,7 @@ def classify(
         control="",
         with_sc=False,
         op=None,
-        stable=max_re < tol,
+        stable=max_re < STABILITY_TOL,
         max_re=max_re,
         min_damping_below_100hz=min_damp,
         eigen=tuple(records),
@@ -241,17 +236,18 @@ def sweep(
     return reports
 
 
-_CHANNELS = {"power": ("p_star",), "voltage": ("v_turb_star", "q_star")}
+# the references a linear step on each channel may drive, first present wins
+CHANNELS = {"power": ("p_star",), "voltage": ("v_turb_star", "q_star")}
 
 
 def step_input(channel: str, input_labels: Sequence[str]) -> str:
     """The input among input_labels that a step on channel drives."""
-    if channel not in _CHANNELS:
-        raise ValueError(f"channel must be one of {sorted(_CHANNELS)}, got {channel!r}")
-    hits = [name for name in _CHANNELS[channel] if name in input_labels]
+    if channel not in CHANNELS:
+        raise ValueError(f"channel must be one of {sorted(CHANNELS)}, got {channel!r}")
+    hits = [name for name in CHANNELS[channel] if name in input_labels]
     if not hits:
         raise ValueError(
-            f"channel {channel!r} needs one of {_CHANNELS[channel]} in input labels {input_labels}"
+            f"channel {channel!r} needs one of {CHANNELS[channel]} in input labels {input_labels}"
         )
     return hits[0]
 

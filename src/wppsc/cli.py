@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import eigenvalues, step_input, step_response, sweep
+from .analysis import CHANNELS, eigenvalues, step_input, step_response, sweep
 from .config import (
     ConfigError,
     Scenario,
@@ -48,8 +48,8 @@ _SUBCOMMANDS = {
     "fault": "nonlinear time-domain run with the configured event schedule",
 }
 
-# linear response channels by stepped reference
-_STEP_CHANNEL_MAP = {"p_star": "power", "v_turb_star": "voltage", "q_star": "voltage"}
+# linear response channels by stepped reference: analysis's table inverted
+_STEP_CHANNEL_MAP = {name: ch for ch, names in CHANNELS.items() for name in names}
 
 
 def _fmt(value) -> str:

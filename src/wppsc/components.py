@@ -13,6 +13,12 @@ PCC bus -> grid Thevenin branch, with the synchronous condenser branch also
 tied to the PCC. The PCC carries a small shunt capacitance so the node law
 is an ODE rather than an algebraic constraint.
 
+Each parameter set is one record, in the units a scenario states it in,
+that checks its own ranges: ScParams, GflParams, GfmParams and NetworkSpec
+here, and the grid's Thevenin branch as a netbase.Impedance. Reactances are
+pu at 50 Hz; SystemModel's law table is the one place they become
+inductances and capacitances.
+
 Every branch and node law is linear in the state. SystemModel states each
 once, in one table of (state, s, {column: z}) entries that read
 s dx/dt = sum of z x_column, with s the branch inductance or the node
@@ -42,6 +48,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+
+from .netbase import Impedance
 
 TWO_PI = 2.0 * math.pi
 OMEGA0 = TWO_PI * 50.0  # rad/s at 50 Hz
@@ -78,20 +86,6 @@ def _block(z: complex) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # parameter sets
-
-
-@dataclass(frozen=True)
-class GridParams:
-    """Thevenin grid branch rg + j xg behind the v_g_ref source (RefInputs)."""
-
-    rg: float
-    xg: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.xg) and self.xg > 0.0):
-            raise ValueError(f"grid xg must be > 0, got {self.xg}")
-        if not (math.isfinite(self.rg) and self.rg >= 0.0):
-            raise ValueError(f"grid rg must be >= 0, got {self.rg}")
 
 
 @dataclass(frozen=True)
@@ -165,34 +159,30 @@ class GfmParams:
 
 
 @dataclass(frozen=True)
-class FilterCableParams:
-    """Converter filter, lumped array-cable/plant-transformer branch and PCC
-    shunt. Inductances and capacitances are pu (reactance = omega0 * l,
-    capacitive reactance = 1 / (omega0 * c))."""
+class NetworkSpec:
+    """Converter filter rf + j xf with its shunt capacitor of reactance x_cf,
+    lumped array-cable (ra + j xa) and plant-transformer (rtf + j xtf)
+    branch, and the PCC shunt capacitance c_pcc. Reactances are pu at the
+    nominal frequency; SystemModel turns them into L and C once."""
 
-    rf: float
-    lf: float
-    cf: float
-    ra: float
-    la: float
-    rtf: float
-    ltf: float
+    rf: float = 0.005
+    xf: float = 0.08
+    x_cf: float = 15.0
+    ra: float = 0.006
+    xa: float = 0.03
+    rtf: float = 0.005
+    xtf: float = 0.06
     c_pcc: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not self.lf > 0.0:
-            raise ValueError(f"filter lf must be > 0, got {self.lf}")
-        if not self.cf > 0.0:
-            raise ValueError(f"filter cf must be > 0, got {self.cf}")
-        if not self.la + self.ltf > 0.0:
-            raise ValueError(f"array+transformer inductance must be > 0, got {self.la + self.ltf}")
-        if not self.c_pcc > 0.0:
-            raise ValueError(f"c_pcc must be > 0, got {self.c_pcc}")
-        for name in ("rf", "ra", "rtf"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.la < 0.0 or self.ltf < 0.0:
-            raise ValueError("la and ltf must be >= 0")
+        for name, v in vars(self).items():
+            op, ok = (">", v > 0.0) if name in ("xf", "x_cf", "c_pcc") else (">=", v >= 0.0)
+            if not (math.isfinite(v) and ok):
+                raise ValueError(f"network {name} must be {op} 0, got {v}")
+        if not self.xa + self.xtf > 0.0:
+            raise ValueError(f"network xa + xtf must be > 0, got {self.xa + self.xtf}")
+        if not 1.0 / (OMEGA0 * self.x_cf) > 0.0:  # SystemModel's cf
+            raise ValueError(f"network x_cf must leave 1 / (omega0 x_cf) > 0, got {self.x_cf}")
 
 
 @dataclass(frozen=True)
@@ -291,7 +281,9 @@ def gfl_controller(
     return g
 
 
-def gfm_controller(p: GfmParams, refs: RefInputs, flt: FilterCableParams) -> Callable[[Sequence], tuple]:
+def gfm_controller(
+    p: GfmParams, refs: RefInputs, lf: float, cf: float
+) -> Callable[[Sequence], tuple]:
     """Grid-forming control (swing synchronization, outer voltage PI with
     capacitor-current feedforward, inner current PI with inductor
     feedforward) with its gains and refs bound: g(u) -> the eight
@@ -308,8 +300,8 @@ def gfm_controller(p: GfmParams, refs: RefInputs, flt: FilterCableParams) -> Cal
     may be floats or m-vectors, as for gfl_controller.
     """
     j_vsm, d_p, kp_v, ki_v, kp_c, ki_c = p.j_vsm, p.d_p, p.kp_v, p.ki_v, p.kp_c, p.ki_c
-    p_star, v_star, lf = refs.p_star, refs.v_turb_star, flt.lf
-    b_cf = OMEGA0 * flt.cf  # capacitor susceptance 1 / x_cf
+    p_star, v_star = refs.p_star, refs.v_turb_star
+    b_cf = OMEGA0 * cf  # capacitor susceptance 1 / x_cf
     xf = OMEGA0 * lf
 
     def g(u: Sequence) -> tuple:
@@ -373,8 +365,8 @@ class SystemModel:
 
     def __init__(
         self,
-        grid: GridParams,
-        network: FilterCableParams,
+        grid: Impedance,
+        network: NetworkSpec,
         control: str = GFL,
         gfl: Optional[GflParams] = None,
         gfm: Optional[GfmParams] = None,
@@ -395,16 +387,20 @@ class SystemModel:
 
         # each network law as (state, s, {column: z}): s dx/dt = sum of z x_column
         # over dq pairs, s the branch inductance or the node capacitance; split
-        # adds the sources, the controller the inverter voltage
-        net, l_at = network, network.la + network.ltf
-        laws = [("i_g", grid.xg / OMEGA0, {"i_g": complex(-grid.rg, grid.xg), "v_pcc": -1.0})]
+        # adds the sources, the controller the inverter voltage. The only place
+        # a reactance becomes an L or a C.
+        net = network
+        lf, cf = net.xf / OMEGA0, 1.0 / (OMEGA0 * net.x_cf)
+        l_at = net.xa / OMEGA0 + net.xtf / OMEGA0
+        self._lf, self._cf = lf, cf  # bound into the controller
+        laws = [("i_g", grid.x / OMEGA0, {"i_g": complex(-grid.r, grid.x), "v_pcc": -1.0})]
         if sc is not None:
             laws.append(("i_sc", sc.x_sub / OMEGA0,
                          {"i_sc": complex(-sc.r_tr, sc.x_sub + sc.x_tr), "v_pcc": -1.0}))
         if control != NO_CONVERTER:
-            laws.append(("i_f", net.lf, {"i_f": complex(-net.rf, OMEGA0 * net.lf), "v_c": -1.0}))
+            laws.append(("i_f", lf, {"i_f": complex(-net.rf, OMEGA0 * lf), "v_c": -1.0}))
         laws += [
-            ("v_c", net.cf, {"i_f": 1.0, "v_c": 1j * OMEGA0 * net.cf, "i_a": -1.0}),
+            ("v_c", cf, {"i_f": 1.0, "v_c": 1j * OMEGA0 * cf, "i_a": -1.0}),
             ("i_a", l_at, {"v_c": 1.0, "i_a": complex(-(net.ra + net.rtf), OMEGA0 * l_at), "v_pcc": -1.0}),
             ("v_pcc", net.c_pcc, {"i_g": 1.0, "i_sc": 1.0, "i_a": 1.0, "v_pcc": 1j * OMEGA0 * net.c_pcc}),
         ]
@@ -531,7 +527,7 @@ class SystemModel:
         """The entries of Split.b by state row: the grid source drives the
         i_g rows and the condenser EMF the i_sc rows. Each is a float or an
         m-vector, as the refs' fields are."""
-        e_g = refs.v_g_ref * OMEGA0 / self.grid.xg
+        e_g = refs.v_g_ref * OMEGA0 / self.grid.x
         out = {0: e_g * np.cos(refs.v_g_angle), 1: e_g * np.sin(refs.v_g_angle)}
         if self.sc is not None:
             k = self._idx["i_sc_d"]
@@ -542,9 +538,9 @@ class SystemModel:
     def controller(self, refs: RefInputs) -> Callable[[Sequence], Sequence]:
         """Split.g: the controller with its gains and refs bound."""
         if self.control == GFL:
-            return gfl_controller(self.gfl, refs, self.q_mode, self.network.lf)
+            return gfl_controller(self.gfl, refs, self.q_mode, self._lf)
         if self.control == GFM:
-            return gfm_controller(self.gfm, refs, self.network)
+            return gfm_controller(self.gfm, refs, self._lf, self._cf)
         return lambda u: ()
 
     def rhs(
@@ -582,9 +578,10 @@ class SystemModel:
 
     # -- measurements ---------------------------------------------------------
 
-    def measure_powers(self, x: np.ndarray, refs: RefInputs) -> dict:
-        """Interface powers: converter output (turbine bus into the array
-        branch), grid source, condenser EMF. x may be a batch of columns."""
+    def measure(self, x: np.ndarray, refs: RefInputs) -> dict:
+        """Interface powers (converter output: turbine bus into the array
+        branch; grid source; condenser EMF), then the turbine and PCC voltage
+        magnitudes. x may be a batch of columns."""
         out = {}
         out["p_pc"], out["q_pc"] = power_pair(self.pair(x, "v_c_d"), self.pair(x, "i_a_d"))
         v_g = (refs.v_g_ref * np.cos(refs.v_g_angle), refs.v_g_ref * np.sin(refs.v_g_angle))
@@ -594,10 +591,6 @@ class SystemModel:
             out["p_sc"], out["q_sc"] = power_pair(v_sc, self.pair(x, "i_sc_d"))
         else:
             out["p_sc"], out["q_sc"] = 0.0, 0.0
-        return out
-
-    def measure(self, x: np.ndarray, refs: RefInputs) -> dict:
-        out = self.measure_powers(x, refs)
         v_c = self.pair(x, "v_c_d")
         v_pcc = self.pair(x, "v_pcc_d")
         out["v_c_mag"] = np.hypot(v_c[0], v_c[1])

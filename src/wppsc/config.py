@@ -1,17 +1,22 @@
 """Scenario schema: parsing, validation, defaults and model assembly.
 
 A scenario is a plain JSON-compatible dict whose sections are the frozen
-dataclasses that describe the study case (the grid, the gains of the
-configured control, the condenser, the network and the operating point),
-each keyed by its field names. control and sim hold Scenario's own fields
-under their config names, and sc.enabled is Scenario.with_sc, the one
-condenser switch. to_dict writes a scenario in field order, and the default
-scenario so written, once at import, is the schema: one reader checks each
-section against its defaults for unknown keys, each value's type (that of
-its default), finiteness and the allowed control and q-channel names, and
-reports problems by dotted key path so a CLI user can find the offending
-entry; each class checks its own ranges. The fully-resolved dict
-round-trips losslessly through to_dict()/parse_scenario().
+dataclasses that describe the study case, each keyed by its field names:
+the grid (netbase.GridCase or Impedance), the configured control's gains
+(GflParams, GfmParams), the condenser (ScParams) and the network
+(NetworkSpec, also importable from here), all from components, and the
+operating point (OperatingPoint). control and sim hold Scenario's own
+fields under their config names, and sc.enabled is Scenario.with_sc, the
+one condenser switch. to_dict writes a scenario in field order, and the
+default scenario so written, once at import, is the schema: one reader
+checks each section against its defaults for unknown keys, each value's
+type (that of its default), finiteness and the allowed control and
+q-channel names, and reports problems by dotted key path so a CLI user can
+find the offending entry; each class checks its own ranges, and the grid
+branch's reactance is checked where build_model reads it (_grid_branch).
+build_model hands that branch and the network record to SystemModel as they
+are. The fully-resolved dict round-trips losslessly through
+to_dict()/parse_scenario().
 """
 
 from __future__ import annotations
@@ -26,13 +31,11 @@ from .components import (
     GFL,
     GFM,
     NO_CONVERTER,
-    OMEGA0,
     Q_MODE_REACTIVE,
     Q_MODES,
-    FilterCableParams,
     GflParams,
     GfmParams,
-    GridParams,
+    NetworkSpec,
     RefInputs,
     ScParams,
     SystemModel,
@@ -65,35 +68,6 @@ class OperatingPoint:
             raise ValueError(f"v_turb_ref must be in [0.8, 1.2], got {self.v_turb_ref}")
         if not 0.0 <= self.p_turb_ref <= 1.2:
             raise ValueError(f"p_turb_ref must be in [0, 1.2], got {self.p_turb_ref}")
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    """Engineering-units network description (reactances at 50 Hz)."""
-
-    rf: float = 0.005
-    xf: float = 0.08
-    x_cf: float = 15.0
-    ra: float = 0.006
-    xa: float = 0.03
-    rtf: float = 0.005
-    xtf: float = 0.06
-    c_pcc: float = 1e-4
-
-    def to_params(self) -> FilterCableParams:
-        """Inductances and capacitances in pu at the nominal frequency."""
-        if self.x_cf == 0.0:  # an infinite filter capacitance
-            raise ValueError(f"filter x_cf must be > 0, got {self.x_cf}")
-        return FilterCableParams(
-            rf=self.rf,
-            lf=self.xf / OMEGA0,
-            cf=1.0 / (OMEGA0 * self.x_cf),
-            ra=self.ra,
-            la=self.xa / OMEGA0,
-            rtf=self.rtf,
-            ltf=self.xtf / OMEGA0,
-            c_pcc=self.c_pcc,
-        )
 
 
 @dataclass(frozen=True)
@@ -149,16 +123,19 @@ def standard_operating_points() -> tuple[OperatingPoint, ...]:
     )
 
 
-def _grid_params(grid: GridCase | Impedance) -> GridParams:
+def _grid_branch(grid: GridCase | Impedance) -> Impedance:
+    """The Thevenin branch of a grid entry, which needs a reactance."""
     z = grid if isinstance(grid, Impedance) else impedance_from_scr_xr(grid)
-    return GridParams(rg=z.r, xg=z.x)
+    if not z.x > 0.0:
+        raise ValueError(f"grid x must be > 0, got {z.x}")
+    return z
 
 
 def build_model(sc_spec: Scenario) -> SystemModel:
     """Assemble the nonlinear plant for a scenario."""
     return SystemModel(
-        grid=_grid_params(sc_spec.grid),
-        network=sc_spec.network.to_params(),
+        grid=_grid_branch(sc_spec.grid),
+        network=sc_spec.network,
         control=sc_spec.control,
         gfl=sc_spec.gfl,
         gfm=sc_spec.gfm,
@@ -289,7 +266,7 @@ def _parse_grid(d: Any) -> GridCase | Impedance:
         grid = GridCase(**_DEFAULTS["grid"])
         for k, v in _read(d, _DEFAULTS["grid"], "grid").items():  # an error names its field
             grid = _build(f"grid.{k}", replace, grid, **{k: v})
-    _build("grid", _grid_params, grid)  # the Thevenin branch needs a reactance
+    _build("grid", _grid_branch, grid)
     return grid
 
 
@@ -336,7 +313,6 @@ def parse_scenario(raw: dict) -> Scenario:
     with_sc = sc.pop("enabled")
     sc = _build("sc", ScParams, **sc)
     network = _section(top, "network", NetworkSpec)
-    _build("network", network.to_params)
     op = _section(top, "op", OperatingPoint)
     sim = _read(top["sim"], _DEFAULTS["sim"], "sim")
     return _build(

@@ -157,12 +157,7 @@ def _measurement_scenario(scenario: Scenario) -> Scenario:
 
 
 def measure_scr_from_fault(
-    scenario: Scenario,
-    *,
-    t_fault: float = FAULT_START,
-    window: float = MEASUREMENT_WINDOW,
-    r_fault: float = FAULT_RESISTANCE,
-    dt: float = 1e-4,
+    scenario: Scenario, *, window: float = MEASUREMENT_WINDOW
 ) -> ScrMeasurement:
     """Measure the short-circuit ratio at the turbine MV bus.
 
@@ -180,14 +175,14 @@ def measure_scr_from_fault(
     eq = solve_equilibrium(model, refs_for(meas))
     v_pre = math.hypot(*model.pair(eq.state, "v_c_d"))
 
-    t_end = t_fault + window
+    t_end = FAULT_START + window
     ts = integrate(
         model,
         eq.state,
         eq.refs,
         t_end=t_end,
-        dt=dt,
-        events=[Event.fault_on(t_fault, "wt_mv", r_fault)],
+        dt=1e-4,
+        events=[Event.fault_on(FAULT_START, "wt_mv", FAULT_RESISTANCE)],
     )
     if ts.diverged or ts.aborted:
         raise MeasurementInvalid(f"fault run did not complete: {ts.note}")
@@ -217,17 +212,15 @@ class ScrReport:
     rel_dev: float
 
 
-def enhancement_report(
-    cases: tuple[str, ...] = ("weak", "normal", "strong"),
-    base: "Scenario | None" = None,
-) -> list[ScrReport]:
-    """Closed-form vs measured enhancement for the named grid cases.
+def enhancement_report(base: "Scenario | None" = None) -> list[ScrReport]:
+    """Closed-form vs measured enhancement for the three grid cases
+    (GRID_CASES).
 
     `base`, when given, supplies the condenser and network parameters; the
-    grid branch always comes from the named case.
+    grid branch always comes from the case.
     """
     rows = []
-    for case in cases:
+    for case in GRID_CASES:
         s = preset_scenario(case, control=NO_CONVERTER, with_sc=True, p_turb_ref=0.0)
         if base is not None:
             s = replace(s, sc=base.sc, network=base.network)

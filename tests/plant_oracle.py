@@ -1,6 +1,8 @@
 """Per-component network right-hand sides and the plant composed from them.
 
-These are the branch and node equations written one component at a time.
+These are the branch and node equations written one component at a time,
+from the scenario's own records (the grid Impedance, NetworkSpec, ScParams):
+each converts its reactances to inductances and capacitances itself.
 The library evaluates the same network as one assembled state matrix
 (``SystemModel.rhs``); the tests keep the component form as the reference it
 must reproduce. The frame-rotation helpers at the end move a state and its
@@ -22,14 +24,14 @@ from wppsc.components import (
     NO_CONVERTER,
     OMEGA0,
     FaultSpec,
-    FilterCableParams,
-    GridParams,
+    NetworkSpec,
     RefInputs,
     ScParams,
     SystemModel,
     gfl_controller,
     gfm_controller,
 )
+from wppsc.netbase import Impedance
 
 
 def jrot(v: np.ndarray) -> np.ndarray:
@@ -37,18 +39,24 @@ def jrot(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]])
 
 
+def filter_lc(p: NetworkSpec, omega0: float = OMEGA0) -> tuple[float, float]:
+    """Filter inductance and capacitor capacitance from their reactances:
+    L_f = X_f / omega0, C_f = 1 / (omega0 X_cf)."""
+    return p.xf / omega0, 1.0 / (omega0 * p.x_cf)
+
+
 def grid_rhs(
     i_g: np.ndarray,
     v_pcc: np.ndarray,
-    p: GridParams,
+    p: Impedance,
     omega0: float = OMEGA0,
     v_g: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Grid branch: L_g di/dt = -R_g i + j X_g i + v_g - v_pcc."""
     if v_g is None:  # a 1 pu source at zero angle
         v_g = np.array([1.0, 0.0])
-    l_g = p.xg / omega0
-    return (-p.rg * i_g + p.xg * jrot(i_g) + v_g - v_pcc) / l_g
+    l_g = p.x / omega0
+    return (-p.r * i_g + p.x * jrot(i_g) + v_g - v_pcc) / l_g
 
 
 def sc_rhs(
@@ -77,7 +85,7 @@ def filter_cable_rhs(
     i_a: np.ndarray,
     v_pcc: np.ndarray,
     v_inv: np.ndarray,
-    p: FilterCableParams,
+    p: NetworkSpec,
     omega0: float = OMEGA0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Converter filter branch, shunt capacitor node and lumped array branch.
@@ -85,23 +93,24 @@ def filter_cable_rhs(
         L_f  di_f/dt = -R_f i_f + j X_f i_f - v_c + v_inv
         C_f  dv_c/dt = i_f - i_a + j omega0 C_f v_c
         L_at di_a/dt = v_c - R_at i_a + j X_at i_a - v_pcc
-    """
-    xf = omega0 * p.lf
-    di_f = (-p.rf * i_f + xf * jrot(i_f) - v_c + v_inv) / p.lf
 
-    dv_c = (i_f - i_a) / p.cf + omega0 * jrot(v_c)
+    with L = X / omega0 for each branch and C_f from X_cf (filter_lc).
+    """
+    lf, cf = filter_lc(p, omega0)
+    di_f = (-p.rf * i_f + p.xf * jrot(i_f) - v_c + v_inv) / lf
+
+    dv_c = (i_f - i_a) / cf + omega0 * jrot(v_c)
 
     r_at = p.ra + p.rtf
-    l_at = p.la + p.ltf
-    x_at = omega0 * l_at
-    di_a = (v_c - r_at * i_a + x_at * jrot(i_a) - v_pcc) / l_at
+    x_at = p.xa + p.xtf
+    di_a = (v_c - r_at * i_a + x_at * jrot(i_a) - v_pcc) / (x_at / omega0)
     return di_f, dv_c, di_a
 
 
 def pcc_node_rhs(
     v_pcc: np.ndarray,
     i_net: np.ndarray,
-    p: FilterCableParams,
+    p: NetworkSpec,
     omega0: float = OMEGA0,
 ) -> np.ndarray:
     """PCC shunt node: C_pcc dv/dt = sum of branch currents into the bus
@@ -133,6 +142,7 @@ def composed_rhs(
     same fault treatments as ``SystemModel.rhs``."""
     net = model.network
     w0 = OMEGA0
+    lf, cf = filter_lc(net, w0)
 
     i_g = model.pair(x, "i_g_d")
     i_sc = model.pair(x, "i_sc_d") if model.sc is not None else None
@@ -143,7 +153,7 @@ def composed_rhs(
     v_pcc = model.pair(x, "v_pcc_d")
 
     fault_bus = fault.bus if (fault is not None and fault.r_fault < FAULT_OPEN_THRESHOLD) else None
-    mode_vc = _fault_mode(fault, net.cf, dt) if fault_bus == "wt_mv" else "off"
+    mode_vc = _fault_mode(fault, cf, dt) if fault_bus == "wt_mv" else "off"
     mode_pcc = _fault_mode(fault, net.c_pcc, dt) if fault_bus == "pcc" else "off"
 
     # an algebraic fault pins the bus to its quasi-steady value
@@ -157,16 +167,16 @@ def composed_rhs(
     if mode_vc == "algebraic":
         i_net_c = i_f - i_a
         zi = complex(i_net_c[0], i_net_c[1])
-        zv = zi / complex(1.0 / fault.r_fault, -w0 * net.cf)
+        zv = zi / complex(1.0 / fault.r_fault, -w0 * cf)
         v_c = np.array([zv.real, zv.imag])
 
     if has_conv:  # the controller outputs v_inv / lf and the six controller rates
         u = [float(v) for v in (*v_c, *i_f, *i_a, *x[-6:])]
         if model.control == GFL:
-            out = gfl_controller(model.gfl, refs, model.q_mode, net.lf)(u)
+            out = gfl_controller(model.gfl, refs, model.q_mode, lf)(u)
         else:
-            out = gfm_controller(model.gfm, refs, net)(u)
-        v_inv, dctrl = net.lf * np.array(out[:2]), out[2:]
+            out = gfm_controller(model.gfm, refs, lf, cf)(u)
+        v_inv, dctrl = lf * np.array(out[:2]), out[2:]
 
     v_g = refs.v_g_ref * np.array([math.cos(refs.v_g_angle), math.sin(refs.v_g_angle)])
     dx[0:2] = grid_rhs(i_g, v_pcc, model.grid, w0, v_g=v_g)
@@ -186,7 +196,7 @@ def composed_rhs(
     if mode_vc == "algebraic":
         dx[k : k + 2] = 0.0  # the integrator writes the pinned bus into the state
     elif mode_vc == "shunt":
-        dx[k : k + 2] = dv_c - v_c / (fault.r_fault * net.cf)
+        dx[k : k + 2] = dv_c - v_c / (fault.r_fault * cf)
     else:
         dx[k : k + 2] = dv_c
     k += 2

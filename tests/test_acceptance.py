@@ -88,8 +88,8 @@ def _expected_rows(model):
 
     ig = model.index("i_g_d")
     vp = model.index("v_pcc_d")
-    lg = model.grid.xg / w0
-    couple(ig, ig, -model.grid.rg / lg, w0)
+    lg = model.grid.x / w0
+    couple(ig, ig, -model.grid.r / lg, w0)
     couple(ig, vp, -1.0 / lg, 0.0)
 
     isc = model.index("i_sc_d")
@@ -98,7 +98,7 @@ def _expected_rows(model):
     couple(isc, vp, -1.0 / lsc, 0.0)
 
     vc = model.index("v_c_d")
-    cf = model.network.cf
+    cf = 1.0 / (w0 * model.network.x_cf)
     couple(vc, vc, 0.0, w0)
     couple(vc, model.index("i_f_d"), 1.0 / cf, 0.0)
     couple(vc, model.index("i_a_d"), -1.0 / cf, 0.0)

@@ -150,21 +150,28 @@ def test_config_error_exit_2_names_key(tmp_path, capsys):
     assert "grid.scr" in capsys.readouterr().err
 
 
+# (override, section the error is keyed by, field its message names)
+_UNBUILDABLE = [
+    ('grid={"r": 0.02}', "grid", "x"),
+    ("grid.x=-0.3", "grid", "x"),
+    ("grid.x_r=0", "grid", "x"),
+    ("network.x_cf=0", "network", "x_cf"),
+    ("network.xf=0", "network", "xf"),
+    ("network.x_cf=-15", "network", "x_cf"),
+    ("network.xa=-0.01", "network", "xa"),
+]
+
+
 @pytest.mark.parametrize(
-    "override, key",
-    [
-        ('grid={"r": 0.02}', "grid"),
-        ("grid.x=-0.3", "grid"),
-        ("grid.x_r=0", "grid"),
-        ("network.x_cf=0", "network"),
-    ],
+    "override, key, field", _UNBUILDABLE, ids=[f"{o}-{k}" for o, k, _ in _UNBUILDABLE]
 )
-def test_unbuildable_plant_exit_2_before_manifest(tmp_path, capsys, override, key):
-    # each passes its own class's checks but leaves the grid branch without
-    # reactance or the filter with an infinite capacitance
+def test_unbuildable_plant_exit_2_before_manifest(tmp_path, capsys, override, key, field):
+    # each passes the config reader's type checks but leaves the grid branch
+    # without reactance or a network field out of its range; the message
+    # names the field as the config spells it
     code, out = run(tmp_path, "steady", "--set", override)
     assert code == 2
-    assert f"config error: {key}: " in capsys.readouterr().err
+    assert f"config error: {key}: {key} {field} must be " in capsys.readouterr().err
     assert not out.exists()
 
 

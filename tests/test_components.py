@@ -9,10 +9,9 @@ import pytest
 from wppsc.components import (
     FAULT_OPEN_THRESHOLD,
     FaultSpec,
-    FilterCableParams,
     GflParams,
     GfmParams,
-    GridParams,
+    NetworkSpec,
     OMEGA0,
     RefInputs,
     ScParams,
@@ -21,12 +20,13 @@ from wppsc.components import (
     gfm_controller,
     power_pair,
 )
-
-from wppsc.config import NetworkSpec
+from wppsc.config import Scenario, build_model
+from wppsc.netbase import Impedance
 
 from plant_oracle import (
     composed_rhs,
     filter_cable_rhs,
+    filter_lc,
     grid_rhs,
     jrot,
     pcc_node_rhs,
@@ -52,18 +52,18 @@ def test_power_pair_oracle():
 
 
 def test_grid_rhs_oracle():
-    # frozen: rg 0.1, xg 0.5, i (0.2, 0), vg (1, 0), vpcc (0.9, 0)
+    # frozen: r 0.1, x 0.5, i (0.2, 0), vg (1, 0), vpcc (0.9, 0)
     #         -> di/dt (50.265, 62.832)
-    g = GridParams(rg=0.1, xg=0.5)
+    g = Impedance(r=0.1, x=0.5)
     out = grid_rhs(np.array([0.2, 0.0]), np.array([0.9, 0.0]), g)
     assert out[0] == pytest.approx(50.265, abs=1e-2)
     assert out[1] == pytest.approx(62.832, abs=1e-2)
 
 
 def test_grid_rhs_vanishes_at_branch_steady_state():
-    g = GridParams(rg=0.1, xg=0.5)
+    g = Impedance(r=0.1, x=0.5)
     dv = complex(1.0, 0.0) - complex(0.9, 0.05)
-    i = dv / complex(g.rg, -g.xg)
+    i = dv / complex(g.r, -g.x)
     out = grid_rhs(np.array([i.real, i.imag]), np.array([0.9, 0.05]), g)
     assert np.allclose(out, 0.0, atol=1e-10)
 
@@ -86,14 +86,14 @@ def test_sc_rhs_vanishes_at_branch_steady_state():
 
 
 def test_filter_cable_rhs_vanishes_at_phasor_solution():
-    net = NetworkSpec().to_params()
+    net = NetworkSpec()
     w0 = OMEGA0
     v_c = complex(0.99, 0.03)
     v_pcc = complex(0.96, -0.01)
-    z_at = complex(net.ra + net.rtf, -w0 * (net.la + net.ltf))
+    z_at = complex(net.ra + net.rtf, -(net.xa + net.xtf))
     i_a = (v_c - v_pcc) / z_at
-    i_f = i_a - 1j * w0 * net.cf * v_c
-    v_inv = v_c + complex(net.rf, -w0 * net.lf) * i_f
+    i_f = i_a - 1j * v_c / net.x_cf
+    v_inv = v_c + complex(net.rf, -net.xf) * i_f
     di_f, dv_c, di_a = filter_cable_rhs(
         np.array([i_f.real, i_f.imag]),
         np.array([v_c.real, v_c.imag]),
@@ -108,7 +108,7 @@ def test_filter_cable_rhs_vanishes_at_phasor_solution():
 
 
 def test_pcc_node_rhs_formula():
-    net = NetworkSpec().to_params()
+    net = NetworkSpec()
     v = np.array([0.95, 0.05])
     i_net = np.array([0.01, -0.02])
     out = pcc_node_rhs(v, i_net, net)
@@ -121,14 +121,14 @@ def gfl_outputs(p, refs, v_c, p_pc=0.0, q_pc=0.0, q_mode="reactive", ctrl=(0.0,)
     that the converter power is (p_pc, q_pc) at v_c; the outputs are
     v_inv / lf (d, q) and then the six controller rates."""
     i_a = np.linalg.solve([[v_c[0], v_c[1]], [v_c[1], -v_c[0]]], [p_pc, q_pc])
-    g = gfl_controller(p, refs, q_mode, NetworkSpec().to_params().lf)
+    g = gfl_controller(p, refs, q_mode, filter_lc(NetworkSpec())[0])
     return g([*map(float, v_c), 0.0, 0.0, *map(float, i_a), *ctrl])
 
 
 def gfm_outputs(p, refs, p_pc, ctrl=(0.0,) * 6):
     """Bound GFM controller outputs at v_c = (1, 0) with no filter current
     and i_a = (p_pc, 0), so that the converter power is p_pc."""
-    g = gfm_controller(p, refs, NetworkSpec().to_params())
+    g = gfm_controller(p, refs, *filter_lc(NetworkSpec()))
     return g([1.0, 0.0, 0.0, 0.0, p_pc, 0.0, *ctrl])
 
 
@@ -189,8 +189,8 @@ def test_gfm_swing_damping_term():
 
 
 def test_model_dimensions_and_labels():
-    net = NetworkSpec().to_params()
-    g = GridParams(rg=0.02, xg=0.3)
+    net = NetworkSpec()
+    g = Impedance(r=0.02, x=0.3)
     m = SystemModel(g, net, control="gfl", sc=ScParams())
     assert m.n == 18
     assert m.labels[:4] == ("i_g_d", "i_g_q", "i_sc_d", "i_sc_q")
@@ -208,9 +208,9 @@ def test_model_dimensions_and_labels():
 
 
 def test_model_rejects_unknown_control():
-    net = NetworkSpec().to_params()
+    net = NetworkSpec()
     with pytest.raises(ValueError):
-        SystemModel(GridParams(rg=0.02, xg=0.3), net, control="droop")
+        SystemModel(Impedance(r=0.02, x=0.3), net, control="droop")
 
 
 def _random_state(model, rng):
@@ -233,8 +233,8 @@ def _rotate_deriv(model, dx, alpha):
 @pytest.mark.parametrize("control", ["gfl", "gfm", "none"])
 @pytest.mark.parametrize("with_sc", [True, False])
 def test_rhs_frame_rotation_invariance(control, with_sc):
-    net = NetworkSpec().to_params()
-    g = GridParams(rg=0.0210668, xg=0.3117878)
+    net = NetworkSpec()
+    g = Impedance(r=0.0210668, x=0.3117878)
     model = SystemModel(g, net, control=control, sc=ScParams() if with_sc else None)
     refs = RefInputs(p_star=0.7, v_turb_star=1.0, q_star=0.05, phi_sc=0.04)
     rng = np.random.default_rng(3)
@@ -266,9 +266,9 @@ FAULT_TREATMENTS = [
 
 
 def _plant(control, q_mode, with_sc):
-    g = GridParams(rg=0.0210668, xg=0.3117878)
+    g = Impedance(r=0.0210668, x=0.3117878)
     sc = ScParams() if with_sc else None
-    return SystemModel(g, NetworkSpec().to_params(), control=control, sc=sc, q_mode=q_mode)
+    return SystemModel(g, NetworkSpec(), control=control, sc=sc, q_mode=q_mode)
 
 
 _REFS = RefInputs(
@@ -282,9 +282,9 @@ def test_bound_controller_floats_match_row_vectors(control, q_mode):
     # (row vectors); column j of the batch outputs is the float result for
     # column j
     if control == "gfl":
-        g = gfl_controller(GflParams(), _REFS, q_mode, NetworkSpec().to_params().lf)
+        g = gfl_controller(GflParams(), _REFS, q_mode, filter_lc(NetworkSpec())[0])
     else:
-        g = gfm_controller(GfmParams(), _REFS, NetworkSpec().to_params())
+        g = gfm_controller(GfmParams(), _REFS, *filter_lc(NetworkSpec()))
     rng = np.random.default_rng(31)
     u = np.vstack([rng.uniform(0.5, 1.0, (6, 9)) * rng.choice([-1.0, 1.0], (6, 9)),
                    rng.uniform(-0.3, 0.3, (6, 9))])
@@ -356,8 +356,8 @@ def test_batched_measure_matches_single_states():
 
 
 def test_vacuous_fault_is_exact_noop():
-    net = NetworkSpec().to_params()
-    model = SystemModel(GridParams(rg=0.02, xg=0.3), net, control="gfl", sc=ScParams())
+    net = NetworkSpec()
+    model = SystemModel(Impedance(r=0.02, x=0.3), net, control="gfl", sc=ScParams())
     rng = np.random.default_rng(5)
     x = _random_state(model, rng)
     refs = RefInputs(p_star=0.5)
@@ -368,8 +368,8 @@ def test_vacuous_fault_is_exact_noop():
 
 
 def test_bolted_fault_pins_pcc_bus():
-    net = NetworkSpec().to_params()
-    model = SystemModel(GridParams(rg=0.02, xg=0.3), net, control="none", sc=None)
+    net = NetworkSpec()
+    model = SystemModel(Impedance(r=0.02, x=0.3), net, control="none", sc=None)
     rng = np.random.default_rng(9)
     x = _random_state(model, rng)
     refs = RefInputs()
@@ -392,8 +392,8 @@ def test_bolted_fault_pins_pcc_bus():
 
 
 def test_resistive_fault_joins_node_law():
-    net = NetworkSpec().to_params()
-    model = SystemModel(GridParams(rg=0.02, xg=0.3), net, control="none", sc=None)
+    net = NetworkSpec()
+    model = SystemModel(Impedance(r=0.02, x=0.3), net, control="none", sc=None)
     rng = np.random.default_rng(13)
     x = _random_state(model, rng)
     refs = RefInputs()
@@ -412,10 +412,10 @@ def test_algebraic_fault_threshold_reads_the_faulted_nodes_capacitance():
     # a shunt is pinned when r C <= 2 dt, with C the faulted node's own
     # capacitance: at r = 1 and dt = 7.5e-5 s the PCC (C = 1e-4) is pinned
     # and the turbine bus (C = cf = 2.12e-4) is not
-    net = NetworkSpec().to_params()
-    model = SystemModel(GridParams(rg=0.02, xg=0.3), net, control="gfl", sc=ScParams())
+    net = NetworkSpec()
+    model = SystemModel(Impedance(r=0.02, x=0.3), net, control="gfl", sc=ScParams())
     r_f, dt = 1.0, 7.5e-5
-    assert r_f * net.c_pcc <= 2.0 * dt < r_f * net.cf
+    assert r_f * net.c_pcc <= 2.0 * dt < r_f * filter_lc(net)[1]
     pcc = model.split(RefInputs(), FaultSpec("pcc", r_f), dt).pinned
     assert pcc is not None and pcc[0] == model.index("v_pcc_d")
     assert model.split(RefInputs(), FaultSpec("wt_mv", r_f), dt).pinned is None
@@ -429,8 +429,8 @@ def test_fault_spec_validation():
 
 
 def test_measure_reports_interface_quantities():
-    net = NetworkSpec().to_params()
-    model = SystemModel(GridParams(rg=0.02, xg=0.3), net, control="gfl", sc=ScParams())
+    net = NetworkSpec()
+    model = SystemModel(Impedance(r=0.02, x=0.3), net, control="gfl", sc=ScParams())
     x = np.zeros(model.n)
     x[model.index("v_c_d")] = 0.98
     x[model.index("v_c_q")] = 0.02
@@ -444,14 +444,18 @@ def test_measure_reports_interface_quantities():
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        GridParams(rg=-0.01, xg=0.3)
-    with pytest.raises(ValueError):
-        GridParams(rg=0.01, xg=0.0)
+        Impedance(r=-0.01, x=0.3)
+    with pytest.raises(ValueError, match="grid x must be > 0"):
+        build_model(Scenario(grid=Impedance(r=0.01, x=0.0)))
     with pytest.raises(ValueError):
         ScParams(x_sub=0.0)
     with pytest.raises(ValueError):
         GflParams(kp_pll=0.0)
     with pytest.raises(ValueError):
         GfmParams(j_vsm=-0.2)
-    with pytest.raises(ValueError):
-        FilterCableParams(rf=0.005, lf=0.0, cf=1e-4, ra=0.006, la=1e-4, rtf=0.005, ltf=1e-4)
+    # each network field is checked under its own name
+    for bad in ({"xf": 0.0}, {"x_cf": -15.0}, {"c_pcc": 0.0}, {"rf": -0.005}, {"ra": -0.006},
+                {"xa": -0.01}, {"rtf": -0.005}, {"xtf": -0.06}, {"x_cf": math.inf}, {"x_cf": 1e306},
+                {"xa": 0.0, "xtf": 0.0}):
+        with pytest.raises(ValueError, match=f"network {next(iter(bad))} "):
+            NetworkSpec(**bad)

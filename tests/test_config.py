@@ -25,6 +25,7 @@ from wppsc.config import (
     OperatingPoint,
     Scenario,
     apply_overrides,
+    build_model,
     load_config,
     parse_scenario,
     preset_scenario,
@@ -167,12 +168,17 @@ def test_integers_are_read_as_floats():
     assert type(d["grid"]["scr"]) is float and type(d["op"]["p_turb_ref"]) is float
 
 
-def test_network_spec_to_params():
-    net = NetworkSpec(xf=0.08, x_cf=15.0, xa=0.03, xtf=0.06).to_params()
-    assert net.lf == pytest.approx(0.08 / OMEGA0, rel=1e-12)
-    assert net.cf == pytest.approx(1.0 / (OMEGA0 * 15.0), rel=1e-12)
-    assert net.la == pytest.approx(0.03 / OMEGA0, rel=1e-12)
-    assert net.ltf == pytest.approx(0.06 / OMEGA0, rel=1e-12)
+def test_model_lc_from_network_reactances():
+    # the model derives each row's L or C from the records' reactances
+    net = NetworkSpec(xf=0.08, x_cf=15.0, xa=0.03, xtf=0.06)
+    model = build_model(Scenario(grid=Impedance(r=0.02, x=0.3), network=net, with_sc=False))
+    lc = dict(zip(model.labels, model.lc))
+    assert lc["i_g_d"] == pytest.approx(0.3 / OMEGA0, rel=1e-12)
+    assert lc["i_f_d"] == pytest.approx(0.08 / OMEGA0, rel=1e-12)
+    assert lc["v_c_d"] == pytest.approx(1.0 / (OMEGA0 * 15.0), rel=1e-12)
+    assert lc["i_a_d"] == pytest.approx(0.03 / OMEGA0 + 0.06 / OMEGA0, rel=1e-12)
+    assert lc["v_pcc_d"] == net.c_pcc
+    assert all(lc[lab[:-1] + "q"] == v for lab, v in lc.items())
 
 
 def test_event_parsing_rules():

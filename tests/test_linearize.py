@@ -39,12 +39,12 @@ def passive_model(case="normal", with_sc=True):
 def analytic_passive_a(model) -> np.ndarray:
     """Closed-form state matrix of the passive (converter-free) plant."""
     w0 = OMEGA0
-    rg, xg = model.grid.rg, model.grid.xg
+    rg, xg = model.grid.r, model.grid.x
     net = model.network
     lg = xg / w0
-    lat = net.la + net.ltf
+    lat = (net.xa + net.xtf) / w0
     rat = net.ra + net.rtf
-    cf = net.cf
+    cf = 1.0 / (w0 * net.x_cf)
     cp = net.c_pcc
 
     n = model.n
@@ -240,7 +240,7 @@ def test_passive_no_sc_matrix_matches_closed_form():
 def test_grid_block_values():
     # weak case: |z| = 1/1.6, x/r = 5
     model, refs = passive_model("weak", with_sc=False)
-    rg, xg = model.grid.rg, model.grid.xg
+    rg, xg = model.grid.r, model.grid.x
     assert math.hypot(rg, xg) == pytest.approx(0.625, rel=1e-12)
     assert xg / rg == pytest.approx(5.0, rel=1e-12)
     x = np.zeros(model.n)
@@ -283,7 +283,7 @@ def test_filter_capacitor_rows_converter_model():
     vc = model.index("v_c_d")
     fi = model.index("i_f_d")
     ia = model.index("i_a_d")
-    cf = model.network.cf
+    cf = 1.0 / (OMEGA0 * model.network.x_cf)
     eye2 = np.eye(2)
     assert np.max(np.abs(ss.a[vc : vc + 2, fi : fi + 2] - eye2 / cf)) * cf < 1e-9
     assert np.max(np.abs(ss.a[vc : vc + 2, ia : ia + 2] + eye2 / cf)) * cf < 1e-9
@@ -299,7 +299,7 @@ def test_source_input_column():
     x[model.index("v_pcc_d")] = 1.0
     ss = linearize(model, x, refs, check_equilibrium=False)
     col = ss.input_labels.index("v_g_ref")
-    lg = model.grid.xg / OMEGA0
+    lg = model.grid.x / OMEGA0
     ig = model.index("i_g_d")
     assert ss.b[ig, col] == pytest.approx(1.0 / lg, rel=1e-9)
     assert abs(ss.b[ig + 1, col]) < 1e-6

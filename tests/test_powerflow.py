@@ -59,11 +59,11 @@ def row_scale_table(model):
     rows."""
     net = model.network
     scale = {
-        "i_g": model.grid.xg / OMEGA0,
+        "i_g": model.grid.x / OMEGA0,
         "i_sc": model.sc.x_sub / OMEGA0 if model.has_sc else 1.0,
-        "i_f": net.lf,
-        "v_c": net.cf,
-        "i_a": net.la + net.ltf,
+        "i_f": net.xf / OMEGA0,
+        "v_c": 1.0 / (OMEGA0 * net.x_cf),
+        "i_a": net.xa / OMEGA0 + net.xtf / OMEGA0,
         "v_pcc": net.c_pcc,
     }
     out = []
@@ -142,8 +142,8 @@ def test_no_load_passive_matches_linear_network():
     z = impedance_from_scr_xr(GRID_CASES["strong"])
     zg = complex(z.r, z.x)
     net = model.network
-    zat = complex(net.ra + net.rtf, OMEGA0 * (net.la + net.ltf))
-    b_cf = OMEGA0 * net.cf
+    zat = complex(net.ra + net.rtf, net.xa + net.xtf)
+    b_cf = 1.0 / net.x_cf
     b_pcc = OMEGA0 * net.c_pcc
     # unknowns (v_c, v_pcc): filter-cap KCL folded into the branch KVL, then
     # the PCC node law against the Thevenin source
@@ -173,7 +173,7 @@ def test_gfm_weak_matches_independent_phasor_solution(with_sc):
     eq = solve_equilibrium(model, refs_for(s))
     v_pcc = model.pair(eq.state, "v_pcc_d")
     got_vp = math.hypot(v_pcc[0], v_pcc[1])
-    got_pg = model.measure_powers(eq.state, eq.refs)["p_g"]
+    got_pg = model.measure(eq.state, eq.refs)["p_g"]
 
     ref_vp, ref_pg = phasor_oracle("weak", with_sc, p=1.0, v_turb=1.0, v_g=1.0)
     assert got_vp == pytest.approx(ref_vp, abs=1e-6)
@@ -190,7 +190,7 @@ def test_gfl_reactive_matches_independent_phasor_solution(case):
     eq = solve_equilibrium(model, refs_for(s))
     v_pcc = model.pair(eq.state, "v_pcc_d")
     got_vp = math.hypot(v_pcc[0], v_pcc[1])
-    got_pg = model.measure_powers(eq.state, eq.refs)["p_g"]
+    got_pg = model.measure(eq.state, eq.refs)["p_g"]
     ref_vp, ref_pg = phasor_oracle(case, True, p=0.9, v_turb=1.08, v_g=1.0)
     assert got_vp == pytest.approx(ref_vp, abs=1e-6)
     assert got_pg == pytest.approx(ref_pg, abs=1e-6)
@@ -221,7 +221,7 @@ def test_postconditions_power_tracking_and_sc_float():
         s = scenario("normal", control=control, with_sc=True)
         model = build_model(s)
         eq = solve_equilibrium(model, refs_for(s))
-        pw = model.measure_powers(eq.state, eq.refs)
+        pw = model.measure(eq.state, eq.refs)
         assert pw["p_pc"] == pytest.approx(1.0, abs=1e-6)
         assert abs(pw["p_sc"]) < 0.01
 
@@ -232,13 +232,13 @@ def test_power_balance_closes():
     s = scenario("weak", control=GFM, with_sc=True)
     model = build_model(s)
     eq = solve_equilibrium(model, refs_for(s))
-    pw = model.measure_powers(eq.state, eq.refs)
+    pw = model.measure(eq.state, eq.refs)
     i_g = model.pair(eq.state, "i_g_d")
     i_sc = model.pair(eq.state, "i_sc_d")
     i_a = model.pair(eq.state, "i_a_d")
     net = model.network
     loss = (
-        model.grid.rg * (i_g @ i_g)
+        model.grid.r * (i_g @ i_g)
         + model.sc.r_tr * (i_sc @ i_sc)
         + (net.ra + net.rtf) * (i_a @ i_a)
     )
@@ -376,8 +376,8 @@ def test_reference_frame_choice_does_not_change_physics():
     v0 = model.pair(eq0.state, "v_pcc_d")
     v1 = model.pair(eq1.state, "v_pcc_d")
     assert math.hypot(*v0) == pytest.approx(math.hypot(*v1), abs=1e-8)
-    p0 = model.measure_powers(eq0.state, eq0.refs)
-    p1 = model.measure_powers(eq1.state, eq1.refs)
+    p0 = model.measure(eq0.state, eq0.refs)
+    p1 = model.measure(eq1.state, eq1.refs)
     for key in ("p_pc", "p_g", "p_sc", "q_pc"):
         assert p0[key] == pytest.approx(p1[key], abs=1e-7), key
 

@@ -134,7 +134,7 @@ def test_pinned_fault_bus_reports_node_law_voltage(bus):
 
     net = model.network
     if bus == "wt_mv":
-        node, i_net, c_bus = "v_c", pair("i_f") - pair("i_a"), net.cf
+        node, i_net, c_bus = "v_c", pair("i_f") - pair("i_a"), 1.0 / (OMEGA0 * net.x_cf)
     else:
         node, i_net, c_bus = "v_pcc", pair("i_g") + pair("i_sc") + pair("i_a"), net.c_pcc
     v_law = i_net / complex(1.0 / r_f, -OMEGA0 * c_bus)
@@ -325,7 +325,7 @@ def test_grid_fault_current_matches_thevenin_limit():
     i_d = ts.columns["i_g_d"][ts.t > 0.15]
     i_q = ts.columns["i_g_q"][ts.t > 0.15]
     mag = np.hypot(i_d, i_q)
-    zmag = math.hypot(model.grid.rg, model.grid.xg)
+    zmag = math.hypot(model.grid.r, model.grid.x)
     assert zmag == pytest.approx(0.625, rel=1e-12)
     assert np.mean(mag) == pytest.approx(1.0 / zmag, rel=5e-3)
     # the faulted bus itself is pulled to near zero
@@ -377,9 +377,9 @@ def test_deenergized_passive_plant_dissipates():
     ts = integrate(model, x0, refs, t_end=0.1, dt=5e-5)
 
     net = model.network
-    lg = model.grid.xg / OMEGA0
+    lg = model.grid.x / OMEGA0
     lsc = model.sc.x_sub / OMEGA0
-    lat = net.la + net.ltf
+    lat = (net.xa + net.xtf) / OMEGA0
 
     def pair(name):
         return ts.columns[name + "_d"] ** 2 + ts.columns[name + "_q"] ** 2
@@ -388,7 +388,7 @@ def test_deenergized_passive_plant_dissipates():
         lg * pair("i_g")
         + lsc * pair("i_sc")
         + lat * pair("i_a")
-        + net.cf * pair("v_c")
+        + pair("v_c") / (OMEGA0 * net.x_cf)
         + net.c_pcc * pair("v_pcc")
     )
     assert energy[-1] < 0.05 * energy[0]
