@@ -6,6 +6,10 @@ conjugate pairs are folded to the upper half plane. Stability reports
 collect the classification used by the sweep CSVs and the acceptance checks.
 analyze_group solves, linearizes and decomposes the scenarios of one model
 as one batch; sweep calls it per grid case, control and condenser state.
+Once the batch stages return, the group is checked, decomposed and reported
+from its stacked arrays: one finiteness test over the stack, one pick of the
+kept modes and one pass over each record column for the whole group, and
+per member only the records and the report it returns.
 """
 
 from __future__ import annotations
@@ -95,12 +99,23 @@ def spectra(models: Sequence[StateSpaceModel]) -> list:
     """eigenvalues of each model, from one stacked decomposition of the
     same-size state matrices: member j is its records, or the
     LinearizationError that rejects its matrix alone."""
+    if not models:
+        return []
     error = "state matrix contains non-finite entries"
-    checked = [ss if np.all(np.isfinite(ss.a)) else LinearizationError(error) for ss in models]
+    # a stack of its own, freed before _decompose stacks the finite members
+    # for the eig, so that the group's peak memory is the eig's
+    finite = np.isfinite(np.stack([ss.a for ss in models])).all(axis=(1, 2)).tolist()
+    checked = [ss if ok else LinearizationError(error) for ss, ok in zip(models, finite)]
     return _advance(checked, _decompose)
 
 
 def _decompose(models: Sequence[StateSpaceModel]) -> list:
+    """The records of each model from one eig of the stack of their finite
+    state matrices: the kept modes of the whole stack are picked and sorted
+    at once, each record column and the dominant-state labels are taken in
+    one pass, and the flat record list is split by each member's count of
+    kept modes. A member whose matrix the eigensolver rejects is its
+    LinearizationError, found by retrying one matrix at a time."""
     try:
         w, vr = np.linalg.eig(np.stack([ss.a for ss in models]))
         vl = np.linalg.inv(vr)  # row k is the left eigenvector of mode k
@@ -109,6 +124,7 @@ def _decompose(models: Sequence[StateSpaceModel]) -> list:
             return [_decompose([ss])[0] for ss in models]
         dump = np.array2string(models[0].a, max_line_width=200, precision=6)
         return [LinearizationError(f"eigensolver failed: {exc}\nA =\n{dump}")]
+    m, n = w.shape
     part = np.abs(vl.transpose(0, 2, 1) * vr)  # [member, state, mode]
     top = np.argsort(-part, axis=1, kind="stable")[:, :3].transpose(0, 2, 1)
     re, im = w.real, w.imag
@@ -116,17 +132,18 @@ def _decompose(models: Sequence[StateSpaceModel]) -> list:
     keep = (im >= 0.0) & (mag >= NULL_MODE_TOL)
     damp = np.divide(-re, mag, out=np.zeros_like(re), where=keep)
     order = np.lexsort((im, -re, ~keep))  # per member: the kept modes first, by (-re, im)
-    cols = [np.take_along_axis(v, order, axis=1) for v in (re, im, damp, np.abs(im) / (2.0 * math.pi))]
-    tops = np.take_along_axis(top, order[..., None], axis=1)
-    out = []
-    for j, ss in enumerate(models):
-        kept, labels = int(keep[j].sum()), ss.state_labels
-        out.append([EigenRecord(r, i, d, f, tuple(labels[k] for k in t), i > 0.0) for r, i, d, f, t
-                    in zip(*(c[j, :kept].tolist() for c in cols), tops[j, :kept].tolist())])
-        dropped = int(np.count_nonzero(mag[j] < NULL_MODE_TOL))
-        if dropped:
-            log.info("filtered %d null mode(s) with |lambda| < %g", dropped, NULL_MODE_TOL)
-    return out
+    row = np.arange(m)[:, None]
+    kept = (order + n * row)[keep[row, order]]  # flat indices, member by member
+    cols = [v.ravel()[kept].tolist() for v in (re, im, damp, np.abs(im) / (2.0 * math.pi))]
+    names = np.array([lab for ss in models for lab in ss.state_labels], dtype=object)
+    # each kept mode's dominant states, as one tuple of labels
+    labels = zip(*names[top.reshape(m * n, -1)[kept] + n * (kept // n)[:, None]].T.tolist())
+    records = [EigenRecord(r, i, d, f, t, i > 0.0) for r, i, d, f, t in zip(*cols, labels)]
+    ends = list(itertools.accumulate(keep.sum(axis=1).tolist()))
+    null = np.count_nonzero(mag < NULL_MODE_TOL, axis=1)
+    for dropped in null[null > 0].tolist():
+        log.info("filtered %d null mode(s) with |lambda| < %g", dropped, NULL_MODE_TOL)
+    return [records[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def classify(records: Sequence[EigenRecord], *, null_modes: int = 0) -> StabilityReport:
@@ -180,15 +197,15 @@ def analyze_group(scenarios: Sequence[Scenario]) -> list[StabilityReport]:
     reports = []
     for s, eq, ss, records in zip(scenarios, eqs, systems, _advance(systems, spectra)):
         if isinstance(records, Exception):
-            report = replace(classify([]), stable=False, max_re=math.nan, solved=False,
-                             failure=f"{type(records).__name__}: {records}")
+            fields = {**vars(classify([])), "stable": False, "max_re": math.nan, "solved": False,
+                      "failure": f"{type(records).__name__}: {records}"}
         else:
             null_count = ss.a.shape[0] - sum(2 if r.conjugate_pair else 1 for r in records)
-            report = classify(records, null_modes=null_count)
+            fields = vars(classify(records, null_modes=null_count))
         residual = eq.residual_norm if isinstance(eq, EquilibriumPoint) else eq.final_residual
-        reports.append(replace(report, scenario_key=scenario_key(s), grid_case=s.name,
-                               control=s.control, with_sc=s.with_sc, op=s.op,
-                               newton_iterations=eq.iterations, residual_norm=residual))
+        reports.append(StabilityReport(**{**fields, "scenario_key": scenario_key(s), "grid_case": s.name,
+                                          "control": s.control, "with_sc": s.with_sc, "op": s.op,
+                                          "newton_iterations": eq.iterations, "residual_norm": residual}))
     return reports
 
 

@@ -88,6 +88,13 @@ def _block(z: complex) -> np.ndarray:
 # parameter sets
 
 
+def _check_lc(name: str, value: float, kind: str, s: float) -> None:
+    """Rejects the value of the named field when the L or C s it gives, or
+    1 / s, is not finite and > 0 (a subnormal s has an infinite reciprocal)."""
+    if not (0.0 < s < math.inf and 1.0 / s < math.inf):
+        raise ValueError(f"{name} must be in the range where its {kind} and 1 / {kind} are finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ScParams:
     """Synchronous condenser: constant EMF of magnitude e_mag behind the
@@ -108,6 +115,7 @@ class ScParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x_sub) and self.x_sub > 0.0):
             raise ValueError(f"sc x_sub must be > 0, got {self.x_sub}")
+        _check_lc("sc x_sub", self.x_sub, "L", self.x_sub / OMEGA0)  # SystemModel's l_sub
         if not (math.isfinite(self.r_tr) and self.r_tr >= 0.0):
             raise ValueError(f"sc r_tr must be >= 0, got {self.r_tr}")
         if not (math.isfinite(self.x_tr) and self.x_tr >= 0.0):
@@ -181,8 +189,11 @@ class NetworkSpec:
                 raise ValueError(f"network {name} must be {op} 0, got {v}")
         if not self.xa + self.xtf > 0.0:
             raise ValueError(f"network xa + xtf must be > 0, got {self.xa + self.xtf}")
-        if not 1.0 / (OMEGA0 * self.x_cf) > 0.0:  # SystemModel's cf
-            raise ValueError(f"network x_cf must leave 1 / (omega0 x_cf) > 0, got {self.x_cf}")
+        # SystemModel's lf, cf, la + ltf and c_pcc
+        _check_lc("network xf", self.xf, "L", self.xf / OMEGA0)
+        _check_lc("network x_cf", self.x_cf, "C", 1.0 / (OMEGA0 * self.x_cf))
+        _check_lc("network xa + xtf", self.xa + self.xtf, "L", self.xa / OMEGA0 + self.xtf / OMEGA0)
+        _check_lc("network c_pcc", self.c_pcc, "C", self.c_pcc)
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,8 @@ def linearize_batch(
     StateSpaceModel, or the LinearizationError that rejects it alone."""
     if not 1e-8 <= eps <= 1e-4:
         raise ValueError(f"eps must be in [1e-8, 1e-4], got {eps}")
+    if not states:
+        return []
     x_eq = np.stack(states, axis=1)
     n, m = x_eq.shape
     stacked = RefInputs.stack(refs)
@@ -197,22 +199,23 @@ def linearize_batch(
     a, b, c = jac[:, :n, :n], jac[:, :n, n:], jac[:, n:, :n]
 
     residual = np.abs(model.rhs(x_eq, stacked)).max(axis=0) if check_equilibrium else np.zeros(m)
+    finite = np.isfinite(jac).all(axis=(1, 2)).tolist()
     return [
         LinearizationError(f"not an equilibrium: RHS inf-norm {r:.3e} >= 1e-8")
         if not r < 1e-8
-        else _checked(model, a[j], b[j], c[j], in_labels)
-        for j, r in enumerate(residual)
+        else _checked(model, a[j], b[j], c[j], in_labels, finite[j])
+        for j, r in enumerate(residual.tolist())
     ]
 
 
-def _checked(model: SystemModel, a, b, c, in_labels: tuple[str, ...]):
-    """The state-space model of A, B, C, or the LinearizationError naming
-    the first non-finite entry."""
+def _checked(model: SystemModel, a, b, c, in_labels: tuple[str, ...], finite: bool):
+    """The state-space model of A, B, C, or, unless they are known to be
+    finite, the LinearizationError naming the first non-finite entry."""
     labels = (model.labels, in_labels, model.labels)
-    for name, mat, col_labels in zip("ABC", (a, b, c), labels):
-        finite = np.isfinite(mat)
-        if not finite.all():
-            i, j = (int(k) for k in np.argwhere(~finite)[0])
+    for name, mat, col_labels in () if finite else zip("ABC", (a, b, c), labels):
+        ok = np.isfinite(mat)
+        if not ok.all():
+            i, j = (int(k) for k in np.argwhere(~ok)[0])
             row_lab = model.labels[i] if name in ("A", "B") else OUTPUT_LABELS[i]
             return LinearizationError(
                 f"non-finite {name} entry at row {i} ({row_lab}), column {j} ({col_labels[j]})",

@@ -155,6 +155,7 @@ def _row_scale(model: SystemModel) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite trial is never taken
 def _newton(
     model: SystemModel,
     z0: np.ndarray,
@@ -258,7 +259,7 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
         row += out
     f *= scale[writes, :, None]
     jt = (f[:, 1:] - f[:, :1]).transpose(2, 1, 0)  # per member, the integrators' columns as rows
-    z[n - 4 : n] = -np.linalg.solve(jt @ jt.transpose(0, 2, 1), jt @ f[:, 0].T[..., None])[..., 0].T
+    z[n - 4 : n] = -_solve(jt @ jt.transpose(0, 2, 1), (jt @ f[:, 0].T[..., None])[..., 0].T)
     return z
 
 
@@ -335,52 +336,53 @@ def solve_equilibria(model: SystemModel, refs: Sequence[RefInputs]) -> list:
     """Equilibria of one model for each member of refs, solved as one batch.
     Member j is its EquilibriumPoint, or the NonConvergenceError or
     InfeasibleError that solve_equilibrium would raise for it alone."""
+    if not refs:
+        return []
     scale = _row_scale(model)
     z0 = initial_guess(model, refs, scale)
     z, iters, norms, oks = _newton(model, z0, RefInputs.stack(refs), scale)
-    if len(refs) > 1:  # a member that fails is solved alone, without the batch's rounding
-        out = [_equilibrium(model, z[:, j], r, int(iters[j]), float(norms[j]), oks[j])
-               for j, r in enumerate(refs)]
-        return [solve_equilibria(model, [r])[0] if isinstance(eq, Exception) else eq
-                for eq, r in zip(out, refs)]
-    (r,) = refs
-    zj, total_iters, true_norm, ok = z[:, 0], int(iters[0]), float(norms[0]), oks[0]
-    if not ok:
+    if len(refs) == 1 and not oks[0]:
         # continuation: walk the sources/power from an easy point to the target
-        warm: np.ndarray | None = None
+        (r,), warm = refs, None
         for lam in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0):
             r_lam = _ramped_refs(r, lam)
-            z_s = warm if warm is not None else initial_guess(model, [r_lam], scale)[:, 0]
-            z_s, it_s, _, ok_s = _newton(model, z_s[:, None], RefInputs.stack([r_lam]), scale)
-            total_iters += int(it_s[0])
+            z_s = warm if warm is not None else initial_guess(model, [r_lam], scale)
+            z_s, it_s, _, ok_s = _newton(model, z_s, RefInputs.stack([r_lam]), scale)
+            iters = iters + it_s
             if not ok_s[0]:
                 break
-            warm = z_s[:, 0]
+            warm = z_s
         if warm is not None:
-            z_w, it_w, norm_w, ok_w = _newton(model, warm[:, None], RefInputs.stack([r]), scale)
-            zj, true_norm, ok = z_w[:, 0], float(norm_w[0]), ok_w[0]
-            total_iters += int(it_w[0])
-    return [_equilibrium(model, zj, r, total_iters, true_norm, ok)]
+            z, it_w, norms, oks = _newton(model, warm, RefInputs.stack([r]), scale)
+            iters = iters + it_w
+    kv, kp = model.index("v_c_d"), model.index("v_pcc_d")
+    with np.errstate(over="ignore"):  # a member that failed may lie past float range
+        mags = np.hypot(z[[kv, kp]], z[[kv + 1, kp + 1]]).T.tolist()  # |v_c|, |v_pcc| per member
+    out = [_equilibrium(model, *member)
+           for member in zip(z.T.tolist(), mags, refs, iters.tolist(), norms.tolist(), oks.tolist())]
+    if len(refs) > 1:  # a member that fails is solved alone, without the batch's rounding
+        out = [solve_equilibria(model, [r])[0] if isinstance(eq, Exception) else eq
+               for eq, r in zip(out, refs)]
+    return out
 
 
-def _equilibrium(model: SystemModel, z: np.ndarray, refs: RefInputs, iterations, true_norm, ok):
-    """The EquilibriumPoint of a Newton result z, or the error that rejects it."""
+def _equilibrium(model: SystemModel, z: list, mags: list, refs: RefInputs, iterations, true_norm, ok):
+    """The EquilibriumPoint of a Newton result z, or the error that rejects
+    it; mags are its |v_c| and |v_pcc|."""
     if not ok:
         if true_norm > INFEASIBLE_FLOOR:
             return InfeasibleError(iterations, true_norm)
         return NonConvergenceError(iterations, true_norm)
-    x = z[: model.n].copy()
-    refs_out = _refs_from_z(model, z.tolist(), refs)  # plain floats in the result
-    for lab in ("v_c_d", "v_pcc_d"):
-        mag = float(np.hypot(*model.pair(x, lab)))
+    for lab, mag in zip(("v_c", "v_pcc"), mags):
         if not VOLTAGE_BAND[0] < mag < VOLTAGE_BAND[1]:
             return InfeasibleError(
                 iterations,
                 true_norm,
-                detail=f"|{lab[:-2]}| = {mag:.3f} pu outside the sanity band {VOLTAGE_BAND}",
+                detail=f"|{lab}| = {mag:.3f} pu outside the sanity band {VOLTAGE_BAND}",
             )
+    refs_out = _refs_from_z(model, z, refs)  # plain floats in the result
     return EquilibriumPoint(
-        state=x,
+        state=np.array(z[: model.n]),
         refs=refs_out,
         phi_sc=refs_out.phi_sc,
         q_star=refs_out.q_star if "q_star" in _unknowns(model) else None,

@@ -23,6 +23,7 @@ from wppsc.config import (
     Scenario,
     build_model,
     refs_for,
+    scenario_key,
     standard_operating_points,
 )
 from wppsc.linearize import LinearizationError, StateSpaceModel, linearize, linearize_batch
@@ -412,6 +413,38 @@ def test_analyze_group_isolates_an_infeasible_member():
     assert reports[1].failure.startswith("InfeasibleError")
     for s, got in zip(group, reports):
         assert_same_report(got, analyze_scenario(s))
+
+
+def test_analyze_group_reports_are_classify_with_the_scenario_fields():
+    # each report is the public classify of the member's own records, with
+    # the scenario's fields and solver diagnostics filled in
+    base = Scenario(name="weak", grid=GRID_CASES["weak"], control="gfl", with_sc=True)
+    group = [replace(base, op=op) for op in standard_operating_points()]
+    model = build_model(base)
+    eqs = solve_equilibria(model, [refs_for(s) for s in group])
+    plants = linearize_batch(model, [e.state for e in eqs], [e.refs for e in eqs])
+    reports = analyze_group(group)
+    assert len(reports) == 27
+    for s, eq, ss, records, got in zip(group, eqs, plants, spectra(plants), reports):
+        null_modes = ss.a.shape[0] - sum(2 if r.conjugate_pair else 1 for r in records)
+        want = replace(classify(records, null_modes=null_modes), scenario_key=scenario_key(s),
+                       grid_case=s.name, control=s.control, with_sc=s.with_sc, op=s.op,
+                       newton_iterations=eq.iterations, residual_norm=eq.residual_norm)
+        for name, value in vars(want).items():
+            assert getattr(got, name) == value, name
+        assert got == want
+
+
+@pytest.mark.parametrize("stage", ["spectra", "analyze_group", "linearize_batch", "solve_equilibria"])
+def test_an_empty_batch_gives_no_results(stage):
+    model = build_model(Scenario())
+    calls = {
+        "spectra": lambda: spectra([]),
+        "analyze_group": lambda: analyze_group([]),
+        "linearize_batch": lambda: linearize_batch(model, [], []),
+        "solve_equilibria": lambda: solve_equilibria(model, []),
+    }
+    assert calls[stage]() == []
 
 
 def test_analyze_group_rejects_scenarios_with_different_models():

@@ -159,6 +159,11 @@ _UNBUILDABLE = [
     ("network.xf=0", "network", "xf"),
     ("network.x_cf=-15", "network", "x_cf"),
     ("network.xa=-0.01", "network", "xa"),
+    # > 0, but subnormal: the L or C each gives has an infinite reciprocal
+    ("network.xf=1e-320", "network", "xf"),
+    ("network.c_pcc=1e-320", "network", "c_pcc"),
+    ('network={"xa": 0, "xtf": 1e-320}', "network", "xa + xtf"),
+    ("sc.x_sub=1e-320", "sc", "x_sub"),
 ]
 
 
@@ -204,6 +209,17 @@ def test_solver_failure_exit_3(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().err.strip()
     # provenance is still recorded for the failed run
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("x_cf", ["1e-20", "1e-300"])
+def test_singular_start_is_a_solver_failure_exit_3(tmp_path, capsys, x_cf):
+    # the config accepts the filter capacitor, but the start's least-squares
+    # system for the controller integrators is singular; Newton rejects the
+    # member instead of the solve raising
+    code, out = run(tmp_path, "steady", "--set", f"network.x_cf={x_cf}")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("equilibrium solve failed: ")
     assert (out / "manifest.json").exists()
 
 

@@ -393,6 +393,29 @@ def test_nonfinite_state_reported_with_location():
     assert "3" in str(exc.value) or exc.value.row is not None
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_member_of_a_batch_is_reported_as_alone():
+    # the batch tests its stack for finiteness once: the member whose state
+    # holds inf gets the error, row and column it gets alone, and the others
+    # their lone models, bit for bit
+    s = Scenario(name="weak", grid=GRID_CASES["weak"], control=GFL, with_sc=True)
+    model = build_model(s)
+    ops = (OperatingPoint(1.0, 1.0, 1.0), OperatingPoint(0.92, 1.08, 0.5), OperatingPoint(1.08, 0.92, 0.1))
+    eqs = [solve_equilibrium(model, refs_for(replace(s, op=op))) for op in ops]
+    states = [e.state.copy() for e in eqs]
+    states[1][model.index("v_c_q")] = np.inf
+    out = linearize_batch(model, states, [e.refs for e in eqs], check_equilibrium=False)
+    with pytest.raises(LinearizationError) as alone:
+        linearize(model, states[1], eqs[1].refs, check_equilibrium=False)
+    assert isinstance(out[1], LinearizationError)
+    assert (str(out[1]), out[1].row, out[1].col) == (str(alone.value), alone.value.row, alone.value.col)
+    assert alone.value.row is not None and alone.value.col is not None
+    for j in (0, 2):
+        ss = linearize(model, states[j], eqs[j].refs, check_equilibrium=False)
+        for got, ref in ((out[j].a, ss.a), (out[j].b, ss.b), (out[j].c, ss.c)):
+            assert np.array_equal(got, ref)
+
+
 def test_state_space_shape_validation():
     with pytest.raises(ValueError):
         StateSpaceModel(
