@@ -102,30 +102,31 @@ def spectra(models: Sequence[StateSpaceModel]) -> list:
     if not models:
         return []
     error = "state matrix contains non-finite entries"
-    # a stack of its own, freed before _decompose stacks the finite members
-    # for the eig, so that the group's peak memory is the eig's
-    finite = np.isfinite(np.stack([ss.a for ss in models])).all(axis=(1, 2)).tolist()
-    checked = [ss if ok else LinearizationError(error) for ss, ok in zip(models, finite)]
-    return _advance(checked, _decompose)
+    stack = np.stack([ss.a for ss in models])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if finite.all():  # as a rule: the stack is the eig's
+        return _decompose(models, stack)
+    checked = [ss if ok else LinearizationError(error) for ss, ok in zip(models, finite.tolist())]
+    return _advance(checked, lambda live: _decompose(live, stack[finite]))
 
 
-def _decompose(models: Sequence[StateSpaceModel]) -> list:
-    """The records of each model from one eig of the stack of their finite
-    state matrices: the kept modes of the whole stack are picked and sorted
-    at once, each record column and the dominant-state labels are taken in
-    one pass, and the flat record list is split by each member's count of
-    kept modes. A member whose matrix the eigensolver rejects is its
-    LinearizationError, found by retrying one matrix at a time."""
+def _decompose(models: Sequence[StateSpaceModel], stack: np.ndarray) -> list:
+    """The records of each model from one eig of the stack of their state
+    matrices, all finite: the kept modes of the whole stack are picked and
+    sorted at once, each record column and the dominant-state labels are
+    taken in one pass, and the flat record list is split by each member's
+    count of kept modes. A member whose matrix the eigensolver rejects is
+    its LinearizationError, found by retrying one matrix at a time."""
     try:
-        w, vr = np.linalg.eig(np.stack([ss.a for ss in models]))
+        w, vr = np.linalg.eig(stack)
         vl = np.linalg.inv(vr)  # row k is the left eigenvector of mode k
     except np.linalg.LinAlgError as exc:
         if len(models) > 1:  # retry one matrix at a time
-            return [_decompose([ss])[0] for ss in models]
+            return [_decompose([ss], ss.a[None])[0] for ss in models]
         dump = np.array2string(models[0].a, max_line_width=200, precision=6)
         return [LinearizationError(f"eigensolver failed: {exc}\nA =\n{dump}")]
     m, n = w.shape
-    part = np.abs(vl.transpose(0, 2, 1) * vr)  # [member, state, mode]
+    part = np.abs(np.multiply(vl.transpose(0, 2, 1), vr, out=vr))  # [member, state, mode], in the dead vr
     top = np.argsort(-part, axis=1, kind="stable")[:, :3].transpose(0, 2, 1)
     re, im = w.real, w.imag
     mag = np.hypot(re, im)  # abs of each mode, to the bit
@@ -191,9 +192,9 @@ def analyze_group(scenarios: Sequence[Scenario]) -> list[StabilityReport]:
         raise ValueError("the scenarios of a group may differ only in their operating point")
     model = build_model(first)
     eqs = solve_equilibria(model, [refs_for(s) for s in scenarios])
-    systems = _advance(
-        eqs, lambda e: linearize_batch(model, [p.state for p in e], [p.refs for p in e])
-    )
+    systems = _advance(  # each solved state's residual is certified below 1e-8, linearize's own bound
+        eqs, lambda e: linearize_batch(model, [p.state for p in e], [p.refs for p in e],
+                                       check_equilibrium=False))
     reports = []
     for s, eq, ss, records in zip(scenarios, eqs, systems, _advance(systems, spectra)):
         if isinstance(records, Exception):

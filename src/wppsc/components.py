@@ -461,15 +461,14 @@ class SystemModel:
     def _network_matrix(self) -> np.ndarray:
         """State matrix of the fault-free network: each law contributes the
         2x2 blocks of its coefficients over its s."""
-        a = [[0.0] * self.n for _ in range(self.n)]  # filled as floats, one array at the end
+        z = np.zeros((self.n // 2, self.n // 2), complex)  # over dq pairs
         for state, s, terms in self._laws:
-            r = self._idx[state + "_d"]
-            for col, z in terms.items():
+            for col, v in terms.items():
                 if col + "_d" in self._idx:  # i_sc and i_f only where present
-                    c, z = self._idx[col + "_d"], complex(z) / s
-                    for i, j, v in ((0, 0, z.real), (0, 1, -z.imag), (1, 0, z.imag), (1, 1, z.real)):
-                        a[r + i][c + j] += v
-        return np.array(a)
+                    z[self._idx[state + "_d"] // 2, self._idx[col + "_d"] // 2] += complex(v) / s
+        a = np.empty((self.n, self.n))  # each z as [[re, -im], [im, re]], with no -0.0 entries
+        a[::2, ::2], a[::2, 1::2], a[1::2, ::2], a[1::2, 1::2] = z.real, 0.0 - z.imag, z.imag, z.real
+        return a
 
     def _treatment(
         self, fault: Optional[FaultSpec], dt: Optional[float]

@@ -167,6 +167,7 @@ def _outputs(model: SystemModel, x) -> list:
     return [p, np.hypot(v_c[0], v_c[1]), q]
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite entry is a LinearizationError
 def linearize_batch(
     model: SystemModel,
     states: Sequence[np.ndarray],

@@ -392,14 +392,32 @@ def assert_same_report(got, ref):
         assert abs(complex(e.re, e.im) - complex(f.re, f.im)) <= 1e-8 * math.hypot(f.re, f.im)
 
 
-def test_analyze_group_matches_each_scenario_alone():
-    base = Scenario(name="weak", grid=GRID_CASES["weak"], control="gfl", with_sc=True)
+@pytest.mark.parametrize("case", ["weak", "strong"])
+@pytest.mark.parametrize("control", ["gfl", "gfm"])
+@pytest.mark.parametrize("with_sc", [True, False])
+def test_analyze_group_matches_each_scenario_alone(case, control, with_sc):
+    # a group and a lone scenario share every line of the chain: this guards
+    # against a path that depends on the number of members
+    base = Scenario(name=case, grid=GRID_CASES[case], control=control, with_sc=with_sc)
     group = [replace(base, op=op) for op in standard_operating_points()]
     reports = analyze_group(group)
     assert len(reports) == 27
     for s, got in zip(group, reports):
         assert got.solved
         assert_same_report(got, analyze_scenario(s))
+
+
+@pytest.mark.parametrize("members", [1, 27])
+def test_analyze_group_takes_one_eig_and_one_inv_per_group(monkeypatch, members):
+    # the group is decomposed as one stack, whatever its size
+    calls = []
+    for name in ("eig", "inv"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, fn=getattr(np.linalg, name), **kw:
+                            calls.append(name) or fn(*a, **kw))
+    base = Scenario(name="weak", grid=GRID_CASES["weak"], control="gfl", with_sc=True)
+    reports = analyze_group([replace(base, op=op) for op in standard_operating_points()[:members]])
+    assert len(reports) == members and all(r.solved for r in reports)
+    assert sorted(calls) == ["eig", "inv"]
 
 
 def test_analyze_group_isolates_an_infeasible_member():

@@ -383,7 +383,6 @@ def test_equilibrium_check_rejects_off_equilibrium_point():
     linearize(model, bad, eq.refs, check_equilibrium=False)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_state_reported_with_location():
     model, refs = passive_model("normal", with_sc=False)
     x = np.zeros(model.n)
@@ -393,7 +392,6 @@ def test_nonfinite_state_reported_with_location():
     assert "3" in str(exc.value) or exc.value.row is not None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_member_of_a_batch_is_reported_as_alone():
     # the batch tests its stack for finiteness once: the member whose state
     # holds inf gets the error, row and column it gets alone, and the others

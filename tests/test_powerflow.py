@@ -9,12 +9,14 @@ code with the solver under test; agreement on frame-invariant quantities
 import cmath
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import fsolve
 
+from wppsc import powerflow
 from wppsc.analysis import analyze_scenario, sweep
 from wppsc.components import (
     CONTROLS, GFL, GFM, NO_CONVERTER, OMEGA0, Q_MODE_REACTIVE, Q_MODE_VOLTAGE, Q_MODES, RefInputs,
@@ -26,6 +28,9 @@ from wppsc.config import (
 from wppsc.linearize import numjac
 from wppsc.netbase import GridCase, impedance_from_scr_xr
 from wppsc.powerflow import (
+    MAX_HALVINGS,
+    MAX_ITERATIONS,
+    RESIDUAL_TARGET,
     VOLTAGE_BAND,
     EquilibriumPoint,
     InfeasibleError,
@@ -490,11 +495,86 @@ def test_drawn_scenario_solves_or_fails_typed_alike_alone_and_in_a_batch(s):
         assert (batch.iterations, batch.final_residual) == (alone.iterations, alone.final_residual)
 
 
+def phasor_power_flow(model, v, i_sc, k, refs, m):
+    """Reference for powerflow._power_flow, as it was first written: the same
+    damped Newton stated on the phasors, the residual and its Jacobian one
+    complex expression per equation, every pass a masked update of every
+    member. Returns u (3, m) and the final merit, sum of squares, per member."""
+    (v0, va, vs), (s0, sa, ss) = ((c[:k], c[k], c[k + 2]) for c in (v, i_sc))
+    p, vt, e_mag = refs.p_star, refs.v_turb_star, model.sc.e_mag if model.has_sc else 0.0
+    rows = np.flatnonzero([bool(model.writes)] * 2 + [model.has_sc])
+    sel, d_i, d_e = np.ix_(rows, rows), np.array([[1.0], [1j], [0.0]]), np.array([[0.0], [0.0], [1j]])
+    dv_i, dsc_i, d_ic = va * d_i, sa * d_i, d_i.conj()  # over (i_a d, i_a q, phi_sc)
+    u, i = np.zeros((3, m)), p / vt * np.exp(1j * np.angle(v0 + vs))
+    u[0], u[1] = i.real, i.imag
+    if e_mag:
+        g = s0 + sa * i
+        u[2] = np.angle(g) + np.arccos(np.clip(-ss.real / np.abs(g), -1.0, 1.0))
+
+    def flow(u):
+        i, e = u[0] + 1j * u[1], np.exp(1j * u[2])
+        vc, isc, de = v0 + va * i + vs * e, s0 + sa * i + ss * e, d_e * e
+        ic, vcc, iscc, dv = i.conj(), vc.conj(), isc.conj(), dv_i + vs * de
+        f = np.array([vc * ic - p, vc * vcc - vt**2, e_mag * e * iscc]).real
+        jac = np.array([dv * ic + vc * d_ic, 2.0 * vcc * dv, e_mag * (de * iscc + e * (dsc_i + ss * de).conj())])
+        return f[rows], jac.real[sel].transpose(2, 0, 1)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, jac = flow(u)
+        merit, lam, step = (f * f).sum(axis=0), np.ones(m), np.zeros_like(u)
+        for _ in range(MAX_ITERATIONS * (MAX_HALVINGS + 1)):
+            live = (merit >= RESIDUAL_TARGET**2) & (lam >= 0.5**MAX_HALVINGS)
+            if not live.any():
+                break
+            step[rows] = np.where(lam == 1.0, _solve(jac, -f), step[rows])
+            f_try, jac_try = flow(u + lam * step)
+            m_try = (f_try * f_try).sum(axis=0)
+            better = live & (m_try < merit)
+            u, f, merit = (np.where(better, new, old)
+                           for new, old in ((u + lam * step, u), (f_try, f), (m_try, merit)))
+            jac, lam = np.where(better[:, None, None], jac_try, jac), np.where(better, 1.0, 0.5 * lam)
+    return u, merit
+
+
+def start_power_flows(model, refs):
+    """Newton's start for the members refs, with the power flow it solved and
+    the reference's (u, merit) from the same network solve."""
+    calls = []
+
+    def spy(*args):
+        calls.append((power_flow(*args), *phasor_power_flow(*args)))
+        return calls[-1][0]
+
+    power_flow = powerflow._power_flow
+    with mock.patch.object(powerflow, "_power_flow", spy):
+        z = initial_guess(model, refs, _row_scale(model))
+    (u, *ref), = calls
+    return z, u, *ref
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+@pytest.mark.parametrize("control", CONTROLS)
+@pytest.mark.parametrize("q_mode", Q_MODES)
+@pytest.mark.parametrize("with_sc", [True, False])
+def test_power_flow_lands_where_the_phasor_reference_does(case, control, q_mode, with_sc):
+    # the 27 operating points as one batch, and each alone
+    members = [refs_for(scenario(case, control, with_sc, (op.v_g_ref, op.v_turb_ref, op.p_turb_ref),
+                                 q_mode=q_mode)) for op in standard_operating_points()]
+    model = build_model(scenario(case, control, with_sc, q_mode=q_mode))
+    for batch in (members, *([r] for r in members)):
+        _, u, u_ref, merit = start_power_flows(model, batch)
+        assert np.all(merit < RESIDUAL_TARGET**2)
+        assert np.max(np.abs(u - u_ref)) <= 1e-12
+
+
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(valid_scenarios())
 def test_drawn_scenario_start_is_finite_and_a_solution_meets_its_premise(s):
     model, refs = build_model(s), refs_for(s)
-    assert np.isfinite(initial_guess(model, [refs], _row_scale(model))).all()
+    z, u, u_ref, merit = start_power_flows(model, [refs])
+    assert np.isfinite(z).all()
+    if merit[0] < RESIDUAL_TARGET**2:  # where the reference converges, the power flow lands with it
+        assert np.max(np.abs(u - u_ref)) <= 1e-12
     try:
         eq = solve_equilibrium(model, refs)
     except (InfeasibleError, NonConvergenceError):
