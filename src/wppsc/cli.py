@@ -6,6 +6,11 @@ output directory, and emits its artifact as CSV with a header row, '.'
 decimal separator and LF line endings. Re-running a subcommand against a
 written manifest reproduces the artifacts byte for byte.
 
+Each subcommand is stated once, in _SUBCOMMANDS (its help, its handler and
+the options only it takes), and each record CSV once, in its column table
+(header -> value of a record), so a header and every row come from the same
+entries.
+
 Exit codes: 0 success, 2 configuration error, 3 equilibrium solver failure,
 4 simulation divergence (partial series still written).
 """
@@ -17,6 +22,7 @@ import json
 import logging
 import os
 import sys
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,15 +45,6 @@ from .powerflow import InfeasibleError, NonConvergenceError, solve_equilibrium
 from .scr import enhancement_report
 from .sim import TimeSeries, integrate
 
-_SUBCOMMANDS = {
-    "steady": "solve the operating point and dump the state vector",
-    "eig": "eigenvalues, damping ratios and dominant states",
-    "step": "linear step response of the configured reference channel",
-    "sweep": "stability classification over the full case/op/control grid",
-    "scr": "short-circuit ratio enhancement: closed form vs fault simulation",
-    "fault": "nonlinear time-domain run with the configured event schedule",
-}
-
 # linear response channels by stepped reference: analysis's table inverted
 _STEP_CHANNEL_MAP = {name: ch for ch, names in CHANNELS.items() for name in names}
 
@@ -69,6 +66,13 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(cell) for cell in row])
+
+
+def _write_records(path: str, columns: dict, records) -> None:
+    """One row per record: each column's value is the record's attribute at
+    a dotted path, or a function of the record."""
+    getters = [g if callable(g) else attrgetter(g) for g in columns.values()]
+    _write_csv(path, list(columns), ([get(r) for get in getters] for r in records))
 
 
 def _write_manifest(out_dir: str, subcommand: str, resolved: dict) -> None:
@@ -124,15 +128,9 @@ def _cmd_eig(scenario: Scenario, args, out_dir: str) -> int:
     ss = linearize(model, eq.state, eq.refs)
     records = eigenvalues(ss)
     key = scenario_key(scenario)
-    rows = [
-        (key, r.re, r.im, r.freq_hz, r.damping, ";".join(r.dominant_states))
-        for r in records
-    ]
-    _write_csv(
-        os.path.join(out_dir, "eigs.csv"),
-        ("scenario", "re", "im", "freq_hz", "damping", "dominant_states"),
-        rows,
-    )
+    columns = {"scenario": lambda r: key, "re": "re", "im": "im", "freq_hz": "freq_hz",
+               "damping": "damping", "dominant_states": lambda r: ";".join(r.dominant_states)}
+    _write_records(os.path.join(out_dir, "eigs.csv"), columns, records)
     if args.dump_a:
         header = ["state"] + list(ss.state_labels)
         a_rows = [(lab,) + tuple(ss.a[i]) for i, lab in enumerate(ss.state_labels)]
@@ -176,47 +174,28 @@ def _cmd_step(scenario: Scenario, args, out_dir: str) -> int:
     return _series_exit(ts)
 
 
+# sweep.csv, one row per analysis.StabilityReport
+_SWEEP_COLUMNS = {
+    "scenario": "scenario_key",
+    "grid_case": "grid_case",
+    "control": "control",
+    "with_sc": "with_sc",
+    "v_g_ref": "op.v_g_ref",
+    "v_turb_ref": "op.v_turb_ref",
+    "p_turb_ref": "op.p_turb_ref",
+    "solved": "solved",
+    "stable": "stable",
+    "max_re": "max_re",
+    "min_damping_below_100hz": "min_damping_below_100hz",
+    "poorly_damped_near_sync": lambda r: len(r.poorly_damped_near_sync),
+    "null_modes_filtered": "null_modes_filtered",
+    "failure": "failure",
+}
+
+
 def _cmd_sweep(scenario: Scenario, args, out_dir: str) -> int:
     reports = sweep(base=scenario, jobs=args.jobs)
-    rows = [
-        (
-            r.scenario_key,
-            r.grid_case,
-            r.control,
-            r.with_sc,
-            r.op.v_g_ref,
-            r.op.v_turb_ref,
-            r.op.p_turb_ref,
-            r.solved,
-            r.stable,
-            r.max_re,
-            r.min_damping_below_100hz,
-            len(r.poorly_damped_near_sync),
-            r.null_modes_filtered,
-            r.failure,
-        )
-        for r in reports
-    ]
-    _write_csv(
-        os.path.join(out_dir, "sweep.csv"),
-        (
-            "scenario",
-            "grid_case",
-            "control",
-            "with_sc",
-            "v_g_ref",
-            "v_turb_ref",
-            "p_turb_ref",
-            "solved",
-            "stable",
-            "max_re",
-            "min_damping_below_100hz",
-            "poorly_damped_near_sync",
-            "null_modes_filtered",
-            "failure",
-        ),
-        rows,
-    )
+    _write_records(os.path.join(out_dir, "sweep.csv"), _SWEEP_COLUMNS, reports)
     if args.verbose:
         unstable = sum(1 for r in reports if r.solved and not r.stable)
         failed = sum(1 for r in reports if not r.solved)
@@ -224,19 +203,17 @@ def _cmd_sweep(scenario: Scenario, args, out_dir: str) -> int:
     return 0
 
 
+# scr.csv, one row per scr.ScrReport
+_SCR_COLUMNS = {name: name for name in ("case", "scr_o", "scr_sc_theory", "scr_sc_sim", "rel_dev")}
+
+
 def _cmd_scr(scenario: Scenario, args, out_dir: str) -> int:
-    rows = [
-        (r.case, r.scr_o, r.scr_sc_theory, r.scr_sc_sim, r.rel_dev)
-        for r in enhancement_report(base=scenario)
-    ]
-    _write_csv(
-        os.path.join(out_dir, "scr.csv"),
-        ("case", "scr_o", "scr_sc_theory", "scr_sc_sim", "rel_dev"),
-        rows,
-    )
+    reports = enhancement_report(base=scenario)
+    _write_records(os.path.join(out_dir, "scr.csv"), _SCR_COLUMNS, reports)
     if args.verbose:
-        for case, _, theory, sim, dev in rows:
-            print(f"{case}: theory {theory:.4f}, simulated {sim:.4f} ({dev:+.2%})")
+        for r in reports:
+            print(f"{r.case}: theory {r.scr_sc_theory:.4f}, "
+                  f"simulated {r.scr_sc_sim:.4f} ({r.rel_dev:+.2%})")
     return 0
 
 
@@ -244,13 +221,7 @@ def _cmd_fault(scenario: Scenario, args, out_dir: str) -> int:
     model = build_model(scenario)
     eq = solve_equilibrium(model, refs_for(scenario))
     ts = integrate(
-        model,
-        eq.state,
-        eq.refs,
-        t_end=scenario.t_end,
-        dt=scenario.dt,
-        events=scenario.events,
-        meta=scenario_key(scenario),
+        model, eq.state, eq.refs, t_end=scenario.t_end, dt=scenario.dt, events=scenario.events
     )
     _write_series(os.path.join(out_dir, "fault.csv"), ts)
     if args.verbose:
@@ -258,13 +229,25 @@ def _cmd_fault(scenario: Scenario, args, out_dir: str) -> int:
     return _series_exit(ts)
 
 
-_HANDLERS = {
-    "steady": _cmd_steady,
-    "eig": _cmd_eig,
-    "step": _cmd_step,
-    "sweep": _cmd_sweep,
-    "scr": _cmd_scr,
-    "fault": _cmd_fault,
+# (flag, add_argument keywords); every subcommand takes the common options
+_COMMON_OPTIONS = (
+    ("--config", dict(default=None, help="scenario JSON (or a written manifest.json)")),
+    ("--out", dict(default=".", help="output directory (created if missing)")),
+    ("--set", dict(action="append", default=[], metavar="KEY=VALUE", dest="overrides",
+                   help="override a config entry after file parsing; repeatable")),
+    ("--verbose", dict(action="store_true", help="print run summaries")),
+)
+_JOBS = ("--jobs", dict(type=int, default=1, help="sweep workers, one model group each"))
+_DUMP_A = ("--dump-a", dict(action="store_true", help="also write the state matrix as a_matrix.csv"))
+
+# name: (help, handler, the options only it takes)
+_SUBCOMMANDS = {
+    "steady": ("solve the operating point and dump the state vector", _cmd_steady, ()),
+    "eig": ("eigenvalues, damping ratios and dominant states", _cmd_eig, (_DUMP_A,)),
+    "step": ("linear step response of the configured reference channel", _cmd_step, ()),
+    "sweep": ("stability classification over the full case/op/control grid", _cmd_sweep, (_JOBS,)),
+    "scr": ("short-circuit ratio enhancement: closed form vs fault simulation", _cmd_scr, ()),
+    "fault": ("nonlinear time-domain run with the configured event schedule", _cmd_fault, ()),
 }
 
 
@@ -278,34 +261,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _SUBCOMMANDS.items():
+    for name, (help_text, handler, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="scenario JSON (or a written manifest.json)")
-        p.add_argument("--out", default=".", help="output directory (created if missing)")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            dest="overrides",
-            help="override a config entry after file parsing; repeatable",
-        )
-        p.add_argument("--jobs", type=int, default=None, help="sweep workers, one model group each")
-        p.add_argument("--verbose", action="store_true", help="print run summaries")
-        if name == "eig":
-            p.add_argument(
-                "--dump-a",
-                action="store_true",
-                dest="dump_a",
-                help="also write the state matrix as a_matrix.csv",
-            )
+        p.set_defaults(handler=handler)
+        for flag, kwargs in _COMMON_OPTIONS + options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.jobs is not None and args.jobs < 1:
+    if getattr(args, "jobs", 1) < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")  # exits 2
     logging.basicConfig()  # a stderr handler, unless the root logger has one already
     # set on every call: basicConfig leaves the level alone once a handler exists
@@ -323,7 +290,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     _write_manifest(out_dir, args.command, to_dict(scenario))
     try:
-        return _HANDLERS[args.command](scenario, args, out_dir)
+        return args.handler(scenario, args, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

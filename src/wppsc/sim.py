@@ -286,7 +286,6 @@ def integrate(
     t_end: float,
     dt: float = 5e-5,
     events: Sequence[Event] = (),
-    meta: str = "",
 ) -> TimeSeries:
     """Integrate the plant ODE from x0 with the given event schedule: exact
     zero-order hold when the plant is affine, RK4 otherwise.
@@ -320,6 +319,6 @@ def integrate(
         for name in DERIVED_SIGNALS:
             columns[name][rows] = m[name]
     return TimeSeries(
-        t=np.arange(len(states)) * dt, columns=columns, dt=dt, meta=meta,
+        t=np.arange(len(states)) * dt, columns=columns, dt=dt,
         diverged=run.diverged, aborted=run.aborted, note=run.note,
     )

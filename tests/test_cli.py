@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import wppsc
-from wppsc.analysis import eigenvalues
+from wppsc.analysis import eigenvalues, sweep
 from wppsc.cli import main
 from wppsc.config import (
     OP_GRID_VALUES,
@@ -39,6 +39,16 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def csv_cell(value):
+    """The text the CLI writes for a value: shortest round-trip floats,
+    lower-case booleans, an empty cell for a missing value."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def preset_path(name):
@@ -309,6 +319,29 @@ def test_sweep_csv_full_grid(tmp_path):
     assert all(r[7] == "true" for r in rows)  # every point solved
     stable = {r[8] for r in rows}
     assert stable <= {"true", "false"} and "false" in stable
+    # every cell is its own report's field, found by the column's header
+    reports = sweep(base=parse_scenario({}))
+    assert keys == [r.scenario_key for r in reports]
+    for row, r in zip(rows, reports):
+        expected = {
+            "scenario": r.scenario_key,
+            "grid_case": r.grid_case,
+            "control": r.control,
+            "with_sc": r.with_sc,
+            "v_g_ref": r.op.v_g_ref,
+            "v_turb_ref": r.op.v_turb_ref,
+            "p_turb_ref": r.op.p_turb_ref,
+            "solved": r.solved,
+            "stable": r.stable,
+            "max_re": r.max_re,
+            "min_damping_below_100hz": r.min_damping_below_100hz,
+            "poorly_damped_near_sync": len(r.poorly_damped_near_sync),
+            "null_modes_filtered": r.null_modes_filtered,
+            "failure": r.failure,
+        }
+        assert len(row) == len(header)
+        for name, text in zip(header, row):
+            assert text == csv_cell(expected[name]), (r.scenario_key, name)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -318,6 +351,15 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # rejected before the manifest
+
+
+@pytest.mark.parametrize("command", ["steady", "eig", "step", "scr", "fault"])
+def test_jobs_is_a_usage_error_outside_sweep(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, "--jobs", "2")
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_scr_csv(tmp_path):
@@ -359,18 +401,33 @@ def test_fault_divergence_exit_4_keeps_partial_series(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
-def test_rerun_from_manifest_is_byte_identical(tmp_path):
+# flags each run of a subcommand takes, and overrides only the first run sets
+_RERUN = {
+    "steady": ([], []),
+    "eig": (["--dump-a"], []),
+    "step": ([], ["--set", "sim.t_end=0.05"]),
+    "sweep": ([], []),
+    "scr": ([], []),
+    "fault": ([], ["--set", "sim.t_end=0.02"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_RERUN))
+def test_rerun_from_manifest_is_byte_identical(tmp_path, command):
+    flags, overrides = _RERUN[command]
     out_a = tmp_path / "a"
     code = main([
-        "eig", "--config", preset_path("weak"), "--out", str(out_a),
-        "--set", "op.p_turb_ref=0.5", "--dump-a",
+        command, "--config", preset_path("weak"), "--out", str(out_a),
+        "--set", "op.p_turb_ref=0.5", *overrides, *flags,
     ])
     assert code == 0
     out_b = tmp_path / "b"
-    code = main(["eig", "--config", str(out_a / "manifest.json"), "--out", str(out_b), "--dump-a"])
+    code = main([command, "--config", str(out_a / "manifest.json"), "--out", str(out_b), *flags])
     assert code == 0
-    for name in ("eigs.csv", "a_matrix.csv", "manifest.json"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    names = sorted(os.listdir(out_a))
+    assert names == sorted(os.listdir(out_b)) and "manifest.json" in names and len(names) > 1
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 def test_grid_case_presets_match_library(tmp_path):
