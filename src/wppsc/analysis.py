@@ -230,9 +230,10 @@ def sweep(
 ) -> list[StabilityReport]:
     """Grid cases x operating points x controls x SC on/off, one report per
     cell, from one analyze_group call per grid case, control and SC state,
-    spread over jobs worker processes when jobs > 1. A cell whose solve or
-    linearization fails is reported unsolved and never aborts the batch; the
-    result is sorted by scenario key, whatever the worker timing."""
+    spread over min(jobs, groups) worker processes when that is > 1. A cell
+    whose solve or linearization fails is reported unsolved and never aborts
+    the batch; the result is sorted by scenario key, whatever the worker
+    timing."""
     cases = dict(GRID_CASES) if grid_cases is None else dict(grid_cases)
     points = standard_operating_points() if ops is None else list(ops)
     template = base if base is not None else Scenario()
@@ -242,11 +243,12 @@ def sweep(
         for name in sorted(cases)
         for control, with_sc in itertools.product(controls, sc_states)
     ]
-    if jobs is not None and jobs > 1:
+    workers = min(jobs or 1, len(groups))  # a pool starts every worker, busy or not
+    if workers > 1:
         # imported here so that wppsc starts without the process pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = [r for part in pool.map(analyze_group, groups) for r in part]
     else:
         reports = [r for g in groups for r in analyze_group(g)]

@@ -41,7 +41,7 @@ from .config import (
     to_dict,
 )
 from .linearize import input_labels, linearize
-from .powerflow import InfeasibleError, NonConvergenceError, solve_equilibrium
+from .powerflow import SolveError, solve_equilibrium
 from .scr import enhancement_report
 from .sim import TimeSeries, integrate
 
@@ -294,7 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleError, NonConvergenceError) as exc:
+    except SolveError as exc:
         print(f"equilibrium solve failed: {exc}", file=sys.stderr)
         return 3
 

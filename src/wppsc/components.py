@@ -22,18 +22,19 @@ inductances and capacitances.
 Every branch and node law is linear in the state. SystemModel states each
 once, in one table of (state, s, {column: z}) entries that read
 s dx/dt = sum of z x_column, with s the branch inductance or the node
-capacitance. The state labels, the dense network matrix (one per fault
-treatment, built on first use), the per-row s (SystemModel.lc, which
-Newton's row scale reads) and the faulted node's capacitance all come from
-that table. SystemModel.split wraps the network around a small nonlinear
-controller: for given inputs and fault the plant is x' = a x + b + E g(C x),
-with a the treatment matrix, b the sources, C the linear map to the
-controller inputs, g the controller and E the rows its outputs add to
-(Split). The controller is one function per mode (gfl_controller,
-gfm_controller) that reads its gains and refs once and returns g, which maps
-the 12 flat inputs to the 8 outputs with the converter power inlined.
-SystemModel.sources and SystemModel.controller give b by row and g alone,
-which is what the Jacobians difference (linearize.split_jacobian).
+capacitance; a column is a state or a source (e_g, e_sc). The state labels,
+the dense network matrix (the state columns; each fault treatment of it is
+built on first use), the source map S (the source columns), the per-row s
+(SystemModel.lc, Newton's row scale) and the faulted node's capacitance all
+come from that table. SystemModel.split wraps the network around a small
+nonlinear controller: for given inputs and fault the plant is
+x' = a x + b + E g(C x), with a the treatment matrix, b = S emfs(refs) the
+sources, C the linear map to the controller inputs, g the controller and E
+the rows its outputs add to (Split). The controller is one function per mode
+(gfl_controller, gfm_controller) that reads its gains and refs once and
+returns g, which maps the 12 flat inputs to the 8 outputs with the converter
+power inlined. SystemModel.source_map, emfs and controller give b and g
+alone, which is what the Jacobians difference (linearize.split_jacobian).
 SystemModel.rhs evaluates the split on one state of shape (n,), whose
 controller runs on Python floats, or on a batch of states as the columns of
 an (n, m) array, whose controller runs on row vectors, through the same
@@ -343,17 +344,18 @@ def gfm_controller(
 class Split(NamedTuple):
     """The plant over one event segment as x' = a x + b + E g(C x), and the
     bus it pins. a is the state matrix under the fault treatment and b the
-    source vector. g is the controller with its gains and refs bound
-    (gfl_controller, gfm_controller): it maps the flat list of the values of
-    the state rows `reads`, read after the pinned-bus write, to a tuple of
-    outputs that add to the state rows `writes` in that order, as Python
-    floats or as row vectors alike. So C is the rows `reads` of the
-    pinned-bus write (the identity with the pinned node's rows replaced by
-    its voltage map, see SystemModel._treatment), and E the columns `writes`
-    of the identity. For the converter plant the 12 inputs are v_c, i_f, i_a
-    and the six controller states, and the 8 outputs v_inv / lf (into the
-    i_f rows) and the six controller rates; the passive plant has no
-    controller, and both lists are empty."""
+    source vector S emfs(refs), the law table's source columns times the
+    source phasors (SystemModel.source_map, emfs). g is the controller with
+    its gains and refs bound (gfl_controller, gfm_controller): it maps the
+    flat list of the values of the state rows `reads`, read after the
+    pinned-bus write, to a tuple of outputs that add to the state rows
+    `writes` in that order, as Python floats or as row vectors alike. So C
+    is the rows `reads` of the pinned-bus write (the identity with the pinned
+    node's rows replaced by its voltage map, see SystemModel._treatment), and
+    E the columns `writes` of the identity. For the converter plant the 12
+    inputs are v_c, i_f, i_a and the six controller states, and the 8
+    outputs v_inv / lf (into the i_f rows) and the six controller rates; the
+    passive plant has no controller, and both lists are empty."""
 
     a: np.ndarray
     b: np.ndarray
@@ -397,17 +399,17 @@ class SystemModel:
         self.q_mode = q_mode
 
         # each network law as (state, s, {column: z}): s dx/dt = sum of z x_column
-        # over dq pairs, s the branch inductance or the node capacitance; split
-        # adds the sources, the controller the inverter voltage. The only place
-        # a reactance becomes an L or a C.
+        # over dq pairs, s the branch inductance or the node capacitance, a column
+        # a state or a source (split's b = S emfs(refs)); the controller adds
+        # the inverter voltage. The only place a reactance becomes an L or a C.
         net = network
         lf, cf = net.xf / OMEGA0, 1.0 / (OMEGA0 * net.x_cf)
         l_at = net.xa / OMEGA0 + net.xtf / OMEGA0
         self._lf, self._cf = lf, cf  # bound into the controller
-        laws = [("i_g", grid.x / OMEGA0, {"i_g": complex(-grid.r, grid.x), "v_pcc": -1.0})]
+        laws = [("i_g", grid.x / OMEGA0, {"i_g": complex(-grid.r, grid.x), "v_pcc": -1.0, "e_g": 1.0})]
         if sc is not None:
             laws.append(("i_sc", sc.x_sub / OMEGA0,
-                         {"i_sc": complex(-sc.r_tr, sc.x_sub + sc.x_tr), "v_pcc": -1.0}))
+                         {"i_sc": complex(-sc.r_tr, sc.x_sub + sc.x_tr), "v_pcc": -1.0, "e_sc": 1.0}))
         if control != NO_CONVERTER:
             laws.append(("i_f", lf, {"i_f": complex(-net.rf, OMEGA0 * lf), "v_c": -1.0}))
         laws += [
@@ -415,7 +417,6 @@ class SystemModel:
             ("i_a", l_at, {"v_c": 1.0, "i_a": complex(-(net.ra + net.rtf), OMEGA0 * l_at), "v_pcc": -1.0}),
             ("v_pcc", net.c_pcc, {"i_g": 1.0, "i_sc": 1.0, "i_a": 1.0, "v_pcc": 1j * OMEGA0 * net.c_pcc}),
         ]
-        self._laws = laws
         labels, lc = [], []
         for state, s, _ in laws:
             labels += (state + "_d", state + "_q")
@@ -426,6 +427,20 @@ class SystemModel:
         self.n = len(self.labels)
         self._idx = {name: k for k, name in enumerate(self.labels)}
         self._treatments: dict = {}
+        # each law's coefficients over its s, as 2x2 blocks: on the state columns
+        # the fault-free state matrix (Split.a without a fault), on the source
+        # columns S, the map from emfs to Split.b
+        cols = {state: k for k, (state, _, _) in enumerate(laws)}
+        cols.update(e_g=self.n // 2, e_sc=self.n // 2 + 1)
+        z = np.zeros((self.n // 2, self.n // 2 + 2), complex)  # over dq pairs; law k is the pair k
+        for k, (_, s, terms) in enumerate(laws):
+            for col, v in terms.items():
+                if col in cols:  # i_sc and i_f only where present
+                    z[k, cols[col]] += complex(v) / s
+        law = np.empty((self.n, self.n + 4))  # each z as [[re, -im], [im, re]], with no -0.0 entries
+        law[::2, ::2], law[::2, 1::2], law[1::2, ::2], law[1::2, 1::2] = z.real, 0.0 - z.imag, z.imag, z.real
+        self.a, self.source_map = law[:, : self.n].copy(), law[:, self.n :].copy()
+        self._e_mag = sc.e_mag if sc is not None else 0.0
         # the state rows the controller reads and those its outputs add to (Split)
         self.reads: list[int] = []
         self.writes: list[int] = []
@@ -453,23 +468,6 @@ class SystemModel:
 
     # -- linear network ------------------------------------------------------
 
-    @property
-    def a(self) -> np.ndarray:
-        """The fault-free state matrix: Split.a without a fault."""
-        return self._treatment(None, None)[0]
-
-    def _network_matrix(self) -> np.ndarray:
-        """State matrix of the fault-free network: each law contributes the
-        2x2 blocks of its coefficients over its s."""
-        z = np.zeros((self.n // 2, self.n // 2), complex)  # over dq pairs
-        for state, s, terms in self._laws:
-            for col, v in terms.items():
-                if col + "_d" in self._idx:  # i_sc and i_f only where present
-                    z[self._idx[state + "_d"] // 2, self._idx[col + "_d"] // 2] += complex(v) / s
-        a = np.empty((self.n, self.n))  # each z as [[re, -im], [im, re]], with no -0.0 entries
-        a[::2, ::2], a[::2, 1::2], a[1::2, ::2], a[1::2, 1::2] = z.real, 0.0 - z.imag, z.imag, z.real
-        return a
-
     def _treatment(
         self, fault: Optional[FaultSpec], dt: Optional[float]
     ) -> tuple[np.ndarray, Optional[tuple[int, np.ndarray]]]:
@@ -493,7 +491,7 @@ class SystemModel:
             key = (k, fault.r_fault, dt is not None and fault.r_fault * self.lc[k] <= 2.0 * dt)
         if key not in self._treatments:
             self._treatments[key] = (
-                self._fault_matrices(*key) if key else (self._network_matrix(), None)
+                self._fault_matrices(*key) if key else (self.a, None)
             )
         return self._treatments[key]
 
@@ -505,7 +503,7 @@ class SystemModel:
         v = z i_net with z = 1 / (1/r - j w0 C). The map to i_net is read off
         the node's own law: times C, and with the node's own block zeroed, it
         is the net current that the branches feed into the node."""
-        a = self._network_matrix()
+        a = self.a.copy()
         c_bus = self.lc[k]
         if not algebraic:
             a[k : k + 2, k : k + 2] -= np.eye(2) / (r_fault * c_bus)
@@ -528,21 +526,21 @@ class SystemModel:
         """The plant with refs and the fault (if given, it is active) bound,
         as x' = a x + b + E g(C x) (see Split)."""
         a, pinned = self._treatment(fault, dt)
-        b = np.zeros((self.n, *np.broadcast(refs.v_g_ref, refs.v_g_angle, refs.phi_sc).shape))
-        for k, v in self.sources(refs).items():
-            b[k] = v
-        return Split(a, b, self.reads, self.writes, self.controller(refs), pinned)
+        return Split(a, self.source_map @ self.emfs(refs), self.reads, self.writes,
+                     self.controller(refs), pinned)
 
-    def sources(self, refs: RefInputs) -> dict:
-        """The entries of Split.b by state row: the grid source drives the
-        i_g rows and the condenser EMF the i_sc rows. Each is a float or an
-        m-vector, as the refs' fields are."""
-        e_g = refs.v_g_ref * OMEGA0 / self.grid.x
-        out = {0: e_g * np.cos(refs.v_g_angle), 1: e_g * np.sin(refs.v_g_angle)}
-        if self.sc is not None:
-            k = self._idx["i_sc_d"]
-            e_sc = self.sc.e_mag * OMEGA0 / self.sc.x_sub
-            out[k], out[k + 1] = e_sc * np.cos(refs.phi_sc), e_sc * np.sin(refs.phi_sc)
+    def emfs(self, refs: RefInputs) -> np.ndarray:
+        """The source phasors (d, q) of refs, the grid source's and then the
+        condenser EMF's (zero without the condenser), as the rows of a (4,)
+        array, or of a (4, m) array for m-vector fields: b = source_map @ emfs."""
+        v_g, angle, phi, e = refs.v_g_ref, refs.v_g_angle, refs.phi_sc, self._e_mag
+        if isinstance(v_g, float) and isinstance(angle, float) and isinstance(phi, float):
+            # one state's refs: math is several times cheaper than numpy on a float
+            return np.array((v_g * math.cos(angle), v_g * math.sin(angle),
+                             e * math.cos(phi), e * math.sin(phi)))
+        out = np.empty((4, *np.broadcast(v_g, angle, phi).shape))
+        out[0], out[1] = v_g * np.cos(angle), v_g * np.sin(angle)
+        out[2], out[3] = e * np.cos(phi), e * np.sin(phi)
         return out
 
     def controller(self, refs: RefInputs) -> Callable[[Sequence], Sequence]:
@@ -594,13 +592,9 @@ class SystemModel:
         magnitudes. x may be a batch of columns."""
         out = {}
         out["p_pc"], out["q_pc"] = power_pair(self.pair(x, "v_c_d"), self.pair(x, "i_a_d"))
-        v_g = (refs.v_g_ref * np.cos(refs.v_g_angle), refs.v_g_ref * np.sin(refs.v_g_angle))
-        out["p_g"], out["q_g"] = power_pair(v_g, self.pair(x, "i_g_d"))
-        if self.sc is not None:
-            v_sc = (self.sc.e_mag * np.cos(refs.phi_sc), self.sc.e_mag * np.sin(refs.phi_sc))
-            out["p_sc"], out["q_sc"] = power_pair(v_sc, self.pair(x, "i_sc_d"))
-        else:
-            out["p_sc"], out["q_sc"] = 0.0, 0.0
+        e = self.emfs(refs)
+        out["p_g"], out["q_g"] = power_pair(e[:2], self.pair(x, "i_g_d"))
+        out["p_sc"], out["q_sc"] = power_pair(e[2:], self.pair(x, "i_sc_d")) if self.has_sc else (0.0, 0.0)
         v_c = self.pair(x, "v_c_d")
         v_pcc = self.pair(x, "v_pcc_d")
         out["v_c_mag"] = np.hypot(v_c[0], v_c[1])

@@ -10,7 +10,8 @@ takes the network matrix a as it is and makes one numjac call on the
 nonlinear part alone, over the inputs it reads. Newton's Jacobian
 (powerflow) and linearize_batch are built that way; linearize_batch
 linearizes m equilibria of one model with one call, its outputs (which read
-only v_c and i_a) differenced with the controller.
+only v_c and i_a) and the grid's rows of b (which read v_g_ref) differenced
+with the controller.
 """
 
 from __future__ import annotations
@@ -185,18 +186,13 @@ def linearize_batch(
     n, m = x_eq.shape
     stacked = RefInputs.stack(refs)
     in_labels = input_labels(model)
-    fields = [lab for lab in in_labels if lab != "v_g_ref"]
-    u0 = np.array([[getattr(r, lab) for r in refs] for lab in fields]).reshape(-1, m)
-    kv, ka = model.index("v_c_d"), model.index("i_a_d")
-    difference = split_jacobian(model, fields, [kv, kv + 1, ka, ka + 1],
-                                lambda xs, r: _outputs(model, xs), range(n, n + len(OUTPUT_LABELS)))
+    u0 = np.array([[getattr(r, lab) for r in refs] for lab in in_labels]).reshape(-1, m)
+    kv, ka, kg = model.index("v_c_d"), model.index("i_a_d"), model.index("i_g_d")
+    grid = model.source_map[kg : kg + 2]  # the grid's rows of b, which read v_g_ref
+    difference = split_jacobian(model, in_labels, [kv, kv + 1, ka, ka + 1],
+                                lambda xs, r: [*(grid @ model.emfs(r)), *_outputs(model, xs)],
+                                [kg, kg + 1, *range(n, n + len(OUTPUT_LABELS))])
     jac = difference(np.concatenate((x_eq, u0)), stacked, eps)
-    # b is linear in v_g_ref: its column is the sources at v_g_ref = 1 less those at 0
-    s1, s0 = (model.sources(RefInputs(v_g_ref=v, v_g_angle=stacked.v_g_angle)) for v in (1.0, 0.0))
-    col = n + in_labels.index("v_g_ref")
-    jac = np.concatenate((jac[..., :col], np.zeros((*jac.shape[:2], 1)), jac[..., col:]), axis=2)
-    for k in s1:
-        jac[:, k, col] = s1[k] - s0[k]
     a, b, c = jac[:, :n, :n], jac[:, :n, n:], jac[:, n:, :n]
 
     residual = np.abs(model.rhs(x_eq, stacked)).max(axis=0) if check_equilibrium else np.zeros(m)

@@ -58,29 +58,30 @@ MAX_HALVINGS = 8
 VOLTAGE_BAND = (0.5, 1.5)
 
 
-class NonConvergenceError(RuntimeError):
-    """Newton stalled with a small-but-not-converged residual."""
+class SolveError(RuntimeError):
+    """The equilibrium solve failed after `iterations` Newton iterations at
+    the true residual ∞-norm `final_residual`, as the subclass's `message`
+    says; detail, if any, says why."""
 
     def __init__(self, iterations: int, final_residual: float, detail: str = ""):
-        msg = f"no convergence after {iterations} iterations, residual {final_residual:.3e}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        msg = self.message.format(iterations=iterations, final_residual=final_residual)
+        super().__init__(f"{msg} ({detail})" if detail else msg)
         self.iterations = iterations
         self.final_residual = final_residual
+        self.detail = detail
 
 
-class InfeasibleError(RuntimeError):
+class NonConvergenceError(SolveError):
+    """Newton stalled with a small-but-not-converged residual."""
+
+    message = "no convergence after {iterations} iterations, residual {final_residual:.3e}"
+
+
+class InfeasibleError(SolveError):
     """Residual stagnated far from zero: no equilibrium at this operating
     point (e.g. requested power beyond the network's loadability)."""
 
-    def __init__(self, iterations: int, final_residual: float, detail: str = ""):
-        msg = f"no equilibrium found, residual stuck at {final_residual:.3e}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-        self.iterations = iterations
-        self.final_residual = final_residual
+    message = "no equilibrium found, residual stuck at {final_residual:.3e}"
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,8 @@ def _closures(model: SystemModel, x, r: RefInputs) -> list:
     where its unknown is solved for."""
     unknowns, out = _unknowns(model), []
     if "phi_sc" in unknowns:
-        i_sc = model.pair(x, "i_sc_d")
-        out.append(model.sc.e_mag * (np.cos(r.phi_sc) * i_sc[0] + np.sin(r.phi_sc) * i_sc[1]))
+        e, i_sc = model.emfs(r), model.pair(x, "i_sc_d")
+        out.append(e[2] * i_sc[0] + e[3] * i_sc[1])
     if "q_star" in unknowns:
         v_c = model.pair(x, "v_c_d")
         out.append(np.hypot(v_c[0], v_c[1]) - r.v_turb_star)
@@ -143,10 +144,10 @@ def _jacobian(model: SystemModel, scale: np.ndarray):
     n = model.n
     fields = _unknowns(model)
     k_sc = [model.index("i_sc_d") + i for i in (0, 1)] if model.has_sc else []
+    s_sc = model.source_map[k_sc]
 
     def extra(xs: list, r: RefInputs) -> list:
-        src = model.sources(r) if k_sc else {}
-        return [*(src[k] for k in k_sc), *_closures(model, xs, r)]
+        return [*(s_sc @ model.emfs(r)), *_closures(model, xs, r)]
 
     jac = split_jacobian(model, fields, k_sc, extra, [*k_sc, *range(n, n + len(fields))])
     return lambda z, refs: scale[:, None] * jac(z, refs, 1e-7)
@@ -227,25 +228,24 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
 
     One linear solve of the fault-free network, with the rows the controller
     writes holding i_a and the controller states, gives the state per grid
-    source, per unit i_a and per unit condenser EMF (d, q); the state is their
+    source, per unit i_a and per condenser EMF at angle 0 and pi/2 (each
+    right-hand side from SystemModel.source_map); the state is their
     superposition at the i_a and phi_sc of _power_flow. The controller angle
     is that of v_c (negated for the grid-forming frame), and the four
     integrators minimise Newton's row-scaled residual on the rows the
     controller writes: g is affine in them, so its value with each set to
     one gives their columns."""
     n, m, stacked, unknowns = model.n, len(refs), RefInputs.stack(refs), _unknowns(model)
-    a, b, reads, writes, _, _ = model.split(replace(stacked, phi_sc=0.0))
+    a, s, reads, writes = model.a, model.source_map, model.reads, model.writes
     kv, ka = model.index("v_c_d"), model.index("i_a_d")
-    b = b.reshape(n, -1)  # one grid source column, or one per member
-    k, scale, ks = b.shape[1], scale[:n, None], kv  # ks: i_sc's row, if any
-    lhs, rhs = scale * a, np.hstack((-scale * b, np.zeros((n, 4))))  # then unit i_a, unit EMF
+    v_g = model.emfs(stacked)[:2].reshape(2, -1)  # the grid source: shared, or one per member
+    k, scale, e_mag = v_g.shape[1], scale[:n, None], model.sc.e_mag if model.has_sc else 0.0
+    # the grid source, unit i_a (d, q), then the EMF at angle 0 (d) and pi/2 (q)
+    lhs, rhs = scale * a, np.hstack((-scale * (s[:, :2] @ v_g), np.zeros((n, 2)), -e_mag * scale * s[:, 2:]))
     if writes:  # the i_f rows hold i_a, the controller rows hold their states
         lhs[writes], lhs[writes, [ka, ka + 1, *writes[2:]]] = 0.0, 1.0
         rhs[writes[:2], [k, k + 1]] = 1.0
-    if model.has_sc:  # the EMF at angle 0 (d) and pi/2 (q), apart from the grid source
-        ks = model.index("i_sc_d")
-        rhs[[ks, ks + 1], [k + 2, k + 3]] = rhs[ks, 0]
-        rhs[ks : ks + 2, :k] = 0.0
+    ks = model.index("i_sc_d") if model.has_sc else kv  # i_sc's row, if any
     x = np.linalg.solve(lhs, rhs)
     u = _power_flow(model, x[kv] + 1j * x[kv + 1], x[ks] + 1j * x[ks + 1], k, stacked, m)
     z = np.zeros((n + len(unknowns), m))  # the closure unknowns last, phi_sc first

@@ -497,3 +497,40 @@ def test_sweep_with_a_pool_matches_the_serial_sweep():
     pooled = sweep(**kwargs, jobs=2)
     assert [(r.scenario_key, r.solved, r.stable, r.max_re) for r in pooled] == [
         (r.scenario_key, r.solved, r.stable, r.max_re) for r in serial]
+
+
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that maps in this process and
+    records the worker count it was asked for."""
+
+    workers: list = []
+
+    def __init__(self, max_workers=None):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, controls, sc_states, workers", [
+    (64, ("gfl", "gfm"), (False, True), [4]), (3, ("gfl", "gfm"), (False, True), [3]),
+    (2, ("gfl", "gfm"), (True,), [2]), (64, ("gfl",), (True,), []),
+])
+def test_sweep_starts_no_more_workers_than_groups(monkeypatch, jobs, controls, sc_states, workers):
+    # one grid case: a group per control and condenser state, and a pool
+    # only for two groups or more
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "workers", [])
+    kwargs = dict(grid_cases={"weak": GRID_CASES["weak"]}, ops=standard_operating_points()[::13],
+                  controls=controls, sc_states=sc_states)
+    pooled = sweep(**kwargs, jobs=jobs)
+    assert _SerialPool.workers == workers
+    assert pooled == sweep(**kwargs)

@@ -291,9 +291,18 @@ def test_filter_capacitor_rows_converter_model():
     assert np.max(np.abs(ss.a[vc : vc + 2, vc : vc + 2] - rot)) / OMEGA0 < 1e-9
 
 
-def test_source_input_column():
-    # d(i_g dot)/d(v_g_ref) = (cos a, sin a)/L_g; here a = 0
-    model, refs = passive_model("strong", with_sc=False)
+def gfl_sc_model(case="normal"):
+    s = Scenario(grid=GRID_CASES[case], control=GFL, with_sc=True, op=OperatingPoint(1.0, 1.0, 0.5))
+    return build_model(s), refs_for(s)
+
+
+@pytest.mark.parametrize("make, angle", [(lambda: passive_model("strong", with_sc=False), 0.0),
+                                         (gfl_sc_model, 0.3)], ids=["passive", "gfl-sc"])
+def test_source_input_column(make, angle):
+    # d(i_g dot)/d(v_g_ref) = (cos a, sin a)/L_g: a central difference of the
+    # grid's rows of b, which are linear in v_g_ref
+    model, refs = make()
+    refs = replace(refs, v_g_angle=angle, phi_sc=0.1)
     x = np.zeros(model.n)
     x[model.index("v_c_d")] = 1.0
     x[model.index("v_pcc_d")] = 1.0
@@ -301,8 +310,11 @@ def test_source_input_column():
     col = ss.input_labels.index("v_g_ref")
     lg = model.grid.x / OMEGA0
     ig = model.index("i_g_d")
-    assert ss.b[ig, col] == pytest.approx(1.0 / lg, rel=1e-9)
-    assert abs(ss.b[ig + 1, col]) < 1e-6
+    for k, expect in enumerate((math.cos(angle) / lg, math.sin(angle) / lg)):
+        if expect:
+            assert ss.b[ig + k, col] == pytest.approx(expect, rel=1e-9)
+        else:
+            assert abs(ss.b[ig + k, col]) < 1e-6
     # nothing else sees the source directly
     others = np.delete(ss.b[:, col], [ig, ig + 1])
     assert np.max(np.abs(others)) < 1e-6

@@ -35,6 +35,7 @@ from wppsc.powerflow import (
     EquilibriumPoint,
     InfeasibleError,
     NonConvergenceError,
+    SolveError,
     _jacobian,
     _newton,
     _residual,
@@ -263,6 +264,19 @@ def test_infeasible_point_raises():
         solve_equilibrium(model, refs_for(s))
     assert exc.value.final_residual > 1e-3
     assert exc.value.iterations > 0
+
+
+@pytest.mark.parametrize("cls, text", [
+    (NonConvergenceError, "no convergence after 7 iterations, residual 2.500e-05"),
+    (InfeasibleError, "no equilibrium found, residual stuck at 2.500e-05"),
+])
+def test_solver_failures_share_one_base_and_keep_their_messages(cls, text):
+    # sweep.csv's failure column prints type(e).__name__: e
+    for detail, msg in (("", text), ("why", text + " (why)")):
+        e = cls(7, 2.5e-5, detail)
+        assert isinstance(e, SolveError) and isinstance(e, RuntimeError)
+        assert str(e) == msg
+        assert (e.iterations, e.final_residual, e.detail) == (7, 2.5e-5, detail)
 
 
 def test_initial_guess_structure():
