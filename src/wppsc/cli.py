@@ -43,7 +43,7 @@ from .config import (
 from .linearize import input_labels, linearize
 from .powerflow import SolveError, solve_equilibrium
 from .scr import enhancement_report
-from .sim import TimeSeries, integrate
+from .sim import ScheduleError, TimeSeries, integrate
 
 # linear response channels by stepped reference: analysis's table inverted
 _STEP_CHANNEL_MAP = {name: ch for ch, names in CHANNELS.items() for name in names}
@@ -293,6 +293,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(scenario, args, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ScheduleError as exc:
+        print(f"config error: events: {exc}", file=sys.stderr)
         return 2
     except SolveError as exc:
         print(f"equilibrium solve failed: {exc}", file=sys.stderr)

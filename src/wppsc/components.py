@@ -23,30 +23,33 @@ Every branch and node law is linear in the state. SystemModel states each
 once, in one table of (state, s, {column: z}) entries that read
 s dx/dt = sum of z x_column, with s the branch inductance or the node
 capacitance; a column is a state or a source (e_g, e_sc). The state labels,
-the dense network matrix (the state columns; each fault treatment of it is
-built on first use), the source map S (the source columns), the per-row s
-(SystemModel.lc, Newton's row scale) and the faulted node's capacitance all
-come from that table. SystemModel.split wraps the network around a small
+the dense network matrix a (the state columns), the source map S (the source
+columns), the per-row s (SystemModel.lc, Newton's row scale) and the faulted
+node's capacitance all come from that table. Around the network sits a small
 nonlinear controller: for given inputs and fault the plant is
-x' = a x + b + E g(C x), with a the treatment matrix, b = S emfs(refs) the
-sources, C the linear map to the controller inputs, g the controller and E
-the rows its outputs add to (Split). The controller is one function per mode
-(gfl_controller, gfm_controller) that reads its gains and refs once and
-returns g, which maps the 12 flat inputs to the 8 outputs with the converter
-power inlined. SystemModel.source_map, emfs and controller give b and g
-alone, which is what the Jacobians difference (linearize.split_jacobian).
-SystemModel.rhs evaluates the split on one state of shape (n,), whose
-controller runs on Python floats, or on a batch of states as the columns of
-an (n, m) array, whose controller runs on row vectors, through the same
-code. The integrator folds the linear part of its RK4 stages from the same
-split.
+x' = a x + b + E g(C x), each part read off the model: a and the bus it pins
+from SystemModel.treatment(fault, dt), b = S emfs(refs), and g =
+controller(refs), the controller with its gains and refs bound
+(gfl_controller, gfm_controller). g maps the values of the state rows
+`reads`, read after the pinned-bus write, to outputs that add to the rows
+`writes`, as Python floats or as row vectors alike; so C is the rows `reads`
+of the pinned-bus write and E the columns `writes` of the identity. For the
+converter plant the 12 inputs are v_c, i_f, i_a and the six controller
+states, and the 8 outputs v_inv / lf (into the i_f rows) and the six
+controller rates, with the converter power inlined; the passive plant has no
+controller, and both lists are empty. The Jacobians difference b and g alone
+(linearize.split_jacobian). SystemModel.rhs evaluates the plant on one state
+of shape (n,), whose controller runs on Python floats, or on a batch of
+states as the columns of an (n, m) array, whose controller runs on row
+vectors, through the same code. The integrator folds the linear part of its
+RK4 stages from the same parts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -341,30 +344,6 @@ def gfm_controller(
 # assembled system
 
 
-class Split(NamedTuple):
-    """The plant over one event segment as x' = a x + b + E g(C x), and the
-    bus it pins. a is the state matrix under the fault treatment and b the
-    source vector S emfs(refs), the law table's source columns times the
-    source phasors (SystemModel.source_map, emfs). g is the controller with
-    its gains and refs bound (gfl_controller, gfm_controller): it maps the
-    flat list of the values of the state rows `reads`, read after the
-    pinned-bus write, to a tuple of outputs that add to the state rows
-    `writes` in that order, as Python floats or as row vectors alike. So C
-    is the rows `reads` of the pinned-bus write (the identity with the pinned
-    node's rows replaced by its voltage map, see SystemModel._treatment), and
-    E the columns `writes` of the identity. For the converter plant the 12
-    inputs are v_c, i_f, i_a and the six controller states, and the 8
-    outputs v_inv / lf (into the i_f rows) and the six controller rates; the
-    passive plant has no controller, and both lists are empty."""
-
-    a: np.ndarray
-    b: np.ndarray
-    reads: list[int]
-    writes: list[int]
-    g: Callable[[Sequence], Sequence]
-    pinned: Optional[tuple[int, np.ndarray]]
-
-
 class SystemModel:
     """One scenario's assembled ODE: x_dot = rhs(x, refs).
 
@@ -400,7 +379,7 @@ class SystemModel:
 
         # each network law as (state, s, {column: z}): s dx/dt = sum of z x_column
         # over dq pairs, s the branch inductance or the node capacitance, a column
-        # a state or a source (split's b = S emfs(refs)); the controller adds
+        # a state or a source (b = S emfs(refs)); the controller adds
         # the inverter voltage. The only place a reactance becomes an L or a C.
         net = network
         lf, cf = net.xf / OMEGA0, 1.0 / (OMEGA0 * net.x_cf)
@@ -426,10 +405,9 @@ class SystemModel:
         self.lc: tuple[float, ...] = tuple(lc)
         self.n = len(self.labels)
         self._idx = {name: k for k, name in enumerate(self.labels)}
-        self._treatments: dict = {}
         # each law's coefficients over its s, as 2x2 blocks: on the state columns
-        # the fault-free state matrix (Split.a without a fault), on the source
-        # columns S, the map from emfs to Split.b
+        # the fault-free state matrix a, on the source columns S, the map from
+        # emfs to b
         cols = {state: k for k, (state, _, _) in enumerate(laws)}
         cols.update(e_g=self.n // 2, e_sc=self.n // 2 + 1)
         z = np.zeros((self.n // 2, self.n // 2 + 2), complex)  # over dq pairs; law k is the pair k
@@ -441,7 +419,7 @@ class SystemModel:
         law[::2, ::2], law[::2, 1::2], law[1::2, ::2], law[1::2, 1::2] = z.real, 0.0 - z.imag, z.imag, z.real
         self.a, self.source_map = law[:, : self.n].copy(), law[:, self.n :].copy()
         self._e_mag = sc.e_mag if sc is not None else 0.0
-        # the state rows the controller reads and those its outputs add to (Split)
+        # the state rows the controller reads and those its outputs add to
         self.reads: list[int] = []
         self.writes: list[int] = []
         if control != NO_CONVERTER:
@@ -468,44 +446,29 @@ class SystemModel:
 
     # -- linear network ------------------------------------------------------
 
-    def _treatment(
-        self, fault: Optional[FaultSpec], dt: Optional[float]
+    def treatment(
+        self, fault: Optional[FaultSpec], dt: Optional[float] = None
     ) -> tuple[np.ndarray, Optional[tuple[int, np.ndarray]]]:
-        """State matrix with the active fault applied, and the bus the fault
-        pins (None when it pins none): the row of its node state and the
-        (2, n) map from the state to its voltage. Built on first use and
-        cached per treatment.
+        """State matrix with the fault (if given, it is active) applied, and
+        the bus it pins (None when it pins none): the row of its node state
+        and the (2, n) map from the state to its voltage. A fault that
+        changes the matrix gives a new one; a itself is never written.
 
-        Very large resistances are an open circuit (no-op). A shunt whose
-        R*C time constant is short relative to the integration step dt is
-        handled quasi-statically: the bus is algebraic, pinned to its
-        node-law value v = i_net / (1/r - j w0 C). The branches and the
-        controller read that value and nothing reads the node state; its
-        rows are zero and the integrator writes the pinned value into it
-        after every step. Without dt, or with a longer time constant, the
-        shunt joins the node ODE as an ordinary conductance.
+        Very large resistances are an open circuit. A shunt whose R*C time
+        constant is at most 2 dt is handled quasi-statically: the bus is
+        algebraic, pinned to its node-law value v = z i_net with
+        z = 1 / (1/r - j w0 C), i_net the node's own law times C with its
+        own block zeroed. The branches and the controller read that value;
+        the node's rows are zero and the integrator writes the pinned value
+        into the node state after every step. Without dt, or with a longer
+        time constant, the shunt joins the node ODE as a conductance.
         """
-        key = None
-        if fault is not None and fault.r_fault < FAULT_OPEN_THRESHOLD:
-            k = self._idx[_FAULT_NODES[fault.bus] + "_d"]
-            key = (k, fault.r_fault, dt is not None and fault.r_fault * self.lc[k] <= 2.0 * dt)
-        if key not in self._treatments:
-            self._treatments[key] = (
-                self._fault_matrices(*key) if key else (self.a, None)
-            )
-        return self._treatments[key]
-
-    def _fault_matrices(
-        self, k: int, r_fault: float, algebraic: bool
-    ) -> tuple[np.ndarray, Optional[tuple[int, np.ndarray]]]:
-        """The fault-free matrix with a shunt of r_fault at the node of row k: a
-        conductance in the node law or, when algebraic, the node pinned to
-        v = z i_net with z = 1 / (1/r - j w0 C). The map to i_net is read off
-        the node's own law: times C, and with the node's own block zeroed, it
-        is the net current that the branches feed into the node."""
+        if fault is None or fault.r_fault >= FAULT_OPEN_THRESHOLD:
+            return self.a, None
+        k = self._idx[_FAULT_NODES[fault.bus] + "_d"]
+        r_fault, c_bus = fault.r_fault, self.lc[k]
         a = self.a.copy()
-        c_bus = self.lc[k]
-        if not algebraic:
+        if dt is None or r_fault * c_bus > 2.0 * dt:
             a[k : k + 2, k : k + 2] -= np.eye(2) / (r_fault * c_bus)
             return a, None
         i_net = c_bus * a[k : k + 2]
@@ -516,18 +479,6 @@ class SystemModel:
         return a, (k, pin)
 
     # -- right-hand side -----------------------------------------------------
-
-    def split(
-        self,
-        refs: RefInputs,
-        fault: Optional[FaultSpec] = None,
-        dt: Optional[float] = None,
-    ) -> Split:
-        """The plant with refs and the fault (if given, it is active) bound,
-        as x' = a x + b + E g(C x) (see Split)."""
-        a, pinned = self._treatment(fault, dt)
-        return Split(a, self.source_map @ self.emfs(refs), self.reads, self.writes,
-                     self.controller(refs), pinned)
 
     def emfs(self, refs: RefInputs) -> np.ndarray:
         """The source phasors (d, q) of refs, the grid source's and then the
@@ -544,7 +495,8 @@ class SystemModel:
         return out
 
     def controller(self, refs: RefInputs) -> Callable[[Sequence], Sequence]:
-        """Split.g: the controller with its gains and refs bound."""
+        """g: the controller with its gains and refs bound, over the rows
+        `reads` to the rows `writes`."""
         if self.control == GFL:
             return gfl_controller(self.gfl, refs, self.q_mode, self._lf)
         if self.control == GFM:
@@ -558,8 +510,8 @@ class SystemModel:
         fault: Optional[FaultSpec] = None,
         dt: Optional[float] = None,
     ) -> np.ndarray:
-        """State derivative a x + b + E g(C x) of the plant split with refs
-        and the fault (see split).
+        """State derivative a x + b + E g(C x) of the plant with refs and
+        the fault (if given, it is active; see treatment).
 
         x is one state of shape (n,) or a batch of states as the columns of
         an (n, m) array; with a batch, any field of refs may also be an
@@ -571,16 +523,17 @@ class SystemModel:
         column = x.ndim == 2 and x.shape[1] == 1
         if column:
             x, refs = x[:, 0], refs.take(0)
-        a, b, reads, writes, g, pinned = self.split(refs, fault, dt)
+        a, pinned = self.treatment(fault, dt)
         single = x.ndim == 1
         dx = a @ x
+        b = self.source_map @ self.emfs(refs)
         dx += b if single else b.reshape(self.n, -1)
-        if pinned is not None and reads:  # the controller reads the pinned bus
+        if pinned is not None and self.reads:  # the controller reads the pinned bus
             k, pin = pinned
             x = x.copy()
             x[k : k + 2] = pin @ x
         rows = x.tolist() if single else x
-        for r, out in zip(writes, g([rows[i] for i in reads])):
+        for r, out in zip(self.writes, self.controller(refs)([rows[i] for i in self.reads])):
             dx[r] += out
         return dx[:, None] if column else dx
 

@@ -124,7 +124,10 @@ def standard_operating_points() -> tuple[OperatingPoint, ...]:
 
 
 def _grid_branch(grid: GridCase | Impedance) -> Impedance:
-    """The Thevenin branch of a grid entry, which needs a reactance."""
+    """The Thevenin branch of a grid entry, which needs a reactance; an
+    explicit branch is also at least 1 / MAX_SCR in size."""
+    if isinstance(grid, Impedance) and grid.magnitude < 1.0 / MAX_SCR:
+        raise ValueError(f"grid branch |z| must be >= {1.0 / MAX_SCR:g} pu, got {grid.magnitude:g}")
     z = grid if isinstance(grid, Impedance) else impedance_from_scr_xr(grid)
     if not z.x > 0.0:
         raise ValueError(f"grid x must be > 0, got {z.x}")
@@ -259,9 +262,6 @@ def _build(path: str, ctor, *args, **kwargs):
 def _parse_grid(d: Any) -> GridCase | Impedance:
     if isinstance(d, dict) and ("r" in d or "x" in d):
         grid = _build("grid", Impedance, **_read(d, _IMPEDANCE, "grid"))
-        if grid.magnitude < 1.0 / MAX_SCR:
-            raise ConfigError(
-                "grid", f"grid branch |z| must be >= {1.0 / MAX_SCR:g} pu, got {grid.magnitude:g}")
     else:
         grid = GridCase(**_DEFAULTS["grid"])
         for k, v in _read(d, _DEFAULTS["grid"], "grid").items():  # an error names its field

@@ -5,7 +5,7 @@ eps*max(1, |z_j|), second-order accurate on the control nonlinearities, of a
 function that maps a (size, M) array of points, one per column, to the
 (k, M) array of their values; one call covers one base point or m.
 
-The plant is x' = a x + b + E g(C x) (SystemModel.split), so split_jacobian
+The plant is x' = a x + b + E g(C x) (see components), so split_jacobian
 takes the network matrix a as it is and makes one numjac call on the
 nonlinear part alone, over the inputs it reads. Newton's Jacobian
 (powerflow) and linearize_batch are built that way; linearize_batch

@@ -2,9 +2,9 @@
 
 One march owns event segments, the divergence and non-finite checks and
 truncation. Within a segment a step rule advances the state by dt: classic
-RK4 for the converter plant, one Python step at a time, on the plant split
-x' = a x + b + E g(C x) bound once per event segment (SystemModel.split),
-with the linear part of its four stages folded into maps then, so that a
+RK4 for the converter plant, one Python step at a time, on the plant
+x' = a x + b + E g(C x) read off the model once per event segment, with
+the linear part of its four stages folded into maps then, so that a
 step runs only the bound controller g between two matvecs: each stage is
 one slice of the flat stage inputs, its few couplings to earlier outputs
 added on floats, and one g call; or, for affine
@@ -34,6 +34,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .components import FAULT_BUSES, FaultSpec, RefInputs, SystemModel
+from .linearize import input_labels
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -193,15 +194,17 @@ def zoh_step(a: np.ndarray, b: np.ndarray, dt: float) -> Affine:
 
 def _rk4_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
               dt: float) -> Step:
-    """Classic RK4 step of the plant x' = a x + b + E g(C x) (SystemModel.split),
-    its linear part folded once for the segment. Every stage state, so every
-    stage input C y_i and the step's result, is affine in
+    """Classic RK4 step of the plant x' = a x + b + E g(C x) (see
+    components), its linear part folded once for the segment. Every stage
+    state, so every stage input C y_i and the step's result, is affine in
     z = [x; 1; g_1; ...; g_4], g_j the controller output at stage j, and
     stage i reads g_j only for j < i. A step is one matvec for the four
     stage inputs, the controller on Python floats at each stage with the few
     terms in earlier outputs added on floats, and one matvec for the result,
     which ends with the pinned-bus write (if any)."""
-    a, b, reads, writes, g, pinned = model.split(refs, fault, dt)
+    a, pinned = model.treatment(fault, dt)
+    b, g = model.source_map @ model.emfs(refs), model.controller(refs)
+    reads, writes = model.reads, model.writes
     n, k_in, l_out = model.n, len(reads), len(writes)
     settle = np.eye(n)  # the pinned-bus write, which the controller reads through
     if pinned is not None:
@@ -249,13 +252,17 @@ def _rk4_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
 
 def _affine_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
                  dt: float) -> Affine:
-    """Exact step of an affine plant x' = a x + b (SystemModel.split);
-    without dt a fault is an ordinary shunt conductance."""
-    a, b = model.split(refs, fault)[:2]
-    return zoh_step(a, b, dt)
+    """Exact step of an affine plant x' = a x + b; without dt a fault is an
+    ordinary shunt conductance."""
+    return zoh_step(model.treatment(fault)[0], model.source_map @ model.emfs(refs), dt)
 
 
-def _segments(events: Sequence[Event], refs: RefInputs, dt: float,
+class ScheduleError(ValueError):
+    """An event schedule the plant cannot run: unpaired faults, or a step of
+    a reference the plant does not read."""
+
+
+def _segments(model: SystemModel, events: Sequence[Event], refs: RefInputs, dt: float,
               n_steps: int) -> list[tuple[int, RefInputs, Optional[FaultSpec]]]:
     """(first step, refs, active fault) from step 0 on, one entry per step
     at which an event lands; events past the horizon are dropped."""
@@ -266,14 +273,18 @@ def _segments(events: Sequence[Event], refs: RefInputs, dt: float,
         if k >= n_steps:
             continue
         if ev.kind == "step_ref":
+            read = input_labels(model)
+            if ev.channel not in read:
+                raise ScheduleError(f"step_ref at t={ev.t} on {ev.channel!r}, a reference "
+                                    f"the plant does not read (it reads {', '.join(read)})")
             refs = replace(refs, **{ev.channel: getattr(refs, ev.channel) + ev.delta})
         elif ev.kind == "fault_on":
             if fault is not None:
-                raise ValueError(f"fault_on at t={ev.t} while a fault is already active")
+                raise ScheduleError(f"fault_on at t={ev.t} while a fault is already active")
             fault = FaultSpec(ev.bus, ev.r_fault)
         else:
             if fault is None or fault.bus != ev.bus:
-                raise ValueError(f"fault_off at t={ev.t} without a matching fault_on")
+                raise ScheduleError(f"fault_off at t={ev.t} without a matching fault_on")
             fault = None
         segments[k] = (refs, fault)
     return [(k, r, f) for k, (r, f) in segments.items()]
@@ -302,7 +313,7 @@ def integrate(
         raise ValueError("x0 must be a finite state vector of the model's dimension")
 
     n_steps = int(round(t_end / dt))
-    segments = _segments(events, refs, dt, n_steps)
+    segments = _segments(model, events, refs, dt, n_steps)
     rule = _affine_step if model.affine else _rk4_step
     run = march(x0, n_steps, dt, [(k, rule(model, r, f, dt)) for k, r, f in segments])
 

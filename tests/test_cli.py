@@ -211,6 +211,20 @@ def test_unknown_key_exit_2(tmp_path, capsys):
     assert "turbo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("events, message", [
+    ('[{"t": 0.01, "kind": "fault_off", "bus": "pcc"}]', "fault_off at t=0.01 without a matching fault_on"),
+    ('[{"t": 0.01, "kind": "fault_on", "bus": "pcc", "r_fault": 0.1}, '
+     '{"t": 0.02, "kind": "fault_on", "bus": "wt_mv", "r_fault": 0.1}]', "while a fault is already active"),
+    ('[{"t": 0.0, "kind": "step_ref", "channel": "v_turb_star", "delta": 0.1}]', "does not read"),
+], ids=["orphan_off", "overlapping_on", "unread_step"])
+def test_invalid_event_schedule_exit_2(tmp_path, capsys, events, message):
+    code, _ = run(tmp_path, "fault", "--set", f"events={events}", "--set", "sim.t_end=0.03")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: events: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_solver_failure_exit_3(tmp_path, capsys):
     code, out = run(
         tmp_path, "steady", "--set", "grid.scr=0.2", "--set", "grid.x_r=5.0",

@@ -382,7 +382,7 @@ def test_bolted_fault_pins_pcc_bus():
     k = model.index("v_pcc_d")
     # the bus is algebraic: nothing moves its node state, which the
     # integrator overwrites with the pinned value, and the laws read that value
-    node, pin = model.split(refs, fault, 2e-4).pinned
+    node, pin = model.treatment(fault, 2e-4)[1]
     assert node == k
     assert np.allclose(pin @ x, v_eff, rtol=1e-10)
     assert np.array_equal(dx[k : k + 2], np.zeros(2))
@@ -416,9 +416,9 @@ def test_algebraic_fault_threshold_reads_the_faulted_nodes_capacitance():
     model = SystemModel(Impedance(r=0.02, x=0.3), net, control="gfl", sc=ScParams())
     r_f, dt = 1.0, 7.5e-5
     assert r_f * net.c_pcc <= 2.0 * dt < r_f * filter_lc(net)[1]
-    pcc = model.split(RefInputs(), FaultSpec("pcc", r_f), dt).pinned
+    pcc = model.treatment(FaultSpec("pcc", r_f), dt)[1]
     assert pcc is not None and pcc[0] == model.index("v_pcc_d")
-    assert model.split(RefInputs(), FaultSpec("wt_mv", r_f), dt).pinned is None
+    assert model.treatment(FaultSpec("wt_mv", r_f), dt)[1] is None
 
 
 def test_fault_spec_validation():

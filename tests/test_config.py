@@ -129,6 +129,14 @@ def test_grid_branch_below_minimum_impedance_names_grid():
     assert "grid branch |z| must be >= 0.0001 pu" in str(e.value)
 
 
+def test_build_model_rejects_an_explicit_grid_branch_below_minimum_impedance():
+    # the reader and build_model share one check, made on explicit branches
+    # only: the strongest grid case sits a rounding below the minimum
+    with pytest.raises(ValueError, match=r"grid branch \|z\| must be >= 0.0001 pu, got 1.00499e-06"):
+        build_model(Scenario(grid=Impedance(1e-7, 1e-6)))
+    build_model(Scenario(grid=GridCase(scr=1e4, x_r=1e3)))  # |z| = 9.999999999999999e-05
+
+
 def test_value_validation():
     with pytest.raises(ConfigError):
         parse_scenario({"op": {"v_g_ref": 1.5}})

@@ -212,7 +212,7 @@ def test_a_is_the_network_matrix_outside_the_controller_rows(control, q_mode, wi
     ss = linearize(model, eq.state, eq.refs)
     rows = [k for k in range(model.n) if k not in model.writes]
     assert len(rows) == model.n - (8 if control != NO_CONVERTER else 0)
-    assert np.array_equal(ss.a[rows], model.split(eq.refs).a[rows])
+    assert np.array_equal(ss.a[rows], model.a[rows])
     _, _, c = linearize_by_blocks(model, [eq.state], [eq.refs], ss.input_labels)
     assert np.array_equal(ss.c, c[0])
 

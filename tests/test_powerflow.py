@@ -631,7 +631,7 @@ def test_split_jacobian_matches_the_residual_difference(control, q_mode, with_sc
     nonlinear = np.zeros((size, size), dtype=bool)
     nonlinear[model.writes], nonlinear[n:], nonlinear[:, n:] = True, True, True
     exact = np.zeros((size, size))
-    exact[:n, :n] = scale[:n, None] * model.split(stacked).a
+    exact[:n, :n] = scale[:n, None] * model.a
     jac = _jacobian(model, scale)
     for z in (initial_guess(model, refs, scale), z_eq):
         assert z.shape == (size, members)

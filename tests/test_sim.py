@@ -19,7 +19,6 @@ from wppsc.components import (
     FaultSpec,
     RefInputs,
     ScParams,
-    Split,
 )
 from wppsc.config import GRID_CASES, OperatingPoint, Scenario, build_model, refs_for
 from wppsc.powerflow import solve_equilibrium
@@ -29,6 +28,7 @@ from wppsc.sim import (
     Affine,
     Event,
     Run,
+    ScheduleError,
     TimeSeries,
     integrate,
     march,
@@ -37,8 +37,8 @@ from wppsc.sim import (
 
 class StubModel:
     """ẋ = rate·x, optionally returning NaN once the state passes a gate,
-    in the plant's split form x' = a x + b + E g(C x): a = rate·I, and g
-    reads every state row and adds zero to each, or NaN past the gate.
+    given as the plant's parts x' = a x + b + E g(C x): a = rate·I, b = 0,
+    and g reads every state row and adds zero to each, or NaN past the gate.
     Not declared affine, so integrate steps it with RK4 as it does the
     converter plant."""
 
@@ -49,15 +49,23 @@ class StubModel:
         self.labels = tuple(f"x{i}" for i in range(n))
         self.rate = rate
         self.nan_above = nan_above
+        self.a = rate * np.eye(n)
+        self.source_map = np.zeros((n, 4))
+        self.reads = self.writes = list(range(n))
 
-    def split(self, refs, fault=None, dt=None):
+    def treatment(self, fault, dt=None):
+        return self.a, None
+
+    def emfs(self, refs):
+        return np.zeros(4)
+
+    def controller(self, refs):
         def g(u):
             if self.nan_above is not None and max(map(abs, u)) > self.nan_above:
                 return [math.nan] * self.n
             return [0.0] * self.n
 
-        rows = list(range(self.n))
-        return Split(self.rate * np.eye(self.n), np.zeros(self.n), rows, rows, g, None)
+        return g
 
     def measure(self, x, refs):
         return {name: np.zeros(np.shape(x)[1:]) for name in DERIVED_SIGNALS}
@@ -175,7 +183,7 @@ def classic_rk4(model, refs, fault, dt):
     def f(x):
         return model.rhs(x, refs, fault, dt)
 
-    pinned = model.split(refs, fault, dt).pinned
+    pinned = model.treatment(fault, dt)[1]
 
     def step(x):
         k1 = f(x)
@@ -214,7 +222,7 @@ def test_rk4_step_is_classic_rk4_on_the_derivative(control, q_mode, with_sc, fau
     # the step folds the linear part of the four stages into maps once per
     # segment; from any state, one step is classic RK4 on rhs
     model, eq = solved("weak", control, with_sc, p=1.0, q_mode=q_mode)
-    assert (model.split(eq.refs, fault, dt).pinned is None) == (fault is None or dt < 1e-5)
+    assert (model.treatment(fault, dt)[1] is None) == (fault is None or dt < 1e-5)
     events = [] if fault is None else [Event.fault_on(0.0, fault.bus, fault.r_fault)]
     step = classic_rk4(model, eq.refs, fault, dt)
     rng = np.random.default_rng(5)
@@ -247,7 +255,7 @@ def test_integrate_matches_rk4_on_rhs(control, case):
             bus, r_f, dt, n = "pcc", 0.05, 2e-6, 3000
         k_on, k_off = n // 6, n // 2
         fault = FaultSpec(bus, r_f)
-        assert (model.split(eq.refs, fault, dt).pinned is None) == (case == "shunt_pcc")
+        assert (model.treatment(fault, dt)[1] is None) == (case == "shunt_pcc")
         events = [Event.fault_on(k_on * dt, bus, r_f), Event.fault_off(k_off * dt, bus)]
         schedule = [(0, eq.refs, None), (k_on, eq.refs, fault), (k_off, eq.refs, None)]
     ts = integrate(model, eq.state, eq.refs, t_end=n * dt, dt=dt, events=events)
@@ -536,6 +544,43 @@ def test_fault_pairing_is_validated():
     orphan_off = [Event.fault_off(0.001, "pcc")]
     with pytest.raises(ValueError, match="matching"):
         integrate(model, eq.state, eq.refs, t_end=0.005, dt=1e-4, events=orphan_off)
+
+
+@pytest.mark.parametrize("control, q_mode, channel", [
+    (GFL, "reactive", "v_turb_star"),
+    (GFL, "voltage", "q_star"),
+    (GFM, "reactive", "q_star"),
+    (NO_CONVERTER, "reactive", "p_star"),
+])
+def test_step_on_a_reference_the_plant_does_not_read_is_rejected(control, q_mode, channel):
+    # the step would leave the run at its equilibrium; past the horizon it
+    # is dropped before it is checked
+    model, eq = solved("normal", control, True, q_mode=q_mode)
+    with pytest.raises(ScheduleError, match=f"'{channel}', a reference the plant does not read"):
+        integrate(model, eq.state, eq.refs, t_end=0.005, dt=1e-4,
+                  events=[Event.step_ref(0.001, channel, 0.1)])
+    late = integrate(model, eq.state, eq.refs, t_end=0.005, dt=1e-4,
+                     events=[Event.step_ref(1.0, channel, 0.1)])
+    assert not (late.diverged or late.aborted)
+
+
+@pytest.mark.parametrize("control", [GFL, NO_CONVERTER])
+@pytest.mark.parametrize("bus, r_f, dt", [
+    ("pcc", 0.05, 2e-6),  # r C = 5e-6 s: a shunt in the node law
+    ("pcc", 0.05, 2e-4),  # pinned PCC
+    ("wt_mv", 1e-4, 1e-4),  # pinned turbine bus
+    ("pcc", 1e9, 1e-4),  # open circuit
+])
+def test_faulted_run_leaves_the_fault_free_plant_untouched(control, bus, r_f, dt):
+    # each fault treatment is a new matrix: after the run, the fault-free
+    # network matrix and rhs are bit-identical to their values before it
+    model, eq = solved("weak", control, True)
+    a, dx = model.a.tobytes(), model.rhs(eq.state, eq.refs).tobytes()
+    events = [Event.fault_on(5 * dt, bus, r_f), Event.fault_off(10 * dt, bus)]
+    ts = integrate(model, eq.state, eq.refs, t_end=20 * dt, dt=dt, events=events)
+    assert not (ts.diverged or ts.aborted)
+    assert model.a.tobytes() == a
+    assert model.rhs(eq.state, eq.refs).tobytes() == dx
 
 
 def test_event_constructors_validate():
