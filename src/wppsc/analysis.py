@@ -192,7 +192,7 @@ def analyze_group(scenarios: Sequence[Scenario]) -> list[StabilityReport]:
         raise ValueError("the scenarios of a group may differ only in their operating point")
     model = build_model(first)
     eqs = solve_equilibria(model, [refs_for(s) for s in scenarios])
-    systems = _advance(  # each solved state's residual is certified below 1e-8, linearize's own bound
+    systems = _advance(  # the solve accepts below linearize.RESIDUAL_ACCEPT, the bound it would check
         eqs, lambda e: linearize_batch(model, [p.state for p in e], [p.refs for p in e],
                                        check_equilibrium=False))
     reports = []
@@ -261,7 +261,11 @@ CHANNELS = {"power": ("p_star",), "voltage": ("v_turb_star", "q_star")}
 
 
 def step_input(channel: str, input_labels: Sequence[str]) -> str:
-    """The input among input_labels that a step on channel drives."""
+    """The input among input_labels that a step on channel drives: the
+    channel itself when it names one of them, else the first of its
+    CHANNELS references present."""
+    if channel in input_labels:
+        return channel
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {sorted(CHANNELS)}, got {channel!r}")
     hits = [name for name in CHANNELS[channel] if name in input_labels]
@@ -279,10 +283,11 @@ def step_response(
     t_end: float,
     dt: float,
 ) -> TimeSeries:
-    """Linear response of the channel's output to a reference step of the
-    given magnitude at t=0, from a zero initial deviation, stepped exactly
-    by zero-order hold at dt: sim.zoh_step gives the map (Phi, gamma) and
-    sim.march fills the series by repeated squaring of it.
+    """Linear response of the outputs to a step of the given magnitude at
+    t=0 on the input that channel drives (step_input), from a zero initial
+    deviation, stepped exactly by zero-order hold at dt: sim.zoh_step gives
+    the map (Phi, gamma) and sim.march fills the series by repeated squaring
+    of it.
 
     Output columns are deviations from the linearization point.
     """

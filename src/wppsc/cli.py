@@ -1,10 +1,12 @@
 """Command-line entry point: scenario JSON in, CSV artifacts + manifest out.
 
 Every subcommand resolves its configuration (file, then --set overrides,
-then defaults), writes the fully-resolved form to manifest.json in the
-output directory, and emits its artifact as CSV with a header row, '.'
-decimal separator and LF line endings. Re-running a subcommand against a
-written manifest reproduces the artifacts byte for byte.
+then defaults), emits its artifact as CSV with a header row, '.' decimal
+separator and LF line endings, and writes the fully-resolved configuration
+to manifest.json in the output directory once the run is past its
+configuration: a solver failure or a divergence records it, a configuration
+error does not. Re-running a subcommand against a written manifest
+reproduces the artifacts byte for byte.
 
 Each subcommand is stated once, in _SUBCOMMANDS (its help, its handler and
 the options only it takes), and each record CSV once, in its column table
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import CHANNELS, eigenvalues, step_input, step_response, sweep
+from .analysis import CHANNELS, eigenvalues, step_response, sweep
 from .config import (
     ConfigError,
     Scenario,
@@ -40,13 +42,14 @@ from .config import (
     scenario_key,
     to_dict,
 )
-from .linearize import input_labels, linearize
+from .linearize import linearize
 from .powerflow import SolveError, solve_equilibrium
 from .scr import enhancement_report
 from .sim import ScheduleError, TimeSeries, integrate
 
-# linear response channels by stepped reference: analysis's table inverted
-_STEP_CHANNEL_MAP = {name: ch for ch, names in CHANNELS.items() for name in names}
+# the references a step_ref event may step in the step subcommand: those a
+# linear response channel drives
+_STEPPED = sorted(name for names in CHANNELS.values() for name in names)
 
 
 def _fmt(value) -> str:
@@ -111,11 +114,7 @@ def _series_exit(ts: TimeSeries) -> int:
 def _cmd_steady(scenario: Scenario, args, out_dir: str) -> int:
     model = build_model(scenario)
     eq = solve_equilibrium(model, refs_for(scenario))
-    rows = list(zip(model.labels, eq.state))
-    if model.has_sc:
-        rows.append(("phi_sc", eq.phi_sc))
-    if eq.q_star is not None:
-        rows.append(("q_star", eq.q_star))
+    rows = [*zip(model.labels, eq.state), *((name, getattr(eq.refs, name)) for name in model.unknowns)]
     _write_csv(os.path.join(out_dir, "steady.csv"), ("label", "value"), rows)
     if args.verbose:
         print(f"converged in {eq.iterations} iterations, residual {eq.residual_norm:.3e}")
@@ -142,35 +141,28 @@ def _cmd_eig(scenario: Scenario, args, out_dir: str) -> int:
 
 
 def _step_request(scenario: Scenario, model) -> tuple[str, float]:
-    """Channel and magnitude for the linear step: the first step_ref event,
-    or a 1e-3 pu power step when the schedule has none."""
-    channel, magnitude = "power", 1e-3
-    for i, ev in enumerate(scenario.events):
-        if ev.kind != "step_ref":
-            continue
-        channel, magnitude = _STEP_CHANNEL_MAP.get(ev.channel), ev.delta
-        if channel is None:
-            raise ConfigError(
-                f"events.{i}.channel",
-                f"the step subcommand supports {sorted(_STEP_CHANNEL_MAP)}, got {ev.channel!r}",
-            )
-        break
-    try:
-        step_input(channel, input_labels(model))
-    except ValueError as e:  # the plant has no reference on the channel
-        raise ConfigError("control.type", f"{scenario.control!r} plant: {e}") from e
-    return channel, magnitude
+    """The reference and magnitude of the linear step: the first step_ref
+    event's, or a 1e-3 pu p_star step when the schedule has none."""
+    steps = [(f"events.{i}.channel", ev.channel, ev.delta)
+             for i, ev in enumerate(scenario.events) if ev.kind == "step_ref"]
+    key, ref, magnitude = (steps or [("control.type", "p_star", 1e-3)])[0]
+    if ref not in _STEPPED:
+        raise ConfigError(key, f"the step subcommand supports {_STEPPED}, got {ref!r}")
+    if ref not in model.inputs:
+        raise ConfigError(key, f"{scenario.control!r} plant does not read {ref!r} "
+                               f"(it reads {', '.join(model.inputs)})")
+    return ref, magnitude
 
 
 def _cmd_step(scenario: Scenario, args, out_dir: str) -> int:
     model = build_model(scenario)
-    channel, magnitude = _step_request(scenario, model)
+    ref, magnitude = _step_request(scenario, model)
     eq = solve_equilibrium(model, refs_for(scenario))
     ss = linearize(model, eq.state, eq.refs)
-    ts = step_response(ss, channel, magnitude, t_end=scenario.t_end, dt=scenario.dt)
+    ts = step_response(ss, ref, magnitude, t_end=scenario.t_end, dt=scenario.dt)
     _write_series(os.path.join(out_dir, "step.csv"), ts)
     if args.verbose:
-        print(f"channel {channel}, magnitude {magnitude!r}, {len(ts.t)} samples")
+        print(f"step on {ref}, magnitude {magnitude!r}, {len(ts.t)} samples")
     return _series_exit(ts)
 
 
@@ -288,9 +280,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FileExistsError, NotADirectoryError) as exc:  # a file at or above the path
         print(f"argument --out: cannot make directory {out_dir!r}: {exc.strerror}", file=sys.stderr)
         return 2
-    _write_manifest(out_dir, args.command, to_dict(scenario))
     try:
-        return args.handler(scenario, args, out_dir)
+        code = args.handler(scenario, args, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -299,7 +290,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except SolveError as exc:
         print(f"equilibrium solve failed: {exc}", file=sys.stderr)
-        return 3
+        code = 3
+    # a run that got past its configuration records it, failed or not
+    _write_manifest(out_dir, args.command, to_dict(scenario))
+    return code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ capacitance; a column is a state or a source (e_g, e_sc). The state labels,
 the dense network matrix a (the state columns), the source map S (the source
 columns), the per-row s (SystemModel.lc, Newton's row scale) and the faulted
 node's capacitance all come from that table. Around the network sits a small
-nonlinear controller: for given inputs and fault the plant is
+nonlinear controller: for given references and fault the plant is
 x' = a x + b + E g(C x), each part read off the model: a and the bus it pins
 from SystemModel.treatment(fault, dt), b = S emfs(refs), and g =
 controller(refs), the controller with its gains and refs bound
@@ -34,15 +34,21 @@ controller(refs), the controller with its gains and refs bound
 `reads`, read after the pinned-bus write, to outputs that add to the rows
 `writes`, as Python floats or as row vectors alike; so C is the rows `reads`
 of the pinned-bus write and E the columns `writes` of the identity. For the
-converter plant the 12 inputs are v_c, i_f, i_a and the six controller
-states, and the 8 outputs v_inv / lf (into the i_f rows) and the six
-controller rates, with the converter power inlined; the passive plant has no
+converter plant g reads v_c, i_f, i_a and the six controller states, and
+its 8 outputs are v_inv / lf (into the i_f rows) and the six controller
+rates, with the converter power inlined; the passive plant has no
 controller, and both lists are empty. The Jacobians difference b and g alone
-(linearize.split_jacobian). SystemModel.rhs evaluates the plant on one state
-of shape (n,), whose controller runs on Python floats, or on a batch of
-states as the columns of an (n, m) array, whose controller runs on row
-vectors, through the same code. The integrator folds the linear part of its
-RK4 stages from the same parts.
+(linearize.split_jacobian).
+
+SystemModel also states the plant's interface once: `inputs`, the
+references the plant reads, in the order of the linear model's B columns,
+and `unknowns`, the references the equilibrium solve closes (the condenser
+EMF angle, then a reactive-mode GFL plant's q_star). SystemModel.rhs is the
+fault-free plant a x + b + E g(x[reads]), on one state of shape (n,), whose
+controller runs on Python floats, or on a batch of states as the columns of
+an (n, m) array, whose controller runs on row vectors, through the same
+code. A fault is stated only by treatment and the integrator's step rules
+(sim), which fold the linear part of their RK4 stages from the same parts.
 """
 
 from __future__ import annotations
@@ -376,6 +382,14 @@ class SystemModel:
         self.gfm = gfm if gfm is not None else (GfmParams() if control == GFM else None)
         self.sc = sc
         self.q_mode = q_mode
+        # the references the plant reads, in B's column order, and those the
+        # equilibrium solve closes: the condenser EMF angle, then q_star
+        # where the plant reads it
+        q_ref = "q_star" if control == GFL and q_mode == Q_MODE_REACTIVE else "v_turb_star"
+        self.inputs: tuple[str, ...] = (
+            ("v_g_ref",) if control == NO_CONVERTER else ("p_star", "v_g_ref", q_ref))
+        self.unknowns: tuple[str, ...] = (
+            ("phi_sc",) * (sc is not None) + ("q_star",) * ("q_star" in self.inputs))
 
         # each network law as (state, s, {column: z}): s dx/dt = sum of z x_column
         # over dq pairs, s the branch inductance or the node capacitance, a column
@@ -503,15 +517,9 @@ class SystemModel:
             return gfm_controller(self.gfm, refs, self._lf, self._cf)
         return lambda u: ()
 
-    def rhs(
-        self,
-        x: np.ndarray,
-        refs: RefInputs,
-        fault: Optional[FaultSpec] = None,
-        dt: Optional[float] = None,
-    ) -> np.ndarray:
-        """State derivative a x + b + E g(C x) of the plant with refs and
-        the fault (if given, it is active; see treatment).
+    def rhs(self, x: np.ndarray, refs: RefInputs) -> np.ndarray:
+        """State derivative a x + b + E g(C x) of the fault-free plant with
+        refs; a fault is applied by treatment and sim's step rules alone.
 
         x is one state of shape (n,) or a batch of states as the columns of
         an (n, m) array; with a batch, any field of refs may also be an
@@ -523,15 +531,10 @@ class SystemModel:
         column = x.ndim == 2 and x.shape[1] == 1
         if column:
             x, refs = x[:, 0], refs.take(0)
-        a, pinned = self.treatment(fault, dt)
         single = x.ndim == 1
-        dx = a @ x
+        dx = self.a @ x
         b = self.source_map @ self.emfs(refs)
         dx += b if single else b.reshape(self.n, -1)
-        if pinned is not None and self.reads:  # the controller reads the pinned bus
-            k, pin = pinned
-            x = x.copy()
-            x[k : k + 2] = pin @ x
         rows = x.tolist() if single else x
         for r, out in zip(self.writes, self.controller(refs)([rows[i] for i in self.reads])):
             dx[r] += out

@@ -21,16 +21,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .components import (
-    GFL,
-    NO_CONVERTER,
-    Q_MODE_REACTIVE,
-    RefInputs,
-    SystemModel,
-    power_pair,
-)
+from .components import RefInputs, SystemModel, power_pair
 
 OUTPUT_LABELS = ("p_pc", "v_c_mag", "q_pc")
+
+# the RHS inf-norm below which a point is an equilibrium: linearize's check,
+# and the bound the equilibrium solve accepts a solution at
+RESIDUAL_ACCEPT = 1e-8
 
 
 class LinearizationError(ValueError):
@@ -65,9 +62,9 @@ def numjac(f: Callable[[np.ndarray], np.ndarray], z0: np.ndarray, eps: float = 1
 class StateSpaceModel:
     """Dense small-signal model dx = A x + B u, y = C x.
 
-    Inputs are the reference channels (active power, grid source voltage and
-    the live q-channel reference); outputs are converter power, terminal
-    voltage magnitude and converter reactive power.
+    Inputs are the references the plant reads (SystemModel.inputs); outputs
+    are converter power, terminal voltage magnitude and converter reactive
+    power.
     """
 
     a: np.ndarray
@@ -87,15 +84,6 @@ class StateSpaceModel:
             raise ValueError(f"C shape {self.c.shape} does not match labels")
 
 
-def input_labels(model: SystemModel) -> tuple[str, ...]:
-    """The references the model's B columns are taken over, in order."""
-    if model.control == NO_CONVERTER:
-        return ("v_g_ref",)
-    if model.control == GFL and model.q_mode == Q_MODE_REACTIVE:
-        return ("p_star", "v_g_ref", "q_star")
-    return ("p_star", "v_g_ref", "v_turb_star")
-
-
 def linearize(
     model: SystemModel,
     x_eq: np.ndarray,
@@ -105,9 +93,9 @@ def linearize(
 ) -> StateSpaceModel:
     """Linearize the assembled ODE at (x_eq, refs); one-member linearize_batch.
 
-    The point must be an equilibrium (RHS below 1e-8) unless the check is
-    explicitly waived; eps is the relative perturbation and must lie in
-    [1e-8, 1e-4].
+    The point must be an equilibrium (RHS inf-norm below RESIDUAL_ACCEPT)
+    unless the check is explicitly waived; eps is the relative perturbation
+    and must lie in [1e-8, 1e-4]. B's columns are the model's inputs.
     """
     x_eq = np.asarray(x_eq, dtype=float)
     if x_eq.shape != (model.n,):
@@ -185,11 +173,10 @@ def linearize_batch(
     x_eq = np.stack(states, axis=1)
     n, m = x_eq.shape
     stacked = RefInputs.stack(refs)
-    in_labels = input_labels(model)
-    u0 = np.array([[getattr(r, lab) for r in refs] for lab in in_labels]).reshape(-1, m)
+    u0 = np.array([[getattr(r, lab) for r in refs] for lab in model.inputs]).reshape(-1, m)
     kv, ka, kg = model.index("v_c_d"), model.index("i_a_d"), model.index("i_g_d")
     grid = model.source_map[kg : kg + 2]  # the grid's rows of b, which read v_g_ref
-    difference = split_jacobian(model, in_labels, [kv, kv + 1, ka, ka + 1],
+    difference = split_jacobian(model, model.inputs, [kv, kv + 1, ka, ka + 1],
                                 lambda xs, r: [*(grid @ model.emfs(r)), *_outputs(model, xs)],
                                 [kg, kg + 1, *range(n, n + len(OUTPUT_LABELS))])
     jac = difference(np.concatenate((x_eq, u0)), stacked, eps)
@@ -198,17 +185,17 @@ def linearize_batch(
     residual = np.abs(model.rhs(x_eq, stacked)).max(axis=0) if check_equilibrium else np.zeros(m)
     finite = np.isfinite(jac).all(axis=(1, 2)).tolist()
     return [
-        LinearizationError(f"not an equilibrium: RHS inf-norm {r:.3e} >= 1e-8")
-        if not r < 1e-8
-        else _checked(model, a[j], b[j], c[j], in_labels, finite[j])
+        LinearizationError(f"not an equilibrium: RHS inf-norm {r:.3e} >= {RESIDUAL_ACCEPT:g}")
+        if not r < RESIDUAL_ACCEPT
+        else _checked(model, a[j], b[j], c[j], finite[j])
         for j, r in enumerate(residual.tolist())
     ]
 
 
-def _checked(model: SystemModel, a, b, c, in_labels: tuple[str, ...], finite: bool):
+def _checked(model: SystemModel, a, b, c, finite: bool):
     """The state-space model of A, B, C, or, unless they are known to be
     finite, the LinearizationError naming the first non-finite entry."""
-    labels = (model.labels, in_labels, model.labels)
+    labels = (model.labels, model.inputs, model.labels)
     for name, mat, col_labels in () if finite else zip("ABC", (a, b, c), labels):
         ok = np.isfinite(mat)
         if not ok.all():
@@ -224,6 +211,6 @@ def _checked(model: SystemModel, a, b, c, in_labels: tuple[str, ...], finite: bo
         b=b,
         c=c,
         state_labels=model.labels,
-        input_labels=in_labels,
+        input_labels=model.inputs,
         output_labels=OUTPUT_LABELS,
     )

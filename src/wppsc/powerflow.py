@@ -1,19 +1,21 @@
 """Equilibrium solver: damped Newton on the assembled RHS plus closure
 equations.
 
-Free unknowns beyond the state vector: the condenser EMF angle (closed by
-zero condenser active power at the EMF) and, for the grid-following
-converter in reactive-power mode, the reactive reference that places the
-turbine terminal voltage on its target. The grid source angle is fixed at
-zero, which removes the rotational null space from the Newton system.
+Free unknowns beyond the state vector (SystemModel.unknowns, in that order):
+the condenser EMF angle (closed by zero condenser active power at the EMF)
+and, for the grid-following converter in reactive-power mode, the reactive
+reference that places the turbine terminal voltage on its target. The grid
+source angle is fixed at zero, which removes the rotational null space from
+the Newton system.
 
 Newton iterates on a row-scaled residual (each branch/node row multiplied by
 its inductance/capacitance) so the Jacobian is well conditioned; convergence
 is judged after a step on the true unscaled RHS, with target 1e-10 and
-acceptance 1e-8 in the ∞-norm. A cold start that stalls is retried along a
-source/power ramp (continuation) before the case is declared non-convergent
-(residual stuck between 1e-8 and 1e-3) or infeasible (stuck above 1e-3, e.g.
-power beyond the loadability limit).
+acceptance RESIDUAL_ACCEPT = 1e-8 (linearize's equilibrium bound) in the
+∞-norm. A cold start that stalls is retried along a source/power ramp
+(continuation) before the case is declared non-convergent (residual stuck
+between 1e-8 and 1e-3) or infeasible (stuck above 1e-3, e.g. power beyond
+the loadability limit).
 
 Newton starts at the plant's power flow (initial_guess): every control
 settles with p_pc = p_star and |v_c| = v_turb_star at the turbine bus (a PV
@@ -46,12 +48,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .components import GFL, GFM, Q_MODE_REACTIVE, RefInputs, SystemModel, power_pair
+from .components import GFM, RefInputs, SystemModel, power_pair
 # numjac stays importable here for perfbench's tracer
-from .linearize import numjac, split_jacobian  # noqa: F401
+from .linearize import RESIDUAL_ACCEPT, numjac, split_jacobian  # noqa: F401
 
 RESIDUAL_TARGET = 1e-10
-RESIDUAL_ACCEPT = 1e-8
 INFEASIBLE_FLOOR = 1e-3
 MAX_ITERATIONS = 50
 MAX_HALVINGS = 8
@@ -91,22 +92,14 @@ class EquilibriumPoint:
 
     state: np.ndarray
     refs: RefInputs
-    phi_sc: float
-    q_star: float | None
     residual_norm: float
     iterations: int
 
 
-def _unknowns(model: SystemModel) -> list[str]:
-    """The refs fields Newton solves for, in the order they follow the state."""
-    solves_q = model.control == GFL and model.q_mode == Q_MODE_REACTIVE
-    return ["phi_sc"] * model.has_sc + ["q_star"] * solves_q
-
-
 def _refs_from_z(model: SystemModel, z: np.ndarray, refs: RefInputs) -> RefInputs:
-    """refs with the solved-for inputs read from z; rows of z are m-vectors
-    when z holds a batch of points as columns."""
-    names = _unknowns(model)
+    """refs with the model's unknowns read from z, where they follow the
+    state; rows of z are m-vectors when z holds a batch of points as columns."""
+    names = model.unknowns
     return replace(refs, **dict(zip(names, z[model.n :]))) if names else refs
 
 
@@ -126,7 +119,7 @@ def _closures(model: SystemModel, x, r: RefInputs) -> list:
     """The closure rows at the states x (an array, or a list of state rows):
     zero active power at the condenser EMF, then |v_c| on its target, each
     where its unknown is solved for."""
-    unknowns, out = _unknowns(model), []
+    unknowns, out = model.unknowns, []
     if "phi_sc" in unknowns:
         e, i_sc = model.emfs(r), model.pair(x, "i_sc_d")
         out.append(e[2] * i_sc[0] + e[3] * i_sc[1])
@@ -142,7 +135,7 @@ def _jacobian(model: SystemModel, scale: np.ndarray):
     part adds the condenser's source rows of b and the closure rows, which
     read v_c among the controller's reads."""
     n = model.n
-    fields = _unknowns(model)
+    fields = model.unknowns
     k_sc = [model.index("i_sc_d") + i for i in (0, 1)] if model.has_sc else []
     s_sc = model.source_map[k_sc]
 
@@ -156,7 +149,7 @@ def _jacobian(model: SystemModel, scale: np.ndarray):
 def _row_scale(model: SystemModel) -> np.ndarray:
     """Multipliers that undo the stiff 1/L, 1/C factors row by row: each
     network row's L or C (SystemModel.lc), and 1 on every other row."""
-    out = np.ones(model.n + len(_unknowns(model)))
+    out = np.ones(model.n + len(model.unknowns))
     out[: len(model.lc)] = model.lc
     return out
 
@@ -235,7 +228,7 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
     integrators minimise Newton's row-scaled residual on the rows the
     controller writes: g is affine in them, so its value with each set to
     one gives their columns."""
-    n, m, stacked, unknowns = model.n, len(refs), RefInputs.stack(refs), _unknowns(model)
+    n, m, stacked, unknowns = model.n, len(refs), RefInputs.stack(refs), model.unknowns
     a, s, reads, writes = model.a, model.source_map, model.reads, model.writes
     kv, ka = model.index("v_c_d"), model.index("i_a_d")
     v_g = model.emfs(stacked)[:2].reshape(2, -1)  # the grid source: shared, or one per member
@@ -395,12 +388,9 @@ def _equilibrium(model: SystemModel, z: list, mags: list, refs: RefInputs, itera
                 true_norm,
                 detail=f"|{lab}| = {mag:.3f} pu outside the sanity band {VOLTAGE_BAND}",
             )
-    refs_out = _refs_from_z(model, z, refs)  # plain floats in the result
     return EquilibriumPoint(
         state=np.array(z[: model.n]),
-        refs=refs_out,
-        phi_sc=refs_out.phi_sc,
-        q_star=refs_out.q_star if "q_star" in _unknowns(model) else None,
+        refs=_refs_from_z(model, z, refs),  # plain floats in the result
         residual_norm=true_norm,
         iterations=iterations,
     )

@@ -34,7 +34,6 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .components import FAULT_BUSES, FaultSpec, RefInputs, SystemModel
-from .linearize import input_labels
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -273,10 +272,9 @@ def _segments(model: SystemModel, events: Sequence[Event], refs: RefInputs, dt: 
         if k >= n_steps:
             continue
         if ev.kind == "step_ref":
-            read = input_labels(model)
-            if ev.channel not in read:
+            if ev.channel not in model.inputs:
                 raise ScheduleError(f"step_ref at t={ev.t} on {ev.channel!r}, a reference "
-                                    f"the plant does not read (it reads {', '.join(read)})")
+                                    f"the plant does not read (it reads {', '.join(model.inputs)})")
             refs = replace(refs, **{ev.channel: getattr(refs, ev.channel) + ev.delta})
         elif ev.kind == "fault_on":
             if fault is not None:

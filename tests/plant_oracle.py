@@ -4,8 +4,9 @@ These are the branch and node equations written one component at a time,
 from the scenario's own records (the grid Impedance, NetworkSpec, ScParams):
 each converts its reactances to inductances and capacitances itself.
 The library evaluates the same network as one assembled state matrix
-(``SystemModel.rhs``); the tests keep the component form as the reference it
-must reproduce. The frame-rotation helpers at the end move a state and its
+(``SystemModel.rhs``, fault-free; a fault through ``SystemModel.treatment``
+and the integrator's step rules); the tests keep the component form, faults
+included, as the reference it must reproduce. The frame-rotation helpers at the end move a state and its
 source angles to a rotated common frame, for the invariance checks.
 """
 
@@ -131,6 +132,34 @@ def _fault_mode(fault: Optional[FaultSpec], c_bus: float, dt: Optional[float]) -
     return "shunt"
 
 
+def _bus_modes(model: SystemModel, fault: Optional[FaultSpec], dt: Optional[float]) -> tuple[str, str]:
+    """The fault mode of the turbine bus (v_c) and of the PCC."""
+    cf, c_pcc = filter_lc(model.network)[1], model.network.c_pcc
+    bus = fault.bus if fault is not None else None
+    return (_fault_mode(fault, cf, dt) if bus == "wt_mv" else "off",
+            _fault_mode(fault, c_pcc, dt) if bus == "pcc" else "off")
+
+
+def pinned_bus(
+    model: SystemModel, x: np.ndarray, fault: Optional[FaultSpec], dt: Optional[float]
+) -> Optional[tuple[str, np.ndarray]]:
+    """The node state an algebraic fault pins and its quasi-steady value
+    v = i_net / (1/r - j w C) at x, or None when the fault pins no bus."""
+    mode_vc, mode_pcc = _bus_modes(model, fault, dt)
+    if mode_pcc == "algebraic":
+        i_net = model.pair(x, "i_a_d") + model.pair(x, "i_g_d")
+        if model.sc is not None:
+            i_net = i_net + model.pair(x, "i_sc_d")
+        label, c_bus = "v_pcc_d", model.network.c_pcc
+    elif mode_vc == "algebraic":
+        i_f = model.pair(x, "i_f_d") if model.control != NO_CONVERTER else np.zeros(2)
+        label, c_bus, i_net = "v_c_d", filter_lc(model.network)[1], i_f - model.pair(x, "i_a_d")
+    else:
+        return None
+    zv = complex(i_net[0], i_net[1]) / complex(1.0 / fault.r_fault, -OMEGA0 * c_bus)
+    return label, np.array([zv.real, zv.imag])
+
+
 def composed_rhs(
     model: SystemModel,
     x: np.ndarray,
@@ -139,10 +168,20 @@ def composed_rhs(
     dt: Optional[float] = None,
 ) -> np.ndarray:
     """State derivative of one plant state, component by component, with the
-    same fault treatments as ``SystemModel.rhs``."""
+    fault (if given, it is active) treated as the library's treatment and
+    step rules treat it: an open circuit at r >= FAULT_OPEN_THRESHOLD, a
+    bus pinned to its quasi-steady value when r C <= 2 dt (its node rows
+    zero; the branches and the controller read the pinned value), and a
+    shunt conductance in the node law otherwise."""
     net = model.network
     w0 = OMEGA0
     lf, cf = filter_lc(net, w0)
+    mode_vc, mode_pcc = _bus_modes(model, fault, dt)
+    pinned = pinned_bus(model, x, fault, dt)
+    if pinned is not None:  # the branches and the controller read the pinned value
+        x = np.array(x, dtype=float)
+        k = model.index(pinned[0])
+        x[k : k + 2] = pinned[1]
 
     i_g = model.pair(x, "i_g_d")
     i_sc = model.pair(x, "i_sc_d") if model.sc is not None else None
@@ -151,24 +190,7 @@ def composed_rhs(
     v_c = model.pair(x, "v_c_d")
     i_a = model.pair(x, "i_a_d")
     v_pcc = model.pair(x, "v_pcc_d")
-
-    fault_bus = fault.bus if (fault is not None and fault.r_fault < FAULT_OPEN_THRESHOLD) else None
-    mode_vc = _fault_mode(fault, cf, dt) if fault_bus == "wt_mv" else "off"
-    mode_pcc = _fault_mode(fault, net.c_pcc, dt) if fault_bus == "pcc" else "off"
-
-    # an algebraic fault pins the bus to its quasi-steady value
-    # v = i_net / (1/r - j w C)
     dx = np.empty(model.n)
-    if mode_pcc == "algebraic":
-        i_into_pcc = i_a + i_g + (i_sc if i_sc is not None else 0.0)
-        zi = complex(i_into_pcc[0], i_into_pcc[1])
-        zv = zi / complex(1.0 / fault.r_fault, -w0 * net.c_pcc)
-        v_pcc = np.array([zv.real, zv.imag])
-    if mode_vc == "algebraic":
-        i_net_c = i_f - i_a
-        zi = complex(i_net_c[0], i_net_c[1])
-        zv = zi / complex(1.0 / fault.r_fault, -w0 * cf)
-        v_c = np.array([zv.real, zv.imag])
 
     if has_conv:  # the controller outputs v_inv / lf and the six controller rates
         u = [float(v) for v in (*v_c, *i_f, *i_a, *x[-6:])]

@@ -299,7 +299,7 @@ def test_sweep_captures_individual_failures():
 
 def test_analyze_scenario_propagates_programming_errors(monkeypatch):
     # only solver and linearisation failures become unsolved rows
-    def broken(self, x, refs, fault=None, dt=None):
+    def broken(self, x, refs):
         raise ValueError("operands could not be broadcast together")
 
     monkeypatch.setattr(SystemModel, "rhs", broken)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import wppsc
-from wppsc.analysis import eigenvalues, sweep
+from wppsc.analysis import eigenvalues, step_response, sweep
 from wppsc.cli import main
 from wppsc.config import (
     OP_GRID_VALUES,
@@ -218,11 +218,12 @@ def test_unknown_key_exit_2(tmp_path, capsys):
     ('[{"t": 0.0, "kind": "step_ref", "channel": "v_turb_star", "delta": 0.1}]', "does not read"),
 ], ids=["orphan_off", "overlapping_on", "unread_step"])
 def test_invalid_event_schedule_exit_2(tmp_path, capsys, events, message):
-    code, _ = run(tmp_path, "fault", "--set", f"events={events}", "--set", "sim.t_end=0.03")
+    code, out = run(tmp_path, "fault", "--set", f"events={events}", "--set", "sim.t_end=0.03")
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: events: ") and message in err
     assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_solver_failure_exit_3(tmp_path, capsys):
@@ -298,26 +299,45 @@ def test_step_csv_schema(tmp_path):
     assert abs(float(rows[-1][1])) > 0.0
 
 
+def step_event(ref, delta):
+    return f'events=[{{"kind": "step_ref", "t": 0.0, "channel": "{ref}", "delta": {delta}}}]'
+
+
 def test_step_takes_channel_from_first_step_event(tmp_path):
-    events = '[{"kind": "step_ref", "t": 0.0, "channel": "v_turb_star", "delta": 0.02}]'
     code, out = run(
         tmp_path, "step", "--set", 'control={"type": "gfm"}',
-        "--set", f"events={events}",
+        "--set", step_event("v_turb_star", 0.02),
         "--set", "sim.t_end=0.5", "--set", "sim.dt=0.0001",
     )
     assert code == 0
     _, rows = read_csv(out / "step.csv")
     # voltage magnitude settles toward the commanded 0.02 pu rise
     assert float(rows[-1][2]) == pytest.approx(0.02, rel=0.05)
+    # the default plant (GFL, reactive q channel) steps the q_star it reads
+    code, out = run(tmp_path / "q", "step", "--set", step_event("q_star", 0.02), "--set", "sim.t_end=0.05")
+    assert code == 0
+    header, rows = read_csv(out / "step.csv")
+    s = parse_scenario({"sim": {"t_end": 0.05}})
+    model = build_model(s)
+    eq = solve_equilibrium(model, refs_for(s))
+    ts = step_response(linearize(model, eq.state, eq.refs), "q_star", 0.02, t_end=s.t_end, dt=s.dt)
+    assert len(rows) == ts.t.size
+    for j, name in enumerate(header[1:], 1):
+        assert [float(r[j]) for r in rows] == ts.columns[name].tolist()
 
 
 def test_step_rejects_unsupported_channel(tmp_path, capsys):
-    events = '[{"kind": "step_ref", "t": 0.0, "channel": "v_g_ref", "delta": 0.05}]'
-    for override, key in ((f"events={events}", "events.0.channel"),
-                          ("control.type=none", "control.type")):  # the passive plant has no reference
-        code, _ = run(tmp_path, "step", "--set", override)
+    # a reference the step subcommand does not step, one the plant does not
+    # read (the default GFL plant reads q_star, not v_turb_star) and the
+    # passive plant, which has no p_star for the default step: exit 2, and
+    # neither step.csv nor a manifest
+    for override, key in ((step_event("v_g_ref", 0.05), "events.0.channel"),
+                          (step_event("v_turb_star", 0.02), "events.0.channel"),
+                          ("control.type=none", "control.type")):
+        code, out = run(tmp_path, "step", "--set", override)
         assert code == 2
         assert f"config error: {key}: " in capsys.readouterr().err
+        assert not (out / "step.csv").exists() and not (out / "manifest.json").exists()
 
 
 def test_sweep_csv_full_grid(tmp_path):

@@ -296,30 +296,57 @@ def test_bound_controller_floats_match_row_vectors(control, q_mode):
         assert np.allclose(rows[:, j], floats, rtol=1e-14, atol=0.0)
 
 
+def _faulted_plant(model, x, refs, fault, dt):
+    """The plant a x + b + E g(C x) read off the model's parts with the
+    fault's treatment (the plant sim's step rules fold), on one state of
+    shape (n,) or a batch of columns: the controller reads the pinned bus."""
+    a, pinned = model.treatment(fault, dt)
+    b = model.source_map @ model.emfs(refs)
+    dx = a @ x + (b if x.ndim == 1 else b[:, None])
+    u = np.array(x, dtype=float)
+    if pinned is not None:
+        k, pin = pinned
+        u[k : k + 2] = pin @ x
+    rows = u.tolist() if u.ndim == 1 else u
+    for r, out in zip(model.writes, model.controller(refs)([rows[i] for i in model.reads])):
+        dx[r] += out
+    return dx
+
+
 @pytest.mark.parametrize("control,q_mode", PLANTS)
 @pytest.mark.parametrize("with_sc", [True, False])
 @pytest.mark.parametrize("fault,dt", FAULT_TREATMENTS)
 def test_assembled_rhs_matches_component_composition(control, q_mode, with_sc, fault, dt):
-    # rhs agrees with the plant composed component by component
+    # rhs, the fault-free plant, agrees with the plant composed component by
+    # component, and so do the model's parts under each fault's treatment;
+    # for the passive plant those parts are treatment(fault, dt)[0] @ x +
+    # source_map @ emfs(refs) alone (test_sim checks each converter fault
+    # through one folded RK4 step)
     model = _plant(control, q_mode, with_sc)
     rng = np.random.default_rng(17)
     for _ in range(10):
         x = _random_state(model, rng)
         ref = composed_rhs(model, x, _REFS, fault, dt)
-        got = model.rhs(x, _REFS, fault, dt)
+        got = model.rhs(x, _REFS) if fault is None else _faulted_plant(model, x, _REFS, fault, dt)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("control,q_mode", PLANTS)
 @pytest.mark.parametrize("fault,dt", FAULT_TREATMENTS)
 def test_batched_rhs_matches_single_states(control, q_mode, fault, dt):
+    # rhs, and the parts under a fault's treatment, on a batch of columns
+    # (the controller on row vectors) agree with each column alone
     model = _plant(control, q_mode, True)
+
+    def plant(x):
+        return model.rhs(x, _REFS) if fault is None else _faulted_plant(model, x, _REFS, fault, dt)
+
     rng = np.random.default_rng(19)
     xs = np.column_stack([_random_state(model, rng) for _ in range(7)])
-    batch = model.rhs(xs, _REFS, fault, dt)
+    batch = plant(xs)
     assert batch.shape == xs.shape
     for j in range(xs.shape[1]):
-        single = model.rhs(xs[:, j], _REFS, fault, dt)
+        single = plant(xs[:, j])
         assert np.max(np.abs(batch[:, j] - single)) <= 1e-14 * np.max(np.abs(single))
 
 
@@ -361,10 +388,10 @@ def test_vacuous_fault_is_exact_noop():
     rng = np.random.default_rng(5)
     x = _random_state(model, rng)
     refs = RefInputs(p_star=0.5)
-    base = model.rhs(x, refs)
-    faulted = model.rhs(x, refs, fault=FaultSpec("pcc", FAULT_OPEN_THRESHOLD), dt=1e-4)
-    assert np.allclose(faulted, base, atol=1e-12)
-    assert float(np.max(np.abs(faulted - base))) <= 1e-9
+    fault = FaultSpec("pcc", FAULT_OPEN_THRESHOLD)
+    a, pinned = model.treatment(fault, 1e-4)
+    assert a is model.a and pinned is None
+    assert np.array_equal(_faulted_plant(model, x, refs, fault, 1e-4), model.rhs(x, refs))
 
 
 def test_bolted_fault_pins_pcc_bus():
@@ -375,7 +402,7 @@ def test_bolted_fault_pins_pcc_bus():
     refs = RefInputs()
     r_f = 1e-4
     fault = FaultSpec("pcc", r_f)
-    dx = model.rhs(x, refs, fault=fault, dt=2e-4)
+    dx = _faulted_plant(model, x, refs, fault, 2e-4)
     i_net = model.pair(x, "i_a_d") + model.pair(x, "i_g_d")
     zv = complex(i_net[0], i_net[1]) / complex(1.0 / r_f, -OMEGA0 * net.c_pcc)
     v_eff = np.array([zv.real, zv.imag])
@@ -399,7 +426,7 @@ def test_resistive_fault_joins_node_law():
     refs = RefInputs()
     r_f = 1.0  # tau = 1e-4 s, resolvable at dt 1e-6
     base = model.rhs(x, refs)
-    dx = model.rhs(x, refs, fault=FaultSpec("pcc", r_f), dt=1e-6)
+    dx = _faulted_plant(model, x, refs, FaultSpec("pcc", r_f), 1e-6)
     k = model.index("v_pcc_d")
     extra = dx[k : k + 2] - base[k : k + 2]
     assert np.allclose(extra, -x[k : k + 2] / (r_f * net.c_pcc), rtol=1e-10)

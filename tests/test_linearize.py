@@ -6,6 +6,7 @@ roundoff. The converter paths are validated through convergence-order and
 structure checks.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -439,19 +440,30 @@ def test_state_space_shape_validation():
 
 
 def test_input_labels_by_control():
-    s_gfm = Scenario(name="io", grid=GRID_CASES["normal"], control=GFM, with_sc=False)
-    ss = _quick_ss(s_gfm)
-    assert ss.input_labels == ("p_star", "v_g_ref", "v_turb_star")
-    s_none = Scenario(
-        name="io2",
-        grid=GRID_CASES["normal"],
-        control=NO_CONVERTER,
-        with_sc=True,
-        op=OperatingPoint(1.0, 1.0, 0.0),
-    )
-    ss2 = _quick_ss(s_none)
-    assert ss2.input_labels == ("v_g_ref",)
-    assert ss2.output_labels == ("p_pc", "v_c_mag", "q_pc")
+    # over control x q_mode x condenser: SystemModel states the references
+    # the plant reads (B's columns) and those the solve closes, and rhs reads
+    # exactly the first among the four references a scenario sets
+    rng = np.random.default_rng(41)
+    refs = RefInputs(p_star=0.7, v_turb_star=1.02, q_star=0.05, v_g_ref=0.97, phi_sc=0.04)
+    for control, q_mode, with_sc in itertools.product(
+            (GFL, GFM, NO_CONVERTER), (Q_MODE_REACTIVE, Q_MODE_VOLTAGE), (False, True)):
+        case = (control, q_mode, with_sc)
+        s = Scenario(name="io", grid=GRID_CASES["normal"], control=control, q_mode=q_mode,
+                     with_sc=with_sc, op=OperatingPoint(1.0, 1.0, 0.5))
+        model = build_model(s)
+        reads_q = control == GFL and q_mode == Q_MODE_REACTIVE
+        expected = (("v_g_ref",) if control == NO_CONVERTER
+                    else ("p_star", "v_g_ref", "q_star" if reads_q else "v_turb_star"))
+        assert model.inputs == expected, case
+        assert model.unknowns == ("phi_sc",) * with_sc + ("q_star",) * reads_q, case
+        x = rng.uniform(-1.0, 1.0, model.n)
+        base = model.rhs(x, refs)
+        for name in ("p_star", "q_star", "v_turb_star", "v_g_ref"):
+            moved = model.rhs(x, replace(refs, **{name: getattr(refs, name) + 0.01}))
+            assert (not np.array_equal(moved, base)) == (name in model.inputs), (case, name)
+        ss = _quick_ss(s)
+        assert ss.input_labels == model.inputs, case
+        assert ss.output_labels == ("p_pc", "v_c_mag", "q_pc"), case
 
 
 def _quick_ss(scenario):

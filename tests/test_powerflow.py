@@ -209,8 +209,8 @@ def test_turbine_bus_magnitude_constraint_and_solved_q():
     eq = solve_equilibrium(model, refs_for(s))
     v_c = model.pair(eq.state, "v_c_d")
     assert math.hypot(v_c[0], v_c[1]) == pytest.approx(1.08, abs=1e-8)
-    assert eq.q_star is not None
-    assert eq.refs.q_star == eq.q_star
+    assert model.unknowns == ("q_star",)
+    assert eq.refs.q_star != refs_for(s).q_star  # solved for, not the configured value
 
 
 def test_gfm_turbine_bus_magnitude_from_voltage_loop():
@@ -219,7 +219,8 @@ def test_gfm_turbine_bus_magnitude_from_voltage_loop():
     eq = solve_equilibrium(model, refs_for(s))
     v_c = model.pair(eq.state, "v_c_d")
     assert math.hypot(v_c[0], v_c[1]) == pytest.approx(0.92, abs=1e-8)
-    assert eq.q_star is None
+    assert "q_star" not in model.unknowns
+    assert eq.refs.q_star == refs_for(s).q_star
 
 
 def test_postconditions_power_tracking_and_sc_float():
@@ -624,10 +625,9 @@ def test_split_jacobian_matches_the_residual_difference(control, q_mode, with_sc
     model = build_model(scenarios[0])
     refs = [refs_for(s) for s in scenarios]
     stacked, scale, n = RefInputs.stack(refs), _row_scale(model), model.n
-    solved = ["phi_sc"] * with_sc + ["q_star"] * (control == GFL and q_mode == Q_MODE_REACTIVE)
-    z_eq = np.array([[*e.state, *(getattr(e, name) for name in solved)]
+    z_eq = np.array([[*e.state, *(getattr(e.refs, name) for name in model.unknowns)]
                      for e in solve_equilibria(model, refs)]).T
-    size = n + len(solved)
+    size = n + len(model.unknowns)
     nonlinear = np.zeros((size, size), dtype=bool)
     nonlinear[model.writes], nonlinear[n:], nonlinear[:, n:] = True, True, True
     exact = np.zeros((size, size))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from wppsc.components import (
+    FAULT_OPEN_THRESHOLD,
     GFL,
     GFM,
     NO_CONVERTER,
@@ -33,6 +34,8 @@ from wppsc.sim import (
     integrate,
     march,
 )
+
+from plant_oracle import composed_rhs, pinned_bus
 
 
 class StubModel:
@@ -177,13 +180,12 @@ def reference_loop(x0, n_steps, dt, segments):
 
 
 def classic_rk4(model, refs, fault, dt):
-    """Classic RK4 step on model.rhs, one call per stage, with the
-    pinned-bus write after the step."""
+    """Classic RK4 step on the plant composed component by component
+    (plant_oracle.composed_rhs), one call per stage, with the pinned-bus
+    write after the step."""
 
     def f(x):
-        return model.rhs(x, refs, fault, dt)
-
-    pinned = model.treatment(fault, dt)[1]
+        return composed_rhs(model, x, refs, fault, dt)
 
     def step(x):
         k1 = f(x)
@@ -191,9 +193,10 @@ def classic_rk4(model, refs, fault, dt):
         k3 = f(x + 0.5 * dt * k2)
         k4 = f(x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        pinned = pinned_bus(model, x, fault, dt)
         if pinned is not None:
-            k, pin = pinned
-            x[k : k + 2] = pin @ x
+            k = model.index(pinned[0])
+            x[k : k + 2] = pinned[1]
         return x
 
     return step
@@ -216,13 +219,17 @@ def rk4_reference(model, x0, dt, n_steps, schedule):
         (FaultSpec("pcc", 0.05), 2e-6),  # r C = 5e-6 s: a shunt in the node law
         (FaultSpec("pcc", 0.05), 2e-4),  # pinned PCC
         (FaultSpec("wt_mv", 1e-4), 1e-4),  # pinned turbine bus, read by the controller
+        (FaultSpec("pcc", FAULT_OPEN_THRESHOLD), 1e-4),  # an open circuit: no fault
+        (FaultSpec("wt_mv", 5.0), 1e-6),  # r C = 1.1e-3 s: a shunt in the node law
     ],
 )
 def test_rk4_step_is_classic_rk4_on_the_derivative(control, q_mode, with_sc, fault, dt):
     # the step folds the linear part of the four stages into maps once per
-    # segment; from any state, one step is classic RK4 on rhs
+    # segment; from any state, one step is classic RK4 on the plant composed
+    # component by component, faults included
     model, eq = solved("weak", control, with_sc, p=1.0, q_mode=q_mode)
-    assert (model.treatment(fault, dt)[1] is None) == (fault is None or dt < 1e-5)
+    pins = fault is not None and fault.r_fault < FAULT_OPEN_THRESHOLD and dt > 1e-5
+    assert (model.treatment(fault, dt)[1] is not None) == pins
     events = [] if fault is None else [Event.fault_on(0.0, fault.bus, fault.r_fault)]
     step = classic_rk4(model, eq.refs, fault, dt)
     rng = np.random.default_rng(5)
@@ -240,7 +247,7 @@ def test_rk4_step_is_classic_rk4_on_the_derivative(control, q_mode, with_sc, fau
 @pytest.mark.parametrize("case", ["p_star_step", "bolted_wt_mv", "shunt_pcc"])
 def test_integrate_matches_rk4_on_rhs(control, case):
     # the march folds the RK4 stages once per event segment; its trajectory
-    # is the one classic RK4 gives stepping rhs call by call
+    # is the one classic RK4 gives stepping the composed plant call by call
     model, eq = solved("weak", control, True, p=1.0)
     if case == "p_star_step":
         dt, n, delta = 1e-4, 300, 0.05
