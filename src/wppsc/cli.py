@@ -5,8 +5,9 @@ then defaults), emits its artifact as CSV with a header row, '.' decimal
 separator and LF line endings, and writes the fully-resolved configuration
 to manifest.json in the output directory once the run is past its
 configuration: a solver failure or a divergence records it, a configuration
-error does not. Re-running a subcommand against a written manifest
-reproduces the artifacts byte for byte.
+error does not, and leaves no output directory that the run made.
+Re-running a subcommand against a written manifest reproduces the
+artifacts byte for byte.
 
 Each subcommand is stated once, in _SUBCOMMANDS (its help, its handler and
 the options only it takes), and each record CSV once, in its column table
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import CHANNELS, eigenvalues, step_response, sweep
+from .analysis import eigenvalues, step_response, sweep
 from .config import (
     ConfigError,
     Scenario,
@@ -46,10 +47,6 @@ from .linearize import linearize
 from .powerflow import SolveError, solve_equilibrium
 from .scr import enhancement_report
 from .sim import ScheduleError, TimeSeries, integrate
-
-# the references a step_ref event may step in the step subcommand: those a
-# linear response channel drives
-_STEPPED = sorted(name for names in CHANNELS.values() for name in names)
 
 
 def _fmt(value) -> str:
@@ -146,8 +143,6 @@ def _step_request(scenario: Scenario, model) -> tuple[str, float]:
     steps = [(f"events.{i}.channel", ev.channel, ev.delta)
              for i, ev in enumerate(scenario.events) if ev.kind == "step_ref"]
     key, ref, magnitude = (steps or [("control.type", "p_star", 1e-3)])[0]
-    if ref not in _STEPPED:
-        raise ConfigError(key, f"the step subcommand supports {_STEPPED}, got {ref!r}")
     if ref not in model.inputs:
         raise ConfigError(key, f"{scenario.control!r} plant does not read {ref!r} "
                                f"(it reads {', '.join(model.inputs)})")
@@ -274,7 +269,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.out
+    out_dir, made = args.out, []  # the levels of --out this run makes, deepest first
+    level = os.path.abspath(out_dir)
+    while not os.path.lexists(level):
+        made.append(level)
+        level = os.path.dirname(level)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:  # a file at or above the path
@@ -282,11 +281,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         code = args.handler(scenario, args, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ScheduleError as exc:
-        print(f"config error: events: {exc}", file=sys.stderr)
+    except (ConfigError, ScheduleError) as exc:
+        where = "events: " if isinstance(exc, ScheduleError) else ""
+        print(f"config error: {where}{exc}", file=sys.stderr)
+        for level in made:  # empty: a handler checks its configuration before it writes
+            os.rmdir(level)
         return 2
     except SolveError as exc:
         print(f"equilibrium solve failed: {exc}", file=sys.stderr)

@@ -2,18 +2,20 @@
 
 One march owns event segments, the divergence and non-finite checks and
 truncation. Within a segment a step rule advances the state by dt: classic
-RK4 for the converter plant, one Python step at a time, on the plant
-x' = a x + b + E g(C x) read off the model once per event segment, with
-the linear part of its four stages folded into maps then, so that a
-step runs only the bound controller g between two matvecs: each stage is
-one slice of the flat stage inputs, its few couplings to earlier outputs
-added on floats, and one g call; or, for affine
-dynamics x' = A x + b, the exact zero-order hold x+ = Phi x + gamma with
-Phi and gamma from one expm of [[A, b], [0, 0]] dt (Van Loan, IEEE TAC
-1978), held as data and filled by doubling: rows h..2h-1 of a segment are
-rows 0..h-1 mapped by the h-th power of the hold, which is then squared.
-The hold is exact at any stiffness: integrate uses it for the passive
-plant, where a fault of any resistance is a plain shunt conductance, and
+RK4 for the converter plant x' = a x + b + E g(C x), or, for affine
+dynamics x' = A x + b, the exact zero-order hold. The RK4 rule is the
+segment folded into data once: the linear part of the four stages as maps
+from x to the flat stage inputs and the result, the couplings of each stage
+input to earlier controller outputs as a pattern of (flat slot, output)
+pairs with their weights, and the bound controller g. march runs it through
+a straight-line loop generated once per pattern: the stage inputs are
+locals, each coupling is one line, and the four g calls, the result matvec
+and the checks are inline. The hold x+ = Phi x + gamma has Phi and gamma
+from one expm of [[A, b], [0, 0]] dt (Van Loan, IEEE TAC 1978), held as
+data and filled by doubling: rows h..2h-1 of a segment are rows 0..h-1
+mapped by the h-th power of the hold, which is then squared. The hold is
+exact at any stiffness: integrate uses it for the passive plant, where a
+fault of any resistance is a plain shunt conductance, and
 analysis.step_response for the linear model.
 
 Events snap to the nearest step boundary and take effect at the start of
@@ -27,6 +29,7 @@ limit's square passes without the entrywise test.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -105,14 +108,27 @@ class TimeSeries:
         return self.columns[name]
 
 
-Step = Callable[[np.ndarray], np.ndarray]
-
-
 class Affine(NamedTuple):
     """The step x -> phi @ x + gamma, as data so that march can square it."""
 
     phi: np.ndarray
     gamma: np.ndarray
+
+
+class Rk4(NamedTuple):
+    """One segment's RK4 step as data (see _rk4_step): with k_in controller
+    inputs and l_out outputs, v = maps @ x + offsets holds the 4 k_in flat
+    stage inputs and then the result's part in x and 1; stage i adds to its
+    inputs the couplings of pattern[i], each (flat slot, output) times its
+    weight, in order, then calls g; the step is v's tail plus
+    result_g @ [g_1; ...; g_4]."""
+
+    maps: np.ndarray
+    offsets: np.ndarray
+    result_g: np.ndarray
+    g: Callable[[Sequence], Sequence]
+    weights: tuple[float, ...]
+    pattern: tuple[tuple[tuple[int, int], ...], ...]
 
 
 class Run(NamedTuple):
@@ -125,12 +141,13 @@ class Run(NamedTuple):
 
 
 def march(x0: np.ndarray, n_steps: int, dt: float,
-          segments: Sequence[tuple[int, Union[Step, Affine]]]) -> Run:
+          segments: Sequence[tuple[int, Union[Rk4, Affine]]]) -> Run:
     """Step x0 through n_steps steps of dt. segments lists (first step,
     step rule) in increasing order, the first starting at step 0; each rule
-    holds until the next segment begins. A Step is called once per step.
-    An Affine segment is filled by doubling and runs on through a next one
-    with a bit-identical map, so that a no-op event keeps the rounding."""
+    holds until the next segment begins. An Rk4 segment runs through its
+    pattern's compiled loop. An Affine segment is filled by doubling and
+    runs on through a next one with a bit-identical map, so that a no-op
+    event keeps the rounding."""
     states = np.empty((n_steps + 1, x0.size))
     states[0] = x0
     kept = list(segments[:1])
@@ -143,14 +160,9 @@ def march(x0: np.ndarray, n_steps: int, dt: float,
         if isinstance(rule, Affine):
             bad = _fill_affine(states, start, end, rule)
         else:
-            bad, limit2 = None, DIVERGENCE_LIMIT**2
+            k_in, l_out = (len(rule.maps) - x0.size) // 4, rule.result_g.shape[1] // 4
             with np.errstate(over="ignore"):  # a squared norm past float range reads inf
-                for k in range(start, end):
-                    x = states[k + 1] = rule(states[k])
-                    # a sum of squares inside limit2 has every entry inside the limit
-                    if not x.dot(x) <= limit2 and not float(np.abs(x).max()) <= DIVERGENCE_LIMIT:
-                        bad = k + 1
-                        break
+                bad = _segment_loop(rule.pattern, k_in, l_out)(*rule)(states, start, end)
         if bad is not None:
             at = f"at t={bad * dt:.6g} s"
             if not np.isfinite(states[bad]).all():  # dropped, and the run aborts
@@ -182,6 +194,48 @@ def _fill_affine(states: np.ndarray, start: int, end: int, rule: Affine) -> Opti
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _segment_loop(pattern: tuple, k_in: int, l_out: int) -> Callable[..., Callable]:
+    """bind(*rule) -> run(states, start, end): the loop of an Rk4 rule with
+    this pattern, which fills rows start+1..end and returns the first bad
+    row (not finite, or an entry beyond the limit), or None."""
+    # The loop is generated because walking the couplings as generic tuples,
+    # once per step, cost more in interpreter dispatch than the arithmetic.
+    # The source holds indices only; bind takes the maps, weights and g as
+    # closure values, once per segment.
+    u, o = [f"u{r}" for r in range(4 * k_in)], [f"o{j}" for j in range(4 * l_out)]
+    lines, t = [], 0
+    for i, couplings in enumerate(pattern):
+        for r, j in couplings:
+            lines.append(f"u{r} += w{t} * o{j}")
+            t += 1
+        lines.append(f"[{', '.join(o[i * l_out : (i + 1) * l_out])}]"
+                     f" = g([{', '.join(u[i * k_in : (i + 1) * k_in])}])")
+    body = "\n            ".join(lines)
+    source = f"""
+def bind(maps, offsets, result_g, g, weights, pattern):
+    [{', '.join(f'w{s}' for s in range(t))}] = weights
+    def run(states, start, end):
+        x = states[start]
+        for k in range(start, end):
+            v = maps @ x
+            v += offsets
+            [{', '.join(u)}] = v[:{len(u)}].tolist()
+            {body}
+            x = v[{len(u)}:]
+            x += dot(result_g, [{', '.join(o)}])
+            states[k + 1] = x
+            # a sum of squares inside limit2 has every entry inside the limit
+            if not x.dot(x) <= limit2 and not abs(x).max() <= limit:
+                return k + 1
+        return None
+    return run
+"""
+    namespace = {"dot": np.dot, "limit": DIVERGENCE_LIMIT, "limit2": DIVERGENCE_LIMIT**2}
+    exec(compile(source, f"<rk4 loop {k_in}x{l_out}>", "exec"), namespace)
+    return namespace["bind"]
+
+
 def zoh_step(a: np.ndarray, b: np.ndarray, dt: float) -> Affine:
     """Exact step of x' = a x + b over dt with b held constant."""
     import scipy.linalg  # imported here so that wppsc starts without scipy
@@ -192,15 +246,16 @@ def zoh_step(a: np.ndarray, b: np.ndarray, dt: float) -> Affine:
 
 
 def _rk4_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
-              dt: float) -> Step:
+              dt: float) -> Rk4:
     """Classic RK4 step of the plant x' = a x + b + E g(C x) (see
-    components), its linear part folded once for the segment. Every stage
-    state, so every stage input C y_i and the step's result, is affine in
-    z = [x; 1; g_1; ...; g_4], g_j the controller output at stage j, and
-    stage i reads g_j only for j < i. A step is one matvec for the four
-    stage inputs, the controller on Python floats at each stage with the few
-    terms in earlier outputs added on floats, and one matvec for the result,
-    which ends with the pinned-bus write (if any)."""
+    components), folded once for the segment into the data of an Rk4 rule.
+    Every stage state, so every stage input C y_i and the step's result, is
+    affine in z = [x; 1; g_1; ...; g_4], g_j the controller output at stage
+    j, and stage i reads g_j only for j < i. A step is one matvec for the
+    four stage inputs and the result's part in x, the controller on Python
+    floats at each stage with its few nonzero couplings to earlier outputs
+    added on floats, and one matvec in the outputs; the result ends with
+    the pinned-bus write (if any)."""
     a, pinned = model.treatment(fault, dt)
     b, g = model.source_map @ model.emfs(refs), model.controller(refs)
     reads, writes = model.reads, model.writes
@@ -226,27 +281,16 @@ def _rk4_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
     k4 = stage(x + dt * k3, 3)
     x_new = settle @ (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     # contiguous copies for the per-step matvecs: the parts in x and in 1 of
-    # the four stage inputs and the result, and the result's part in g_1..g_4
+    # the four stage inputs and the result, and the result's part in g_1..g_4;
+    # each stage's couplings to earlier outputs as (flat slot, output) pairs
     maps = np.vstack([*inputs, x_new])
-    lin_x, lin_1, x_g = maps[:, :n].copy(), maps[:, n].copy(), x_new[:, n + 1 :].copy()
-    # per stage: its slice of the flat inputs, and its couplings to earlier
-    # outputs as (index into the flat inputs, output index, weight)
-    stages = [(slice(i * k_in, (i + 1) * k_in),
-               [(i * k_in + r, j, float(w[r, j])) for r, j in zip(*np.nonzero(w))])
-              for i, w in enumerate(u[:, n + 1 :] for u in inputs)]
-    n_in = 4 * k_in
-
-    def step(x: np.ndarray) -> np.ndarray:
-        v = lin_x @ x + lin_1
-        u = v[:n_in].tolist()
-        out = []
-        for cols, terms in stages:
-            for r, j, w in terms:
-                u[r] += w * out[j]
-            out += g(u[cols])
-        return v[n_in:] + np.dot(x_g, out)  # np.dot converts a list faster than @
-
-    return step
+    pattern, weights = [], []
+    for i, w in enumerate(u[:, n + 1 :] for u in inputs):
+        rows, cols = np.nonzero(w)
+        pattern.append(tuple(zip((i * k_in + rows).tolist(), cols.tolist())))
+        weights += w[rows, cols].tolist()
+    return Rk4(maps[:, :n].copy(), maps[:, n].copy(), x_new[:, n + 1 :].copy(), g,
+               tuple(weights), tuple(pattern))
 
 
 def _affine_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],

@@ -154,6 +154,21 @@ def test_out_on_a_file_exit_2(tmp_path, capsys, below):
     assert blocker.read_text() == "keep" and os.listdir(tmp_path) == ["taken"]
 
 
+def test_handler_config_error_leaves_no_out_directory(tmp_path, capsys):
+    # a schedule error is found by the fault handler, after --out was made:
+    # the levels of --out the run made go, a directory that existed stays
+    events = 'events=[{"t": 0.01, "kind": "fault_off", "bus": "pcc"}]'
+    out = tmp_path / "made" / "deep"
+    assert main(["fault", "--set", events, "--out", str(out)]) == 2
+    assert "config error: events: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "old.csv").write_text("keep")
+    assert main(["fault", "--set", events, "--out", str(kept)]) == 2
+    assert os.listdir(kept) == ["old.csv"] and (kept / "old.csv").read_text() == "keep"
+
+
 def test_config_error_exit_2_names_key(tmp_path, capsys):
     code, _ = run(tmp_path, "steady", "--set", "grid.scr=-1")
     assert code == 2
@@ -327,17 +342,26 @@ def test_step_takes_channel_from_first_step_event(tmp_path):
 
 
 def test_step_rejects_unsupported_channel(tmp_path, capsys):
-    # a reference the step subcommand does not step, one the plant does not
-    # read (the default GFL plant reads q_star, not v_turb_star) and the
-    # passive plant, which has no p_star for the default step: exit 2, and
-    # neither step.csv nor a manifest
-    for override, key in ((step_event("v_g_ref", 0.05), "events.0.channel"),
-                          (step_event("v_turb_star", 0.02), "events.0.channel"),
+    # a reference the plant does not read (the default GFL plant reads
+    # q_star, not v_turb_star) and the passive plant, which has no p_star
+    # for the default step: exit 2, and neither step.csv nor a manifest
+    for override, key in ((step_event("v_turb_star", 0.02), "events.0.channel"),
                           ("control.type=none", "control.type")):
         code, out = run(tmp_path, "step", "--set", override)
         assert code == 2
         assert f"config error: {key}: " in capsys.readouterr().err
         assert not (out / "step.csv").exists() and not (out / "manifest.json").exists()
+
+
+def test_step_on_v_g_ref_of_the_passive_plant(tmp_path):
+    # every plant reads v_g_ref, the passive plant only that: its step is
+    # the linear response to the grid source
+    code, out = run(tmp_path, "step", "--set", 'control={"type": "none"}',
+                    "--set", step_event("v_g_ref", 0.05), "--set", "sim.t_end=0.01")
+    assert code == 0
+    header, rows = read_csv(out / "step.csv")
+    assert header[0] == "t" and len(rows) == 201
+    assert any(float(cell) != 0.0 for cell in rows[-1][1:])
 
 
 def test_sweep_csv_full_grid(tmp_path):

@@ -18,6 +18,7 @@ from wppsc.components import (
     NO_CONVERTER,
     OMEGA0,
     FaultSpec,
+    NetworkSpec,
     RefInputs,
     ScParams,
 )
@@ -28,9 +29,12 @@ from wppsc.sim import (
     DIVERGENCE_LIMIT,
     Affine,
     Event,
+    Rk4,
     Run,
     ScheduleError,
     TimeSeries,
+    _rk4_step,
+    _segment_loop,
     integrate,
     march,
 )
@@ -209,7 +213,15 @@ def rk4_reference(model, x0, dt, n_steps, schedule):
 
 
 @pytest.mark.parametrize(
-    "control, q_mode", [(GFL, "reactive"), (GFL, "voltage"), (GFM, "reactive")]
+    "control, q_mode, network",
+    [
+        pytest.param(GFL, "reactive", NetworkSpec(), id="gfl-reactive"),
+        pytest.param(GFL, "voltage", NetworkSpec(), id="gfl-voltage"),
+        pytest.param(GFM, "reactive", NetworkSpec(), id="gfm-reactive"),
+        # lossless branches: exact-zero weights drop out of the coupling
+        # pattern, so the compiled loop runs a pattern the presets never give
+        pytest.param(GFL, "reactive", NetworkSpec(rf=0.0, ra=0.0, rtf=0.0), id="gfl-reactive-lossless"),
+    ],
 )
 @pytest.mark.parametrize("with_sc", [True, False])
 @pytest.mark.parametrize(
@@ -223,11 +235,11 @@ def rk4_reference(model, x0, dt, n_steps, schedule):
         (FaultSpec("wt_mv", 5.0), 1e-6),  # r C = 1.1e-3 s: a shunt in the node law
     ],
 )
-def test_rk4_step_is_classic_rk4_on_the_derivative(control, q_mode, with_sc, fault, dt):
+def test_rk4_step_is_classic_rk4_on_the_derivative(control, q_mode, network, with_sc, fault, dt):
     # the step folds the linear part of the four stages into maps once per
     # segment; from any state, one step is classic RK4 on the plant composed
     # component by component, faults included
-    model, eq = solved("weak", control, with_sc, p=1.0, q_mode=q_mode)
+    model, eq = solved("weak", control, with_sc, p=1.0, q_mode=q_mode, network=network)
     pins = fault is not None and fault.r_fault < FAULT_OPEN_THRESHOLD and dt > 1e-5
     assert (model.treatment(fault, dt)[1] is not None) == pins
     events = [] if fault is None else [Event.fault_on(0.0, fault.bus, fault.r_fault)]
@@ -241,6 +253,15 @@ def test_rk4_step_is_classic_rk4_on_the_derivative(control, q_mode, with_sc, fau
         peak = max(np.abs(x).max(), np.abs(ref).max())
         assert np.max(np.abs(got - ref)) <= 1e-13 * peak
         assert np.max(np.abs(ref - x)) > 1e-5 * peak  # the step moves the state
+    # another filter reactance gives other weights on the same pattern, and
+    # its run compiles no new loop
+    other, eq_other = solved("strong", control, with_sc, p=0.5, q_mode=q_mode,
+                             network=replace(network, xf=0.09))
+    rules = [_rk4_step(m, e.refs, fault, dt) for m, e in ((model, eq), (other, eq_other))]
+    assert rules[0].pattern == rules[1].pattern and rules[0].weights != rules[1].weights
+    compiled = _segment_loop.cache_info().currsize
+    integrate(other, eq_other.state, eq_other.refs, t_end=dt, dt=dt, events=events)
+    assert _segment_loop.cache_info().currsize == compiled
 
 
 @pytest.mark.parametrize("control", [GFL, GFM])
@@ -432,9 +453,14 @@ def test_abort_on_nonfinite_keeps_last_valid_sample():
 
 
 def scripted(rows):
-    """A step rule that returns the given rows in turn, whatever the state."""
-    rows = iter(np.array(rows, dtype=float))
-    return lambda x: next(rows)
+    """An RK4 segment on four states that steps to the given rows in turn,
+    whatever the state: zero maps, no couplings, the first stage's output
+    as the result, and a g that gives the next row at the first stage of a
+    step and zeros at the other three."""
+    zeros = [0.0] * 4
+    outputs = iter([out for row in rows for out in (row, zeros, zeros, zeros)])
+    result_g = np.hstack([np.eye(4), np.zeros((4, 12))])
+    return Rk4(np.zeros((8, 4)), np.zeros(8), result_g, lambda u: next(outputs), (), ((),) * 4)
 
 
 UNDER, OVER = np.nextafter(DIVERGENCE_LIMIT, 0.0), np.nextafter(DIVERGENCE_LIMIT, np.inf)
