@@ -27,13 +27,14 @@ the dense network matrix a (the state columns), the source map S (the source
 columns), the per-row s (SystemModel.lc, Newton's row scale) and the faulted
 node's capacitance all come from that table. Around the network sits a small
 nonlinear controller: for given references and fault the plant is
-x' = a x + b + E g(C x), each part read off the model: a and the bus it pins
-from SystemModel.treatment(fault, dt), b = S emfs(refs), and g =
+x' = a x + b + E g(C x), each part read off the model: a from
+SystemModel.treatment(fault), where a fault of any resistance is a shunt
+conductance in its bus's node law, b = S emfs(refs), and g =
 controller(refs), the controller with its gains and refs bound
 (gfl_controller, gfm_controller). g maps the values of the state rows
-`reads`, read after the pinned-bus write, to outputs that add to the rows
-`writes`, as Python floats or as row vectors alike; so C is the rows `reads`
-of the pinned-bus write and E the columns `writes` of the identity. For the
+`reads` to outputs that add to the rows `writes`, as Python floats or as
+row vectors alike; so C is the rows `reads` and E the columns `writes` of
+the identity. For the
 converter plant g reads v_c, i_f, i_a and the six controller states, and
 its 8 outputs are v_inv / lf (into the i_f rows) and the six controller
 rates, with the converter power inlined; the passive plant has no
@@ -47,8 +48,8 @@ EMF angle, then a reactive-mode GFL plant's q_star). SystemModel.rhs is the
 fault-free plant a x + b + E g(x[reads]), on one state of shape (n,), whose
 controller runs on Python floats, or on a batch of states as the columns of
 an (n, m) array, whose controller runs on row vectors, through the same
-code. A fault is stated only by treatment and the integrator's step rules
-(sim), which fold the linear part of their RK4 stages from the same parts.
+code. A fault is stated only by treatment and the integrator's step rule
+(sim), which folds the linear part of its ETDRK4 stages from the same parts.
 """
 
 from __future__ import annotations
@@ -87,11 +88,6 @@ _CONTROLLER_STATES = {
 def power_pair(v: np.ndarray, i: np.ndarray) -> tuple[float, float]:
     """Active/reactive power of a (voltage, current) pair."""
     return (v[0] * i[0] + v[1] * i[1], v[1] * i[0] - v[0] * i[1])
-
-
-def _block(z: complex) -> np.ndarray:
-    """Real 2x2 matrix that multiplies a dq pair by the complex number z."""
-    return np.array([[z.real, -z.imag], [z.imag, z.real]])
 
 
 # ---------------------------------------------------------------------------
@@ -453,44 +449,19 @@ class SystemModel:
     def has_sc(self) -> bool:
         return self.sc is not None
 
-    @property
-    def affine(self) -> bool:
-        """rhs is affine in the state: the plant has no converter control."""
-        return self.control == NO_CONVERTER
-
     # -- linear network ------------------------------------------------------
 
-    def treatment(
-        self, fault: Optional[FaultSpec], dt: Optional[float] = None
-    ) -> tuple[np.ndarray, Optional[tuple[int, np.ndarray]]]:
-        """State matrix with the fault (if given, it is active) applied, and
-        the bus it pins (None when it pins none): the row of its node state
-        and the (2, n) map from the state to its voltage. A fault that
-        changes the matrix gives a new one; a itself is never written.
-
-        Very large resistances are an open circuit. A shunt whose R*C time
-        constant is at most 2 dt is handled quasi-statically: the bus is
-        algebraic, pinned to its node-law value v = z i_net with
-        z = 1 / (1/r - j w0 C), i_net the node's own law times C with its
-        own block zeroed. The branches and the controller read that value;
-        the node's rows are zero and the integrator writes the pinned value
-        into the node state after every step. Without dt, or with a longer
-        time constant, the shunt joins the node ODE as a conductance.
-        """
+    def treatment(self, fault: Optional[FaultSpec]) -> np.ndarray:
+        """State matrix with the fault (if given, it is active) applied: a
+        shunt conductance 1/r in its bus's node law, of any stiffness. A
+        fault that changes the matrix gives a new one; a itself is never
+        written. Very large resistances are an open circuit."""
         if fault is None or fault.r_fault >= FAULT_OPEN_THRESHOLD:
-            return self.a, None
+            return self.a
         k = self._idx[_FAULT_NODES[fault.bus] + "_d"]
-        r_fault, c_bus = fault.r_fault, self.lc[k]
         a = self.a.copy()
-        if dt is None or r_fault * c_bus > 2.0 * dt:
-            a[k : k + 2, k : k + 2] -= np.eye(2) / (r_fault * c_bus)
-            return a, None
-        i_net = c_bus * a[k : k + 2]
-        i_net[:, k : k + 2] = 0.0
-        pin = _block(1.0 / complex(1.0 / r_fault, -OMEGA0 * c_bus)) @ i_net
-        a += a[:, k : k + 2] @ (pin - np.eye(2, self.n, k))  # every law reads the pinned voltage
-        a[k : k + 2] = 0.0
-        return a, (k, pin)
+        a[k : k + 2, k : k + 2] -= np.eye(2) / (fault.r_fault * self.lc[k])
+        return a
 
     # -- right-hand side -----------------------------------------------------
 
@@ -519,7 +490,7 @@ class SystemModel:
 
     def rhs(self, x: np.ndarray, refs: RefInputs) -> np.ndarray:
         """State derivative a x + b + E g(C x) of the fault-free plant with
-        refs; a fault is applied by treatment and sim's step rules alone.
+        refs; a fault is applied by treatment and sim's step rule alone.
 
         x is one state of shape (n,) or a batch of states as the columns of
         an (n, m) array; with a batch, any field of refs may also be an

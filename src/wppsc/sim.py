@@ -1,22 +1,23 @@
 """Fixed-step time marching of the plant and of linear models.
 
 One march owns event segments, the divergence and non-finite checks and
-truncation. Within a segment a step rule advances the state by dt: classic
-RK4 for the converter plant x' = a x + b + E g(C x), or, for affine
-dynamics x' = A x + b, the exact zero-order hold. The RK4 rule is the
-segment folded into data once: the linear part of the four stages as maps
-from x to the flat stage inputs and the result, the couplings of each stage
-input to earlier controller outputs as a pattern of (flat slot, output)
-pairs with their weights, and the bound controller g. march runs it through
-a straight-line loop generated once per pattern: the stage inputs are
-locals, each coupling is one line, and the four g calls, the result matvec
-and the checks are inline. The hold x+ = Phi x + gamma has Phi and gamma
-from one expm of [[A, b], [0, 0]] dt (Van Loan, IEEE TAC 1978), held as
-data and filled by doubling: rows h..2h-1 of a segment are rows 0..h-1
-mapped by the h-th power of the hold, which is then squared. The hold is
-exact at any stiffness: integrate uses it for the passive plant, where a
-fault of any resistance is a plain shunt conductance, and
-analysis.step_response for the linear model.
+truncation. Within a segment one step rule advances the state by dt:
+ETDRK4, exponential RK4 (Cox & Matthews, J. Comput. Phys. 176, 2002), for
+the plant x' = L x + b + E g(C x), with L the segment's faulted network
+matrix, integrated exactly, so that a fault of any resistance is a plain
+shunt conductance in it. The rule is the segment folded into data once:
+the linear part of the four stages as maps from x to the flat stage inputs
+and the result, the couplings of each stage input to earlier controller
+outputs as a pattern of (flat slot, output) pairs with their weights, and
+the bound controller g. march runs it through a straight-line loop
+generated once per pattern: the stage inputs are locals, each coupling is
+one line, and the four g calls, the result matvec and the checks are
+inline. Without a controller the rule is the exact
+zero-order hold x+ = Phi x + gamma, with Phi and gamma from one expm of
+[[A, b], [0, 0]] dt (Van Loan, IEEE TAC 1978), held as data and filled by
+doubling: rows h..2h-1 of a segment are rows 0..h-1 mapped by the h-th
+power of the hold, which is then squared. analysis.step_response steps the
+linear model by the same hold.
 
 Events snap to the nearest step boundary and take effect at the start of
 that step. Row 0 of the captured series is the initial condition before any
@@ -116,12 +117,12 @@ class Affine(NamedTuple):
 
 
 class Rk4(NamedTuple):
-    """One segment's RK4 step as data (see _rk4_step): with k_in controller
-    inputs and l_out outputs, v = maps @ x + offsets holds the 4 k_in flat
-    stage inputs and then the result's part in x and 1; stage i adds to its
-    inputs the couplings of pattern[i], each (flat slot, output) times its
-    weight, in order, then calls g; the step is v's tail plus
-    result_g @ [g_1; ...; g_4]."""
+    """One segment's ETDRK4 step as data (see _step_rule): with k_in
+    controller inputs and l_out outputs, v = maps @ x + offsets holds the
+    4 k_in flat stage inputs and then the result's part in x and 1; stage
+    i adds to its inputs the couplings of pattern[i], each (flat slot,
+    output) times its weight, in order, then calls g; the step is v's tail
+    plus result_g @ [g_1; ...; g_4]."""
 
     maps: np.ndarray
     offsets: np.ndarray
@@ -245,41 +246,54 @@ def zoh_step(a: np.ndarray, b: np.ndarray, dt: float) -> Affine:
     return Affine(e[:n, :n], e[:n, n])
 
 
-def _rk4_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
-              dt: float) -> Rk4:
-    """Classic RK4 step of the plant x' = a x + b + E g(C x) (see
-    components), folded once for the segment into the data of an Rk4 rule.
-    Every stage state, so every stage input C y_i and the step's result, is
-    affine in z = [x; 1; g_1; ...; g_4], g_j the controller output at stage
-    j, and stage i reads g_j only for j < i. A step is one matvec for the
-    four stage inputs and the result's part in x, the controller on Python
-    floats at each stage with its few nonzero couplings to earlier outputs
-    added on floats, and one matvec in the outputs; the result ends with
-    the pinned-bus write (if any)."""
-    a, pinned = model.treatment(fault, dt)
-    b, g = model.source_map @ model.emfs(refs), model.controller(refs)
-    reads, writes = model.reads, model.writes
-    n, k_in, l_out = model.n, len(reads), len(writes)
-    settle = np.eye(n)  # the pinned-bus write, which the controller reads through
-    if pinned is not None:
-        k, pin = pinned
-        settle[k : k + 2] = pin
-    c, e = settle[reads], np.eye(n)[:, writes]
-    inputs = []
+def _step_rule(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
+               dt: float) -> Union[Rk4, Affine]:
+    """ETDRK4 step of the plant x' = L x + N(x), L = a under the fault and
+    N(x) = b + E g(C x) (see components), folded once for the segment into
+    the data of an Rk4 rule. With h = dt, P = (h/2) phi1(hL/2) and
+    N_i = b + E g_i, the stages are x, y2 = e^{hL/2} x + P N_1,
+    y3 = e^{hL/2} x + P N_2 and y4 = e^{hL/2} y2 + P (2 N_3 - N_1), and the
+    step is e^{hL} x + h (f1 N_1 + 2 f2 (N_2 + N_3) + f3 N_4), with
+    f1 = phi1 - 3 phi2 + 4 phi3, f2 = phi2 - 2 phi3 and f3 = 4 phi3 - phi2
+    at hL. Every stage state, so every stage input C y_i and the step's
+    result, is affine in z = [x; 1; g_1; ...; g_4], g_j the controller
+    output at stage j, and stage i reads g_j only for j < i. A step is one
+    matvec for the four stage inputs and the result's part in x, the
+    controller on Python floats at each stage with its few nonzero
+    couplings to earlier outputs added on floats, and one matvec in the
+    outputs. Without a controller N is b, f1 + 4 f2 + f3 = phi1 makes the
+    step the exact hold, and the rule is zoh_step's."""
+    a, b = model.treatment(fault), model.source_map @ model.emfs(refs)
+    if not model.writes:
+        return zoh_step(a, b, dt)
+    import scipy.linalg  # imported here so that wppsc starts without scipy
 
-    def stage(y: np.ndarray, j: int) -> np.ndarray:  # the stage derivative as a map of z
-        inputs.append(c @ y)
-        k = a @ y
-        k[:, n] += b
-        k[:, n + 1 + j * l_out : n + 1 + (j + 1) * l_out] += e
-        return k
+    reads, g = model.reads, model.controller(refs)
+    n, k_in, l_out = model.n, len(reads), len(model.writes)
+    # the first block row of expm([[A, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0])
+    # is e^A, phi1(A), phi2(A), phi3(A); at A = hL/2 the doubling rule
+    # phi_k(2A) = 2^-k [e^A phi_k(A) + sum_{j=1..k} phi_j(A) / (k-j)!] gives hL
+    block = np.eye(4 * n, k=n)
+    block[:n, :n] = 0.5 * dt * a
+    e_half, h1, h2, h3 = np.hsplit(scipy.linalg.expm(block)[:n], 4)
+    phi1 = (e_half @ h1 + h1) / 2.0
+    phi2 = (e_half @ h2 + h1 + h2) / 4.0
+    phi3 = (e_half @ h3 + 0.5 * h1 + h2 + h3) / 8.0
+    half = 0.5 * dt * h1
 
-    x = np.eye(n, n + 1 + 4 * l_out)
-    k1 = stage(x, 0)
-    k2 = stage(x + 0.5 * dt * k1, 1)
-    k3 = stage(x + 0.5 * dt * k2, 2)
-    k4 = stage(x + dt * k3, 3)
-    x_new = settle @ (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    x = np.eye(n, n + 1 + 4 * l_out)  # the state as a map of z
+    forces = np.zeros((4, *x.shape))  # N_1, ..., N_4 as maps of z
+    forces[:, :, n] = b
+    for j, f in enumerate(forces):
+        f[:, n + 1 + j * l_out : n + 1 + (j + 1) * l_out] = np.eye(n)[:, model.writes]
+    n1, n2, n3, n4 = forces
+    y2 = e_half @ x + half @ n1
+    y3 = e_half @ x + half @ n2
+    y4 = e_half @ y2 + half @ (2.0 * n3 - n1)
+    x_new = e_half @ e_half @ x + dt * ((phi1 - 3.0 * phi2 + 4.0 * phi3) @ n1
+                                        + 2.0 * (phi2 - 2.0 * phi3) @ (n2 + n3)
+                                        + (4.0 * phi3 - phi2) @ n4)
+    inputs = [y[reads] for y in (x, y2, y3, y4)]
     # contiguous copies for the per-step matvecs: the parts in x and in 1 of
     # the four stage inputs and the result, and the result's part in g_1..g_4;
     # each stage's couplings to earlier outputs as (flat slot, output) pairs
@@ -293,13 +307,6 @@ def _rk4_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
                tuple(weights), tuple(pattern))
 
 
-def _affine_step(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
-                 dt: float) -> Affine:
-    """Exact step of an affine plant x' = a x + b; without dt a fault is an
-    ordinary shunt conductance."""
-    return zoh_step(model.treatment(fault)[0], model.source_map @ model.emfs(refs), dt)
-
-
 class ScheduleError(ValueError):
     """An event schedule the plant cannot run: unpaired faults, or a step of
     a reference the plant does not read."""
@@ -308,13 +315,11 @@ class ScheduleError(ValueError):
 def _segments(model: SystemModel, events: Sequence[Event], refs: RefInputs, dt: float,
               n_steps: int) -> list[tuple[int, RefInputs, Optional[FaultSpec]]]:
     """(first step, refs, active fault) from step 0 on, one entry per step
-    at which an event lands; events past the horizon are dropped."""
+    at which an event lands. The whole schedule is checked; events past the
+    horizon are then dropped."""
     segments = {0: (refs, None)}
     fault = None
     for ev in sorted(events, key=lambda e: e.t):
-        k = int(round(ev.t / dt))
-        if k >= n_steps:
-            continue
         if ev.kind == "step_ref":
             if ev.channel not in model.inputs:
                 raise ScheduleError(f"step_ref at t={ev.t} on {ev.channel!r}, a reference "
@@ -328,7 +333,9 @@ def _segments(model: SystemModel, events: Sequence[Event], refs: RefInputs, dt: 
             if fault is None or fault.bus != ev.bus:
                 raise ScheduleError(f"fault_off at t={ev.t} without a matching fault_on")
             fault = None
-        segments[k] = (refs, fault)
+        k = int(round(ev.t / dt))
+        if k < n_steps:
+            segments[k] = (refs, fault)
     return [(k, r, f) for k, (r, f) in segments.items()]
 
 
@@ -340,8 +347,9 @@ def integrate(
     dt: float = 5e-5,
     events: Sequence[Event] = (),
 ) -> TimeSeries:
-    """Integrate the plant ODE from x0 with the given event schedule: exact
-    zero-order hold when the plant is affine, RK4 otherwise.
+    """Integrate the plant ODE from x0 with the given event schedule, one
+    ETDRK4 rule per event segment (the exact zero-order hold when the plant
+    has no controller).
 
     Captures every state plus interface powers and bus voltage magnitudes at
     every step, the derived signals in one measure call per event segment.
@@ -356,8 +364,7 @@ def integrate(
 
     n_steps = int(round(t_end / dt))
     segments = _segments(model, events, refs, dt, n_steps)
-    rule = _affine_step if model.affine else _rk4_step
-    run = march(x0, n_steps, dt, [(k, rule(model, r, f, dt)) for k, r, f in segments])
+    run = march(x0, n_steps, dt, [(k, _step_rule(model, r, f, dt)) for k, r, f in segments])
 
     states = run.states
     columns = {lab: states[:, i].copy() for i, lab in enumerate(model.labels)}

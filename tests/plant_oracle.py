@@ -5,9 +5,10 @@ from the scenario's own records (the grid Impedance, NetworkSpec, ScParams):
 each converts its reactances to inductances and capacitances itself.
 The library evaluates the same network as one assembled state matrix
 (``SystemModel.rhs``, fault-free; a fault through ``SystemModel.treatment``
-and the integrator's step rules); the tests keep the component form, faults
-included, as the reference it must reproduce. The frame-rotation helpers at the end move a state and its
-source angles to a rotated common frame, for the invariance checks.
+and the integrator's step rule); the tests keep the component form, faults
+included, as the reference it must reproduce. The frame-rotation helpers at
+the end move a state and its source angles to a rotated common frame, for
+the invariance checks.
 """
 
 from __future__ import annotations
@@ -124,64 +125,31 @@ def pcc_node_rhs(
 # the plant composed component by component
 
 
-def _fault_mode(fault: Optional[FaultSpec], c_bus: float, dt: Optional[float]) -> str:
-    if fault is None or fault.r_fault >= FAULT_OPEN_THRESHOLD:
-        return "off"
-    if dt is not None and fault.r_fault * c_bus <= 2.0 * dt:
-        return "algebraic"
-    return "shunt"
+def _shunt(fault: Optional[FaultSpec], bus: str) -> float:
+    """The conductance 1/r the fault puts at the named bus: 0 without a
+    fault, at another bus, or at r >= FAULT_OPEN_THRESHOLD (an open
+    circuit)."""
+    if fault is None or fault.bus != bus or fault.r_fault >= FAULT_OPEN_THRESHOLD:
+        return 0.0
+    return 1.0 / fault.r_fault
 
 
-def _bus_modes(model: SystemModel, fault: Optional[FaultSpec], dt: Optional[float]) -> tuple[str, str]:
-    """The fault mode of the turbine bus (v_c) and of the PCC."""
-    cf, c_pcc = filter_lc(model.network)[1], model.network.c_pcc
-    bus = fault.bus if fault is not None else None
-    return (_fault_mode(fault, cf, dt) if bus == "wt_mv" else "off",
-            _fault_mode(fault, c_pcc, dt) if bus == "pcc" else "off")
-
-
-def pinned_bus(
-    model: SystemModel, x: np.ndarray, fault: Optional[FaultSpec], dt: Optional[float]
-) -> Optional[tuple[str, np.ndarray]]:
-    """The node state an algebraic fault pins and its quasi-steady value
-    v = i_net / (1/r - j w C) at x, or None when the fault pins no bus."""
-    mode_vc, mode_pcc = _bus_modes(model, fault, dt)
-    if mode_pcc == "algebraic":
-        i_net = model.pair(x, "i_a_d") + model.pair(x, "i_g_d")
-        if model.sc is not None:
-            i_net = i_net + model.pair(x, "i_sc_d")
-        label, c_bus = "v_pcc_d", model.network.c_pcc
-    elif mode_vc == "algebraic":
-        i_f = model.pair(x, "i_f_d") if model.control != NO_CONVERTER else np.zeros(2)
-        label, c_bus, i_net = "v_c_d", filter_lc(model.network)[1], i_f - model.pair(x, "i_a_d")
-    else:
-        return None
-    zv = complex(i_net[0], i_net[1]) / complex(1.0 / fault.r_fault, -OMEGA0 * c_bus)
-    return label, np.array([zv.real, zv.imag])
-
-
-def composed_rhs(
+def network_rhs(
     model: SystemModel,
     x: np.ndarray,
     refs: RefInputs,
-    fault: Optional[FaultSpec] = None,
-    dt: Optional[float] = None,
+    fault: Optional[FaultSpec],
+    v_inv: np.ndarray,
 ) -> np.ndarray:
-    """State derivative of one plant state, component by component, with the
-    fault (if given, it is active) treated as the library's treatment and
-    step rules treat it: an open circuit at r >= FAULT_OPEN_THRESHOLD, a
-    bus pinned to its quasi-steady value when r C <= 2 dt (its node rows
-    zero; the branches and the controller read the pinned value), and a
-    shunt conductance in the node law otherwise."""
+    """Derivative of the network laws at one plant state, component by
+    component, driven by the sources of refs and the inverter voltage v_inv
+    (zero in the controller rows). The fault (if given, it is active) is
+    treated as the library's treatment treats it: a shunt conductance in
+    its bus's node law, of any stiffness, and nothing at
+    r >= FAULT_OPEN_THRESHOLD."""
     net = model.network
     w0 = OMEGA0
-    lf, cf = filter_lc(net, w0)
-    mode_vc, mode_pcc = _bus_modes(model, fault, dt)
-    pinned = pinned_bus(model, x, fault, dt)
-    if pinned is not None:  # the branches and the controller read the pinned value
-        x = np.array(x, dtype=float)
-        k = model.index(pinned[0])
-        x[k : k + 2] = pinned[1]
+    cf = filter_lc(net, w0)[1]
 
     i_g = model.pair(x, "i_g_d")
     i_sc = model.pair(x, "i_sc_d") if model.sc is not None else None
@@ -190,15 +158,7 @@ def composed_rhs(
     v_c = model.pair(x, "v_c_d")
     i_a = model.pair(x, "i_a_d")
     v_pcc = model.pair(x, "v_pcc_d")
-    dx = np.empty(model.n)
-
-    if has_conv:  # the controller outputs v_inv / lf and the six controller rates
-        u = [float(v) for v in (*v_c, *i_f, *i_a, *x[-6:])]
-        if model.control == GFL:
-            out = gfl_controller(model.gfl, refs, model.q_mode, lf)(u)
-        else:
-            out = gfm_controller(model.gfm, refs, lf, cf)(u)
-        v_inv, dctrl = lf * np.array(out[:2]), out[2:]
+    dx = np.zeros(model.n)
 
     v_g = refs.v_g_ref * np.array([math.cos(refs.v_g_angle), math.sin(refs.v_g_angle)])
     dx[0:2] = grid_rhs(i_g, v_pcc, model.grid, w0, v_g=v_g)
@@ -208,38 +168,52 @@ def composed_rhs(
         dx[k : k + 2] = sc_rhs(i_sc, v_pcc, model.sc, refs.phi_sc, w0)
         k += 2
 
+    di_f, dv_c, di_a = filter_cable_rhs(i_f, v_c, i_a, v_pcc, v_inv, net, w0)
     if has_conv:
-        di_f, dv_c, di_a = filter_cable_rhs(i_f, v_c, i_a, v_pcc, np.array(v_inv), net, w0)
         dx[k : k + 2] = di_f
         k += 2
-    else:
-        _, dv_c, di_a = filter_cable_rhs(np.zeros(2), v_c, i_a, v_pcc, np.zeros(2), net, w0)
 
-    if mode_vc == "algebraic":
-        dx[k : k + 2] = 0.0  # the integrator writes the pinned bus into the state
-    elif mode_vc == "shunt":
-        dx[k : k + 2] = dv_c - v_c / (fault.r_fault * cf)
-    else:
-        dx[k : k + 2] = dv_c
+    dx[k : k + 2] = dv_c - _shunt(fault, "wt_mv") * v_c / cf
     k += 2
 
     dx[k : k + 2] = di_a
     k += 2
 
     i_into_pcc = i_a + i_g + (i_sc if i_sc is not None else 0.0)
-    if mode_pcc == "algebraic":
-        dx[k : k + 2] = 0.0
-    elif mode_pcc == "shunt":
-        dx[k : k + 2] = (
-            pcc_node_rhs(v_pcc, i_into_pcc, net, w0) - v_pcc / (fault.r_fault * net.c_pcc)
-        )
-    else:
-        dx[k : k + 2] = pcc_node_rhs(v_pcc, i_into_pcc, net, w0)
-    k += 2
-
-    if has_conv:
-        dx[k : k + 6] = dctrl
+    dx[k : k + 2] = pcc_node_rhs(v_pcc, i_into_pcc, net, w0) - _shunt(fault, "pcc") * v_pcc / net.c_pcc
     return dx
+
+
+def composed_rhs(
+    model: SystemModel,
+    x: np.ndarray,
+    refs: RefInputs,
+    fault: Optional[FaultSpec] = None,
+) -> np.ndarray:
+    """State derivative of one plant state, component by component: the
+    network laws (network_rhs) driven by the controller's inverter voltage,
+    and the controller rates."""
+    if model.control == NO_CONVERTER:
+        return network_rhs(model, x, refs, fault, np.zeros(2))
+    lf, cf = filter_lc(model.network)
+    u = [float(v) for v in (*model.pair(x, "v_c_d"), *model.pair(x, "i_f_d"),
+                            *model.pair(x, "i_a_d"), *x[-6:])]
+    if model.control == GFL:
+        out = gfl_controller(model.gfl, refs, model.q_mode, lf)(u)
+    else:
+        out = gfm_controller(model.gfm, refs, lf, cf)(u)
+    dx = network_rhs(model, x, refs, fault, lf * np.array(out[:2]))
+    dx[-6:] = out[2:]
+    return dx
+
+
+def faulted_matrix(model: SystemModel, fault: Optional[FaultSpec]) -> np.ndarray:
+    """The network laws under the fault as a state matrix L: column j is
+    network_rhs at the unit state e_j less network_rhs at zero, undriven
+    but for the condenser EMF, which the difference removes."""
+    refs, v_inv = RefInputs(v_g_ref=0.0), np.zeros(2)
+    zero = network_rhs(model, np.zeros(model.n), refs, fault, v_inv)
+    return np.column_stack([network_rhs(model, e, refs, fault, v_inv) - zero for e in np.eye(model.n)])
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,10 @@ def test_unknown_key_exit_2(tmp_path, capsys):
     ('[{"t": 0.01, "kind": "fault_on", "bus": "pcc", "r_fault": 0.1}, '
      '{"t": 0.02, "kind": "fault_on", "bus": "wt_mv", "r_fault": 0.1}]', "while a fault is already active"),
     ('[{"t": 0.0, "kind": "step_ref", "channel": "v_turb_star", "delta": 0.1}]', "does not read"),
-], ids=["orphan_off", "overlapping_on", "unread_step"])
+    # past the horizon (t_end 0.03) a schedule is as invalid as within it
+    ('[{"t": 0.5, "kind": "fault_off", "bus": "pcc"}]', "fault_off at t=0.5 without a matching fault_on"),
+    ('[{"t": 0.5, "kind": "step_ref", "channel": "v_turb_star", "delta": 0.1}]', "does not read"),
+], ids=["orphan_off", "overlapping_on", "unread_step", "late_orphan_off", "late_unread_step"])
 def test_invalid_event_schedule_exit_2(tmp_path, capsys, events, message):
     code, out = run(tmp_path, "fault", "--set", f"events={events}", "--set", "sim.t_end=0.03")
     assert code == 2
@@ -447,9 +450,10 @@ def test_fault_csv_columns(tmp_path):
 
 
 def test_fault_divergence_exit_4_keeps_partial_series(tmp_path, capsys):
-    # dt far beyond the stiff-mode stability limit blows the integration up
+    # weak/GFL without the condenser at dt 1e-3, far past the step the
+    # converter's control loops resolve, blows the integration up
     code, out = run(
-        tmp_path, "fault", "--config", preset_path("normal"),
+        tmp_path, "fault", "--config", preset_path("weak"), "--set", "sc.enabled=false",
         "--set", "sim.dt=0.001", "--set", "sim.t_end=0.5",
     )
     assert code == 4
@@ -529,8 +533,7 @@ _IMPORT_GUARD = """
 import sys
 from wppsc import cli
 
-for argv in (["steady"], ["eig"], ["sweep"], ["sweep", "--jobs", "1"],
-             ["fault", "--set", "sim.t_end=0.01"]):
+for argv in (["steady"], ["eig"], ["sweep"], ["sweep", "--jobs", "1"]):
     assert cli.main([argv[0], "--out", sys.argv[1], *argv[1:]]) == 0, argv
 print("\\n".join(m for m in sys.modules
                  if m.split(".")[0] in ("scipy", "multiprocessing")

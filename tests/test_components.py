@@ -253,8 +253,11 @@ PLANTS = [
     ("none", "reactive"),
 ]
 
-# (fault, dt): off, open-circuit threshold, resistive shunt and bolted
-# (algebraic) faults at both buses
+# (fault, dt): off, open-circuit threshold, resistive and bolted shunts at
+# both buses, each with a step dt; the bolted shunts (r C of 1e-8 and
+# 2.1e-8 s) are four orders stiffer than their step, the resistive ones are
+# resolved by theirs. The plant itself does not read dt: a fault of any
+# stiffness is a conductance in its node law.
 FAULT_TREATMENTS = [
     (None, None),
     (FaultSpec("pcc", FAULT_OPEN_THRESHOLD), 1e-4),
@@ -296,18 +299,13 @@ def test_bound_controller_floats_match_row_vectors(control, q_mode):
         assert np.allclose(rows[:, j], floats, rtol=1e-14, atol=0.0)
 
 
-def _faulted_plant(model, x, refs, fault, dt):
+def _faulted_plant(model, x, refs, fault):
     """The plant a x + b + E g(C x) read off the model's parts with the
-    fault's treatment (the plant sim's step rules fold), on one state of
-    shape (n,) or a batch of columns: the controller reads the pinned bus."""
-    a, pinned = model.treatment(fault, dt)
+    fault's treatment (the plant sim's step rule folds), on one state of
+    shape (n,) or a batch of columns."""
     b = model.source_map @ model.emfs(refs)
-    dx = a @ x + (b if x.ndim == 1 else b[:, None])
-    u = np.array(x, dtype=float)
-    if pinned is not None:
-        k, pin = pinned
-        u[k : k + 2] = pin @ x
-    rows = u.tolist() if u.ndim == 1 else u
+    dx = model.treatment(fault) @ x + (b if x.ndim == 1 else b[:, None])
+    rows = x.tolist() if x.ndim == 1 else x
     for r, out in zip(model.writes, model.controller(refs)([rows[i] for i in model.reads])):
         dx[r] += out
     return dx
@@ -319,15 +317,15 @@ def _faulted_plant(model, x, refs, fault, dt):
 def test_assembled_rhs_matches_component_composition(control, q_mode, with_sc, fault, dt):
     # rhs, the fault-free plant, agrees with the plant composed component by
     # component, and so do the model's parts under each fault's treatment;
-    # for the passive plant those parts are treatment(fault, dt)[0] @ x +
+    # for the passive plant those parts are treatment(fault) @ x +
     # source_map @ emfs(refs) alone (test_sim checks each converter fault
-    # through one folded RK4 step)
+    # through one folded ETDRK4 step)
     model = _plant(control, q_mode, with_sc)
     rng = np.random.default_rng(17)
     for _ in range(10):
         x = _random_state(model, rng)
-        ref = composed_rhs(model, x, _REFS, fault, dt)
-        got = model.rhs(x, _REFS) if fault is None else _faulted_plant(model, x, _REFS, fault, dt)
+        ref = composed_rhs(model, x, _REFS, fault)
+        got = model.rhs(x, _REFS) if fault is None else _faulted_plant(model, x, _REFS, fault)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -339,7 +337,7 @@ def test_batched_rhs_matches_single_states(control, q_mode, fault, dt):
     model = _plant(control, q_mode, True)
 
     def plant(x):
-        return model.rhs(x, _REFS) if fault is None else _faulted_plant(model, x, _REFS, fault, dt)
+        return model.rhs(x, _REFS) if fault is None else _faulted_plant(model, x, _REFS, fault)
 
     rng = np.random.default_rng(19)
     xs = np.column_stack([_random_state(model, rng) for _ in range(7)])
@@ -389,33 +387,8 @@ def test_vacuous_fault_is_exact_noop():
     x = _random_state(model, rng)
     refs = RefInputs(p_star=0.5)
     fault = FaultSpec("pcc", FAULT_OPEN_THRESHOLD)
-    a, pinned = model.treatment(fault, 1e-4)
-    assert a is model.a and pinned is None
-    assert np.array_equal(_faulted_plant(model, x, refs, fault, 1e-4), model.rhs(x, refs))
-
-
-def test_bolted_fault_pins_pcc_bus():
-    net = NetworkSpec()
-    model = SystemModel(Impedance(r=0.02, x=0.3), net, control="none", sc=None)
-    rng = np.random.default_rng(9)
-    x = _random_state(model, rng)
-    refs = RefInputs()
-    r_f = 1e-4
-    fault = FaultSpec("pcc", r_f)
-    dx = _faulted_plant(model, x, refs, fault, 2e-4)
-    i_net = model.pair(x, "i_a_d") + model.pair(x, "i_g_d")
-    zv = complex(i_net[0], i_net[1]) / complex(1.0 / r_f, -OMEGA0 * net.c_pcc)
-    v_eff = np.array([zv.real, zv.imag])
-    k = model.index("v_pcc_d")
-    # the bus is algebraic: nothing moves its node state, which the
-    # integrator overwrites with the pinned value, and the laws read that value
-    node, pin = model.treatment(fault, 2e-4)[1]
-    assert node == k
-    assert np.allclose(pin @ x, v_eff, rtol=1e-10)
-    assert np.array_equal(dx[k : k + 2], np.zeros(2))
-    x_pinned = x.copy()
-    x_pinned[k : k + 2] = v_eff
-    assert np.allclose(dx[:k], model.rhs(x_pinned, refs)[:k], rtol=1e-10)
+    assert model.treatment(fault) is model.a
+    assert np.array_equal(_faulted_plant(model, x, refs, fault), model.rhs(x, refs))
 
 
 def test_resistive_fault_joins_node_law():
@@ -424,28 +397,17 @@ def test_resistive_fault_joins_node_law():
     rng = np.random.default_rng(13)
     x = _random_state(model, rng)
     refs = RefInputs()
-    r_f = 1.0  # tau = 1e-4 s, resolvable at dt 1e-6
     base = model.rhs(x, refs)
-    dx = _faulted_plant(model, x, refs, FaultSpec("pcc", r_f), 1e-6)
     k = model.index("v_pcc_d")
-    extra = dx[k : k + 2] - base[k : k + 2]
-    assert np.allclose(extra, -x[k : k + 2] / (r_f * net.c_pcc), rtol=1e-10)
     others = np.ones(model.n, dtype=bool)
     others[k : k + 2] = False
-    assert np.allclose(dx[others], base[others], rtol=1e-12)
-
-
-def test_algebraic_fault_threshold_reads_the_faulted_nodes_capacitance():
-    # a shunt is pinned when r C <= 2 dt, with C the faulted node's own
-    # capacitance: at r = 1 and dt = 7.5e-5 s the PCC (C = 1e-4) is pinned
-    # and the turbine bus (C = cf = 2.12e-4) is not
-    net = NetworkSpec()
-    model = SystemModel(Impedance(r=0.02, x=0.3), net, control="gfl", sc=ScParams())
-    r_f, dt = 1.0, 7.5e-5
-    assert r_f * net.c_pcc <= 2.0 * dt < r_f * filter_lc(net)[1]
-    pcc = model.treatment(FaultSpec("pcc", r_f), dt)[1]
-    assert pcc is not None and pcc[0] == model.index("v_pcc_d")
-    assert model.treatment(FaultSpec("wt_mv", r_f), dt)[1] is None
+    # a resolved shunt (r C = 1e-4 s) and a bolted one (1e-8 s) alike add
+    # -v / (r C) to the node law and leave every other row as it was
+    for r_f in (1.0, 1e-4):
+        dx = _faulted_plant(model, x, refs, FaultSpec("pcc", r_f))
+        extra = dx[k : k + 2] - base[k : k + 2]
+        assert np.allclose(extra, -x[k : k + 2] / (r_f * net.c_pcc), rtol=1e-10)
+        assert np.allclose(dx[others], base[others], rtol=1e-12)
 
 
 def test_fault_spec_validation():

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wppsc.components import (
     FAULT_OPEN_THRESHOLD,
@@ -33,23 +34,22 @@ from wppsc.sim import (
     Run,
     ScheduleError,
     TimeSeries,
-    _rk4_step,
     _segment_loop,
+    _step_rule,
     integrate,
     march,
+    zoh_step,
 )
 
-from plant_oracle import composed_rhs, pinned_bus
+from plant_oracle import composed_rhs, faulted_matrix
 
 
 class StubModel:
     """ẋ = rate·x, optionally returning NaN once the state passes a gate,
     given as the plant's parts x' = a x + b + E g(C x): a = rate·I, b = 0,
     and g reads every state row and adds zero to each, or NaN past the gate.
-    Not declared affine, so integrate steps it with RK4 as it does the
-    converter plant."""
-
-    affine = False
+    It has a controller, so integrate folds its ETDRK4 step as it does the
+    converter plant's."""
 
     def __init__(self, n=1, rate=-1.0, nan_above=None):
         self.n = n
@@ -60,8 +60,8 @@ class StubModel:
         self.source_map = np.zeros((n, 4))
         self.reads = self.writes = list(range(n))
 
-    def treatment(self, fault, dt=None):
-        return self.a, None
+    def treatment(self, fault):
+        return self.a
 
     def emfs(self, refs):
         return np.zeros(4)
@@ -121,7 +121,7 @@ def test_dt_and_t_end_validation():
 def test_open_circuit_fault_is_exact_noop():
     # r_fault at or above the open threshold must not contaminate the
     # trajectory: bit-identical to running with no events at all, on the
-    # converter plant (RK4) and on the passive plant (exact ZOH)
+    # converter plant (ETDRK4) and on the passive plant (exact ZOH)
     for control, p in ((GFM, 1.0), (NO_CONVERTER, 0.0)):
         model, eq = solved("normal", control, True, p=p)
         x0 = eq.state.copy()
@@ -131,36 +131,6 @@ def test_open_circuit_fault_is_exact_noop():
         b = integrate(model, x0, eq.refs, t_end=0.05, dt=1e-4)
         for name in model.labels:
             assert np.array_equal(a.columns[name], b.columns[name]), (control, name)
-
-
-@pytest.mark.parametrize("bus", ["wt_mv", "pcc"])
-def test_pinned_fault_bus_reports_node_law_voltage(bus):
-    # a bolted fault (r*C << dt) makes the bus algebraic: from the first
-    # post-fault sample on, the state and the derived magnitude carry the
-    # node-law voltage v = i_net / (1/r - j w0 C), not a lagging copy of it
-    model, eq = solved("weak", GFL, True, p=1.0)
-    r_f, k, dt = 1e-4, 200, 1e-4
-    ts = integrate(model, eq.state, eq.refs, t_end=0.03, dt=dt,
-                   events=[Event.fault_on(k * dt, bus, r_f)])
-    assert not (ts.diverged or ts.aborted)
-
-    def pair(name):
-        return ts.columns[name + "_d"] + 1j * ts.columns[name + "_q"]
-
-    net = model.network
-    if bus == "wt_mv":
-        node, i_net, c_bus = "v_c", pair("i_f") - pair("i_a"), 1.0 / (OMEGA0 * net.x_cf)
-    else:
-        node, i_net, c_bus = "v_pcc", pair("i_g") + pair("i_sc") + pair("i_a"), net.c_pcc
-    v_law = i_net / complex(1.0 / r_f, -OMEGA0 * c_bus)
-    post = slice(k + 1, None)
-    scale = np.max(np.abs(v_law[post]))
-    assert scale < 1e-3
-    assert np.max(np.abs(pair(node)[post] - v_law[post])) <= 1e-12 * scale
-    assert np.allclose(ts.columns[node + "_mag"][post], np.abs(v_law[post]),
-                       rtol=1e-12, atol=0.0)
-    # the sample at the fault step is the pre-fault state
-    assert abs(pair(node)[k]) > 0.9
 
 
 def reference_loop(x0, n_steps, dt, segments):
@@ -183,32 +153,43 @@ def reference_loop(x0, n_steps, dt, segments):
     return Run(np.array(states), False, False, "")
 
 
-def classic_rk4(model, refs, fault, dt):
-    """Classic RK4 step on the plant composed component by component
-    (plant_oracle.composed_rhs), one call per stage, with the pinned-bus
-    write after the step."""
+def phis(a):
+    """e^A and phi_1..phi_3(A), the first block row of the exponential of
+    [[A, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0]."""
+    n = len(a)
+    block = np.eye(4 * n, k=n)
+    block[:n, :n] = a
+    return np.hsplit(scipy.linalg.expm(block)[:n], 4)
 
-    def f(x):
-        return composed_rhs(model, x, refs, fault, dt)
+
+def etdrk4(model, refs, fault, dt):
+    """ETDRK4 step (Cox & Matthews 2002) on the plant composed component by
+    component: L the oracle's faulted network matrix, N = composed_rhs - L x
+    called once per stage, and the phi-functions at hL and hL/2 each from
+    their own expm."""
+    lin = faulted_matrix(model, fault)
+    e, p1, p2, p3 = phis(dt * lin)
+    e_half, h1, _, _ = phis(0.5 * dt * lin)
+    half = 0.5 * dt * h1
+
+    def n_of(x):
+        return composed_rhs(model, x, refs, fault) - lin @ x
 
     def step(x):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        pinned = pinned_bus(model, x, fault, dt)
-        if pinned is not None:
-            k = model.index(pinned[0])
-            x[k : k + 2] = pinned[1]
-        return x
+        n1 = n_of(x)
+        y2 = e_half @ x + half @ n1
+        n2 = n_of(y2)
+        n3 = n_of(e_half @ x + half @ n2)
+        n4 = n_of(e_half @ y2 + half @ (2.0 * n3 - n1))
+        return e @ x + dt * ((p1 - 3.0 * p2 + 4.0 * p3) @ n1 + 2.0 * (p2 - 2.0 * p3) @ (n2 + n3)
+                             + (4.0 * p3 - p2) @ n4)
 
     return step
 
 
-def rk4_reference(model, x0, dt, n_steps, schedule):
-    """Classic RK4 run; schedule lists (first step, refs, fault)."""
-    segments = [(k, classic_rk4(model, refs, fault, dt)) for k, refs, fault in schedule]
+def etdrk4_reference(model, x0, dt, n_steps, schedule):
+    """ETDRK4 run; schedule lists (first step, refs, fault)."""
+    segments = [(k, etdrk4(model, refs, fault, dt)) for k, refs, fault in schedule]
     return reference_loop(x0, n_steps, dt, segments)
 
 
@@ -228,22 +209,20 @@ def rk4_reference(model, x0, dt, n_steps, schedule):
     "fault, dt",
     [
         (None, 2e-4),
-        (FaultSpec("pcc", 0.05), 2e-6),  # r C = 5e-6 s: a shunt in the node law
-        (FaultSpec("pcc", 0.05), 2e-4),  # pinned PCC
-        (FaultSpec("wt_mv", 1e-4), 1e-4),  # pinned turbine bus, read by the controller
+        (FaultSpec("pcc", 0.05), 2e-6),  # r C = 5e-6 s: resolved by the step
+        (FaultSpec("pcc", 0.05), 2e-4),  # a PCC shunt 40x stiffer than the step
+        (FaultSpec("wt_mv", 1e-4), 1e-4),  # a bolted turbine bus, read by the controller
         (FaultSpec("pcc", FAULT_OPEN_THRESHOLD), 1e-4),  # an open circuit: no fault
-        (FaultSpec("wt_mv", 5.0), 1e-6),  # r C = 1.1e-3 s: a shunt in the node law
+        (FaultSpec("wt_mv", 5.0), 1e-6),  # r C = 1.1e-3 s: resolved by the step
     ],
 )
 def test_rk4_step_is_classic_rk4_on_the_derivative(control, q_mode, network, with_sc, fault, dt):
-    # the step folds the linear part of the four stages into maps once per
-    # segment; from any state, one step is classic RK4 on the plant composed
-    # component by component, faults included
+    # the step folds the linear part of the four ETDRK4 stages into maps
+    # once per segment; from any state, one step is ETDRK4 on the plant
+    # composed component by component, faults of any stiffness included
     model, eq = solved("weak", control, with_sc, p=1.0, q_mode=q_mode, network=network)
-    pins = fault is not None and fault.r_fault < FAULT_OPEN_THRESHOLD and dt > 1e-5
-    assert (model.treatment(fault, dt)[1] is not None) == pins
     events = [] if fault is None else [Event.fault_on(0.0, fault.bus, fault.r_fault)]
-    step = classic_rk4(model, eq.refs, fault, dt)
+    step = etdrk4(model, eq.refs, fault, dt)
     rng = np.random.default_rng(5)
     for _ in range(4):
         x = eq.state + rng.normal(scale=1e-2, size=model.n)
@@ -257,39 +236,60 @@ def test_rk4_step_is_classic_rk4_on_the_derivative(control, q_mode, network, wit
     # its run compiles no new loop
     other, eq_other = solved("strong", control, with_sc, p=0.5, q_mode=q_mode,
                              network=replace(network, xf=0.09))
-    rules = [_rk4_step(m, e.refs, fault, dt) for m, e in ((model, eq), (other, eq_other))]
+    rules = [_step_rule(m, e.refs, fault, dt) for m, e in ((model, eq), (other, eq_other))]
     assert rules[0].pattern == rules[1].pattern and rules[0].weights != rules[1].weights
     compiled = _segment_loop.cache_info().currsize
     integrate(other, eq_other.state, eq_other.refs, t_end=dt, dt=dt, events=events)
     assert _segment_loop.cache_info().currsize == compiled
 
 
+@pytest.mark.parametrize("with_sc", [True, False])
+@pytest.mark.parametrize("fault, dt", [
+    (None, 2e-4),
+    (FaultSpec("pcc", 1e-4), 2e-4),  # bolted
+    (FaultSpec("wt_mv", 5.0), 1e-6),
+    (FaultSpec("pcc", FAULT_OPEN_THRESHOLD), 1e-4),
+])
+def test_passive_plant_steps_by_the_exact_hold(with_sc, fault, dt):
+    # with no controller the ETDRK4 step is the zero-order hold of the
+    # faulted network: the rule is zoh_step's map, bit for bit, and it is
+    # the step ETDRK4 takes on the composed plant
+    model, eq = solved("weak", NO_CONVERTER, with_sc, p=0.0)
+    rule = _step_rule(model, eq.refs, fault, dt)
+    hold = zoh_step(model.treatment(fault), model.source_map @ model.emfs(eq.refs), dt)
+    assert all(map(np.array_equal, rule, hold))
+    step = etdrk4(model, eq.refs, fault, dt)
+    x = eq.state + np.random.default_rng(7).normal(scale=1e-2, size=model.n)
+    ref = step(x)
+    assert np.max(np.abs(rule.phi @ x + rule.gamma - ref)) <= 1e-13 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("control", [GFL, GFM])
 @pytest.mark.parametrize("case", ["p_star_step", "bolted_wt_mv", "shunt_pcc"])
 def test_integrate_matches_rk4_on_rhs(control, case):
-    # the march folds the RK4 stages once per event segment; its trajectory
-    # is the one classic RK4 gives stepping the composed plant call by call
+    # the march folds the ETDRK4 stages once per event segment; its
+    # trajectory is the one ETDRK4 gives stepping the composed plant call
+    # by call
     model, eq = solved("weak", control, True, p=1.0)
     if case == "p_star_step":
         dt, n, delta = 1e-4, 300, 0.05
         events = [Event.step_ref(0.0, "p_star", delta)]
         schedule = [(0, replace(eq.refs, p_star=eq.refs.p_star + delta), None)]
     else:
-        # a bolted turbine-bus fault is pinned at dt = 1e-4; a 0.05 pu PCC
-        # fault (r C = 5e-6 s) joins the node law at dt = 2e-6
+        # a bolted turbine-bus fault (r C = 2.1e-8 s) at dt = 1e-4, and a
+        # 0.05 pu PCC fault (r C = 5e-6 s) at dt = 2e-6
         if case == "bolted_wt_mv":
             bus, r_f, dt, n = "wt_mv", 1e-4, 1e-4, 300
         else:
             bus, r_f, dt, n = "pcc", 0.05, 2e-6, 3000
         k_on, k_off = n // 6, n // 2
         fault = FaultSpec(bus, r_f)
-        assert (model.treatment(fault, dt)[1] is None) == (case == "shunt_pcc")
         events = [Event.fault_on(k_on * dt, bus, r_f), Event.fault_off(k_off * dt, bus)]
         schedule = [(0, eq.refs, None), (k_on, eq.refs, fault), (k_off, eq.refs, None)]
     ts = integrate(model, eq.state, eq.refs, t_end=n * dt, dt=dt, events=events)
     assert not (ts.diverged or ts.aborted)
     got = np.column_stack([ts.columns[name] for name in model.labels])
-    ref = rk4_reference(model, eq.state, dt, n, schedule).states
+    ref = etdrk4_reference(model, eq.state, dt, n, schedule).states
     assert got.shape == ref.shape
     # a column whose peak is below 1e-3 of the state peak (GFM m_d: 8.9e-9
     # pu) is held to 1e-3 of the state peak, so roundoff there is not read
@@ -301,20 +301,38 @@ def test_integrate_matches_rk4_on_rhs(control, case):
     assert np.max(np.abs(ref[-1] - ref[0])) > 1e-4
 
 
-@pytest.mark.parametrize("p, rows", [(0.5, 599), (1.0, 538)])
-def test_diverging_fault_run_truncates_like_classic_rk4(p, rows):
+@pytest.mark.parametrize("p, rows", [(0.5, 600), (1.0, 539)])
+def test_diverging_fault_run_truncates_like_etdrk4(p, rows):
     # weak/GFL without the condenser loses synchronism under a cleared
-    # 0.05 pu PCC fault at dt = 2e-4 (pinned bus): the run ends on the same
-    # sample as a classic RK4 loop, with the same flag and note
+    # 0.05 pu PCC fault at dt = 2e-4: the run ends on the same sample as an
+    # ETDRK4 loop on the composed plant, with the same flag and note
     model, eq = solved("weak", GFL, False, p=p)
     dt, n = 2e-4, 1250
     fault = FaultSpec("pcc", 0.05)
     events = [Event.fault_on(0.05, "pcc", 0.05), Event.fault_off(0.10, "pcc")]
     ts = integrate(model, eq.state, eq.refs, t_end=n * dt, dt=dt, events=events)
-    ref = rk4_reference(model, eq.state, dt, n, [(0, eq.refs, None), (250, eq.refs, fault),
-                                                 (500, eq.refs, None)])
+    ref = etdrk4_reference(model, eq.state, dt, n, [(0, eq.refs, None), (250, eq.refs, fault),
+                                                    (500, eq.refs, None)])
     assert ref.diverged and not ref.aborted and len(ref.states) == rows
     assert (ts.t.size, ts.diverged, ts.aborted, ts.note) == (rows, True, False, ref.note)
+
+
+@pytest.mark.parametrize("case, control, bound", [("normal", GFL, 0.5), ("weak", GFM, 0.05)])
+def test_cleared_fault_run_converges_in_dt(case, control, bound):
+    # a cleared 0.05 pu PCC fault rings the PCC node at about 1.4 kHz; at
+    # dt = 2e-4 the run after clearing stays within the bound of a dt = 1e-5
+    # run, sample for sample
+    model, eq = solved(case, control, True, p=0.5)
+    events = [Event.fault_on(0.05, "pcc", 0.05), Event.fault_off(0.10, "pcc")]
+
+    def states(dt):
+        ts = integrate(model, eq.state, eq.refs, t_end=0.25, dt=dt, events=events)
+        assert not (ts.diverged or ts.aborted)
+        return np.column_stack([ts.columns[name] for name in model.labels])
+
+    coarse, fine = states(2e-4), states(1e-5)[::20]
+    after = slice(501, None)  # the samples after clearing at 0.10 s
+    assert np.max(np.abs(coarse[after] - fine[after])) <= bound
 
 
 def test_reference_step_reaches_derived_powers_from_stepped_sample():
@@ -577,6 +595,10 @@ def test_fault_pairing_is_validated():
     orphan_off = [Event.fault_off(0.001, "pcc")]
     with pytest.raises(ValueError, match="matching"):
         integrate(model, eq.state, eq.refs, t_end=0.005, dt=1e-4, events=orphan_off)
+    # past the horizon the schedule is as invalid as within it
+    late_off = [Event.fault_off(0.5, "pcc")]
+    with pytest.raises(ValueError, match="matching"):
+        integrate(model, eq.state, eq.refs, t_end=0.02, dt=1e-4, events=late_off)
 
 
 @pytest.mark.parametrize("control, q_mode, channel", [
@@ -586,22 +608,20 @@ def test_fault_pairing_is_validated():
     (NO_CONVERTER, "reactive", "p_star"),
 ])
 def test_step_on_a_reference_the_plant_does_not_read_is_rejected(control, q_mode, channel):
-    # the step would leave the run at its equilibrium; past the horizon it
-    # is dropped before it is checked
+    # the step would leave the run at its equilibrium; whether it lands
+    # within the horizon or past it, the schedule is rejected
     model, eq = solved("normal", control, True, q_mode=q_mode)
-    with pytest.raises(ScheduleError, match=f"'{channel}', a reference the plant does not read"):
-        integrate(model, eq.state, eq.refs, t_end=0.005, dt=1e-4,
-                  events=[Event.step_ref(0.001, channel, 0.1)])
-    late = integrate(model, eq.state, eq.refs, t_end=0.005, dt=1e-4,
-                     events=[Event.step_ref(1.0, channel, 0.1)])
-    assert not (late.diverged or late.aborted)
+    for t in (0.001, 1.0):
+        with pytest.raises(ScheduleError, match=f"'{channel}', a reference the plant does not read"):
+            integrate(model, eq.state, eq.refs, t_end=0.005, dt=1e-4,
+                      events=[Event.step_ref(t, channel, 0.1)])
 
 
 @pytest.mark.parametrize("control", [GFL, NO_CONVERTER])
 @pytest.mark.parametrize("bus, r_f, dt", [
-    ("pcc", 0.05, 2e-6),  # r C = 5e-6 s: a shunt in the node law
-    ("pcc", 0.05, 2e-4),  # pinned PCC
-    ("wt_mv", 1e-4, 1e-4),  # pinned turbine bus
+    ("pcc", 0.05, 2e-6),  # r C = 5e-6 s: resolved by the step
+    ("pcc", 0.05, 2e-4),  # a PCC shunt stiffer than the step
+    ("wt_mv", 1e-4, 1e-4),  # a bolted turbine bus
     ("pcc", 1e9, 1e-4),  # open circuit
 ])
 def test_faulted_run_leaves_the_fault_free_plant_untouched(control, bus, r_f, dt):
