@@ -30,11 +30,14 @@ nonlinear controller: for given references and fault the plant is
 x' = a x + b + E g(C x), each part read off the model: a from
 SystemModel.treatment(fault), where a fault of any resistance is a shunt
 conductance in its bus's node law, b = S emfs(refs), and g =
-controller(refs), the controller with its gains and refs bound
-(gfl_controller, gfm_controller). g maps the values of the state rows
-`reads` to outputs that add to the rows `writes`, as Python floats or as
-row vectors alike; so C is the rows `reads` and E the columns `writes` of
-the identity. For the
+controller(refs), the control law bound to its gains and refs (law(refs)
+gives the law and those values). Each law (GFL_LAWS, one per q mode, and
+GFM_LAW) is a ControlLaw: straight-line text over named inputs, bound
+values and outputs, stated once. Its callable g is built from that text
+once per law, and sim's step loop writes the same text inline. g maps the
+values of the state rows `reads` to outputs that add to the rows
+`writes`, as Python floats or as row vectors alike; so C is the rows
+`reads` and E the columns `writes` of the identity. For the
 converter plant g reads v_c, i_f, i_a and the six controller states, and
 its 8 outputs are v_inv / lf (into the i_f rows) and the six controller
 rates, with the converter power inlined; the passive plant has no
@@ -55,6 +58,7 @@ code. A fault is stated only by treatment and the integrator's step rule
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -250,96 +254,109 @@ class FaultSpec:
 # converter controls
 
 
-def gfl_controller(
-    p: GflParams, refs: RefInputs, q_mode: str, lf: float
-) -> Callable[[Sequence], tuple]:
-    """Grid-following control (PLL, outer power PI, inner current PI) with
-    its gains and refs bound: g(u) -> the eight controller outputs.
+class ControlLaw:
+    """A controller stated once, as straight-line text: it reads its named
+    inputs (the entries of u, in order) and bound values (gains and refs)
+    and assigns its named outputs. bind(values) -> g(u), compiled once per
+    law, runs the text on Python floats (math) or on row vectors (numpy),
+    one value per column of a batch of states, alike; sim's segment loop
+    writes the same text inline, renamed (inline), at each ETDRK4 stage."""
 
-    u = [v_c (2), i_f (2), i_a (2), theta_pll, s_pll, gamma_d, gamma_q, o_d,
-    o_q], where theta_pll is stored relative to the synchronous frame so its
-    rate is zero at an equilibrium (the absolute rate is omega0 + its rate).
-    Measurements are the filter-capacitor voltage and converter current
-    rotated into the PLL frame; the inverter voltage reference is rotated
-    back into the common frame. The outputs are v_inv / lf (d, q), the
-    inverter's term in the filter-current rate, then the six controller
-    rates.
-
-    Every entry of u is a float for one state, or an m-vector (one value per
-    column of a batch of states); the outputs then carry the same columns.
-    """
-    voltage = q_mode == Q_MODE_VOLTAGE
-    kp_pll, ki_pll, kp_pc, ki_pc, kp_cc, ki_cc = (
-        p.kp_pll, p.ki_pll, p.kp_pc, p.ki_pc, p.kp_cc, p.ki_cc)
-    p_star, q_star, v_star = refs.p_star, refs.q_star, refs.v_turb_star
-
-    def g(u: Sequence) -> tuple:
-        v_cd, v_cq, i_fd, i_fq, i_ad, i_aq, delta, s_pll, gamma_d, gamma_q, o_d, o_q = u
-        fn = math if isinstance(delta, float) else np
-        c, s = fn.cos(delta), fn.sin(delta)
-        # measurements in the PLL frame: rotation by -delta
-        v_md, v_mq = c * v_cd + s * v_cq, c * v_cq - s * v_cd
-        i_md, i_mq = c * i_fd + s * i_fq, c * i_fq - s * i_fd
-        e_p = p_star - (v_cd * i_ad + v_cq * i_aq)
-        i_star_d = kp_pc * e_p + ki_pc * gamma_d
-        if voltage:
-            e_q = v_star - fn.hypot(v_cd, v_cq)
-            i_star_q = kp_pc * e_q + ki_pc * gamma_q
-        else:
-            e_q = q_star - (v_cq * i_ad - v_cd * i_aq)
-            # raising i_q lowers q, hence the inverted PI output
-            i_star_q = -(kp_pc * e_q + ki_pc * gamma_q)
-        d_od, d_oq = i_star_d - i_md, i_star_q - i_mq
-        v_sd = v_md + kp_cc * d_od + ki_cc * o_d
-        v_sq = v_mq + kp_cc * d_oq + ki_cc * o_q
-        return ((c * v_sd - s * v_sq) / lf, (s * v_sd + c * v_sq) / lf,
-                kp_pll * v_mq + ki_pll * s_pll, v_mq, e_p, e_q, d_od, d_oq)
-
+    def __init__(self, inputs: str, bound: str, outputs: str, text: str) -> None:
+        self.inputs, self.bound, self.outputs = inputs.split(), bound.split(), outputs.split()
+        lines = [line.strip() for line in text.strip().splitlines()]  # straight-line: one level
+        self.text, body = "\n".join(lines), "\n        ".join(lines)
+        source = f"""
+def bind(values):
+    [{', '.join(self.bound)}] = values
+    def g(u):
+        [{', '.join(self.inputs)}] = u
+        cos, sin, hypot = FLOATS if isinstance({self.inputs[0]}, float) else ROWS
+        {body}
+        return ({', '.join(self.outputs)},)
     return g
+"""
+        namespace = {"FLOATS": (math.cos, math.sin, math.hypot), "ROWS": (np.cos, np.sin, np.hypot)}
+        exec(compile(source, f"<control law {self.outputs}>", "exec"), namespace)
+        self.bind: Callable[[Sequence], Callable[[Sequence], tuple]] = namespace["bind"]
+
+    def inline(self, names: dict[str, str]) -> str:
+        """The text with each name that `names` holds renamed."""
+        return re.sub(r"\w+", lambda m: names.get(m[0], m[0]), self.text)
 
 
-def gfm_controller(
-    p: GfmParams, refs: RefInputs, lf: float, cf: float
-) -> Callable[[Sequence], tuple]:
-    """Grid-forming control (swing synchronization, outer voltage PI with
-    capacitor-current feedforward, inner current PI with inductor
-    feedforward) with its gains and refs bound: g(u) -> the eight
-    controller outputs.
+# Grid-following control (PLL, outer power PI, inner current PI). theta_pll
+# (delta) is stored relative to the synchronous frame, so its rate is zero at
+# an equilibrium (the absolute rate is omega0 + its rate). Measurements are
+# the filter-capacitor voltage and converter current rotated into the PLL
+# frame; the inverter voltage reference is rotated back into the common frame.
+# The q channel follows q_star (reactive) or |v_c| = v_turb_star (voltage).
+_GFL_TEXT = """
+    c, s = cos(delta), sin(delta)
+    # measurements in the PLL frame: rotation by -delta
+    v_md, v_mq = c * v_cd + s * v_cq, c * v_cq - s * v_cd
+    i_md, i_mq = c * i_fd + s * i_fq, c * i_fq - s * i_fd
+    e_p = p_star - (v_cd * i_ad + v_cq * i_aq)
+    i_star_d = kp_pc * e_p + ki_pc * gamma_d
+    {q_channel}
+    d_od, d_oq = i_star_d - i_md, i_star_q - i_mq
+    v_sd = v_md + kp_cc * d_od + ki_cc * o_d
+    v_sq = v_mq + kp_cc * d_oq + ki_cc * o_q
+    inv_d, inv_q = (c * v_sd - s * v_sq) / lf, (s * v_sd + c * v_sq) / lf
+    d_delta = kp_pll * v_mq + ki_pll * s_pll
+"""
+_Q_CHANNELS = {
+    Q_MODE_REACTIVE: """e_q = q_star - (v_cq * i_ad - v_cd * i_aq)
+    # raising i_q lowers q, hence the inverted PI output
+    i_star_q = -(kp_pc * e_q + ki_pc * gamma_q)""",
+    Q_MODE_VOLTAGE: """e_q = v_star - hypot(v_cd, v_cq)
+    i_star_q = kp_pc * e_q + ki_pc * gamma_q""",
+}
+GFL_LAWS = {mode: ControlLaw(
+    "v_cd v_cq i_fd i_fq i_ad i_aq delta s_pll gamma_d gamma_q o_d o_q",
+    " ".join(vars(GflParams())) + " p_star q_star v_star lf",
+    "inv_d inv_q d_delta v_mq e_p e_q d_od d_oq", _GFL_TEXT.format(q_channel=q_channel))
+    for mode, q_channel in _Q_CHANNELS.items()}
 
-    u = [v_c (2), i_f (2), i_a (2), theta_pc, omega_pc, m_d, m_q, o_d, o_q],
-    theta_pc relative to the synchronous frame (absolute rate is omega0 +
-    omega_pc). The swing advances the applied EMF angle when power falls
-    short of its reference:
+# Grid-forming (virtual synchronous machine) control: swing synchronization,
+# outer voltage PI with capacitor-current feedforward (b_cf = 1 / x_cf),
+# inner current PI with inductor feedforward (xf). theta_pc (delta) is
+# relative to the synchronous frame (absolute rate omega0 + omega_pc). The
+# swing advances the applied EMF angle when power falls short of its
+# reference: J domega/dt = p* - p_pc - D_p omega, dtheta/dt = omega.
+GFM_LAW = ControlLaw(
+    "v_cd v_cq i_fd i_fq i_ad i_aq delta omega_pc m_d m_q o_d o_q",
+    " ".join(vars(GfmParams())) + " p_star v_star b_cf xf lf",
+    "inv_d inv_q d_delta d_omega e_vd e_vq e_id e_iq", """
+    c, s = cos(delta), sin(delta)
+    # measurements and feedforward in the controller frame: rotation by delta
+    v_md, v_mq = c * v_cd - s * v_cq, s * v_cd + c * v_cq
+    i_md, i_mq = c * i_fd - s * i_fq, s * i_fd + c * i_fq
+    i_ffd, i_ffq = c * i_ad - s * i_aq, s * i_ad + c * i_aq
+    d_delta, d_omega = omega_pc, (p_star - (v_cd * i_ad + v_cq * i_aq) - d_p * omega_pc) / j_vsm
+    e_vd, e_vq = v_star - v_md, -v_mq
+    i_star_d = i_ffd + kp_v * e_vd + ki_v * m_d - v_mq * b_cf
+    i_star_q = i_ffq + kp_v * e_vq + ki_v * m_q + v_md * b_cf
+    e_id, e_iq = i_star_d - i_md, i_star_q - i_mq
+    v_sd = v_md + kp_c * e_id + ki_c * o_d - xf * i_mq
+    v_sq = v_mq + kp_c * e_iq + ki_c * o_q + xf * i_md
+    inv_d, inv_q = (c * v_sd + s * v_sq) / lf, (c * v_sq - s * v_sd) / lf
+    """)
 
-        J domega/dt = p* - p_pc - D_p omega,   dtheta/dt = omega
 
-    The outputs are v_inv / lf (d, q) and the six controller rates; entries
-    may be floats or m-vectors, as for gfl_controller.
-    """
-    j_vsm, d_p, kp_v, ki_v, kp_c, ki_c = p.j_vsm, p.d_p, p.kp_v, p.ki_v, p.kp_c, p.ki_c
-    p_star, v_star = refs.p_star, refs.v_turb_star
-    b_cf = OMEGA0 * cf  # capacitor susceptance 1 / x_cf
-    xf = OMEGA0 * lf
+def gfl_law(p: GflParams, refs: RefInputs, q_mode: str, lf: float) -> tuple[ControlLaw, tuple]:
+    """The grid-following law of q_mode and the values it binds: u = [v_c
+    (2), i_f (2), i_a (2), theta_pll, s_pll, gamma_d, gamma_q, o_d, o_q] ->
+    v_inv / lf (d, q), the inverter's term in the filter-current rate, then
+    the six controller rates."""
+    return GFL_LAWS[q_mode], (*vars(p).values(), refs.p_star, refs.q_star, refs.v_turb_star, lf)
 
-    def g(u: Sequence) -> tuple:
-        v_cd, v_cq, i_fd, i_fq, i_ad, i_aq, delta, omega_pc, m_d, m_q, o_d, o_q = u
-        fn = math if isinstance(delta, float) else np
-        c, s = fn.cos(delta), fn.sin(delta)
-        # measurements and feedforward in the controller frame: rotation by delta
-        v_md, v_mq = c * v_cd - s * v_cq, s * v_cd + c * v_cq
-        i_md, i_mq = c * i_fd - s * i_fq, s * i_fd + c * i_fq
-        i_ffd, i_ffq = c * i_ad - s * i_aq, s * i_ad + c * i_aq
-        d_omega = (p_star - (v_cd * i_ad + v_cq * i_aq) - d_p * omega_pc) / j_vsm
-        e_vd, e_vq = v_star - v_md, -v_mq
-        i_star_d = i_ffd + kp_v * e_vd + ki_v * m_d - v_mq * b_cf
-        i_star_q = i_ffq + kp_v * e_vq + ki_v * m_q + v_md * b_cf
-        e_id, e_iq = i_star_d - i_md, i_star_q - i_mq
-        v_sd = v_md + kp_c * e_id + ki_c * o_d - xf * i_mq
-        v_sq = v_mq + kp_c * e_iq + ki_c * o_q + xf * i_md
-        return ((c * v_sd + s * v_sq) / lf, (c * v_sq - s * v_sd) / lf,
-                omega_pc, d_omega, e_vd, e_vq, e_id, e_iq)
 
-    return g
+def gfm_law(p: GfmParams, refs: RefInputs, lf: float, cf: float) -> tuple[ControlLaw, tuple]:
+    """The grid-forming law and the values it binds: u = [v_c (2), i_f (2),
+    i_a (2), theta_pc, omega_pc, m_d, m_q, o_d, o_q] -> v_inv / lf (d, q)
+    and the six controller rates, as for gfl_law."""
+    return GFM_LAW, (*vars(p).values(), refs.p_star, refs.v_turb_star, OMEGA0 * cf, OMEGA0 * lf, lf)
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +496,19 @@ class SystemModel:
         out[2], out[3] = e * np.cos(phi), e * np.sin(phi)
         return out
 
+    def law(self, refs: RefInputs) -> tuple[ControlLaw, tuple]:
+        """The converter's control law and the values it binds under refs."""
+        if self.control == GFL:
+            return gfl_law(self.gfl, refs, self.q_mode, self._lf)
+        return gfm_law(self.gfm, refs, self._lf, self._cf)
+
     def controller(self, refs: RefInputs) -> Callable[[Sequence], Sequence]:
         """g: the controller with its gains and refs bound, over the rows
         `reads` to the rows `writes`."""
-        if self.control == GFL:
-            return gfl_controller(self.gfl, refs, self.q_mode, self._lf)
-        if self.control == GFM:
-            return gfm_controller(self.gfm, refs, self._lf, self._cf)
-        return lambda u: ()
+        if self.control == NO_CONVERTER:
+            return lambda u: ()
+        law, values = self.law(refs)
+        return law.bind(values)
 
     def rhs(self, x: np.ndarray, refs: RefInputs) -> np.ndarray:
         """State derivative a x + b + E g(C x) of the fault-free plant with

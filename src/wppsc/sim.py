@@ -6,16 +6,17 @@ ETDRK4, exponential RK4 (Cox & Matthews, J. Comput. Phys. 176, 2002), for
 the plant x' = L x + b + E g(C x), with L the segment's faulted network
 matrix, integrated exactly, so that a fault of any resistance is a plain
 shunt conductance in it. The rule is the segment folded into data once:
-the linear part of the four stages as maps from x to the flat stage inputs
-and the result, the couplings of each stage input to earlier controller
-outputs as a pattern of (flat slot, output) pairs with their weights, and
-the bound controller g. march runs it through a straight-line loop
-generated once per pattern: the stage inputs are locals, each coupling is
-one line, and the four g calls, the result matvec and the checks are
-inline. Without a controller the rule is the exact
-zero-order hold x+ = Phi x + gamma, with Phi and gamma from one expm of
-[[A, b], [0, 0]] dt (Van Loan, IEEE TAC 1978), held as data and filled by
-doubling: rows h..2h-1 of a segment are rows 0..h-1 mapped by the h-th
+one fused map from [x; 1; o], o the step's controller outputs, to the next
+state and its flat stage inputs, the couplings of each stage input to
+earlier controller outputs as a pattern of (flat slot, output) pairs with
+their weights, and the control law (components.ControlLaw) with the values
+it binds. march runs it through a straight-line loop generated once per
+pattern and law: the stage inputs are locals, each coupling is one line,
+the law's text is written inline at each of the four stages, and the step
+ends in the one matvec and the checks. Without a controller the rule is the
+exact zero-order hold x+ = Phi x + gamma, with Phi and gamma from one expm
+of [[A, b], [0, 0]] dt (Van Loan, IEEE TAC 1978), held as data and filled
+by doubling: rows h..2h-1 of a segment are rows 0..h-1 mapped by the h-th
 power of the hold, which is then squared. analysis.step_response steps the
 linear model by the same hold.
 
@@ -32,12 +33,13 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .components import FAULT_BUSES, FaultSpec, RefInputs, SystemModel
+from .components import FAULT_BUSES, ControlLaw, FaultSpec, RefInputs, SystemModel
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -118,16 +120,16 @@ class Affine(NamedTuple):
 
 class Rk4(NamedTuple):
     """One segment's ETDRK4 step as data (see _step_rule): with k_in
-    controller inputs and l_out outputs, v = maps @ x + offsets holds the
-    4 k_in flat stage inputs and then the result's part in x and 1; stage
-    i adds to its inputs the couplings of pattern[i], each (flat slot,
-    output) times its weight, in order, then calls g; the step is v's tail
-    plus result_g @ [g_1; ...; g_4]."""
+    controller inputs and l_out outputs, first @ [x; 1] holds a segment's
+    first 4 k_in flat stage inputs; stage i adds to its inputs the couplings
+    of pattern[i], each (flat slot, output) times its weight, in order, then
+    runs law, bound to values; with o the step's 4 l_out outputs,
+    step @ [x; 1; o] holds the next state and then its stage inputs."""
 
-    maps: np.ndarray
-    offsets: np.ndarray
-    result_g: np.ndarray
-    g: Callable[[Sequence], Sequence]
+    first: np.ndarray
+    step: np.ndarray
+    law: ControlLaw
+    values: tuple
     weights: tuple[float, ...]
     pattern: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -145,25 +147,26 @@ def march(x0: np.ndarray, n_steps: int, dt: float,
           segments: Sequence[tuple[int, Union[Rk4, Affine]]]) -> Run:
     """Step x0 through n_steps steps of dt. segments lists (first step,
     step rule) in increasing order, the first starting at step 0; each rule
-    holds until the next segment begins. An Rk4 segment runs through its
-    pattern's compiled loop. An Affine segment is filled by doubling and
-    runs on through a next one with a bit-identical map, so that a no-op
-    event keeps the rounding."""
+    holds until the next segment begins, and runs on through a next one
+    with a bit-identical rule, so that a no-op event keeps the rounding. An
+    Rk4 segment runs through its pattern's and law's compiled loop, an
+    Affine one is filled by doubling."""
     states = np.empty((n_steps + 1, x0.size))
     states[0] = x0
     kept = list(segments[:1])
     for seg in segments[1:]:
-        if not (isinstance(seg[1], Affine) and isinstance(kept[-1][1], Affine)
-                and all(map(np.array_equal, kept[-1][1], seg[1]))):
+        prev = kept[-1][1]
+        if not (type(prev) is type(seg[1]) and all(
+                np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                for a, b in zip(prev, seg[1]))):
             kept.append(seg)
     ends = [k for k, _ in kept[1:]] + [n_steps]
     for (start, rule), end in zip(kept, ends):
         if isinstance(rule, Affine):
             bad = _fill_affine(states, start, end, rule)
         else:
-            k_in, l_out = (len(rule.maps) - x0.size) // 4, rule.result_g.shape[1] // 4
             with np.errstate(over="ignore"):  # a squared norm past float range reads inf
-                bad = _segment_loop(rule.pattern, k_in, l_out)(*rule)(states, start, end)
+                bad = _segment_loop(rule.pattern, rule.law)(*rule)(states, start, end)
         if bad is not None:
             at = f"at t={bad * dt:.6g} s"
             if not np.isfinite(states[bad]).all():  # dropped, and the run aborts
@@ -196,43 +199,55 @@ def _fill_affine(states: np.ndarray, start: int, end: int, rule: Affine) -> Opti
 
 
 @functools.lru_cache(maxsize=None)
-def _segment_loop(pattern: tuple, k_in: int, l_out: int) -> Callable[..., Callable]:
+def _segment_loop(pattern: tuple, law: ControlLaw) -> Callable[..., Callable]:
     """bind(*rule) -> run(states, start, end): the loop of an Rk4 rule with
-    this pattern, which fills rows start+1..end and returns the first bad
-    row (not finite, or an entry beyond the limit), or None."""
+    this pattern and law, which fills rows start+1..end and returns the
+    first bad row (not finite, or an entry beyond the limit), or None."""
     # The loop is generated because walking the couplings as generic tuples,
-    # once per step, cost more in interpreter dispatch than the arithmetic.
-    # The source holds indices only; bind takes the maps, weights and g as
-    # closure values, once per segment.
+    # and calling the law, once per step, cost more in interpreter dispatch
+    # than the arithmetic. The source holds indices and the law's text only
+    # (its names become locals of run, beside z, r, zx, x, buffer and k);
+    # bind takes the maps, the law's values and the weights once per segment.
+    k_in, l_out = len(law.inputs), len(law.outputs)
     u, o = [f"u{r}" for r in range(4 * k_in)], [f"o{j}" for j in range(4 * l_out)]
     lines, t = [], 0
     for i, couplings in enumerate(pattern):
         for r, j in couplings:
             lines.append(f"u{r} += w{t} * o{j}")
             t += 1
-        lines.append(f"[{', '.join(o[i * l_out : (i + 1) * l_out])}]"
-                     f" = g([{', '.join(u[i * k_in : (i + 1) * k_in])}])")
+        names = dict(zip(law.inputs, u[i * k_in : (i + 1) * k_in]))
+        names.update(zip(law.outputs, o[i * l_out : (i + 1) * l_out]))
+        lines += law.inline(names).splitlines()
     body = "\n            ".join(lines)
     source = f"""
-def bind(maps, offsets, result_g, g, weights, pattern):
+def bind(first, step, law, values, weights, pattern):
     [{', '.join(f'w{s}' for s in range(t))}] = weights
+    [{', '.join(law.bound)}] = values
+    n, matvec = len(step) - len(first), step.dot
+    o_at, u_at = 8 * (n + 1), 8 * n  # byte offsets of o in z and of the stage inputs in r
     def run(states, start, end):
-        x = states[start]
+        z, r = ones(n + 1 + {len(o)}), empty(len(step))  # z = [x; 1; o], r = step @ z
+        zx, x, buffer = z[:n], r[:n], memoryview(z)
+        zx[:] = states[start]
+        [{', '.join(u)}] = first.dot(z[: n + 1]).tolist()
         for k in range(start, end):
-            v = maps @ x
-            v += offsets
-            [{', '.join(u)}] = v[:{len(u)}].tolist()
             {body}
-            x = v[{len(u)}:]
-            x += dot(result_g, [{', '.join(o)}])
+            put(buffer, o_at, {', '.join(o)})
+            matvec(z, r)
             states[k + 1] = x
             # a sum of squares inside limit2 has every entry inside the limit
             if not x.dot(x) <= limit2 and not abs(x).max() <= limit:
                 return k + 1
+            zx[:] = x
+            [{', '.join(u)}] = take(r, u_at)
         return None
     return run
 """
-    namespace = {"dot": np.dot, "limit": DIVERGENCE_LIMIT, "limit2": DIVERGENCE_LIMIT**2}
+    # struct moves the floats into z and out of r in one C call each, with no list to convert
+    namespace = {"ones": np.ones, "empty": np.empty, "cos": math.cos, "sin": math.sin,
+                 "hypot": math.hypot, "limit": DIVERGENCE_LIMIT, "limit2": DIVERGENCE_LIMIT**2,
+                 "put": struct.Struct(f"{len(o)}d").pack_into,
+                 "take": struct.Struct(f"{len(u)}d").unpack_from}
     exec(compile(source, f"<rk4 loop {k_in}x{l_out}>", "exec"), namespace)
     return namespace["bind"]
 
@@ -256,19 +271,21 @@ def _step_rule(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
     step is e^{hL} x + h (f1 N_1 + 2 f2 (N_2 + N_3) + f3 N_4), with
     f1 = phi1 - 3 phi2 + 4 phi3, f2 = phi2 - 2 phi3 and f3 = 4 phi3 - phi2
     at hL. Every stage state, so every stage input C y_i and the step's
-    result, is affine in z = [x; 1; g_1; ...; g_4], g_j the controller
-    output at stage j, and stage i reads g_j only for j < i. A step is one
-    matvec for the four stage inputs and the result's part in x, the
-    controller on Python floats at each stage with its few nonzero
-    couplings to earlier outputs added on floats, and one matvec in the
-    outputs. Without a controller N is b, f1 + 4 f2 + f3 = phi1 makes the
+    result x+ = [T, t0, R] z, is affine in z = [x; 1; g_1; ...; g_4], g_j
+    the controller output at stage j, and stage i reads g_j only for j < i.
+    The stage inputs' parts in x and 1 are [U, u0] @ [x; 1], so the next
+    step's, U x+ + u0, are affine in z too, and one matvec with [T, t0, R]
+    over [U T, U t0 + u0, U R] gives both x+ and them. A step is the control
+    law, written inline, at each stage on Python floats, with its few
+    nonzero couplings to earlier outputs added on floats, and that one
+    matvec. Without a controller N is b, f1 + 4 f2 + f3 = phi1 makes the
     step the exact hold, and the rule is zoh_step's."""
     a, b = model.treatment(fault), model.source_map @ model.emfs(refs)
     if not model.writes:
         return zoh_step(a, b, dt)
     import scipy.linalg  # imported here so that wppsc starts without scipy
 
-    reads, g = model.reads, model.controller(refs)
+    reads, (law, values) = model.reads, model.law(refs)
     n, k_in, l_out = model.n, len(reads), len(model.writes)
     # the first block row of expm([[A, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0])
     # is e^A, phi1(A), phi2(A), phi3(A); at A = hL/2 the doubling rule
@@ -293,18 +310,17 @@ def _step_rule(model: SystemModel, refs: RefInputs, fault: Optional[FaultSpec],
     x_new = e_half @ e_half @ x + dt * ((phi1 - 3.0 * phi2 + 4.0 * phi3) @ n1
                                         + 2.0 * (phi2 - 2.0 * phi3) @ (n2 + n3)
                                         + (4.0 * phi3 - phi2) @ n4)
-    inputs = [y[reads] for y in (x, y2, y3, y4)]
-    # contiguous copies for the per-step matvecs: the parts in x and in 1 of
-    # the four stage inputs and the result, and the result's part in g_1..g_4;
-    # each stage's couplings to earlier outputs as (flat slot, output) pairs
-    maps = np.vstack([*inputs, x_new])
+    inputs = np.vstack([y[reads] for y in (x, y2, y3, y4)])
+    # the next step's stage inputs are inputs' parts in x and 1 applied to
+    # x_new; each stage's couplings to earlier outputs as (flat slot, output)
+    step = np.vstack([x_new, inputs[:, :n] @ x_new])
+    step[n:, n] += inputs[:, n]
     pattern, weights = [], []
-    for i, w in enumerate(u[:, n + 1 :] for u in inputs):
+    for i, w in enumerate(np.split(inputs[:, n + 1 :], 4)):
         rows, cols = np.nonzero(w)
         pattern.append(tuple(zip((i * k_in + rows).tolist(), cols.tolist())))
         weights += w[rows, cols].tolist()
-    return Rk4(maps[:, :n].copy(), maps[:, n].copy(), x_new[:, n + 1 :].copy(), g,
-               tuple(weights), tuple(pattern))
+    return Rk4(inputs[:, : n + 1].copy(), step, law, values, tuple(weights), tuple(pattern))
 
 
 class ScheduleError(ValueError):
@@ -364,7 +380,8 @@ def integrate(
 
     n_steps = int(round(t_end / dt))
     segments = _segments(model, events, refs, dt, n_steps)
-    run = march(x0, n_steps, dt, [(k, _step_rule(model, r, f, dt)) for k, r, f in segments])
+    rules = {key: _step_rule(model, *key, dt) for key in dict.fromkeys((r, f) for _, r, f in segments)}
+    run = march(x0, n_steps, dt, [(k, rules[r, f]) for k, r, f in segments])
 
     states = run.states
     columns = {lab: states[:, i].copy() for i, lab in enumerate(model.labels)}

@@ -30,8 +30,8 @@ from wppsc.components import (
     RefInputs,
     ScParams,
     SystemModel,
-    gfl_controller,
-    gfm_controller,
+    gfl_law,
+    gfm_law,
 )
 from wppsc.netbase import Impedance
 
@@ -199,9 +199,10 @@ def composed_rhs(
     u = [float(v) for v in (*model.pair(x, "v_c_d"), *model.pair(x, "i_f_d"),
                             *model.pair(x, "i_a_d"), *x[-6:])]
     if model.control == GFL:
-        out = gfl_controller(model.gfl, refs, model.q_mode, lf)(u)
+        law, values = gfl_law(model.gfl, refs, model.q_mode, lf)
     else:
-        out = gfm_controller(model.gfm, refs, lf, cf)(u)
+        law, values = gfm_law(model.gfm, refs, lf, cf)
+    out = law.bind(values)(u)
     dx = network_rhs(model, x, refs, fault, lf * np.array(out[:2]))
     dx[-6:] = out[2:]
     return dx

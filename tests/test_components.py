@@ -16,8 +16,8 @@ from wppsc.components import (
     RefInputs,
     ScParams,
     SystemModel,
-    gfl_controller,
-    gfm_controller,
+    gfl_law,
+    gfm_law,
     power_pair,
 )
 from wppsc.config import Scenario, build_model
@@ -121,14 +121,16 @@ def gfl_outputs(p, refs, v_c, p_pc=0.0, q_pc=0.0, q_mode="reactive", ctrl=(0.0,)
     that the converter power is (p_pc, q_pc) at v_c; the outputs are
     v_inv / lf (d, q) and then the six controller rates."""
     i_a = np.linalg.solve([[v_c[0], v_c[1]], [v_c[1], -v_c[0]]], [p_pc, q_pc])
-    g = gfl_controller(p, refs, q_mode, filter_lc(NetworkSpec())[0])
+    law, values = gfl_law(p, refs, q_mode, filter_lc(NetworkSpec())[0])
+    g = law.bind(values)
     return g([*map(float, v_c), 0.0, 0.0, *map(float, i_a), *ctrl])
 
 
 def gfm_outputs(p, refs, p_pc, ctrl=(0.0,) * 6):
     """Bound GFM controller outputs at v_c = (1, 0) with no filter current
     and i_a = (p_pc, 0), so that the converter power is p_pc."""
-    g = gfm_controller(p, refs, *filter_lc(NetworkSpec()))
+    law, values = gfm_law(p, refs, *filter_lc(NetworkSpec()))
+    g = law.bind(values)
     return g([1.0, 0.0, 0.0, 0.0, p_pc, 0.0, *ctrl])
 
 
@@ -285,9 +287,10 @@ def test_bound_controller_floats_match_row_vectors(control, q_mode):
     # (row vectors); column j of the batch outputs is the float result for
     # column j
     if control == "gfl":
-        g = gfl_controller(GflParams(), _REFS, q_mode, filter_lc(NetworkSpec())[0])
+        law, values = gfl_law(GflParams(), _REFS, q_mode, filter_lc(NetworkSpec())[0])
     else:
-        g = gfm_controller(GfmParams(), _REFS, *filter_lc(NetworkSpec()))
+        law, values = gfm_law(GfmParams(), _REFS, *filter_lc(NetworkSpec()))
+    g = law.bind(values)
     rng = np.random.default_rng(31)
     u = np.vstack([rng.uniform(0.5, 1.0, (6, 9)) * rng.choice([-1.0, 1.0], (6, 9)),
                    rng.uniform(-0.3, 0.3, (6, 9))])

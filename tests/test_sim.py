@@ -12,13 +12,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from wppsc import sim
 from wppsc.components import (
     FAULT_OPEN_THRESHOLD,
     GFL,
+    GFL_LAWS,
     GFM,
+    GFM_LAW,
     NO_CONVERTER,
     OMEGA0,
+    ControlLaw,
     FaultSpec,
+    GflParams,
+    GfmParams,
     NetworkSpec,
     RefInputs,
     ScParams,
@@ -44,21 +50,25 @@ from wppsc.sim import (
 from plant_oracle import composed_rhs, faulted_matrix
 
 
+# the stub's controller: zero, or NaN once its state passes the gate
+STUB_LAW = ControlLaw("v", "gate nan", "y", "y = 0.0 if abs(v) <= gate else nan")
+
+
 class StubModel:
     """ẋ = rate·x, optionally returning NaN once the state passes a gate,
-    given as the plant's parts x' = a x + b + E g(C x): a = rate·I, b = 0,
-    and g reads every state row and adds zero to each, or NaN past the gate.
-    It has a controller, so integrate folds its ETDRK4 step as it does the
-    converter plant's."""
+    given as the plant's parts x' = a x + b + E g(C x): a = rate, b = 0,
+    and g (STUB_LAW) reads the state and adds zero to it, or NaN past the
+    gate. It has a controller, so integrate folds its ETDRK4 step as it
+    does the converter plant's."""
 
-    def __init__(self, n=1, rate=-1.0, nan_above=None):
-        self.n = n
-        self.labels = tuple(f"x{i}" for i in range(n))
+    def __init__(self, rate=-1.0, nan_above=None):
+        self.n = 1
+        self.labels = ("x0",)
         self.rate = rate
         self.nan_above = nan_above
-        self.a = rate * np.eye(n)
-        self.source_map = np.zeros((n, 4))
-        self.reads = self.writes = list(range(n))
+        self.a = np.array([[rate]])
+        self.source_map = np.zeros((1, 4))
+        self.reads = self.writes = [0]
 
     def treatment(self, fault):
         return self.a
@@ -66,13 +76,8 @@ class StubModel:
     def emfs(self, refs):
         return np.zeros(4)
 
-    def controller(self, refs):
-        def g(u):
-            if self.nan_above is not None and max(map(abs, u)) > self.nan_above:
-                return [math.nan] * self.n
-            return [0.0] * self.n
-
-        return g
+    def law(self, refs):
+        return STUB_LAW, (math.inf if self.nan_above is None else self.nan_above, math.nan)
 
     def measure(self, x, refs):
         return {name: np.zeros(np.shape(x)[1:]) for name in DERIVED_SIGNALS}
@@ -226,21 +231,69 @@ def test_rk4_step_is_classic_rk4_on_the_derivative(control, q_mode, network, wit
     rng = np.random.default_rng(5)
     for _ in range(4):
         x = eq.state + rng.normal(scale=1e-2, size=model.n)
-        ts = integrate(model, x, eq.refs, t_end=dt, dt=dt, events=events)
-        got = np.array([ts.columns[name][1] for name in model.labels])
-        ref = step(x)
-        peak = max(np.abs(x).max(), np.abs(ref).max())
-        assert np.max(np.abs(got - ref)) <= 1e-13 * peak
-        assert np.max(np.abs(ref - x)) > 1e-5 * peak  # the step moves the state
+        ts = integrate(model, x, eq.refs, t_end=2 * dt, dt=dt, events=events)
+        rows = np.array([ts.columns[name] for name in model.labels]).T
+        # the first step's stage inputs come from the state, the second's
+        # from the fused map that gave the state
+        for before, got in zip(rows[:-1], rows[1:]):
+            ref = step(before)
+            peak = max(np.abs(before).max(), np.abs(ref).max())
+            assert np.max(np.abs(got - ref)) <= 1e-13 * peak
+            assert np.max(np.abs(ref - before)) > 1e-5 * peak  # the step moves the state
     # another filter reactance gives other weights on the same pattern, and
-    # its run compiles no new loop
-    other, eq_other = solved("strong", control, with_sc, p=0.5, q_mode=q_mode,
-                             network=replace(network, xf=0.09))
-    rules = [_step_rule(m, e.refs, fault, dt) for m, e in ((model, eq), (other, eq_other))]
-    assert rules[0].pattern == rules[1].pattern and rules[0].weights != rules[1].weights
+    # other gains other values of the same law: neither run compiles a new loop
+    gains = {GFL: {"gfl": GflParams(kp_pll=2.0 * GflParams().kp_pll)},
+             GFM: {"gfm": GfmParams(kp_v=2.0 * GfmParams().kp_v)}}[control]
+    others = [solved("strong", control, with_sc, p=0.5, q_mode=q_mode, network=replace(network, xf=0.09)),
+              solved("weak", control, with_sc, p=1.0, q_mode=q_mode, network=network, **gains)]
+    rules = [_step_rule(m, e.refs, fault, dt) for m, e in ((model, eq), *others)]
+    assert rules[0].pattern == rules[1].pattern == rules[2].pattern
+    assert rules[0].weights != rules[1].weights
+    assert rules[0].law is rules[2].law and rules[0].values != rules[2].values
     compiled = _segment_loop.cache_info().currsize
-    integrate(other, eq_other.state, eq_other.refs, t_end=dt, dt=dt, events=events)
+    for other, eq_other in others:
+        integrate(other, eq_other.state, eq_other.refs, t_end=dt, dt=dt, events=events)
     assert _segment_loop.cache_info().currsize == compiled
+
+
+@pytest.mark.parametrize("law", [*GFL_LAWS.values(), GFM_LAW], ids=[*GFL_LAWS, "gfm"])
+def test_inlined_law_is_the_callable_law(law):
+    # sim's segment loop writes each law inline, renamed to its stage's slots;
+    # on floats that loop, and on row vectors the same inlined text, give the
+    # outputs of the callable g bit for bit
+    k_in, l_out = len(law.inputs), len(law.outputs)
+    rng = np.random.default_rng(23)
+    values = tuple(rng.uniform(0.5, 2.0, len(law.bound)).tolist())
+    g = law.bind(values)
+    # a rule whose first stage reads the state and whose step is its outputs
+    first = np.zeros((4 * k_in, k_in + 1))
+    first[:k_in, :k_in] = np.eye(k_in)
+    step = np.zeros((5 * k_in, k_in + 1 + 4 * l_out))
+    step[:l_out, k_in + 1 : k_in + 1 + l_out] = np.eye(l_out)
+    rule = Rk4(first, step, law, values, (), ((),) * 4)
+    u, o = [f"u{r}" for r in range(k_in)], [f"o{j}" for j in range(l_out)]
+    text = law.inline({**dict(zip(law.inputs, u)), **dict(zip(law.outputs, o))})
+    for _ in range(5):
+        x = rng.uniform(-1.5, 1.5, k_in)
+        run = march(x, 1, 1e-3, [(0, rule)])
+        assert run.states[1, :l_out].tobytes() == np.array(g(x.tolist())).tobytes()
+        rows = rng.uniform(-1.5, 1.5, (k_in, 7))
+        namespace = {**dict(zip(u, rows)), **dict(zip(law.bound, values)),
+                     "cos": np.cos, "sin": np.sin, "hypot": np.hypot}
+        exec(text, namespace)
+        assert np.array([namespace[name] for name in o]).tobytes() == np.array(g(list(rows))).tobytes()
+
+
+def test_integrate_folds_each_segment_rule_once(monkeypatch):
+    # a cleared fault returns to the pre-fault refs and network, whose rule
+    # the run has already folded
+    model, eq = solved("normal", GFM, True)
+    folds, fold = [], sim._step_rule
+    monkeypatch.setattr(sim, "_step_rule", lambda m, r, f, dt: folds.append((r, f)) or fold(m, r, f, dt))
+    events = [Event.fault_on(0.01, "pcc", 0.05), Event.fault_off(0.02, "pcc")]
+    ts = integrate(model, eq.state, eq.refs, t_end=0.03, dt=1e-4, events=events)
+    assert folds == [(eq.refs, None), (eq.refs, FaultSpec("pcc", 0.05))]
+    assert not (ts.diverged or ts.aborted)
 
 
 @pytest.mark.parametrize("with_sc", [True, False])
@@ -470,15 +523,20 @@ def test_abort_on_nonfinite_keeps_last_valid_sample():
     assert ts.t.size < 1001
 
 
+# reads four inputs and gives the next of a script's rows
+SCRIPT_LAW = ControlLaw("a b c d", "script", "y0 y1 y2 y3", "y0, y1, y2, y3 = script()")
+
+
 def scripted(rows):
     """An RK4 segment on four states that steps to the given rows in turn,
-    whatever the state: zero maps, no couplings, the first stage's output
-    as the result, and a g that gives the next row at the first stage of a
-    step and zeros at the other three."""
+    whatever the state: zero maps but the identity from the first stage's
+    outputs to the next state, no couplings, and a law that gives the next
+    row at the first stage of a step and zeros at the other three."""
     zeros = [0.0] * 4
     outputs = iter([out for row in rows for out in (row, zeros, zeros, zeros)])
-    result_g = np.hstack([np.eye(4), np.zeros((4, 12))])
-    return Rk4(np.zeros((8, 4)), np.zeros(8), result_g, lambda u: next(outputs), (), ((),) * 4)
+    step = np.zeros((4 + 16, 5 + 16))
+    step[:4, 5:9] = np.eye(4)
+    return Rk4(np.zeros((16, 5)), step, SCRIPT_LAW, (outputs.__next__,), (), ((),) * 4)
 
 
 UNDER, OVER = np.nextafter(DIVERGENCE_LIMIT, 0.0), np.nextafter(DIVERGENCE_LIMIT, np.inf)
