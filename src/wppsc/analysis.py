@@ -6,10 +6,10 @@ conjugate pairs are folded to the upper half plane. Stability reports
 collect the classification used by the sweep CSVs and the acceptance checks.
 analyze_group solves, linearizes and decomposes the scenarios of one model
 as one batch; sweep calls it per grid case, control and condenser state.
-Once the batch stages return, the group is checked, decomposed and reported
-from its stacked arrays: one finiteness test over the stack, one pick of the
-kept modes and one pass over each record column for the whole group, and
-per member only the records and the report it returns.
+Once the batch stages return, the group is decomposed and reported from
+its stacked arrays: one eig of the stack, one pick of the kept modes and
+one pass over each record column for the whole group, and per member only
+the records and the report it returns.
 """
 
 from __future__ import annotations
@@ -96,33 +96,23 @@ def eigenvalues(ss: StateSpaceModel) -> list[EigenRecord]:
 
 
 def spectra(models: Sequence[StateSpaceModel]) -> list:
-    """eigenvalues of each model, from one stacked decomposition of the
-    same-size state matrices: member j is its records, or the
-    LinearizationError that rejects its matrix alone."""
+    """eigenvalues of each model, from one eig of the stack of the same-size
+    state matrices: member j is its records, or the LinearizationError that
+    rejects its matrix alone. The kept modes of the whole stack are picked
+    and sorted at once, each record column and the dominant-state labels are
+    taken in one pass, and the flat record list is split by each member's
+    count of kept modes. A member whose matrix the eigensolver rejects (one
+    with a non-finite entry, say) is found by retrying one matrix at a
+    time."""
     if not models:
         return []
-    error = "state matrix contains non-finite entries"
     stack = np.stack([ss.a for ss in models])
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if finite.all():  # as a rule: the stack is the eig's
-        return _decompose(models, stack)
-    checked = [ss if ok else LinearizationError(error) for ss, ok in zip(models, finite.tolist())]
-    return _advance(checked, lambda live: _decompose(live, stack[finite]))
-
-
-def _decompose(models: Sequence[StateSpaceModel], stack: np.ndarray) -> list:
-    """The records of each model from one eig of the stack of their state
-    matrices, all finite: the kept modes of the whole stack are picked and
-    sorted at once, each record column and the dominant-state labels are
-    taken in one pass, and the flat record list is split by each member's
-    count of kept modes. A member whose matrix the eigensolver rejects is
-    its LinearizationError, found by retrying one matrix at a time."""
     try:
         w, vr = np.linalg.eig(stack)
         vl = np.linalg.inv(vr)  # row k is the left eigenvector of mode k
     except np.linalg.LinAlgError as exc:
         if len(models) > 1:  # retry one matrix at a time
-            return [_decompose([ss], ss.a[None])[0] for ss in models]
+            return [spectra([ss])[0] for ss in models]
         dump = np.array2string(models[0].a, max_line_width=200, precision=6)
         return [LinearizationError(f"eigensolver failed: {exc}\nA =\n{dump}")]
     m, n = w.shape

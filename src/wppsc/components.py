@@ -32,17 +32,15 @@ SystemModel.treatment(fault), where a fault of any resistance is a shunt
 conductance in its bus's node law, b = S emfs(refs), and g =
 controller(refs), the control law bound to its gains and refs (law(refs)
 gives the law and those values). Each law (GFL_LAWS, one per q mode, and
-GFM_LAW) is a ControlLaw: straight-line text over named inputs, bound
-values and outputs, stated once. Its callable g is built from that text
-once per law, and sim's step loop writes the same text inline. g maps the
-values of the state rows `reads` to outputs that add to the rows
-`writes`, as Python floats or as row vectors alike; so C is the rows
-`reads` and E the columns `writes` of the identity. For the
-converter plant g reads v_c, i_f, i_a and the six controller states, and
-its 8 outputs are v_inv / lf (into the i_f rows) and the six controller
-rates, with the converter power inlined; the passive plant has no
-controller, and both lists are empty. The Jacobians difference b and g alone
-(linearize.split_jacobian).
+GFM_LAW) is a ControlLaw, stated once as straight-line text over named
+values: the state labels it reads and writes, its gains, lf, b_cf and xf
+and its refs. SystemModel takes its controller states, the rows `reads`
+and `writes` and the values it binds from those names; so C is the rows
+`reads` and E the columns `writes` of the identity, and g maps the one to
+the other on Python floats or row vectors alike. Its callable g is built
+from the text once per law, and sim's step loop writes the same text
+inline. The passive plant has no controller, and both lists are empty.
+The Jacobians difference b and g alone (linearize.split_jacobian).
 
 SystemModel also states the plant's interface once: `inputs`, the
 references the plant reads, in the order of the linear model's B columns,
@@ -58,6 +56,7 @@ code. A fault is stated only by treatment and the integrator's step rule
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -82,11 +81,6 @@ Q_MODES = (Q_MODE_REACTIVE, Q_MODE_VOLTAGE)
 FAULT_OPEN_THRESHOLD = 1e8
 _FAULT_NODES = {"pcc": "v_pcc", "wt_mv": "v_c"}  # the node state of each fault bus
 FAULT_BUSES = tuple(_FAULT_NODES)
-
-_CONTROLLER_STATES = {
-    GFL: ("theta_pll", "s_pll", "gamma_d", "gamma_q", "o_d", "o_q"),
-    GFM: ("theta_pc", "omega_pc", "m_d", "m_q", "o_d", "o_q"),
-}
 
 
 def power_pair(v: np.ndarray, i: np.ndarray) -> tuple[float, float]:
@@ -255,15 +249,22 @@ class FaultSpec:
 
 
 class ControlLaw:
-    """A controller stated once, as straight-line text: it reads its named
-    inputs (the entries of u, in order) and bound values (gains and refs)
-    and assigns its named outputs. bind(values) -> g(u), compiled once per
-    law, runs the text on Python floats (math) or on row vectors (numpy),
-    one value per column of a batch of states, alike; sim's segment loop
-    writes the same text inline, renamed (inline), at each ETDRK4 stage."""
+    """A controller stated once, as straight-line text over named values.
+    Its inputs are the labels of the plant states it reads (the entries of
+    u, in order), and output k is a rate term of the state writes[k]; an
+    input the network does not hold is one of the law's own states, which
+    SystemModel places after the network's. The values it binds are its
+    constants (gains, and the filter's lf, b_cf = omega0 cf and
+    xf = omega0 lf), then the refs it reads, each by its RefInputs name.
+    bind(values) -> g(u), compiled once per law, runs the text on Python
+    floats (math) or on row vectors (numpy), one value per column of a batch
+    of states, alike; sim's segment loop writes the same text inline,
+    renamed (inline), at each ETDRK4 stage."""
 
-    def __init__(self, inputs: str, bound: str, outputs: str, text: str) -> None:
-        self.inputs, self.bound, self.outputs = inputs.split(), bound.split(), outputs.split()
+    def __init__(self, inputs: str, writes: str, constants: str, refs: str, outputs: str, text: str) -> None:
+        self.inputs, self.writes, self.outputs = inputs.split(), writes.split(), outputs.split()
+        self.constants, self.refs = constants.split(), refs.split()
+        self.bound = self.constants + self.refs
         lines = [line.strip() for line in text.strip().splitlines()]  # straight-line: one level
         self.text, body = "\n".join(lines), "\n        ".join(lines)
         source = f"""
@@ -286,17 +287,18 @@ def bind(values):
 
 
 # Grid-following control (PLL, outer power PI, inner current PI). theta_pll
-# (delta) is stored relative to the synchronous frame, so its rate is zero at
-# an equilibrium (the absolute rate is omega0 + its rate). Measurements are
-# the filter-capacitor voltage and converter current rotated into the PLL
-# frame; the inverter voltage reference is rotated back into the common frame.
-# The q channel follows q_star (reactive) or |v_c| = v_turb_star (voltage).
+# is stored relative to the synchronous frame, so its rate is zero at an
+# equilibrium (the absolute rate is omega0 + its rate). Measurements are the
+# filter-capacitor voltage and converter current rotated into the PLL
+# frame; the inverter voltage reference is rotated back into the common
+# frame. The q channel follows q_star (reactive) or |v_c| = v_turb_star
+# (voltage).
 _GFL_TEXT = """
-    c, s = cos(delta), sin(delta)
-    # measurements in the PLL frame: rotation by -delta
-    v_md, v_mq = c * v_cd + s * v_cq, c * v_cq - s * v_cd
-    i_md, i_mq = c * i_fd + s * i_fq, c * i_fq - s * i_fd
-    e_p = p_star - (v_cd * i_ad + v_cq * i_aq)
+    c, s = cos(theta_pll), sin(theta_pll)
+    # measurements in the PLL frame: rotation by -theta_pll
+    v_md, v_mq = c * v_c_d + s * v_c_q, c * v_c_q - s * v_c_d
+    i_md, i_mq = c * i_f_d + s * i_f_q, c * i_f_q - s * i_f_d
+    e_p = p_star - (v_c_d * i_a_d + v_c_q * i_a_q)
     i_star_d = kp_pc * e_p + ki_pc * gamma_d
     {q_channel}
     d_od, d_oq = i_star_d - i_md, i_star_q - i_mq
@@ -306,35 +308,37 @@ _GFL_TEXT = """
     d_delta = kp_pll * v_mq + ki_pll * s_pll
 """
 _Q_CHANNELS = {
-    Q_MODE_REACTIVE: """e_q = q_star - (v_cq * i_ad - v_cd * i_aq)
+    Q_MODE_REACTIVE: """e_q = q_star - (v_c_q * i_a_d - v_c_d * i_a_q)
     # raising i_q lowers q, hence the inverted PI output
     i_star_q = -(kp_pc * e_q + ki_pc * gamma_q)""",
-    Q_MODE_VOLTAGE: """e_q = v_star - hypot(v_cd, v_cq)
+    Q_MODE_VOLTAGE: """e_q = v_turb_star - hypot(v_c_d, v_c_q)
     i_star_q = kp_pc * e_q + ki_pc * gamma_q""",
 }
 GFL_LAWS = {mode: ControlLaw(
-    "v_cd v_cq i_fd i_fq i_ad i_aq delta s_pll gamma_d gamma_q o_d o_q",
-    " ".join(vars(GflParams())) + " p_star q_star v_star lf",
+    "v_c_d v_c_q i_f_d i_f_q i_a_d i_a_q theta_pll s_pll gamma_d gamma_q o_d o_q",
+    "i_f_d i_f_q theta_pll s_pll gamma_d gamma_q o_d o_q",
+    " ".join(vars(GflParams())) + " lf", "p_star q_star v_turb_star",
     "inv_d inv_q d_delta v_mq e_p e_q d_od d_oq", _GFL_TEXT.format(q_channel=q_channel))
     for mode, q_channel in _Q_CHANNELS.items()}
 
 # Grid-forming (virtual synchronous machine) control: swing synchronization,
 # outer voltage PI with capacitor-current feedforward (b_cf = 1 / x_cf),
-# inner current PI with inductor feedforward (xf). theta_pc (delta) is
-# relative to the synchronous frame (absolute rate omega0 + omega_pc). The
-# swing advances the applied EMF angle when power falls short of its
-# reference: J domega/dt = p* - p_pc - D_p omega, dtheta/dt = omega.
+# inner current PI with inductor feedforward (xf). theta_pc is relative to
+# the synchronous frame (absolute rate omega0 + omega_pc). The swing
+# advances the applied EMF angle when power falls short of its reference:
+# J domega/dt = p* - p_pc - D_p omega, dtheta/dt = omega.
 GFM_LAW = ControlLaw(
-    "v_cd v_cq i_fd i_fq i_ad i_aq delta omega_pc m_d m_q o_d o_q",
-    " ".join(vars(GfmParams())) + " p_star v_star b_cf xf lf",
+    "v_c_d v_c_q i_f_d i_f_q i_a_d i_a_q theta_pc omega_pc m_d m_q o_d o_q",
+    "i_f_d i_f_q theta_pc omega_pc m_d m_q o_d o_q",
+    " ".join(vars(GfmParams())) + " b_cf xf lf", "p_star v_turb_star",
     "inv_d inv_q d_delta d_omega e_vd e_vq e_id e_iq", """
-    c, s = cos(delta), sin(delta)
-    # measurements and feedforward in the controller frame: rotation by delta
-    v_md, v_mq = c * v_cd - s * v_cq, s * v_cd + c * v_cq
-    i_md, i_mq = c * i_fd - s * i_fq, s * i_fd + c * i_fq
-    i_ffd, i_ffq = c * i_ad - s * i_aq, s * i_ad + c * i_aq
-    d_delta, d_omega = omega_pc, (p_star - (v_cd * i_ad + v_cq * i_aq) - d_p * omega_pc) / j_vsm
-    e_vd, e_vq = v_star - v_md, -v_mq
+    c, s = cos(theta_pc), sin(theta_pc)
+    # measurements and feedforward in the controller frame: rotation by theta_pc
+    v_md, v_mq = c * v_c_d - s * v_c_q, s * v_c_d + c * v_c_q
+    i_md, i_mq = c * i_f_d - s * i_f_q, s * i_f_d + c * i_f_q
+    i_ffd, i_ffq = c * i_a_d - s * i_a_q, s * i_a_d + c * i_a_q
+    d_delta, d_omega = omega_pc, (p_star - (v_c_d * i_a_d + v_c_q * i_a_q) - d_p * omega_pc) / j_vsm
+    e_vd, e_vq = v_turb_star - v_md, -v_mq
     i_star_d = i_ffd + kp_v * e_vd + ki_v * m_d - v_mq * b_cf
     i_star_q = i_ffq + kp_v * e_vq + ki_v * m_q + v_md * b_cf
     e_id, e_iq = i_star_d - i_md, i_star_q - i_mq
@@ -342,21 +346,6 @@ GFM_LAW = ControlLaw(
     v_sq = v_mq + kp_c * e_iq + ki_c * o_q + xf * i_md
     inv_d, inv_q = (c * v_sd + s * v_sq) / lf, (c * v_sq - s * v_sd) / lf
     """)
-
-
-def gfl_law(p: GflParams, refs: RefInputs, q_mode: str, lf: float) -> tuple[ControlLaw, tuple]:
-    """The grid-following law of q_mode and the values it binds: u = [v_c
-    (2), i_f (2), i_a (2), theta_pll, s_pll, gamma_d, gamma_q, o_d, o_q] ->
-    v_inv / lf (d, q), the inverter's term in the filter-current rate, then
-    the six controller rates."""
-    return GFL_LAWS[q_mode], (*vars(p).values(), refs.p_star, refs.q_star, refs.v_turb_star, lf)
-
-
-def gfm_law(p: GfmParams, refs: RefInputs, lf: float, cf: float) -> tuple[ControlLaw, tuple]:
-    """The grid-forming law and the values it binds: u = [v_c (2), i_f (2),
-    i_a (2), theta_pc, omega_pc, m_d, m_q, o_d, o_q] -> v_inv / lf (d, q)
-    and the six controller rates, as for gfl_law."""
-    return GFM_LAW, (*vars(p).values(), refs.p_star, refs.v_turb_star, OMEGA0 * cf, OMEGA0 * lf, lf)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +384,9 @@ class SystemModel:
         self.gfm = gfm if gfm is not None else (GfmParams() if control == GFM else None)
         self.sc = sc
         self.q_mode = q_mode
+        # the converter's control law, which names the states it reads and writes, and its gains
+        self._law, gains = {GFL: (GFL_LAWS[q_mode], self.gfl),
+                            GFM: (GFM_LAW, self.gfm)}.get(control, (None, None))
         # the references the plant reads, in B's column order, and those the
         # equilibrium solve closes: the condenser EMF angle, then q_star
         # where the plant reads it
@@ -411,7 +403,6 @@ class SystemModel:
         net = network
         lf, cf = net.xf / OMEGA0, 1.0 / (OMEGA0 * net.x_cf)
         l_at = net.xa / OMEGA0 + net.xtf / OMEGA0
-        self._lf, self._cf = lf, cf  # bound into the controller
         laws = [("i_g", grid.x / OMEGA0, {"i_g": complex(-grid.r, grid.x), "v_pcc": -1.0, "e_g": 1.0})]
         if sc is not None:
             laws.append(("i_sc", sc.x_sub / OMEGA0,
@@ -427,7 +418,9 @@ class SystemModel:
         for state, s, _ in laws:
             labels += (state + "_d", state + "_q")
             lc += (s, s)
-        self.labels: tuple[str, ...] = (*labels, *_CONTROLLER_STATES.get(control, ()))
+        # then the states the control law reads that the network does not hold
+        inputs, writes = (self._law.inputs, self._law.writes) if self._law is not None else ((), ())
+        self.labels: tuple[str, ...] = tuple(dict.fromkeys([*labels, *inputs]))
         # the s of each network row: the only place a row's L or C is kept
         self.lc: tuple[float, ...] = tuple(lc)
         self.n = len(self.labels)
@@ -447,13 +440,12 @@ class SystemModel:
         self.a, self.source_map = law[:, : self.n].copy(), law[:, self.n :].copy()
         self._e_mag = sc.e_mag if sc is not None else 0.0
         # the state rows the controller reads and those its outputs add to
-        self.reads: list[int] = []
-        self.writes: list[int] = []
-        if control != NO_CONVERTER:
-            kv, kf, ka = self._idx["v_c_d"], self._idx["i_f_d"], self._idx["i_a_d"]
-            ctrl = list(range(self.n - 6, self.n))
-            self.reads = [kv, kv + 1, kf, kf + 1, ka, ka + 1, *ctrl]
-            self.writes = [kf, kf + 1, *ctrl]
+        self.reads: list[int] = [self._idx[s] for s in inputs]
+        self.writes: list[int] = [self._idx[s] for s in writes]
+        if self._law is not None:  # the values the law binds, by name; all but the refs once, here
+            known = {**vars(gains), "lf": lf, "b_cf": OMEGA0 * cf, "xf": OMEGA0 * lf}
+            self._constants, self._refs = (operator.itemgetter(*self._law.constants)(known),
+                                           operator.attrgetter(*self._law.refs))
 
     def index(self, label: str) -> int:
         return self._idx[label]
@@ -498,14 +490,12 @@ class SystemModel:
 
     def law(self, refs: RefInputs) -> tuple[ControlLaw, tuple]:
         """The converter's control law and the values it binds under refs."""
-        if self.control == GFL:
-            return gfl_law(self.gfl, refs, self.q_mode, self._lf)
-        return gfm_law(self.gfm, refs, self._lf, self._cf)
+        return self._law, (*self._constants, *self._refs(refs))
 
     def controller(self, refs: RefInputs) -> Callable[[Sequence], Sequence]:
         """g: the controller with its gains and refs bound, over the rows
         `reads` to the rows `writes`."""
-        if self.control == NO_CONVERTER:
+        if self._law is None:
             return lambda u: ()
         law, values = self.law(refs)
         return law.bind(values)

@@ -147,21 +147,12 @@ def march(x0: np.ndarray, n_steps: int, dt: float,
           segments: Sequence[tuple[int, Union[Rk4, Affine]]]) -> Run:
     """Step x0 through n_steps steps of dt. segments lists (first step,
     step rule) in increasing order, the first starting at step 0; each rule
-    holds until the next segment begins, and runs on through a next one
-    with a bit-identical rule, so that a no-op event keeps the rounding. An
-    Rk4 segment runs through its pattern's and law's compiled loop, an
-    Affine one is filled by doubling."""
+    holds until the next segment begins. An Rk4 segment runs through its
+    pattern's and law's compiled loop, an Affine one is filled by doubling."""
     states = np.empty((n_steps + 1, x0.size))
     states[0] = x0
-    kept = list(segments[:1])
-    for seg in segments[1:]:
-        prev = kept[-1][1]
-        if not (type(prev) is type(seg[1]) and all(
-                np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-                for a, b in zip(prev, seg[1]))):
-            kept.append(seg)
-    ends = [k for k, _ in kept[1:]] + [n_steps]
-    for (start, rule), end in zip(kept, ends):
+    ends = [k for k, _ in segments[1:]] + [n_steps]
+    for (start, rule), end in zip(segments, ends):
         if isinstance(rule, Affine):
             bad = _fill_affine(states, start, end, rule)
         else:
@@ -330,10 +321,12 @@ class ScheduleError(ValueError):
 
 def _segments(model: SystemModel, events: Sequence[Event], refs: RefInputs, dt: float,
               n_steps: int) -> list[tuple[int, RefInputs, Optional[FaultSpec]]]:
-    """(first step, refs, active fault) from step 0 on, one entry per step
-    at which an event lands. The whole schedule is checked; events past the
-    horizon are then dropped."""
-    segments = {0: (refs, None)}
+    """(first step, refs, applied fault) from step 0 on, one entry per step
+    at which an event lands and changes the refs or the fault its treatment
+    applies (none for an open circuit), so that each entry's rule differs
+    from the one before it. The whole schedule is checked, on the faults as
+    stated; events past the horizon are then dropped."""
+    segments = [(0, refs, None)]
     fault = None
     for ev in sorted(events, key=lambda e: e.t):
         if ev.kind == "step_ref":
@@ -350,9 +343,13 @@ def _segments(model: SystemModel, events: Sequence[Event], refs: RefInputs, dt: 
                 raise ScheduleError(f"fault_off at t={ev.t} without a matching fault_on")
             fault = None
         k = int(round(ev.t / dt))
-        if k < n_steps:
-            segments[k] = (refs, fault)
-    return [(k, r, f) for k, (r, f) in segments.items()]
+        if k < n_steps:  # the last event at a step wins
+            applied = fault if model.treatment(fault) is not model.a else None
+            if segments[-1][0] == k:
+                del segments[-1]
+            if not segments or segments[-1][1:] != (refs, applied):
+                segments.append((k, refs, applied))
+    return segments
 
 
 def integrate(

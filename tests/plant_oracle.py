@@ -22,7 +22,9 @@ import numpy as np
 from wppsc.components import (
     FAULT_OPEN_THRESHOLD,
     GFL,
+    GFL_LAWS,
     GFM,
+    GFM_LAW,
     NO_CONVERTER,
     OMEGA0,
     FaultSpec,
@@ -30,8 +32,6 @@ from wppsc.components import (
     RefInputs,
     ScParams,
     SystemModel,
-    gfl_law,
-    gfm_law,
 )
 from wppsc.netbase import Impedance
 
@@ -45,6 +45,14 @@ def filter_lc(p: NetworkSpec, omega0: float = OMEGA0) -> tuple[float, float]:
     """Filter inductance and capacitor capacitance from their reactances:
     L_f = X_f / omega0, C_f = 1 / (omega0 X_cf)."""
     return p.xf / omega0, 1.0 / (omega0 * p.x_cf)
+
+
+def law_values(law, gains, refs: RefInputs, p: NetworkSpec) -> tuple:
+    """The values a control law binds, taken by name: its gains, its refs,
+    and the filter's lf, b_cf = omega0 C_f and xf = omega0 L_f."""
+    lf, cf = filter_lc(p)
+    known = {**vars(gains), **vars(refs), "lf": lf, "b_cf": OMEGA0 * cf, "xf": OMEGA0 * lf}
+    return tuple(known[name] for name in law.bound)
 
 
 def grid_rhs(
@@ -195,14 +203,11 @@ def composed_rhs(
     and the controller rates."""
     if model.control == NO_CONVERTER:
         return network_rhs(model, x, refs, fault, np.zeros(2))
-    lf, cf = filter_lc(model.network)
+    lf = filter_lc(model.network)[0]
     u = [float(v) for v in (*model.pair(x, "v_c_d"), *model.pair(x, "i_f_d"),
                             *model.pair(x, "i_a_d"), *x[-6:])]
-    if model.control == GFL:
-        law, values = gfl_law(model.gfl, refs, model.q_mode, lf)
-    else:
-        law, values = gfm_law(model.gfm, refs, lf, cf)
-    out = law.bind(values)(u)
+    law, gains = (GFL_LAWS[model.q_mode], model.gfl) if model.control == GFL else (GFM_LAW, model.gfm)
+    out = law.bind(law_values(law, gains, refs, model.network))(u)
     dx = network_rhs(model, x, refs, fault, lf * np.array(out[:2]))
     dx[-6:] = out[2:]
     return dx

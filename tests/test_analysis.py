@@ -13,6 +13,7 @@ from wppsc.analysis import (
     damping,
     eigenvalues,
     spectra,
+    step_input,
     step_response,
     sweep,
 )
@@ -259,6 +260,15 @@ def test_step_response_rejects_bad_channel():
     _, _, ss = solved_ss("strong", "gfm")
     with pytest.raises(ValueError):
         step_response(ss, "frequency", 1e-3, 0.1, 1e-4)
+    # an unknown channel, a known one that drives none of the inputs, and a bad horizon or step
+    with pytest.raises(ValueError, match="channel must be one of"):
+        step_input("frequency", ("p_star", "v_g_ref"))
+    with pytest.raises(ValueError, match="needs one of"):
+        step_input("voltage", ("p_star", "v_g_ref"))
+    for t_end, dt, match in ((0.0, 1e-4, "t_end > 0"), (math.inf, 1e-4, "t_end > 0"),
+                             (0.1, 0.2, "dt must satisfy"), (0.1, math.nan, "dt must satisfy")):
+        with pytest.raises(ValueError, match=match):
+            step_response(ss, "power", 1e-3, t_end, dt)
 
 
 def test_weak_gfl_step_divergence_cured_by_sc():

@@ -8,6 +8,8 @@ import pytest
 
 from wppsc.components import (
     FAULT_OPEN_THRESHOLD,
+    GFL_LAWS,
+    GFM_LAW,
     FaultSpec,
     GflParams,
     GfmParams,
@@ -16,8 +18,6 @@ from wppsc.components import (
     RefInputs,
     ScParams,
     SystemModel,
-    gfl_law,
-    gfm_law,
     power_pair,
 )
 from wppsc.config import Scenario, build_model
@@ -26,9 +26,9 @@ from wppsc.netbase import Impedance
 from plant_oracle import (
     composed_rhs,
     filter_cable_rhs,
-    filter_lc,
     grid_rhs,
     jrot,
+    law_values,
     pcc_node_rhs,
     rotate,
     rotated_refs,
@@ -121,16 +121,15 @@ def gfl_outputs(p, refs, v_c, p_pc=0.0, q_pc=0.0, q_mode="reactive", ctrl=(0.0,)
     that the converter power is (p_pc, q_pc) at v_c; the outputs are
     v_inv / lf (d, q) and then the six controller rates."""
     i_a = np.linalg.solve([[v_c[0], v_c[1]], [v_c[1], -v_c[0]]], [p_pc, q_pc])
-    law, values = gfl_law(p, refs, q_mode, filter_lc(NetworkSpec())[0])
-    g = law.bind(values)
+    law = GFL_LAWS[q_mode]
+    g = law.bind(law_values(law, p, refs, NetworkSpec()))
     return g([*map(float, v_c), 0.0, 0.0, *map(float, i_a), *ctrl])
 
 
 def gfm_outputs(p, refs, p_pc, ctrl=(0.0,) * 6):
     """Bound GFM controller outputs at v_c = (1, 0) with no filter current
     and i_a = (p_pc, 0), so that the converter power is p_pc."""
-    law, values = gfm_law(p, refs, *filter_lc(NetworkSpec()))
-    g = law.bind(values)
+    g = GFM_LAW.bind(law_values(GFM_LAW, p, refs, NetworkSpec()))
     return g([1.0, 0.0, 0.0, 0.0, p_pc, 0.0, *ctrl])
 
 
@@ -213,6 +212,8 @@ def test_model_rejects_unknown_control():
     net = NetworkSpec()
     with pytest.raises(ValueError):
         SystemModel(Impedance(r=0.02, x=0.3), net, control="droop")
+    with pytest.raises(ValueError, match="q_mode"):
+        SystemModel(Impedance(r=0.02, x=0.3), net, q_mode="droop")
 
 
 def _random_state(model, rng):
@@ -276,6 +277,32 @@ def _plant(control, q_mode, with_sc):
     return SystemModel(g, NetworkSpec(), control=control, sc=sc, q_mode=q_mode)
 
 
+# the state layout as it was stated by index before each law named its rows:
+# each converter's own states, and a converter plant's reads and writes
+# without and with the condenser
+_OWN = {"gfl": " theta_pll s_pll gamma_d gamma_q o_d o_q", "gfm": " theta_pc omega_pc m_d m_q o_d o_q",
+        "none": ""}
+_ROWS = {
+    False: ([4, 5, 2, 3, 6, 7, 10, 11, 12, 13, 14, 15], [2, 3, 10, 11, 12, 13, 14, 15]),
+    True: ([6, 7, 4, 5, 8, 9, 12, 13, 14, 15, 16, 17], [4, 5, 12, 13, 14, 15, 16, 17]),
+}
+
+
+@pytest.mark.parametrize("control", ["gfl", "gfm", "none"])
+@pytest.mark.parametrize("q_mode", ["reactive", "voltage"])
+@pytest.mark.parametrize("with_sc", [False, True])
+def test_layout_named_by_the_law_is_the_indexed_one(control, q_mode, with_sc):
+    # the model takes its controller states, reads and writes from the
+    # labels its control law names; they are the rows stated by index before
+    model = _plant(control, q_mode, with_sc)
+    sc, f = "i_sc_d i_sc_q " * with_sc, "i_f_d i_f_q " * (control != "none")
+    labels = f"i_g_d i_g_q {sc}{f}v_c_d v_c_q i_a_d i_a_q v_pcc_d v_pcc_q{_OWN[control]}"
+    assert model.labels == tuple(labels.split()) and model.n == len(model.labels)
+    assert (model.reads, model.writes) == (_ROWS[with_sc] if control != "none" else ([], []))
+    q_ref = "q_star" if (control, q_mode) == ("gfl", "reactive") else "v_turb_star"
+    assert model.inputs == (("v_g_ref",) if control == "none" else ("p_star", "v_g_ref", q_ref))
+
+
 _REFS = RefInputs(
     p_star=0.7, v_turb_star=1.02, q_star=0.05, v_g_ref=0.97, v_g_angle=0.1, phi_sc=0.04
 )
@@ -286,11 +313,8 @@ def test_bound_controller_floats_match_row_vectors(control, q_mode):
     # one controller function serves one state (Python floats) and a batch
     # (row vectors); column j of the batch outputs is the float result for
     # column j
-    if control == "gfl":
-        law, values = gfl_law(GflParams(), _REFS, q_mode, filter_lc(NetworkSpec())[0])
-    else:
-        law, values = gfm_law(GfmParams(), _REFS, *filter_lc(NetworkSpec()))
-    g = law.bind(values)
+    law, gains = (GFL_LAWS[q_mode], GflParams()) if control == "gfl" else (GFM_LAW, GfmParams())
+    g = law.bind(law_values(law, gains, _REFS, NetworkSpec()))
     rng = np.random.default_rng(31)
     u = np.vstack([rng.uniform(0.5, 1.0, (6, 9)) * rng.choice([-1.0, 1.0], (6, 9)),
                    rng.uniform(-0.3, 0.3, (6, 9))])
@@ -441,6 +465,9 @@ def test_parameter_validation():
         build_model(Scenario(grid=Impedance(r=0.01, x=0.0)))
     with pytest.raises(ValueError):
         ScParams(x_sub=0.0)
+    for name in ("r_tr", "x_tr", "e_mag"):
+        with pytest.raises(ValueError, match=f"sc {name} must be >= 0"):
+            ScParams(**{name: -0.01})
     with pytest.raises(ValueError):
         GflParams(kp_pll=0.0)
     with pytest.raises(ValueError):

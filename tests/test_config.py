@@ -140,6 +140,16 @@ def test_build_model_rejects_an_explicit_grid_branch_below_minimum_impedance():
 def test_value_validation():
     with pytest.raises(ConfigError):
         parse_scenario({"op": {"v_g_ref": 1.5}})
+    for op, message in (({"v_turb_ref": 0.7}, "v_turb_ref must be in [0.8, 1.2]"),
+                        ({"p_turb_ref": -0.1}, "p_turb_ref must be in [0, 1.2]")):
+        with pytest.raises(ConfigError) as e:
+            parse_scenario({"op": op})
+        assert (e.value.key, message in str(e.value)) == ("op", True)
+    # a section and the config itself must be objects, a flag true/false
+    for raw, key in (({"sc": 5}, "sc"), ([1], ""), ({"sc": {"enabled": 1}}, "sc.enabled")):
+        with pytest.raises(ConfigError) as e:
+            parse_scenario(raw)
+        assert e.value.key == key
     with pytest.raises(ConfigError) as e:
         parse_scenario({"control": {"type": "vsc"}})
     assert e.value.key == "control.type"
@@ -202,6 +212,12 @@ def test_event_parsing_rules():
     assert e.value.key == "events.1.t"
     with pytest.raises(ConfigError):
         parse_scenario({"events": [{"kind": "fault_on", "t": 0.1, "bus": "moon", "r_fault": 0.5}]})
+    # the schedule is a list of objects, each with a string kind
+    for events, key, message in (({}, "events", "expected a list"), ([5], "events.0", "expected an object"),
+                                 ([{"kind": 5}], "events.0.kind", "expected a string")):
+        with pytest.raises(ConfigError) as e:
+            parse_scenario({"events": events})
+        assert (e.value.key, message in str(e.value)) == (key, True)
 
 
 def test_apply_overrides():
@@ -229,9 +245,24 @@ def test_apply_overrides_list_index():
     assert out["events"][0]["delta"] == -0.2
 
 
+def test_apply_overrides_replaces_a_list_element():
+    raw = {"events": [{"kind": "fault_on", "t": 0.1, "bus": "pcc", "r_fault": 0.5},
+                      {"kind": "fault_off", "t": 0.2, "bus": "pcc"}]}
+    step = {"kind": "step_ref", "t": 0.3, "channel": "p_star", "delta": 0.1}
+    out = apply_overrides(raw, ["events.0.t=0.15", f"events.1={json.dumps(step)}"])
+    assert out["events"] == [{**raw["events"][0], "t": 0.15}, step]
+    assert raw["events"][0]["t"] == 0.1
+
+
 def test_apply_overrides_requires_assignment():
     with pytest.raises(ConfigError):
         apply_overrides({}, ["grid.scr"])
+    # a list index past the end or not a number, mid-path and at the leaf
+    raw = {"events": [{"kind": "fault_off", "t": 0.2, "bus": "pcc"}]}
+    for item, part in (("events.1.t=0.1", "'1'"), ("events.x.t=0.1", "'x'"),
+                       ("events.1=0.1", "'1'"), ("events.x=0.1", "'x'")):
+        with pytest.raises(ConfigError, match=f"bad list index {part}"):
+            apply_overrides(raw, [item])
 
 
 def test_load_config(tmp_path):

@@ -381,6 +381,8 @@ def test_eps_range_enforced():
         linearize(model, x, refs, eps=1e-9, check_equilibrium=False)
     with pytest.raises(ValueError):
         linearize(model, x, refs, eps=1e-3, check_equilibrium=False)
+    with pytest.raises(ValueError, match=rf"state must have shape \({model.n},\)"):
+        linearize(model, np.zeros(model.n + 1), refs, check_equilibrium=False)
 
 
 def test_equilibrium_check_rejects_off_equilibrium_point():
@@ -437,6 +439,11 @@ def test_state_space_shape_validation():
             input_labels=("u",),
             output_labels=("y",),
         )
+    # A must be square over the states, C must read every state
+    for shapes, match in ((((3, 2), (3, 1), (1, 3)), "A must be 3x3"),
+                          (((3, 3), (3, 1), (1, 2)), "C shape")):
+        with pytest.raises(ValueError, match=match):
+            StateSpaceModel(*map(np.zeros, shapes), ("a", "b", "c"), ("u",), ("y",))
 
 
 def test_input_labels_by_control():

@@ -84,6 +84,10 @@ def test_parallel_complex_oracle():
 def test_parallel_complex_rejects_resonant_pair():
     with pytest.raises(ValueError):
         parallel_complex(Impedance(0.0, 1.0), Impedance(0.0, -1.0))
+    # the magnitude form takes positive finite magnitudes only
+    for z1, z2 in ((0.0, 1.0), (1.0, -0.5), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="positive finite magnitudes"):
+            parallel_magnitude(z1, z2)
 
 
 def test_impedance_validation():

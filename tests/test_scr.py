@@ -28,6 +28,9 @@ def test_scr_wt_values():
     assert scr_wt(0.2427, 0.0) == pytest.approx(4.120313, rel=1e-6)
     with pytest.raises(ValueError):
         scr_wt(0.5, -0.01)
+    for z_g in (0.0, -0.5):
+        with pytest.raises(ValueError, match="z_g must be a positive finite magnitude"):
+            scr_wt(z_g, 0.0)
 
 
 def test_escr_values():
@@ -114,6 +117,9 @@ def test_measurement_rejects_unsettled_window():
     s = passive_scenario("normal", with_sc=False)
     with pytest.raises(MeasurementInvalid):
         measure_scr_from_fault(s, window=0.05)
+    # a window that cannot hold both averaging windows is refused before any run
+    with pytest.raises(ValueError, match="window must exceed 0.04 s"):
+        measure_scr_from_fault(s, window=0.04)
 
 
 def test_measurement_accepts_converter_scenarios_by_opening_them():

@@ -51,7 +51,7 @@ from plant_oracle import composed_rhs, faulted_matrix
 
 
 # the stub's controller: zero, or NaN once its state passes the gate
-STUB_LAW = ControlLaw("v", "gate nan", "y", "y = 0.0 if abs(v) <= gate else nan")
+STUB_LAW = ControlLaw("x0", "x0", "gate nan", "", "y", "y = 0.0 if abs(x0) <= gate else nan")
 
 
 class StubModel:
@@ -286,14 +286,18 @@ def test_inlined_law_is_the_callable_law(law):
 
 def test_integrate_folds_each_segment_rule_once(monkeypatch):
     # a cleared fault returns to the pre-fault refs and network, whose rule
-    # the run has already folded
-    model, eq = solved("normal", GFM, True)
+    # the run has already folded; an open circuit applies no fault, so its
+    # events leave the run one rule, on the converter and the passive plant
     folds, fold = [], sim._step_rule
     monkeypatch.setattr(sim, "_step_rule", lambda m, r, f, dt: folds.append((r, f)) or fold(m, r, f, dt))
-    events = [Event.fault_on(0.01, "pcc", 0.05), Event.fault_off(0.02, "pcc")]
-    ts = integrate(model, eq.state, eq.refs, t_end=0.03, dt=1e-4, events=events)
-    assert folds == [(eq.refs, None), (eq.refs, FaultSpec("pcc", 0.05))]
-    assert not (ts.diverged or ts.aborted)
+    for control, r_fault in ((GFM, 0.05), (GFM, 1e9), (NO_CONVERTER, 1e9)):
+        model, eq = solved("normal", control, True)
+        folds.clear()
+        events = [Event.fault_on(0.01, "pcc", r_fault), Event.fault_off(0.02, "pcc")]
+        ts = integrate(model, eq.state, eq.refs, t_end=0.03, dt=1e-4, events=events)
+        faulted = [(eq.refs, FaultSpec("pcc", r_fault))] if r_fault < FAULT_OPEN_THRESHOLD else []
+        assert folds == [(eq.refs, None), *faulted], (control, r_fault)
+        assert not (ts.diverged or ts.aborted)
 
 
 @pytest.mark.parametrize("with_sc", [True, False])
@@ -524,7 +528,7 @@ def test_abort_on_nonfinite_keeps_last_valid_sample():
 
 
 # reads four inputs and gives the next of a script's rows
-SCRIPT_LAW = ControlLaw("a b c d", "script", "y0 y1 y2 y3", "y0, y1, y2, y3 = script()")
+SCRIPT_LAW = ControlLaw("a b c d", "a b c d", "script", "", "y0 y1 y2 y3", "y0, y1, y2, y3 = script()")
 
 
 def scripted(rows):
@@ -701,6 +705,11 @@ def test_event_constructors_validate():
         Event.fault_on(0.0, "nowhere", 0.5)
     with pytest.raises(ValueError):
         Event.step_ref(0.0, "not_a_channel", 0.1)
+    with pytest.raises(ValueError, match="fault bus must be one of"):
+        Event.fault_off(0.0, "nowhere")
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="step delta must be finite"):
+            Event.step_ref(0.0, "p_star", delta)
     with pytest.raises(ValueError):
         Event(t=0.0, kind="mystery")
 
