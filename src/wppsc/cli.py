@@ -4,10 +4,10 @@ Every subcommand resolves its configuration (file, then --set overrides,
 then defaults), emits its artifact as CSV with a header row, '.' decimal
 separator and LF line endings, and writes the fully-resolved configuration
 to manifest.json in the output directory once the run is past its
-configuration: a solver failure or a divergence records it, a configuration
-error does not, and leaves no output directory that the run made.
-Re-running a subcommand against a written manifest reproduces the
-artifacts byte for byte.
+configuration: a solver failure, a divergence or an invalid fault
+measurement records it, a configuration error does not, and leaves no
+output directory that the run made. Re-running a subcommand against a
+written manifest reproduces the artifacts byte for byte.
 
 Each subcommand is stated once, in _SUBCOMMANDS (its help, its handler and
 the options only it takes), and each record CSV once, in its column table
@@ -15,7 +15,8 @@ the options only it takes), and each record CSV once, in its column table
 entries.
 
 Exit codes: 0 success, 2 configuration error, 3 equilibrium solver failure,
-4 simulation divergence (partial series still written).
+4 simulation divergence (partial series still written) or a fault
+measurement of scr with no settled current (no scr.csv).
 """
 
 import argparse
@@ -45,7 +46,7 @@ from .config import (
 )
 from .linearize import linearize
 from .powerflow import SolveError, solve_equilibrium
-from .scr import enhancement_report
+from .scr import MeasurementInvalid, enhancement_report
 from .sim import ScheduleError, TimeSeries, integrate
 
 
@@ -290,6 +291,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SolveError as exc:
         print(f"equilibrium solve failed: {exc}", file=sys.stderr)
         code = 3
+    except MeasurementInvalid as exc:
+        print(f"short-circuit ratio fault measurement invalid: {exc}", file=sys.stderr)
+        code = 4
     # a run that got past its configuration records it, failed or not
     _write_manifest(out_dir, args.command, to_dict(scenario))
     return code

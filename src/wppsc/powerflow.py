@@ -8,11 +8,15 @@ reference that places the turbine terminal voltage on its target. The grid
 source angle is fixed at zero, which removes the rotational null space from
 the Newton system.
 
-Newton iterates on a row-scaled residual (each branch/node row multiplied by
-its inductance/capacitance) so the Jacobian is well conditioned; convergence
-is judged after a step on the true unscaled RHS, with target 1e-10 and
-acceptance RESIDUAL_ACCEPT = 1e-8 (linearize's equilibrium bound) in the
-∞-norm. A cold start that stalls is retried along a source/power ramp
+One damped Newton (_damped_newton) solves both the equilibrium and its
+start, on the columns of z: one Jacobian stack and one stacked solve per
+iteration, every column evaluated at each trial, and a column that leaves
+(converged or stalled) masked out of the update. For the equilibrium
+(_newton) it iterates on a row-scaled residual (each branch/node row times
+its inductance/capacitance) so the Jacobian is well conditioned;
+convergence is judged after a step on the true unscaled RHS, with target
+1e-10 and acceptance RESIDUAL_ACCEPT = 1e-8 (linearize's equilibrium bound)
+in the ∞-norm. A cold start that stalls is retried along a source/power ramp
 (continuation) before the case is declared non-convergent (residual stuck
 between 1e-8 and 1e-3) or infeasible (stuck above 1e-3, e.g. power beyond
 the loadability limit).
@@ -20,20 +24,19 @@ the loadability limit).
 Newton starts at the plant's power flow (initial_guess): every control
 settles with p_pc = p_star and |v_c| = v_turb_star at the turbine bus (a PV
 bus) and no active power at the condenser EMF, and the network is linear, so
-a small Newton on i_a and phi_sc (_power_flow) gives the whole state. Newton's
-first step certifies that start: a step whose true residual lands below
-target is taken whole, so a start at the solution takes one step, unhalved.
-One call pays for one network solve, four to six power-flow passes of a few
+the same Newton, unscaled, on i_a and phi_sc (_power_flow) gives the whole
+state; the passive plant's start is exact in closed form. Newton's first
+step certifies that start: a step whose true residual lands below target is
+taken whole, so a start at the solution takes one step, unhalved. One call
+pays for one network solve, three to five power-flow iterations of a few
 stacked products each, one controller call over five probes and the
-certifying step; a member adds only its columns to that arithmetic. On a
-2-vCPU x86-64 machine (numpy 2.4) one weak-grid member costs about 0.4 ms to
-start and 0.2 ms to certify, and each further member of a group about 10 µs.
+certifying step; a member adds only its columns to that arithmetic. On 2
+x86-64 vCPUs (numpy 2.4) one weak-grid member costs about 0.45 ms to start
+and 0.2 ms to certify, and each further member of a group about 10 µs.
 
-solve_equilibria solves the operating points of one model as one Newton on
-the columns of z: one Jacobian stack and one stacked solve per iteration,
-while each column searches its own step and stops on its own. A column that
-fails is solved again alone, where a cold start that stalls takes the
-continuation, so that its error is the one it has alone.
+solve_equilibria solves the operating points of one model as one such
+Newton. A column that fails is solved again alone, where a cold start that
+stalls takes the continuation, so that its error is the one it has alone.
 
 The Jacobian is linearize.split_jacobian over the unknowns: the network
 matrix exactly, plus one central difference of the controller, the
@@ -154,52 +157,46 @@ def _row_scale(model: SystemModel) -> np.ndarray:
     return out
 
 
+def _l2_norm(f: np.ndarray) -> np.ndarray:
+    return np.sqrt((f * f).sum(axis=0))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite trial is never taken
-def _newton(
-    model: SystemModel,
-    z0: np.ndarray,
-    refs: RefInputs,
-    scale: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Newton on each column of z0 (size, m), refs stacked likewise.
-    Each column takes at least one step, a step that lowers its merit or
-    lands its true residual below target, and leaves once below target or
-    when no step length lowers its merit; only the others are evaluated.
-    Returns (z, iterations, true residual norms, converged), per column."""
-    z = np.array(z0, dtype=float)
-    f = _residual(model, z, refs)
-    iters = np.full(z.shape[1], MAX_ITERATIONS)
-    col_scale, jacobian = scale[:, None], _jacobian(model, scale)
-    live, z_l, f_l, r_l = np.arange(z.shape[1]), z, f, refs  # the columns still iterating
+def _damped_newton(residual, jacobian, z: np.ndarray, scale, norm) -> tuple:
+    """Damped Newton on each column of z for residual(z) = 0, jacobian(z)
+    stacking those of scale * residual. Each column takes at least one step,
+    a step that lowers ||scale f||_2 or lands norm(f) below target, and
+    leaves once below target or when no step length lowers that merit; it is
+    evaluated at every trial, but masked out of the update once it leaves.
+    Returns (z, iterations, norm(f)), per column."""
+    f = residual(z)
+    iters, live = np.full(z.shape[1], MAX_ITERATIONS), np.ones(z.shape[1], dtype=bool)
     for it in range(1, MAX_ITERATIONS + 1):
-        f_s = col_scale * f_l
-        step = _solve(jacobian(z_l, r_l), -f_s)
-        merit = np.sqrt((f_s**2).sum(axis=0))
-        lam, stalled = 1.0, np.ones(live.size, dtype=bool)  # until a step lowers the merit
-        for _ in range(MAX_HALVINGS + 1):
-            z_try = z_l + lam * step
-            f_try = _residual(model, z_try, r_l)
-            better = stalled & ((np.sqrt(((col_scale * f_try)**2).sum(axis=0)) < merit)
-                                | (np.abs(f_try).max(axis=0) < RESIDUAL_TARGET))
-            if better.all():  # every column takes this step
-                z_l, f_l, stalled = z_try, f_try, ~better
+        f_s = scale * f
+        step, merit = _solve(jacobian(z), -f_s), _l2_norm(f_s)
+        stalled = live.copy()  # until a step lowers the merit
+        for lam in (0.5**k for k in range(MAX_HALVINGS + 1)):
+            z_try = z + lam * step
+            f_try = residual(z_try)
+            better = stalled & ((_l2_norm(scale * f_try) < merit) | (norm(f_try) < RESIDUAL_TARGET))
+            z, f, stalled = np.where(better, z_try, z), np.where(better, f_try, f), stalled & ~better
+            if not stalled.any():
                 break
-            z_l, f_l = np.where(better, z_try, z_l), np.where(better, f_try, f_l)
-            stalled &= ~better
-            if not np.count_nonzero(stalled):
-                break
-            lam *= 0.5
-        norm = np.abs(f_l).max(axis=0)
-        done = stalled | (norm < RESIDUAL_TARGET)
-        if done.all() and live.size == z.shape[1]:  # every column leaves at once
-            return z_l, np.full(live.size, it), norm, norm < RESIDUAL_ACCEPT
-        if done.any():  # columns leave: converged or stalled
-            z[:, live], f[:, live], iters[live[done]] = z_l, f_l, it
-            live, z_l, f_l, r_l = live[~done], z_l[:, ~done], f_l[:, ~done], r_l.take(~done)
-            if not live.size:
-                break
-    z[:, live], f[:, live] = z_l, f_l
-    norm = np.abs(f).max(axis=0)
+        done = live & (stalled | (norm(f) < RESIDUAL_TARGET))  # converged or stalled
+        iters[done], live = it, live & ~done
+        if not live.any():
+            break
+    return z, iters, norm(f)
+
+
+def _newton(model: SystemModel, z0: np.ndarray, refs: RefInputs, scale: np.ndarray) -> tuple:
+    """The equilibrium's damped Newton on each column of z0 (size, m), refs
+    stacked likewise: _damped_newton on the row-scaled residual, judged on
+    the true residual's ∞-norm. Returns (z, iterations, true residual
+    norms, converged), per column."""
+    jac, inf_norm = _jacobian(model, scale), lambda f: np.abs(f).max(axis=0)
+    z, iters, norm = _damped_newton(lambda z: _residual(model, z, refs), lambda z: jac(z, refs),
+                                    np.array(z0, dtype=float), scale[:, None], inf_norm)
     return z, iters, norm, norm < RESIDUAL_ACCEPT
 
 
@@ -265,55 +262,43 @@ def _power_flow(model: SystemModel, v, i_sc, k: int, refs: RefInputs, m: int) ->
     and phi_sc with p_pc = p_star and |v_c| = v_turb_star at the turbine bus
     and no active power at the condenser EMF, on the equations whose
     unknowns the plant has; v and i_sc are the v_c and i_sc phasors of the
-    columns of initial_guess's network solve. A damped Newton in which each
-    member steps, halves and stops on its own, at its best finite iterate,
-    from i_a at p_star / vt in phase with v_c at zero i_a and, with the
-    condenser, the EMF angle without power at that i_a.
+    columns of initial_guess's network solve. It starts from i_a at
+    p_star / vt in phase with v_c at zero i_a and, with the condenser, the
+    EMF angle without power at that i_a, which is exact for the passive
+    plant; a converter plant's flow is then _damped_newton, unscaled and
+    judged on the ℓ2 norm.
 
     v_c and i_sc are affine in w = (1, i_a d, i_a q, cos phi_sc, sin phi_sc),
     so each equation is a quadratic form w^T h w, built once per call, and
-    its gradient over w is (h + h^T) w: one pass is a few stacked products."""
+    its gradient over w is (h + h^T) w: an iteration is a few stacked products."""
     (v0, va, vs), (s0, sa, ss) = ((c[:k], c[k], c[k + 2]) for c in (v, i_sc))
     p, vt, e_mag = refs.p_star, refs.v_turb_star, model.sc.e_mag if model.has_sc else 0.0
-    rows = slice(0 if model.writes else 2, 2 + model.has_sc)  # the equations, and their unknowns
+    u, i = np.zeros((3, m)), p / vt * np.exp(1j * np.angle(v0 + vs))
+    u[0], u[1] = i.real, i.imag
+    if e_mag:  # Re(e conj(g)) = -Re(ss) on the EMF e, g the i_sc with the EMF shorted
+        g = s0 + sa * i
+        u[2] = np.angle(g) + np.arccos(np.clip(-ss.real / np.abs(g), -1.0, 1.0))
+    if not model.writes:  # the passive plant: no i_a, so the EMF angle's closed form is exact
+        return u
+    size = 2 + model.has_sc  # the equations, and their unknowns
     vi, lin = np.array([v.real, v.imag, i_sc.real, i_sc.imag]), np.empty((k, 4, 5))
     lin[..., 0], lin[..., 1:] = vi[:, :k].T, vi[:, k:]  # (v_c d, q, i_sc d, q) over w, per member
     vc, h = lin[:, :2], np.zeros((m, 3, 5, 5))  # v_c . i_a - p, |v_c|^2 - vt^2, e_mag (cos, sin) . i_sc
     h[:, 0, 1:3], h[:, 1], h[:, 2, 3:] = vc, vc.transpose(0, 2, 1) @ vc, e_mag * lin[:, 2:]
     h[:, 0, 0, 0], h[:, 1, 0, 0] = -p, h[:, 1, 0, 0] - vt**2
-    h = (h[:, rows] + h[:, rows].transpose(0, 1, 3, 2)).reshape(m, -1, 5)
+    h = (h[:, :size] + h[:, :size].transpose(0, 1, 3, 2)).reshape(m, -1, 5)
     w, dw = np.ones((m, 5)), np.zeros((m, 5, 3))  # w and dw/du, filled at each u
     dw[:, 1, 0] = dw[:, 2, 1] = 1.0
-    u, i = np.zeros((m, 3)), p / vt * np.exp(1j * np.angle(v0 + vs))
-    u[:, 0], u[:, 1] = i.real, i.imag
-    if e_mag:  # Re(e conj(g)) = -Re(ss) on the EMF e, g the i_sc with the EMF shorted
-        g = s0 + sa * i
-        u[:, 2] = np.angle(g) + np.arccos(np.clip(-ss.real / np.abs(g), -1.0, 1.0))
 
-    def flow(u: np.ndarray) -> tuple:  # the residual rows, and their Jacobian, per member
-        w[:, 1:3], w[:, 3], w[:, 4] = u[:, :2], np.cos(u[:, 2]), np.sin(u[:, 2])
+    def hw(z: np.ndarray) -> np.ndarray:  # (h + h^T) w per member; fills w and dw at the unknowns z
+        u[:size] = z
+        w[:, 1:3], w[:, 3], w[:, 4] = u[:2].T, np.cos(u[2]), np.sin(u[2])
         dw[:, 3, 2], dw[:, 4, 2] = -w[:, 4], w[:, 3]
-        hw = (h @ w[..., None]).reshape(m, -1, 5)
-        return 0.5 * (hw @ w[..., None])[..., 0], hw @ dw[..., rows]
+        return (h @ w[..., None]).reshape(m, -1, 5)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trial is never taken
-        f, jac = flow(u)
-        merit, lam, step = (f * f).sum(axis=1), np.ones(m), np.zeros_like(u)
-        for _ in range(MAX_ITERATIONS * (MAX_HALVINGS + 1)):  # a step, or a halving of it
-            live = (merit >= RESIDUAL_TARGET**2) & (lam >= 0.5**MAX_HALVINGS)
-            if not live.any():
-                break
-            # a member that halves has the jac and f it had: solving again gives its step
-            step[:, rows] = _solve(jac, -f.T).T
-            u_try = u + lam[:, None] * step
-            f_try, jac_try = flow(u_try)
-            m_try = (f_try * f_try).sum(axis=1)
-            better = live & (m_try < merit)
-            if not better.all():  # a member that halves or stops keeps its iterate
-                u_try, f_try = np.where(better[:, None], u_try, u), np.where(better[:, None], f_try, f)
-                jac_try, m_try = np.where(better[:, None, None], jac_try, jac), np.where(better, m_try, merit)
-            u, f, jac, merit, lam = u_try, f_try, jac_try, m_try, np.where(better, 1.0, 0.5 * lam)
-    return u.T
+    u[:size] = _damped_newton(lambda z: 0.5 * (hw(z) @ w[..., None])[..., 0].T,
+                              lambda z: hw(z) @ dw[..., :size], u[:size].copy(), 1.0, _l2_norm)[0]
+    return u
 
 
 def _ramped_refs(refs: RefInputs, lam: float) -> RefInputs:

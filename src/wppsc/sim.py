@@ -107,9 +107,6 @@ class TimeSeries:
             if float(np.max(np.abs(gaps - self.dt))) >= 1e-12:
                 raise ValueError("time vector is not uniformly spaced at dt")
 
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
 
 class Affine(NamedTuple):
     """The step x -> phi @ x + gamma, as data so that march can square it."""

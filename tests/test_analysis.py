@@ -199,7 +199,7 @@ def test_step_response_first_order_analytic():
         output_labels=("p_pc",),
     )
     ts = step_response(ss, "power", 1.0, t_end=1.0, dt=1e-3)
-    y = ts.column("p_pc")
+    y = ts.columns["p_pc"]
     assert y[0] == 0.0
     assert y[-1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
@@ -218,7 +218,7 @@ def test_step_response_matches_extended_precision_march():
     ref = (xs @ ss.c.T.astype(np.longdouble)).astype(float)
     for i, name in enumerate(ss.output_labels):
         peak = np.max(np.abs(ref[:, i]))
-        assert np.max(np.abs(ts.column(name) - ref[:, i])) <= 1e-11 * peak, name
+        assert np.max(np.abs(ts.columns[name] - ref[:, i])) <= 1e-11 * peak, name
 
 
 def test_step_response_is_exact_on_stiff_modes():
@@ -237,14 +237,14 @@ def test_step_response_is_exact_on_stiff_modes():
     assert not (ts.diverged or ts.aborted)
     assert ts.t.size == 101
     expected = -np.expm1(-lam * ts.t) / lam
-    assert np.allclose(ts.column("p_pc"), expected, rtol=1e-12, atol=0.0)
+    assert np.allclose(ts.columns["p_pc"], expected, rtol=1e-12, atol=0.0)
 
 
 def test_step_response_zero_magnitude_is_zero():
     _, _, ss = solved_ss("strong", "gfm")
     ts = step_response(ss, "power", 0.0, t_end=0.1, dt=1e-4)
-    assert np.max(np.abs(ts.column("p_pc"))) == 0.0
-    assert np.max(np.abs(ts.column("v_c_mag"))) == 0.0
+    assert np.max(np.abs(ts.columns["p_pc"])) == 0.0
+    assert np.max(np.abs(ts.columns["v_c_mag"])) == 0.0
 
 
 def test_step_response_voltage_channel_picks_live_input():
@@ -275,10 +275,10 @@ def test_weak_gfl_step_divergence_cured_by_sc():
     mag = 1e-3
     _, _, ss = solved_ss("weak", "gfl", with_sc=False)
     ts = step_response(ss, "power", mag, t_end=5.0, dt=2e-4)
-    assert np.max(np.abs(ts.column("p_pc"))) > 10.0 * mag
+    assert np.max(np.abs(ts.columns["p_pc"])) > 10.0 * mag
     _, _, ss_sc = solved_ss("weak", "gfl", with_sc=True)
     ts_sc = step_response(ss_sc, "power", mag, t_end=5.0, dt=2e-4)
-    tail = ts_sc.column("p_pc")[ts_sc.t >= 3.0]
+    tail = ts_sc.columns["p_pc"][ts_sc.t >= 3.0]
     assert np.max(np.abs(tail - mag)) < 0.02 * mag
 
 

@@ -266,6 +266,18 @@ def test_singular_start_is_a_solver_failure_exit_3(tmp_path, capsys, x_cf):
     assert (out / "manifest.json").exists()
 
 
+def test_unsettled_scr_measurement_exit_4(tmp_path, capsys):
+    # a valid plant whose bolted-fault current is still moving at the end of
+    # the window: the measurement is rejected, not reported, and not a crash
+    code, out = run(tmp_path, "scr", "--set", "network.xa=2")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("short-circuit ratio fault measurement invalid: fault current drifted ")
+    assert "Traceback" not in err
+    assert (out / "manifest.json").exists()
+    assert not (out / "scr.csv").exists()
+
+
 def test_eig_csv_matches_library(tmp_path):
     code, out = run(tmp_path, "eig", "--config", preset_path("normal"))
     assert code == 0

@@ -358,13 +358,16 @@ def test_start_integrators_are_the_least_squares_solution(case, control, q_mode,
 
 
 def test_initial_guess_no_load_passive():
-    # the network with its shunt capacitors is the whole plant: the guess is
-    # its equilibrium
-    s = scenario("normal", control=NO_CONVERTER, with_sc=False, op=(1.0, 1.0, 0.0))
-    model = build_model(s)
-    refs = refs_for(s)
-    x0 = initial_guess(model, [refs], _row_scale(model))[:, 0]
-    assert np.abs(model.rhs(x0, refs)).max() <= 1e-11
+    # the network with its shunt capacitors (and the condenser EMF at the
+    # closed-form angle without active power) is the whole plant: the guess
+    # is its equilibrium, closure row included
+    for case, with_sc in [("normal", False), *((c, True) for c in sorted(GRID_CASES))]:
+        for v_g_ref in (0.8, 1.0, 1.2):
+            s = scenario(case, control=NO_CONVERTER, with_sc=with_sc, op=(v_g_ref, 1.0, 0.0))
+            model, refs = build_model(s), refs_for(s)
+            z0 = initial_guess(model, [refs], _row_scale(model))[:, 0]
+            assert z0.shape == (model.n + with_sc,)
+            assert np.abs(_residual(model, z0, refs)).max() <= 1e-11, (case, with_sc, v_g_ref)
 
 
 def test_weak_grid_start_lands_on_the_normal_operating_point():
@@ -449,6 +452,22 @@ def test_batch_members_match_their_solves_alone():
         assert batch[j].iterations == alone.iterations
         assert batch[j].residual_norm < 1e-8
         assert np.allclose(batch[j].state, alone.state, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("control", [GFL, GFM])
+def test_a_column_that_leaves_stays_where_it_left(control):
+    # column 0 starts at the power flow and certifies in one step; column 1
+    # starts 1% off it and needs more. Once column 0 leaves, the loop still
+    # evaluates it with the batch but must not move it: it ends bit for bit
+    # where the same start ends in a batch that leaves at once
+    model = build_model(scenario("weak", control))
+    refs, scale = refs_for(scenario("weak", control)), _row_scale(model)
+    z0, both = initial_guess(model, [refs], scale), RefInputs.stack([refs, refs])
+    z, iters, _, ok = _newton(model, np.hstack([z0, 1.01 * z0]), both, scale)
+    z_twin, iters_twin, *_ = _newton(model, np.hstack([z0, z0]), both, scale)
+    assert iters[0] == 1 and iters[1] >= 3 and ok.all()
+    assert iters_twin.tolist() == [1, 1]
+    assert np.array_equal(z[:, 0], z_twin[:, 0])
 
 
 @pytest.mark.parametrize("grid, control, with_sc, op", [

@@ -729,4 +729,3 @@ def test_derived_signals_present_and_consistent():
         assert name in ts.columns
     vm = np.hypot(ts.columns["v_c_d"], ts.columns["v_c_q"])
     assert np.max(np.abs(vm - ts.columns["v_c_mag"])) < 1e-12
-    assert ts.column("p_pc") is ts.columns["p_pc"]
