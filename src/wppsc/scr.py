@@ -4,8 +4,9 @@ The closed forms work on impedance magnitudes: the plain ratio divides the
 rated power by the driving-point impedance at the turbine MV bus, and the
 condenser enters by paralleling its branch magnitude with the grid branch.
 The measurement path runs a bolted fault on the source network and reads the
-settled fault current, so the closed forms can be cross-checked against the
-full time-domain model.
+settled fault current from the marched states (sim.trajectory, with no
+series captured), so the closed forms can be cross-checked against the full
+time-domain model.
 """
 
 import math
@@ -17,7 +18,8 @@ from .components import NO_CONVERTER, OMEGA0, ScParams
 from .config import GRID_CASES, Scenario, build_model, preset_scenario, refs_for
 from .netbase import impedance_from_scr_xr, parallel_magnitude
 from .powerflow import solve_equilibrium
-from .sim import Event, integrate
+# integrate stays importable here for perfbench's tracer
+from .sim import Event, integrate, trajectory  # noqa: F401
 
 # Reference strength pairs (without / with the condenser, weak to strong)
 # used to size the condenser branch impedance.
@@ -163,8 +165,9 @@ def measure_scr_from_fault(
 
     Runs the source network (converter branch open) into a bolted fault at
     the turbine bus and reads v_prefault * |i_fault| once the current has
-    settled. The last two averaging windows must agree within the drift
-    limit, otherwise the run is rejected rather than reported.
+    settled, |i_fault| the mean of |i_a| over the last averaging window of
+    samples t = k dt. It and the window before it must agree within the
+    drift limit, otherwise the run is rejected rather than reported.
     """
     if window <= 2.0 * AVERAGING_WINDOW:
         raise ValueError(
@@ -175,21 +178,16 @@ def measure_scr_from_fault(
     eq = solve_equilibrium(model, refs_for(meas))
     v_pre = math.hypot(*model.pair(eq.state, "v_c_d"))
 
-    t_end = FAULT_START + window
-    ts = integrate(
-        model,
-        eq.state,
-        eq.refs,
-        t_end=t_end,
-        dt=1e-4,
-        events=[Event.fault_on(FAULT_START, "wt_mv", FAULT_RESISTANCE)],
-    )
-    if ts.diverged or ts.aborted:
-        raise MeasurementInvalid(f"fault run did not complete: {ts.note}")
+    t_end, dt = FAULT_START + window, 1e-4
+    run = trajectory(model, eq.state, eq.refs, t_end, dt,
+                     [Event.fault_on(FAULT_START, "wt_mv", FAULT_RESISTANCE)])
+    if run.diverged or run.aborted:
+        raise MeasurementInvalid(f"fault run did not complete: {run.note}")
 
-    mag = np.hypot(ts.columns["i_a_d"], ts.columns["i_a_q"])
-    tail = ts.t >= t_end - AVERAGING_WINDOW
-    prior = (ts.t >= t_end - 2.0 * AVERAGING_WINDOW) & ~tail
+    mag = np.hypot(*model.pair(run.states.T, "i_a_d"))
+    t = np.arange(len(mag)) * dt
+    tail = t >= t_end - AVERAGING_WINDOW
+    prior = (t >= t_end - 2.0 * AVERAGING_WINDOW) & ~tail
     i_tail = float(np.mean(mag[tail]))
     i_prior = float(np.mean(mag[prior]))
     if i_tail <= 0.0:
@@ -198,7 +196,8 @@ def measure_scr_from_fault(
     if drift > DRIFT_LIMIT:
         raise MeasurementInvalid(
             f"fault current drifted {drift:.1%} between the last two averaging windows; "
-            "extend the window"
+            f"extend the window (case {scenario.name!r}, window {window:g} s, "
+            "set by measure_scr_from_fault(window=...))"
         )
     return ScrMeasurement(scr=v_pre * i_tail, v_prefault=v_pre, i_fault=i_tail, drift=drift)
 

@@ -17,16 +17,19 @@ ends in the one matvec and the checks. Without a controller the rule is the
 exact zero-order hold x+ = Phi x + gamma, with Phi and gamma from one expm
 of [[A, b], [0, 0]] dt (Van Loan, IEEE TAC 1978), held as data and filled
 by doubling: rows h..2h-1 of a segment are rows 0..h-1 mapped by the h-th
-power of the hold, which is then squared. analysis.step_response steps the
-linear model by the same hold.
+power of the hold, which is then squared, and the filled segment is checked
+once. analysis.step_response steps the linear model by the same hold.
 
-Events snap to the nearest step boundary and take effect at the start of
-that step. Row 0 of the captured series is the initial condition before any
-t=0 event. A trajectory that leaves |x| <= 1e6 pu (every entry) is truncated
-and flagged diverged (an expected outcome for unstable scenarios, not a
-solver error); a non-finite state truncates at the last valid sample and
-flags the run aborted. A stepped row whose sum of squares is inside the
-limit's square passes without the entrywise test.
+trajectory runs the plant under an event schedule and returns the marched
+states (a Run); integrate is trajectory plus the capture, a TimeSeries of
+every state and the derived signals. Events snap to the nearest step
+boundary and take effect at the start of that step. Row 0 of either is the
+initial condition before any t=0 event. A trajectory that leaves
+|x| <= 1e6 pu (every entry) is truncated and flagged diverged (an expected
+outcome for unstable scenarios, not a solver error); a non-finite state
+truncates at the last valid sample and flags the run aborted. A stepped
+row whose sum of squares is inside the limit's square passes without the
+entrywise test.
 """
 
 from __future__ import annotations
@@ -166,24 +169,25 @@ def march(x0: np.ndarray, n_steps: int, dt: float,
 
 def _fill_affine(states: np.ndarray, start: int, end: int, rule: Affine) -> Optional[int]:
     """Fill rows start+1..end, each block the h rows before it mapped by the
-    h-th power of the step; return the first bad row, or None. The power is
-    squared only while finite: an undriven unstable mode must not meet inf*0."""
+    h-th power of the step, then return the first bad row, or None. A row
+    depends only on the rows before it, so one scan of the filled segment
+    finds the row a check after every step would; the rows past it may
+    overflow unseen, and march drops them. The power is squared only while
+    finite: an undriven unstable mode must not meet inf*0."""
     (phi, gamma), h, k = rule, 1, start  # rows to k are filled
-    while k < end:
-        rows = states[k + 1 : min(k + 1 + h, end + 1)]
-        np.matmul(states[k + 1 - h : k + 1 - h + len(rows)], phi.T, out=rows)
-        rows += gamma
-        bad = np.flatnonzero(~(np.abs(rows).max(axis=1) <= DIVERGENCE_LIMIT))
-        if bad.size:
-            return k + 1 + int(bad[0])
-        k += len(rows)
-        if k == end:
-            return None
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < end:
+            rows = states[k + 1 : min(k + 1 + h, end + 1)]
+            np.matmul(states[k + 1 - h : k + 1 - h + len(rows)], phi.T, out=rows)
+            rows += gamma
+            k += len(rows)
+            if k == end:
+                break
             square = Affine(phi @ phi, phi @ gamma + gamma)
-        if all(np.isfinite(v).all() for v in square):
-            (phi, gamma), h = square, 2 * h
-    return None
+            if all(np.isfinite(v).all() for v in square):
+                (phi, gamma), h = square, 2 * h
+    bad = np.flatnonzero(~(np.abs(states[start + 1 : end + 1]).max(axis=1) <= DIVERGENCE_LIMIT))
+    return start + 1 + int(bad[0]) if bad.size else None
 
 
 @functools.lru_cache(maxsize=None)
@@ -349,21 +353,18 @@ def _segments(model: SystemModel, events: Sequence[Event], refs: RefInputs, dt: 
     return segments
 
 
-def integrate(
-    model: SystemModel,
-    x0: np.ndarray,
-    refs: RefInputs,
-    t_end: float,
-    dt: float = 5e-5,
-    events: Sequence[Event] = (),
-) -> TimeSeries:
-    """Integrate the plant ODE from x0 with the given event schedule, one
-    ETDRK4 rule per event segment (the exact zero-order hold when the plant
-    has no controller).
+def trajectory(model: SystemModel, x0: np.ndarray, refs: RefInputs, t_end: float, dt: float,
+               events: Sequence[Event]) -> Run:
+    """The states of the plant ODE run from x0 with the given event schedule,
+    one ETDRK4 rule per event segment (the exact zero-order hold when the
+    plant has no controller): row k at t = k dt, row 0 before any t=0 event,
+    truncated at the last valid sample with march's flags and note."""
+    return _trajectory(model, x0, refs, t_end, dt, events)[0]
 
-    Captures every state plus interface powers and bus voltage magnitudes at
-    every step, the derived signals in one measure call per event segment.
-    """
+
+def _trajectory(model: SystemModel, x0: np.ndarray, refs: RefInputs, t_end: float, dt: float,
+                events: Sequence[Event]) -> tuple[Run, list[tuple[int, RefInputs, Optional[FaultSpec]]]]:
+    """trajectory's run and the schedule it ran (see _segments)."""
     if not 1e-6 <= dt <= 1e-3:
         raise ValueError(f"dt must be in [1e-6, 1e-3] s, got {dt}")
     if not (math.isfinite(t_end) and t_end > 0.0):
@@ -375,13 +376,27 @@ def integrate(
     n_steps = int(round(t_end / dt))
     segments = _segments(model, events, refs, dt, n_steps)
     rules = {key: _step_rule(model, *key, dt) for key in dict.fromkeys((r, f) for _, r, f in segments)}
-    run = march(x0, n_steps, dt, [(k, rules[r, f]) for k, r, f in segments])
+    return march(x0, n_steps, dt, [(k, rules[r, f]) for k, r, f in segments]), segments
 
+
+def integrate(
+    model: SystemModel,
+    x0: np.ndarray,
+    refs: RefInputs,
+    t_end: float,
+    dt: float = 5e-5,
+    events: Sequence[Event] = (),
+) -> TimeSeries:
+    """trajectory's run as a TimeSeries: every state plus interface powers
+    and bus voltage magnitudes at every sample, the derived signals in one
+    measure call per event segment.
+    """
+    run, segments = _trajectory(model, x0, refs, t_end, dt, events)
     states = run.states
     columns = {lab: states[:, i].copy() for i, lab in enumerate(model.labels)}
     columns.update((name, np.empty(len(states))) for name in DERIVED_SIGNALS)
     # row 0 reads the refs before any t=0 event, row k+1 those of step k
-    ends = [k for k, _, _ in segments[1:]] + [n_steps]
+    ends = [k for k, _, _ in segments[1:]] + [len(states) - 1]
     spans = [(slice(0, 1), refs)] + [
         (slice(k + 1, end + 1), r) for (k, r, _), end in zip(segments, ends)
     ]

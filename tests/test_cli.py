@@ -273,6 +273,7 @@ def test_unsettled_scr_measurement_exit_4(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("short-circuit ratio fault measurement invalid: fault current drifted ")
+    assert "weak" in err
     assert "Traceback" not in err
     assert (out / "manifest.json").exists()
     assert not (out / "scr.csv").exists()

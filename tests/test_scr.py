@@ -8,18 +8,25 @@ import numpy as np
 import pytest
 
 from wppsc.components import GFM, ScParams
-from wppsc.config import GRID_CASES, OperatingPoint, preset_scenario
+from wppsc.config import GRID_CASES, OperatingPoint, build_model, preset_scenario, refs_for
 from wppsc.netbase import parallel_magnitude
+from wppsc.powerflow import solve_equilibrium
 from wppsc.scr import (
+    AVERAGING_WINDOW,
+    FAULT_RESISTANCE,
+    FAULT_START,
+    MEASUREMENT_WINDOW,
     MeasurementInvalid,
     ScrMeasurement,
     ScrReport,
+    _measurement_scenario,
     enhancement_report,
     escr_with_sc,
     fit_condenser_impedance,
     measure_scr_from_fault,
     scr_wt,
 )
+from wppsc.sim import Event, integrate
 
 
 def test_scr_wt_values():
@@ -115,11 +122,33 @@ def test_measurement_rejects_unsettled_window():
     # a window too short for the grid branch time constant leaves the fault
     # current still drifting; the guard must refuse to report a number
     s = passive_scenario("normal", with_sc=False)
-    with pytest.raises(MeasurementInvalid):
+    with pytest.raises(MeasurementInvalid, match=r"drifted .*case 'normal', window 0.05 s"):
         measure_scr_from_fault(s, window=0.05)
     # a window that cannot hold both averaging windows is refused before any run
     with pytest.raises(ValueError, match="window must exceed 0.04 s"):
         measure_scr_from_fault(s, window=0.04)
+
+
+@pytest.mark.parametrize("case", ["weak", "normal", "strong"])
+def test_measurement_reads_the_captured_series(case):
+    # the measurement reads the marched states; the same run captured as a
+    # TimeSeries, its |i_a| and windows taken from the series' columns and
+    # time axis, gives the same measurement bit for bit
+    s = preset_scenario(case)
+    meas = _measurement_scenario(s)
+    model = build_model(meas)
+    eq = solve_equilibrium(model, refs_for(meas))
+    t_end = FAULT_START + MEASUREMENT_WINDOW
+    ts = integrate(model, eq.state, eq.refs, t_end=t_end, dt=1e-4,
+                   events=[Event.fault_on(FAULT_START, "wt_mv", FAULT_RESISTANCE)])
+    assert not (ts.diverged or ts.aborted)
+    mag = np.hypot(ts.columns["i_a_d"], ts.columns["i_a_q"])
+    tail = ts.t >= t_end - AVERAGING_WINDOW
+    prior = (ts.t >= t_end - 2.0 * AVERAGING_WINDOW) & ~tail
+    i_tail, i_prior = float(np.mean(mag[tail])), float(np.mean(mag[prior]))
+    v_pre = math.hypot(ts.columns["v_c_d"][0], ts.columns["v_c_q"][0])
+    expected = ScrMeasurement(v_pre * i_tail, v_pre, i_tail, abs(i_tail - i_prior) / i_tail)
+    assert measure_scr_from_fault(s) == expected
 
 
 def test_measurement_accepts_converter_scenarios_by_opening_them():

@@ -29,8 +29,9 @@ from wppsc.components import (
     RefInputs,
     ScParams,
 )
-from wppsc.config import GRID_CASES, OperatingPoint, Scenario, build_model, refs_for
+from wppsc.config import GRID_CASES, OperatingPoint, Scenario, build_model, preset_scenario, refs_for
 from wppsc.powerflow import solve_equilibrium
+from wppsc.scr import FAULT_RESISTANCE, FAULT_START, MEASUREMENT_WINDOW, _measurement_scenario
 from wppsc.sim import (
     DERIVED_SIGNALS,
     DIVERGENCE_LIMIT,
@@ -44,6 +45,7 @@ from wppsc.sim import (
     _step_rule,
     integrate,
     march,
+    trajectory,
     zoh_step,
 )
 
@@ -591,18 +593,51 @@ def spiral(growth, theta=0.1):
         # a decaying segment, then a growing one that crosses in its block 128..255
         ([1.0, 0.0], [(0, Affine(spiral(0.99), np.array([0.5, 0.0]))),
                       (300, Affine(spiral(1.05, 0.3), np.zeros(2)))], 551),
+        # the segment is filled past its bad row, which here is row 1: row 2
+        # overflows to inf, and the rows after it stay there
+        ([1.0], [(0, Affine(np.array([[1e200]]), np.zeros(1)))], 1),
+        # doubling crosses at 2**20 in the block 16..31; past 2**1023 the
+        # rows overflow and the fill's inf * 0 turns them NaN
+        ([1.0, 1.0], [(0, Affine(np.array([[2.0, 0.0], [2.0, -2.0]]), np.zeros(2)))], 20),
     ],
 )
 def test_affine_march_truncates_like_the_step_loop(x0, segments, bad_row):
     dt, n_steps = 1e-3, 2000
     ref = reference_march(x0, n_steps, dt, segments)
-    run = march(np.array(x0), n_steps, dt, segments)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run = march(np.array(x0), n_steps, dt, segments)
     assert ref.diverged or ref.aborted
     assert f"t={bad_row * dt:.6g} s" in ref.note
     assert run.states.shape == ref.states.shape
     assert (run.diverged, run.aborted, run.note) == (ref.diverged, ref.aborted, ref.note)
     scale = np.abs(ref.states).max(axis=0)
     assert np.all(np.abs(run.states - ref.states) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("case", ["passive_measurement", "cleared_pcc", "diverging_pcc"])
+def test_trajectory_is_integrate_without_the_capture(case):
+    # integrate captures trajectory's run: its state columns are the run's
+    # states bit for bit, with the same flags and note, on the passive
+    # plant's fault measurement, a cleared PCC fault, and a run that
+    # diverges under it (weak/GFL without the condenser)
+    if case == "passive_measurement":
+        meas = _measurement_scenario(preset_scenario("weak"))
+        model = build_model(meas)
+        eq = solve_equilibrium(model, refs_for(meas))
+        t_end, dt = FAULT_START + MEASUREMENT_WINDOW, 1e-4
+        events = [Event.fault_on(FAULT_START, "wt_mv", FAULT_RESISTANCE)]
+    else:
+        model, eq = solved("weak", GFL, case == "cleared_pcc", p=1.0)
+        t_end, dt = 0.25, 2e-4
+        events = [Event.fault_on(0.05, "pcc", 0.05), Event.fault_off(0.10, "pcc")]
+    run = trajectory(model, eq.state, eq.refs, t_end, dt, events)
+    ts = integrate(model, eq.state, eq.refs, t_end=t_end, dt=dt, events=events)
+    captured = np.column_stack([ts.columns[name] for name in model.labels])
+    assert run.states.tobytes() == captured.tobytes()
+    assert (run.diverged, run.aborted, run.note) == (ts.diverged, ts.aborted, ts.note)
+    assert len(run.states) == (539 if case == "diverging_pcc" else 1 + round(t_end / dt))
+    assert run.diverged == (case == "diverging_pcc")
 
 
 def test_affine_march_keeps_an_undriven_unstable_mode_at_zero():
