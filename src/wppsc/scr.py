@@ -184,12 +184,12 @@ def measure_scr_from_fault(
     if run.diverged or run.aborted:
         raise MeasurementInvalid(f"fault run did not complete: {run.note}")
 
-    mag = np.hypot(*model.pair(run.states.T, "i_a_d"))
-    t = np.arange(len(mag)) * dt
-    tail = t >= t_end - AVERAGING_WINDOW
-    prior = (t >= t_end - 2.0 * AVERAGING_WINDOW) & ~tail
+    t = np.arange(len(run.states)) * dt
+    recent = t >= t_end - 2.0 * AVERAGING_WINDOW  # the two averaging windows
+    mag = np.hypot(*model.pair(run.states[recent].T, "i_a_d"))
+    tail = t[recent] >= t_end - AVERAGING_WINDOW
     i_tail = float(np.mean(mag[tail]))
-    i_prior = float(np.mean(mag[prior]))
+    i_prior = float(np.mean(mag[~tail]))
     if i_tail <= 0.0:
         raise MeasurementInvalid("no fault current flowed")
     drift = abs(i_tail - i_prior) / i_tail

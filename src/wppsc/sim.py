@@ -18,7 +18,9 @@ exact zero-order hold x+ = Phi x + gamma, with Phi and gamma from one expm
 of [[A, b], [0, 0]] dt (Van Loan, IEEE TAC 1978), held as data and filled
 by doubling: rows h..2h-1 of a segment are rows 0..h-1 mapped by the h-th
 power of the hold, which is then squared, and the filled segment is checked
-once. analysis.step_response steps the linear model by the same hold.
+by one test over all its rows, which are searched for the first bad one
+only when that test fails. analysis.step_response steps the linear model by
+the same hold.
 
 trajectory runs the plant under an event schedule and returns the marched
 states (a Run); integrate is trajectory plus the capture, a TimeSeries of
@@ -170,10 +172,12 @@ def march(x0: np.ndarray, n_steps: int, dt: float,
 def _fill_affine(states: np.ndarray, start: int, end: int, rule: Affine) -> Optional[int]:
     """Fill rows start+1..end, each block the h rows before it mapped by the
     h-th power of the step, then return the first bad row, or None. A row
-    depends only on the rows before it, so one scan of the filled segment
-    finds the row a check after every step would; the rows past it may
+    depends only on the rows before it, so one test over the whole filled
+    segment fails exactly when a check after every step would, and only
+    then are its rows searched for the first bad one; the rows past it may
     overflow unseen, and march drops them. The power is squared only while
-    finite: an undriven unstable mode must not meet inf*0."""
+    every entry of the square is finite: an undriven unstable mode must not
+    meet inf*0."""
     (phi, gamma), h, k = rule, 1, start  # rows to k are filled
     with np.errstate(over="ignore", invalid="ignore"):
         while k < end:
@@ -183,11 +187,13 @@ def _fill_affine(states: np.ndarray, start: int, end: int, rule: Affine) -> Opti
             k += len(rows)
             if k == end:
                 break
-            square = Affine(phi @ phi, phi @ gamma + gamma)
-            if all(np.isfinite(v).all() for v in square):
-                (phi, gamma), h = square, 2 * h
-    bad = np.flatnonzero(~(np.abs(states[start + 1 : end + 1]).max(axis=1) <= DIVERGENCE_LIMIT))
-    return start + 1 + int(bad[0]) if bad.size else None
+            phi2, gamma2 = phi @ phi, phi @ gamma + gamma
+            if np.isfinite(phi2).all() and np.isfinite(gamma2).all():
+                phi, gamma, h = phi2, gamma2, 2 * h
+    mag = np.abs(states[start + 1 : end + 1])
+    if not mag.size or mag.max() <= DIVERGENCE_LIMIT:  # a NaN fails the test
+        return None
+    return start + 1 + int(np.flatnonzero(~(mag.max(axis=1) <= DIVERGENCE_LIMIT))[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,7 +255,9 @@ def zoh_step(a: np.ndarray, b: np.ndarray, dt: float) -> Affine:
     import scipy.linalg  # imported here so that wppsc starts without scipy
 
     n = a.shape[0]
-    e = scipy.linalg.expm(np.block([[a, b[:, None]], [np.zeros((1, n + 1))]]) * dt)
+    m = np.zeros((n + 1, n + 1))
+    m[:n, :n], m[:n, n] = a * dt, b * dt
+    e = scipy.linalg.expm(m)
     return Affine(e[:n, :n], e[:n, n])
 
 

@@ -654,6 +654,45 @@ def test_affine_march_keeps_an_undriven_unstable_mode_at_zero():
     assert run.states[-1, 1] == pytest.approx(2.0, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "row, kept, diverged, aborted",
+    [
+        # every entry just inside: the whole segment is kept
+        ([UNDER] * 4, 1201, False, False),
+        # one entry just outside: kept and flagged at row 1
+        ([0.0, 0.0, -OVER, 0.0], 2, True, False),
+        # a NaN or an inf is dropped and aborts at row 1
+        ([0.0, np.nan, 0.0, 0.0], 1, False, True),
+        ([np.inf, 0.0, 0.0, 0.0], 1, False, True),
+    ],
+)
+def test_hold_divergence_check_reads_every_entry(row, kept, diverged, aborted):
+    # a zero map with offset row fills every row of the segment with row
+    rule = Affine(np.zeros((4, 4)), np.array(row))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run = march(np.zeros(4), 1200, 1e-3, [(0, rule)])
+    assert (len(run.states), run.diverged, run.aborted) == (kept, diverged, aborted)
+    assert np.array_equal(run.states[1:], np.tile(row, (kept - 1, 1)))
+    if diverged or aborted:
+        assert "t=0.001 s" in run.note
+    else:
+        assert run.note == ""
+
+
+def test_zero_step_march_returns_the_initial_state():
+    # no step to take: row 0 alone, neither flagged nor noted, both from
+    # march on a hold segment and from trajectory on the passive plant
+    run = march(np.zeros(2), 0, 1e-3, [(0, Affine(np.eye(2), np.zeros(2)))])
+    assert (run.states.tolist(), run.diverged, run.aborted, run.note) == ([[0.0, 0.0]], False, False, "")
+    meas = _measurement_scenario(preset_scenario("weak"))
+    model = build_model(meas)
+    eq = solve_equilibrium(model, refs_for(meas))
+    run = trajectory(model, eq.state, eq.refs, 4e-7, 1e-6, [])
+    assert np.array_equal(run.states, eq.state[None, :])
+    assert (run.diverged, run.aborted, run.note) == (False, False, "")
+
+
 def test_reference_step_lands_on_grid_index():
     model, eq = solved("normal", GFM, True)
     k = 20
