@@ -115,7 +115,9 @@ def _cmd_steady(scenario: Scenario, args, out_dir: str) -> int:
     rows = [*zip(model.labels, eq.state), *((name, getattr(eq.refs, name)) for name in model.unknowns)]
     _write_csv(os.path.join(out_dir, "steady.csv"), ("label", "value"), rows)
     if args.verbose:
-        print(f"converged in {eq.iterations} iterations, residual {eq.residual_norm:.3e}")
+        how = (f"converged in {eq.iterations} iterations" if eq.iterations
+               else "closed-form start met the target")
+        print(f"{how}, residual {eq.residual_norm:.3e}")
     return 0
 
 

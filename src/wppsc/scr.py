@@ -6,7 +6,9 @@ condenser enters by paralleling its branch magnitude with the grid branch.
 The measurement path runs a bolted fault on the source network and reads the
 settled fault current from the marched states (sim.trajectory, with no
 series captured), so the closed forms can be cross-checked against the full
-time-domain model.
+time-domain model. The fault lands at t = 0 on the plant's equilibrium, so
+row 0 of the run is the pre-fault state and every later row is faulted: no
+pre-fault hold is marched, since nothing reads it.
 """
 
 import math
@@ -32,7 +34,7 @@ Z_ATF_BOUNDS = (0.01, 0.2)
 FLAG_THRESHOLD = 0.10
 
 FAULT_RESISTANCE = 1e-4
-FAULT_START = 0.02
+FAULT_START = 0.0
 MEASUREMENT_WINDOW = 0.2
 AVERAGING_WINDOW = 0.02
 DRIFT_LIMIT = 0.01
@@ -163,11 +165,13 @@ def measure_scr_from_fault(
 ) -> ScrMeasurement:
     """Measure the short-circuit ratio at the turbine MV bus.
 
-    Runs the source network (converter branch open) into a bolted fault at
-    the turbine bus and reads v_prefault * |i_fault| once the current has
-    settled, |i_fault| the mean of |i_a| over the last averaging window of
-    samples t = k dt. It and the window before it must agree within the
-    drift limit, otherwise the run is rejected rather than reported.
+    Runs the source network (converter branch open) from its equilibrium
+    into a bolted fault at the turbine bus, applied at t = 0 and held for
+    the whole window, and reads v_prefault * |i_fault| once the current has
+    settled: v_prefault is |v_c| at row 0, the pre-fault equilibrium, and
+    |i_fault| the mean of |i_a| over the last averaging window of samples
+    t = k dt. It and the window before it must agree within the drift
+    limit, otherwise the run is rejected rather than reported.
     """
     if window <= 2.0 * AVERAGING_WINDOW:
         raise ValueError(

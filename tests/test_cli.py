@@ -5,6 +5,7 @@ import csv
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -118,6 +119,22 @@ def test_verbose_sets_the_log_level_on_every_call(tmp_path):
     finally:
         root.setLevel(saved)
     assert levels == [logging.WARNING, logging.INFO, logging.WARNING]
+
+
+def test_verbose_steady_names_a_start_taken_without_newton(tmp_path, capsys):
+    # the passive plant's closed-form start meets the target as it stands;
+    # a converter plant's start is certified by one Newton step
+    root = logging.getLogger()
+    saved = root.level
+    try:
+        for control, expected in (("none", r"closed-form start met the target, residual \d\.\d{3}e-1\d"),
+                                  ("gfl", r"converged in 1 iterations, residual \d\.\d{3}e-1\d")):
+            code, _ = run(tmp_path, "steady", "--set", f'control={{"type": "{control}"}}', "--verbose")
+            assert code == 0
+            out = capsys.readouterr().out
+            assert re.fullmatch(expected + "\n", out), out
+    finally:
+        root.setLevel(saved)
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "not-utf8"])

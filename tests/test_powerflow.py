@@ -23,7 +23,8 @@ from wppsc.components import (
     power_pair,
 )
 from wppsc.config import (
-    GRID_CASES, OperatingPoint, Scenario, build_model, refs_for, standard_operating_points,
+    GRID_CASES, OperatingPoint, Scenario, build_model, preset_scenario, refs_for,
+    standard_operating_points,
 )
 from wppsc.linearize import numjac
 from wppsc.netbase import GridCase, impedance_from_scr_xr
@@ -45,6 +46,7 @@ from wppsc.powerflow import (
     solve_equilibria,
     solve_equilibrium,
 )
+from wppsc.scr import _measurement_scenario
 from wppsc.sim import integrate
 
 
@@ -368,6 +370,59 @@ def test_initial_guess_no_load_passive():
             z0 = initial_guess(model, [refs], _row_scale(model))[:, 0]
             assert z0.shape == (model.n + with_sc,)
             assert np.abs(_residual(model, z0, refs)).max() <= 1e-11, (case, with_sc, v_g_ref)
+
+
+def passive_plants():
+    """The three SCR measurement plants, then the passive presets with the
+    condenser on and off."""
+    yield from (_measurement_scenario(preset_scenario(case)) for case in sorted(GRID_CASES))
+    for case in sorted(GRID_CASES):
+        for with_sc in (True, False):
+            yield preset_scenario(case, control=NO_CONVERTER, with_sc=with_sc)
+
+
+# a stiff grid at a raised source voltage: the closed-form start's residual
+# is 1.49e-8, above even RESIDUAL_ACCEPT
+MISSED_START = Scenario(name="miss", grid=GridCase(1e4, 0.05), control=NO_CONVERTER,
+                        with_sc=True, op=OperatingPoint(1.1, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("s", list(passive_plants()), ids=lambda s: f"{s.name}-sc{int(s.with_sc)}")
+def test_passive_start_on_target_is_taken_as_it_stands(s):
+    model, refs = build_model(s), refs_for(s)
+    z0 = initial_guess(model, [refs], _row_scale(model))[:, 0]
+    eq = solve_equilibrium(model, refs)
+    assert eq.iterations == 0 and eq.residual_norm < 1e-10
+    assert np.array_equal(eq.state, z0[: model.n])
+    assert [getattr(eq.refs, name) for name in model.unknowns] == z0[model.n :].tolist()
+
+
+def test_passive_start_that_misses_the_target_runs_newton():
+    # the solve is Newton's from that start, not the continuation's
+    model, refs = build_model(MISSED_START), refs_for(MISSED_START)
+    scale = _row_scale(model)
+    z0 = initial_guess(model, [refs], scale)
+    assert np.abs(_residual(model, z0[:, 0], refs)).max() > 1e-8
+    z, iters, _, _ = _newton(model, z0, RefInputs.stack([refs]), scale)
+    eq = solve_equilibrium(model, refs)
+    assert eq.iterations == iters[0] >= 1 and eq.residual_norm < 1e-10
+    assert np.array_equal(eq.state, z[: model.n, 0])
+
+
+def test_passive_batch_members_match_their_solves_alone():
+    # members on target and members that miss, in one batch: each gets the
+    # iterations and state it gets alone, and a member on target its residual
+    model = build_model(MISSED_START)
+    refs = [replace(refs_for(MISSED_START), v_g_ref=v) for v in (1.05, 1.1, 1.2, 1.0)]
+    batch = solve_equilibria(model, refs)
+    assert [eq.iterations == 0 for eq in batch] == [True, False, True, False]
+    for eq, r in zip(batch, refs):
+        alone = solve_equilibrium(model, r)
+        assert eq.iterations == alone.iterations
+        assert eq.residual_norm < 1e-8
+        assert np.allclose(eq.state, alone.state, rtol=0.0, atol=1e-12)
+        if not eq.iterations:
+            assert eq.residual_norm == alone.residual_norm
 
 
 def test_weak_grid_start_lands_on_the_normal_operating_point():

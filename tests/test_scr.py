@@ -26,7 +26,7 @@ from wppsc.scr import (
     measure_scr_from_fault,
     scr_wt,
 )
-from wppsc.sim import Event, integrate
+from wppsc.sim import Event, integrate, trajectory
 
 
 def test_scr_wt_values():
@@ -149,6 +149,30 @@ def test_measurement_reads_the_captured_series(case):
     v_pre = math.hypot(ts.columns["v_c_d"][0], ts.columns["v_c_q"][0])
     expected = ScrMeasurement(v_pre * i_tail, v_pre, i_tail, abs(i_tail - i_prior) / i_tail)
     assert measure_scr_from_fault(s) == expected
+
+
+@pytest.mark.parametrize("case", ["weak", "normal", "strong"])
+def test_faulting_at_zero_moves_the_measurement_only_by_rounding(case):
+    # the same measurement with a 0.02 s pre-fault hold before the fault:
+    # the hold stays on the equilibrium, so only rounding moves
+    s = preset_scenario(case)
+    meas = _measurement_scenario(s)
+    model = build_model(meas)
+    eq = solve_equilibrium(model, refs_for(meas))
+    hold, dt = 0.02, 1e-4
+    t_end = hold + MEASUREMENT_WINDOW
+    run = trajectory(model, eq.state, eq.refs, t_end, dt,
+                     [Event.fault_on(hold, "wt_mv", FAULT_RESISTANCE)])
+    t = np.arange(len(run.states)) * dt
+    mag = np.hypot(*model.pair(run.states.T, "i_a_d"))
+    tail = t >= t_end - AVERAGING_WINDOW
+    prior = (t >= t_end - 2.0 * AVERAGING_WINDOW) & ~tail
+    i_tail, i_prior = float(np.mean(mag[tail])), float(np.mean(mag[prior]))
+    v_pre = math.hypot(*model.pair(eq.state, "v_c_d"))
+    got = measure_scr_from_fault(s)
+    assert got.scr == pytest.approx(v_pre * i_tail, rel=1e-12, abs=0.0)
+    assert got.i_fault == pytest.approx(i_tail, rel=1e-12, abs=0.0)
+    assert got.drift == pytest.approx(abs(i_tail - i_prior) / i_tail, rel=0.0, abs=1e-12)
 
 
 def test_measurement_accepts_converter_scenarios_by_opening_them():
