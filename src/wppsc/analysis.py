@@ -140,6 +140,13 @@ def spectra(models: Sequence[StateSpaceModel]) -> list:
 def classify(records: Sequence[EigenRecord], *, null_modes: int = 0) -> StabilityReport:
     """Stable iff every record has re < STABILITY_TOL; flags lightly damped modes
     in the 40..60 Hz band. The scenario fields are left blank."""
+    return _report(records, scenario_key="", grid_case="", control="", with_sc=False, op=None,
+                   null_modes_filtered=null_modes)
+
+
+def _report(records: Sequence[EigenRecord], **fields) -> StabilityReport:
+    """classify's report of the records, with fields naming the scenario and
+    the solve (every field classify does not derive)."""
     max_re = max((r.re for r in records), default=float("-inf"))
     low = [r for r in records if r.im > 0.0 and r.freq_hz < 100.0]
     min_damp = min((r.damping for r in low), default=None)
@@ -150,17 +157,12 @@ def classify(records: Sequence[EigenRecord], *, null_modes: int = 0) -> Stabilit
         and NEAR_SYNC_BAND_HZ[0] <= r.freq_hz <= NEAR_SYNC_BAND_HZ[1]
     )
     return StabilityReport(
-        scenario_key="",
-        grid_case="",
-        control="",
-        with_sc=False,
-        op=None,
         stable=max_re < STABILITY_TOL,
         max_re=max_re,
         min_damping_below_100hz=min_damp,
         eigen=tuple(records),
         poorly_damped_near_sync=flagged,
-        null_modes_filtered=null_modes,
+        **fields,
     )
 
 
@@ -187,16 +189,16 @@ def analyze_group(scenarios: Sequence[Scenario]) -> list[StabilityReport]:
                                        check_equilibrium=False))
     reports = []
     for s, eq, ss, records in zip(scenarios, eqs, systems, _advance(systems, spectra)):
+        residual = eq.residual_norm if isinstance(eq, EquilibriumPoint) else eq.final_residual
+        fields = dict(scenario_key=scenario_key(s), grid_case=s.name, control=s.control, with_sc=s.with_sc,
+                      op=s.op, newton_iterations=eq.iterations, residual_norm=residual)
         if isinstance(records, Exception):
-            fields = {**vars(classify([])), "stable": False, "max_re": math.nan, "solved": False,
-                      "failure": f"{type(records).__name__}: {records}"}
+            reports.append(StabilityReport(stable=False, max_re=math.nan, min_damping_below_100hz=None,
+                                           eigen=(), solved=False,
+                                           failure=f"{type(records).__name__}: {records}", **fields))
         else:
             null_count = ss.a.shape[0] - sum(2 if r.conjugate_pair else 1 for r in records)
-            fields = vars(classify(records, null_modes=null_count))
-        residual = eq.residual_norm if isinstance(eq, EquilibriumPoint) else eq.final_residual
-        reports.append(StabilityReport(**{**fields, "scenario_key": scenario_key(s), "grid_case": s.name,
-                                          "control": s.control, "with_sc": s.with_sc, "op": s.op,
-                                          "newton_iterations": eq.iterations, "residual_norm": residual}))
+            reports.append(_report(records, null_modes_filtered=null_count, **fields))
     return reports
 
 

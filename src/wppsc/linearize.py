@@ -173,7 +173,9 @@ def linearize_batch(
     x_eq = np.stack(states, axis=1)
     n, m = x_eq.shape
     stacked = RefInputs.stack(refs)
-    u0 = np.array([[getattr(r, lab) for r in refs] for lab in model.inputs]).reshape(-1, m)
+    u0 = np.empty((len(model.inputs), m))
+    for row, lab in zip(u0, model.inputs):
+        row[:] = getattr(stacked, lab)  # one value shared by the members, or one each
     kv, ka, kg = model.index("v_c_d"), model.index("i_a_d"), model.index("i_g_d")
     grid = model.source_map[kg : kg + 2]  # the grid's rows of b, which read v_g_ref
     difference = split_jacobian(model, model.inputs, [kv, kv + 1, ka, ka + 1],

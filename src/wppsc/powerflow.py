@@ -11,7 +11,8 @@ the Newton system.
 One damped Newton (_damped_newton) solves both the equilibrium and its
 start, on the columns of z: one Jacobian stack and one stacked solve per
 iteration, every column evaluated at each trial, and a column that leaves
-(converged or stalled) masked out of the update. For the equilibrium
+(converged or stalled) masked out of the update; a trial that every column
+takes is taken as it stands, without the masked merge. For the equilibrium
 (_newton) it iterates on a row-scaled residual (each branch/node row times
 its inductance/capacitance) so the Jacobian is well conditioned;
 convergence is judged after a step on the true unscaled RHS, with target
@@ -31,8 +32,9 @@ the solution takes one step, unhalved. One call pays for one network solve,
 three to five power-flow iterations of a few stacked products each, one
 controller call over five probes and the certifying step; a member adds
 only its columns to that arithmetic. On 2 x86-64 vCPUs (numpy 2.4) one
-weak-grid member costs about 0.45 ms to start and 0.2 ms to certify, and
-each further member of a group about 10 µs.
+weak-grid member costs about 0.35-0.4 ms to start and 0.2 ms to certify,
+and each further member of a group about 6 µs to the start and 14 µs to
+the certifying step.
 
 The passive plant (no controller) is the exception: its start is exact in
 closed form, so its true residual is evaluated once, and a member whose
@@ -175,28 +177,41 @@ def _l2_norm(f: np.ndarray) -> np.ndarray:
 def _damped_newton(residual, jacobian, z: np.ndarray, scale, norm) -> tuple:
     """Damped Newton on each column of z for residual(z) = 0, jacobian(z)
     stacking those of scale * residual. Each column takes at least one step,
-    a step that lowers ||scale f||_2 or lands norm(f) below target, and
-    leaves once below target or when no step length lowers that merit; it is
-    evaluated at every trial, but masked out of the update once it leaves.
-    Returns (z, iterations, norm(f)), per column."""
+    a step that lowers the merit ||scale f||_2 or lands norm(f) below target,
+    and leaves once below target or when no step length lowers that merit;
+    it is evaluated at every trial, but masked out of the update once it
+    leaves. With norm None the merit is also the norm (the power flow:
+    unscaled and ℓ2). Each trial's merit and norm are evaluated once: they
+    serve its acceptance test, and an accepted trial's are kept for the next
+    iteration and the result. When every column takes a trial, z and f are
+    that trial's own arrays: the masked merge with nothing masked, the same
+    bits without the merge. Returns (z, iterations, norm(f)), per column."""
     f = residual(z)
+    merit = _l2_norm(scale * f)
+    f_norm = merit if norm is None else norm(f)
     iters, live = np.full(z.shape[1], MAX_ITERATIONS), np.ones(z.shape[1], dtype=bool)
     for it in range(1, MAX_ITERATIONS + 1):
-        f_s = scale * f
-        step, merit = _solve(jacobian(z), -f_s), _l2_norm(f_s)
+        step = _solve(jacobian(z), -(scale * f))
         stalled = live.copy()  # until a step lowers the merit
         for lam in (0.5**k for k in range(MAX_HALVINGS + 1)):
             z_try = z + lam * step
             f_try = residual(z_try)
-            better = stalled & ((_l2_norm(scale * f_try) < merit) | (norm(f_try) < RESIDUAL_TARGET))
-            z, f, stalled = np.where(better, z_try, z), np.where(better, f_try, f), stalled & ~better
+            m_try = _l2_norm(scale * f_try)
+            n_try = m_try if norm is None else norm(f_try)
+            better = stalled & ((m_try < merit) | (n_try < RESIDUAL_TARGET))
+            if better.all():  # every column takes this trial whole
+                z, f, merit, f_norm, stalled = z_try, f_try, m_try, n_try, ~better
+                break
+            z, f = np.where(better, z_try, z), np.where(better, f_try, f)
+            merit, f_norm = np.where(better, m_try, merit), np.where(better, n_try, f_norm)
+            stalled &= ~better
             if not stalled.any():
                 break
-        done = live & (stalled | (norm(f) < RESIDUAL_TARGET))  # converged or stalled
+        done = live & (stalled | (f_norm < RESIDUAL_TARGET))  # converged or stalled
         iters[done], live = it, live & ~done
         if not live.any():
             break
-    return z, iters, norm(f)
+    return z, iters, f_norm
 
 
 def _newton(model: SystemModel, z0: np.ndarray, refs: RefInputs, scale: np.ndarray) -> tuple:
@@ -235,7 +250,12 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
     integrators minimise Newton's row-scaled residual on the rows the
     controller writes: g is affine in them, so its value with each set to
     one gives their columns."""
-    n, m, stacked, unknowns = model.n, len(refs), RefInputs.stack(refs), model.unknowns
+    return _start(model, RefInputs.stack(refs), len(refs), scale)
+
+
+def _start(model: SystemModel, stacked: RefInputs, m: int, scale: np.ndarray) -> np.ndarray:
+    """initial_guess for the m members whose refs are stacked."""
+    n, unknowns = model.n, model.unknowns
     a, s, reads, writes = model.a, model.source_map, model.reads, model.writes
     kv, ka = model.index("v_c_d"), model.index("i_a_d")
     v_g = model.emfs(stacked)[:2].reshape(2, -1)  # the grid source: shared, or one per member
@@ -280,7 +300,10 @@ def _power_flow(model: SystemModel, v, i_sc, k: int, refs: RefInputs, m: int) ->
 
     v_c and i_sc are affine in w = (1, i_a d, i_a q, cos phi_sc, sin phi_sc),
     so each equation is a quadratic form w^T h w, built once per call, and
-    its gradient over w is (h + h^T) w: an iteration is a few stacked products."""
+    its gradient over w is (h + h^T) w: an iteration is a few stacked products.
+    The Jacobian at an iterate taken whole, the very array whose residual was
+    just evaluated, reuses that residual's (h + h^T) w; any other iterate,
+    such as a masked merge of trials, is evaluated anew."""
     (v0, va, vs), (s0, sa, ss) = ((c[:k], c[k], c[k + 2]) for c in (v, i_sc))
     p, vt, e_mag = refs.p_star, refs.v_turb_star, model.sc.e_mag if model.has_sc else 0.0
     u, i = np.zeros((3, m)), p / vt * np.exp(1j * np.angle(v0 + vs))
@@ -299,15 +322,19 @@ def _power_flow(model: SystemModel, v, i_sc, k: int, refs: RefInputs, m: int) ->
     h = (h[:, :size] + h[:, :size].transpose(0, 1, 3, 2)).reshape(m, -1, 5)
     w, dw = np.ones((m, 5)), np.zeros((m, 5, 3))  # w and dw/du, filled at each u
     dw[:, 1, 0] = dw[:, 2, 1] = 1.0
+    last = [None, None]  # the array hw last filled w at, and its product there
 
     def hw(z: np.ndarray) -> np.ndarray:  # (h + h^T) w per member; fills w and dw at the unknowns z
+        if z is last[0]:  # the iterate the residual has just evaluated, taken whole
+            return last[1]
         u[:size] = z
         w[:, 1:3], w[:, 3], w[:, 4] = u[:2].T, np.cos(u[2]), np.sin(u[2])
         dw[:, 3, 2], dw[:, 4, 2] = -w[:, 4], w[:, 3]
-        return (h @ w[..., None]).reshape(m, -1, 5)
+        last[:] = z, (h @ w[..., None]).reshape(m, -1, 5)
+        return last[1]
 
     u[:size] = _damped_newton(lambda z: 0.5 * (hw(z) @ w[..., None])[..., 0].T,
-                              lambda z: hw(z) @ dw[..., :size], u[:size].copy(), 1.0, _l2_norm)[0]
+                              lambda z: hw(z) @ dw[..., :size], u[:size].copy(), 1.0, None)[0]
     return u
 
 
@@ -341,10 +368,10 @@ def solve_equilibria(model: SystemModel, refs: Sequence[RefInputs]) -> list:
     InfeasibleError that solve_equilibrium would raise for it alone."""
     if not refs:
         return []
-    scale = _row_scale(model)
-    z = initial_guess(model, refs, scale)
+    scale, stacked = _row_scale(model), RefInputs.stack(refs)
+    z = _start(model, stacked, len(refs), scale)
     if model.writes:
-        z, iters, norms, oks = _newton(model, z, RefInputs.stack(refs), scale)
+        z, iters, norms, oks = _newton(model, z, stacked, scale)
     else:  # the passive start is exact in closed form: a member on target, judged on its
         # own residual as it is alone, is taken as it stands; one that misses goes to Newton
         norms = np.array([np.abs(_residual(model, col, r)).max() for col, r in zip(z.T, refs)])

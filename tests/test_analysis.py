@@ -7,6 +7,7 @@ import pytest
 from wppsc.analysis import (
     NULL_MODE_TOL,
     EigenRecord,
+    StabilityReport,
     analyze_group,
     analyze_scenario,
     classify,
@@ -461,6 +462,51 @@ def test_analyze_group_reports_are_classify_with_the_scenario_fields():
         for name, value in vars(want).items():
             assert getattr(got, name) == value, name
         assert got == want
+
+
+def classify_then_fill(s, eq, ss, records):
+    """Reference for one analyze_group report, built from classify: its
+    report with blank scenario fields, rebuilt from its vars() with the
+    scenario, the solve and, for a member that failed, the failure."""
+    if isinstance(records, Exception):
+        fields = {**vars(classify([])), "stable": False, "max_re": math.nan, "solved": False,
+                  "failure": f"{type(records).__name__}: {records}"}
+    else:
+        null_count = ss.a.shape[0] - sum(2 if r.conjugate_pair else 1 for r in records)
+        fields = vars(classify(records, null_modes=null_count))
+    residual = eq.final_residual if isinstance(eq, Exception) else eq.residual_norm
+    return StabilityReport(**{**fields, "scenario_key": scenario_key(s), "grid_case": s.name,
+                              "control": s.control, "with_sc": s.with_sc, "op": s.op,
+                              "newton_iterations": eq.iterations, "residual_norm": residual})
+
+
+def test_one_report_per_scenario_changes_no_field():
+    # a group with one member that has no equilibrium (an SCR 0.2 grid cannot
+    # carry 1 pu): each report, solved or not, is field for field the one
+    # classify's blank report gives once its scenario fields are filled in
+    base = Scenario(name="feeble", grid=GridCase(scr=0.2, x_r=5.0), control="gfl", with_sc=True)
+    group = [replace(base, op=OperatingPoint(1.0, 1.0, p)) for p in (0.1, 1.0, 0.05)]
+    model = build_model(base)
+    eqs = solve_equilibria(model, [refs_for(s) for s in group])
+    solved = [e for e in eqs if not isinstance(e, Exception)]
+    plants = iter(linearize_batch(model, [e.state for e in solved], [e.refs for e in solved]))
+    systems = [e if isinstance(e, Exception) else next(plants) for e in eqs]
+    ok = [ss for ss in systems if not isinstance(ss, Exception)]
+    spectrum = iter(spectra(ok))
+    records = [ss if isinstance(ss, Exception) else next(spectrum) for ss in systems]
+    reports = analyze_group(group)
+    assert [r.solved for r in reports] == [True, False, True]
+    for s, eq, ss, recs, got in zip(group, eqs, systems, records, reports):
+        want = classify_then_fill(s, eq, ss, recs)
+        for name, value in vars(want).items():
+            mine = getattr(got, name)
+            assert type(mine) is type(value), name
+            assert mine == value or (mine != mine and value != value), name  # nan is nan
+    blank = classify(records[0], null_modes=2)
+    assert (blank.scenario_key, blank.grid_case, blank.control, blank.with_sc, blank.op) == ("", "", "", False,
+                                                                                           None)
+    assert (blank.newton_iterations, blank.null_modes_filtered, blank.solved, blank.failure) == (0, 2, True, "")
+    assert math.isnan(blank.residual_norm)
 
 
 @pytest.mark.parametrize("stage", ["spectra", "analyze_group", "linearize_batch", "solve_equilibria"])

@@ -525,6 +525,92 @@ def test_a_column_that_leaves_stays_where_it_left(control):
     assert np.array_equal(z[:, 0], z_twin[:, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def masked_newton(residual, jacobian, z, scale, norm=None, trials=None):
+    """Reference for powerflow._damped_newton without its whole step and its
+    one merit: every trial is merged into z and f by np.where, whatever
+    accepts, and its merit and its norm are evaluated apart (norm None is
+    the merit). Appends (live, better) per trial to trials, if given."""
+    def l2(f):
+        return np.sqrt((f * f).sum(axis=0))
+
+    norm = norm or (lambda f: l2(scale * f))
+    f = residual(z)
+    iters, live = np.full(z.shape[1], MAX_ITERATIONS), np.ones(z.shape[1], dtype=bool)
+    for it in range(1, MAX_ITERATIONS + 1):
+        f_s = scale * f
+        step, merit = _solve(jacobian(z), -f_s), l2(f_s)
+        stalled = live.copy()
+        for lam in (0.5**k for k in range(MAX_HALVINGS + 1)):
+            z_try = z + lam * step
+            f_try = residual(z_try)
+            better = stalled & ((l2(scale * f_try) < merit) | (norm(f_try) < RESIDUAL_TARGET))
+            if trials is not None:
+                trials.append((live.copy(), better))
+            z, f, stalled = np.where(better, z_try, z), np.where(better, f_try, f), stalled & ~better
+            if not stalled.any():
+                break
+        done = live & (stalled | (norm(f) < RESIDUAL_TARGET))
+        iters[done], live = it, live & ~done
+        if not live.any():
+            break
+    return z, iters, norm(f)
+
+
+# five columns of f = (arctan(z0 - 0.3), z1 - z0 / 2); the last has z0^2 + 1
+# for its first row, which has no root, so that column stalls
+ROOTLESS = np.array([False, False, False, False, True])
+PER_COLUMN_START = np.array([[0.35, 1.3, 3.3, 12.0, 2.0], [0.0, 1.0, -1.0, 5.0, 0.5]])
+
+
+def per_column_residual(z):
+    return np.array([np.where(ROOTLESS, z[0] ** 2 + 1.0, np.arctan(z[0] - 0.3)), z[1] - 0.5 * z[0]])
+
+
+def per_column_jacobian(z):
+    jac = np.zeros((z.shape[1], 2, 2))
+    jac[:, 0, 0] = np.where(ROOTLESS, 2.0 * z[0], 1.0 / (1.0 + (z[0] - 0.3) ** 2))
+    jac[:, 1, 0], jac[:, 1, 1] = -0.5, 1.0
+    return jac
+
+
+@pytest.mark.parametrize("scale, norm", [
+    (np.array([[1.0], [2.0]]), lambda f: np.abs(f).max(axis=0)),  # as the equilibrium: scaled, ∞-norm
+    (1.0, None),  # as the power flow: unscaled, judged on the merit
+])
+def test_whole_step_is_the_masked_merge_accepting_every_column(scale, norm):
+    # the columns accept at different step lengths and leave at different
+    # iterations, one by stalling; while some have left, every live column
+    # accepts a trial, and there the merge must still keep the ones that left
+    trials = []
+    ref = masked_newton(per_column_residual, per_column_jacobian, PER_COLUMN_START.copy(), scale, norm,
+                        trials)
+    got = powerflow._damped_newton(per_column_residual, per_column_jacobian, PER_COLUMN_START.copy(),
+                                   scale, norm)
+    assert len(set(ref[1].tolist())) >= 3 and ref[2][-1] > 0.5  # the rootless column stalls
+    assert any(better[live].all() and not live.all() for live, better in trials)
+    assert any(better.any() and not better[live].all() for live, better in trials)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+
+
+def test_whole_step_batch_newton_matches_the_masked_merge():
+    # 27 members of one model, every third started 1% off its power flow, so
+    # that some certify in one step and the others leave later
+    members = [refs_for(scenario("weak", GFL, True, (op.v_g_ref, op.v_turb_ref, op.p_turb_ref)))
+               for op in standard_operating_points()]
+    model = build_model(scenario("weak", GFL, True))
+    scale, stacked = _row_scale(model), RefInputs.stack(members)
+    z0 = initial_guess(model, members, scale)
+    z0[:, ::3] *= 1.01
+    got = _newton(model, z0, stacked, scale)
+    with mock.patch.object(powerflow, "_damped_newton", masked_newton):
+        ref = _newton(model, z0, stacked, scale)
+    assert set(ref[1].tolist()) > {1} and ref[3].all()
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("grid, control, with_sc, op", [
     ((0.2840, 0.1086), GFL, False, (0.8063, 0.9455, 0.2016)),
     ((0.3272, 0.1028), GFM, False, (0.8317, 0.8919, 0.4946)),
@@ -652,6 +738,34 @@ def test_power_flow_lands_where_the_phasor_reference_does(case, control, q_mode,
     model = build_model(scenario(case, control, with_sc, q_mode=q_mode))
     for batch in (members, *([r] for r in members)):
         _, u, u_ref, merit = start_power_flows(model, batch)
+        assert np.all(merit < RESIDUAL_TARGET**2)
+        assert np.max(np.abs(u - u_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("with_sc", [True, False])
+def test_reused_power_flow_product_is_never_stale(with_sc):
+    # a weak, nearly resistive grid at the corners of the operating box: the
+    # members take different step lengths and leave at different iterations,
+    # so an iterate is often a masked merge of trials, at which (h + h^T)w is
+    # evaluated anew; only a trial taken whole reuses its residual's product.
+    # Each member leads the batch once, so that no one column can stand for it
+    corners = [OperatingPoint(v_g, v_t, p) for v_g in (0.8, 1.2) for v_t in (0.8, 1.2) for p in (0.1, 1.2)]
+    group = [Scenario(grid=GridCase(1.2, 0.1), control=GFL, with_sc=with_sc, op=op)
+             for op in corners[:2] + corners[3:]]  # no power flow at (0.8, 1.2, 0.1)
+    model, members, runs = build_model(group[0]), [refs_for(s) for s in group], []
+
+    def spy(residual, jacobian, z, scale, norm=None):
+        calls = []
+        out = damped_newton(lambda zz: calls.append(zz) or residual(zz), jacobian, z, scale, norm)
+        runs.append((out[1], len(calls)))
+        return out
+
+    damped_newton = powerflow._damped_newton
+    for k in range(len(members)):
+        with mock.patch.object(powerflow, "_damped_newton", spy):
+            _, u, u_ref, merit = start_power_flows(model, members[k:] + members[:k])
+        iters, calls = runs[-1]
+        assert len(set(iters.tolist())) > 1 and calls > iters.max() + 1  # a trial was halved
         assert np.all(merit < RESIDUAL_TARGET**2)
         assert np.max(np.abs(u - u_ref)) <= 1e-12
 
