@@ -16,18 +16,17 @@ is an ODE rather than an algebraic constraint.
 Each parameter set is one record, in the units a scenario states it in,
 that checks its own ranges: ScParams, GflParams, GfmParams and NetworkSpec
 here, and the grid's Thevenin branch as a netbase.Impedance. Reactances are
-pu at 50 Hz; SystemModel's law table is the one place they become
+pu at 50 Hz; SystemModel's netlist is the one place they become
 inductances and capacitances.
 
-Every branch and node law is linear in the state. SystemModel states each
-once, in one table of (state, s, {column: z}) entries that read
-s dx/dt = sum of z x_column, with s the branch inductance or the node
-capacitance; a column is a state or a source (e_g, e_sc). The state labels,
-the dense network matrix a (the state columns), the source map S (the source
-columns), the per-row s (SystemModel.lc, Newton's row scale) and the faulted
-node's capacitance all come from that table. Around the network sits a small
-nonlinear controller: for given references and fault the plant is
-x' = a x + b + E g(C x), each part read off the model: a from
+Every branch and node law is linear in the state. SystemModel states the
+network once, as an ordered netlist of branches (state, L, R, X, start,
+end) and nodes (state, C, bus), each connection once, at its branch; a
+fault bus is a node, by name (FAULT_BUSES). assemble_network turns it into
+the state labels, the network matrix a, the source map S and the per-row s
+(SystemModel.lc, Newton's row scale: each branch L or node C). Around the
+network sits a small nonlinear controller: for given references and fault
+the plant is x' = a x + b + E g(C x), each part read off the model: a from
 SystemModel.treatment(fault), where a fault of any resistance is a shunt
 conductance in its bus's node law, b = S emfs(refs), and g =
 controller(refs), the control law bound to its gains and refs (law(refs)
@@ -79,8 +78,7 @@ Q_MODES = (Q_MODE_REACTIVE, Q_MODE_VOLTAGE)
 
 # Fault shunts at least this large are treated as an open circuit.
 FAULT_OPEN_THRESHOLD = 1e8
-_FAULT_NODES = {"pcc": "v_pcc", "wt_mv": "v_c"}  # the node state of each fault bus
-FAULT_BUSES = tuple(_FAULT_NODES)
+FAULT_BUSES = ("pcc", "wt_mv")  # the bus names of SystemModel's node entries
 
 
 def power_pair(v: np.ndarray, i: np.ndarray) -> tuple[float, float]:
@@ -92,7 +90,7 @@ def power_pair(v: np.ndarray, i: np.ndarray) -> tuple[float, float]:
 # parameter sets
 
 
-def _check_lc(name: str, value: float, kind: str, s: float) -> None:
+def check_lc(name: str, value: float, kind: str, s: float) -> None:
     """Rejects the value of the named field when the L or C s it gives, or
     1 / s, is not finite and > 0 (a subnormal s has an infinite reciprocal)."""
     if not (0.0 < s < math.inf and 1.0 / s < math.inf):
@@ -119,7 +117,7 @@ class ScParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x_sub) and self.x_sub > 0.0):
             raise ValueError(f"sc x_sub must be > 0, got {self.x_sub}")
-        _check_lc("sc x_sub", self.x_sub, "L", self.x_sub / OMEGA0)  # SystemModel's l_sub
+        check_lc("sc x_sub", self.x_sub, "L", self.x_sub / OMEGA0)  # SystemModel's l_sub
         if not (math.isfinite(self.r_tr) and self.r_tr >= 0.0):
             raise ValueError(f"sc r_tr must be >= 0, got {self.r_tr}")
         if not (math.isfinite(self.x_tr) and self.x_tr >= 0.0):
@@ -194,10 +192,10 @@ class NetworkSpec:
         if not self.xa + self.xtf > 0.0:
             raise ValueError(f"network xa + xtf must be > 0, got {self.xa + self.xtf}")
         # SystemModel's lf, cf, la + ltf and c_pcc
-        _check_lc("network xf", self.xf, "L", self.xf / OMEGA0)
-        _check_lc("network x_cf", self.x_cf, "C", 1.0 / (OMEGA0 * self.x_cf))
-        _check_lc("network xa + xtf", self.xa + self.xtf, "L", self.xa / OMEGA0 + self.xtf / OMEGA0)
-        _check_lc("network c_pcc", self.c_pcc, "C", self.c_pcc)
+        check_lc("network xf", self.xf, "L", self.xf / OMEGA0)
+        check_lc("network x_cf", self.x_cf, "C", 1.0 / (OMEGA0 * self.x_cf))
+        check_lc("network xa + xtf", self.xa + self.xtf, "L", self.xa / OMEGA0 + self.xtf / OMEGA0)
+        check_lc("network c_pcc", self.c_pcc, "C", self.c_pcc)
 
 
 @dataclass(frozen=True)
@@ -352,13 +350,39 @@ GFM_LAW = ControlLaw(
 # assembled system
 
 
+def assemble_network(netlist: Sequence[tuple], inputs: Sequence[str] = ()) -> tuple:
+    """(labels, lc, a, source_map) of an ordered netlist of dq pairs: branches
+    (state, L, R, X, start, end), from start (a node, a source e_g or e_sc,
+    or None) to their end node, and nodes (state, C, bus). Each law reads
+    s dx/dt = sum of z x_column, s its L or C: a branch's z is complex(-R, X)
+    on itself, +1 at its start and -1 at its end, a node's 1j omega0 C on
+    itself and -1 or +1 on each branch that starts or ends there. The inputs
+    the netlist does not hold (a controller's own states) follow its labels."""
+    s = {entry[0]: entry[1] for entry in netlist}
+    labels = tuple(dict.fromkeys([state + dq for state in s for dq in ("_d", "_q")] + list(inputs)))
+    n = len(labels)
+    cols = {**{state: k for k, state in enumerate(s)}, "e_g": n // 2, "e_sc": n // 2 + 1}
+    z = np.zeros((n // 2, n // 2 + 2), complex)  # over dq pairs; law k is the pair k
+    for state, c, *branch in netlist:
+        k = cols[state]
+        z[k, k] += (complex(-branch[0], branch[1]) if len(branch) == 4 else 1j * OMEGA0 * c) / c
+        for col, sign in zip(branch[2:], (1.0, -1.0)):  # a branch's start and end
+            if col is not None:
+                z[k, cols[col]] += complex(sign) / c
+            if col in s:
+                z[cols[col], k] += complex(-sign) / s[col]
+    law = np.empty((n, n + 4))  # each z as [[re, -im], [im, re]], with no -0.0 entries
+    law[::2, ::2], law[::2, 1::2], law[1::2, ::2], law[1::2, 1::2] = z.real, 0.0 - z.imag, z.imag, z.real
+    return labels, tuple([c for c in s.values() for _ in "dq"]), law[:, :n].copy(), law[:, n:].copy()
+
+
 class SystemModel:
     """One scenario's assembled ODE: x_dot = rhs(x, refs).
 
-    State layout (dq pairs contiguous):
+    State layout (dq pairs contiguous), the netlist's, then own_states:
         i_g, [i_sc], [i_f], v_c, i_a, v_pcc, [6 controller states]
-    i_sc appears only when sc is given, i_f and the controller
-    block only when a converter is present. Dimensions: converter without
+    i_sc appears only when sc is given, i_f and the controller's own
+    states only when a converter is present. Dimensions: converter without
     condenser 16, with condenser 18; the passive (converter-open) network is
     8 or 10.
     """
@@ -382,7 +406,7 @@ class SystemModel:
         self.control = control
         self.gfl = gfl if gfl is not None else (GflParams() if control == GFL else None)
         self.gfm = gfm if gfm is not None else (GfmParams() if control == GFM else None)
-        self.sc = sc
+        self.sc, self.has_sc = sc, sc is not None
         self.q_mode = q_mode
         # the converter's control law, which names the states it reads and writes, and its gains
         self._law, gains = {GFL: (GFL_LAWS[q_mode], self.gfl),
@@ -396,48 +420,25 @@ class SystemModel:
         self.unknowns: tuple[str, ...] = (
             ("phi_sc",) * (sc is not None) + ("q_star",) * ("q_star" in self.inputs))
 
-        # each network law as (state, s, {column: z}): s dx/dt = sum of z x_column
-        # over dq pairs, s the branch inductance or the node capacitance, a column
-        # a state or a source (b = S emfs(refs)); the controller adds
-        # the inverter voltage. The only place a reactance becomes an L or a C.
+        # the network's netlist, the only place a reactance becomes an L or a C; the
+        # condenser's rotation term is x_sub + x_tr over L = x_sub / omega0 (README)
         net = network
         lf, cf = net.xf / OMEGA0, 1.0 / (OMEGA0 * net.x_cf)
         l_at = net.xa / OMEGA0 + net.xtf / OMEGA0
-        laws = [("i_g", grid.x / OMEGA0, {"i_g": complex(-grid.r, grid.x), "v_pcc": -1.0, "e_g": 1.0})]
+        netlist = [("i_g", grid.x / OMEGA0, grid.r, grid.x, "e_g", "v_pcc")]
         if sc is not None:
-            laws.append(("i_sc", sc.x_sub / OMEGA0,
-                         {"i_sc": complex(-sc.r_tr, sc.x_sub + sc.x_tr), "v_pcc": -1.0, "e_sc": 1.0}))
+            netlist.append(("i_sc", sc.x_sub / OMEGA0, sc.r_tr, sc.x_sub + sc.x_tr, "e_sc", "v_pcc"))
         if control != NO_CONVERTER:
-            laws.append(("i_f", lf, {"i_f": complex(-net.rf, OMEGA0 * lf), "v_c": -1.0}))
-        laws += [
-            ("v_c", cf, {"i_f": 1.0, "v_c": 1j * OMEGA0 * cf, "i_a": -1.0}),
-            ("i_a", l_at, {"v_c": 1.0, "i_a": complex(-(net.ra + net.rtf), OMEGA0 * l_at), "v_pcc": -1.0}),
-            ("v_pcc", net.c_pcc, {"i_g": 1.0, "i_sc": 1.0, "i_a": 1.0, "v_pcc": 1j * OMEGA0 * net.c_pcc}),
-        ]
-        labels, lc = [], []
-        for state, s, _ in laws:
-            labels += (state + "_d", state + "_q")
-            lc += (s, s)
-        # then the states the control law reads that the network does not hold
+            netlist.append(("i_f", lf, net.rf, OMEGA0 * lf, None, "v_c"))
+        netlist += [("v_c", cf, "wt_mv"), ("i_a", l_at, net.ra + net.rtf, OMEGA0 * l_at, "v_c", "v_pcc"),
+                    ("v_pcc", net.c_pcc, "pcc")]
+        # the control law's inputs: those the netlist does not hold are its own states
         inputs, writes = (self._law.inputs, self._law.writes) if self._law is not None else ((), ())
-        self.labels: tuple[str, ...] = tuple(dict.fromkeys([*labels, *inputs]))
-        # the s of each network row: the only place a row's L or C is kept
-        self.lc: tuple[float, ...] = tuple(lc)
+        self.labels, self.lc, self.a, self.source_map = assemble_network(netlist, inputs)
+        self.own_states: tuple[str, ...] = self.labels[len(self.lc) :]
         self.n = len(self.labels)
         self._idx = {name: k for k, name in enumerate(self.labels)}
-        # each law's coefficients over its s, as 2x2 blocks: on the state columns
-        # the fault-free state matrix a, on the source columns S, the map from
-        # emfs to b
-        cols = {state: k for k, (state, _, _) in enumerate(laws)}
-        cols.update(e_g=self.n // 2, e_sc=self.n // 2 + 1)
-        z = np.zeros((self.n // 2, self.n // 2 + 2), complex)  # over dq pairs; law k is the pair k
-        for k, (_, s, terms) in enumerate(laws):
-            for col, v in terms.items():
-                if col in cols:  # i_sc and i_f only where present
-                    z[k, cols[col]] += complex(v) / s
-        law = np.empty((self.n, self.n + 4))  # each z as [[re, -im], [im, re]], with no -0.0 entries
-        law[::2, ::2], law[::2, 1::2], law[1::2, ::2], law[1::2, 1::2] = z.real, 0.0 - z.imag, z.imag, z.real
-        self.a, self.source_map = law[:, : self.n].copy(), law[:, self.n :].copy()
+        self._nodes = {entry[2]: entry[0] + "_d" for entry in netlist if len(entry) == 3}  # by bus
         self._e_mag = sc.e_mag if sc is not None else 0.0
         # the state rows the controller reads and those its outputs add to
         self.reads: list[int] = [self._idx[s] for s in inputs]
@@ -454,10 +455,6 @@ class SystemModel:
         k = self._idx[label_d]
         return x[k : k + 2]
 
-    @property
-    def has_sc(self) -> bool:
-        return self.sc is not None
-
     # -- linear network ------------------------------------------------------
 
     def treatment(self, fault: Optional[FaultSpec]) -> np.ndarray:
@@ -467,7 +464,7 @@ class SystemModel:
         written. Very large resistances are an open circuit."""
         if fault is None or fault.r_fault >= FAULT_OPEN_THRESHOLD:
             return self.a
-        k = self._idx[_FAULT_NODES[fault.bus] + "_d"]
+        k = self._idx[self._nodes[fault.bus]]
         a = self.a.copy()
         a[k : k + 2, k : k + 2] -= np.eye(2) / (fault.r_fault * self.lc[k])
         return a
@@ -534,8 +531,6 @@ class SystemModel:
         e = self.emfs(refs)
         out["p_g"], out["q_g"] = power_pair(e[:2], self.pair(x, "i_g_d"))
         out["p_sc"], out["q_sc"] = power_pair(e[2:], self.pair(x, "i_sc_d")) if self.has_sc else (0.0, 0.0)
-        v_c = self.pair(x, "v_c_d")
-        v_pcc = self.pair(x, "v_pcc_d")
-        out["v_c_mag"] = np.hypot(v_c[0], v_c[1])
-        out["v_pcc_mag"] = np.hypot(v_pcc[0], v_pcc[1])
+        for node in ("v_c", "v_pcc"):
+            out[node + "_mag"] = np.hypot(*self.pair(x, node + "_d"))
         return out

@@ -31,6 +31,7 @@ from .components import (
     GFL,
     GFM,
     NO_CONVERTER,
+    OMEGA0,
     Q_MODE_REACTIVE,
     Q_MODES,
     GflParams,
@@ -39,6 +40,7 @@ from .components import (
     RefInputs,
     ScParams,
     SystemModel,
+    check_lc,
 )
 from .netbase import MAX_SCR, GridCase, Impedance, impedance_from_scr_xr
 from .sim import Event
@@ -124,13 +126,14 @@ def standard_operating_points() -> tuple[OperatingPoint, ...]:
 
 
 def _grid_branch(grid: GridCase | Impedance) -> Impedance:
-    """The Thevenin branch of a grid entry, which needs a reactance; an
-    explicit branch is also at least 1 / MAX_SCR in size."""
+    """The Thevenin branch of a grid entry, which needs a reactance whose L
+    and 1 / L are finite; an explicit branch is also at least 1 / MAX_SCR in size."""
     if isinstance(grid, Impedance) and grid.magnitude < 1.0 / MAX_SCR:
         raise ValueError(f"grid branch |z| must be >= {1.0 / MAX_SCR:g} pu, got {grid.magnitude:g}")
     z = grid if isinstance(grid, Impedance) else impedance_from_scr_xr(grid)
     if not z.x > 0.0:
         raise ValueError(f"grid x must be > 0, got {z.x}")
+    check_lc("grid x", z.x, "L", z.x / OMEGA0)  # SystemModel's grid branch L
     return z
 
 

@@ -241,15 +241,15 @@ def initial_guess(model: SystemModel, refs: Sequence[RefInputs], scale: np.ndarr
     plant's power flow. scale is Newton's row scale (_row_scale), which
     keeps the linear solve well conditioned at any grid strength.
 
-    One linear solve of the fault-free network, with the rows the controller
-    writes holding i_a and the controller states, gives the state per grid
-    source, per unit i_a and per condenser EMF at angle 0 and pi/2 (each
-    right-hand side from SystemModel.source_map); the state is their
-    superposition at the i_a and phi_sc of _power_flow. The controller angle
-    is that of v_c (negated for the grid-forming frame), and the four
-    integrators minimise Newton's row-scaled residual on the rows the
-    controller writes: g is affine in them, so its value with each set to
-    one gives their columns."""
+    One linear solve of the fault-free network, with the i_f rows holding
+    i_a and the law's own rows (SystemModel.own_states) their states, gives
+    the state per grid source, per unit i_a and per condenser EMF at angle 0
+    and pi/2 (each right-hand side from SystemModel.source_map); the state is
+    their superposition at the i_a and phi_sc of _power_flow. Each row is
+    placed by label. The law's first own state, its angle, is that of v_c
+    (negated for the grid-forming frame), and its last four, the integrators,
+    minimise Newton's row-scaled residual on the rows it writes: g is affine
+    in them, so its value with each set to one gives their columns."""
     return _start(model, RefInputs.stack(refs), len(refs), scale)
 
 
@@ -262,9 +262,10 @@ def _start(model: SystemModel, stacked: RefInputs, m: int, scale: np.ndarray) ->
     k, scale, e_mag = v_g.shape[1], scale[:n, None], model.sc.e_mag if model.has_sc else 0.0
     # the grid source, unit i_a (d, q), then the EMF at angle 0 (d) and pi/2 (q)
     lhs, rhs = scale * a, np.hstack((-scale * (s[:, :2] @ v_g), np.zeros((n, 2)), -e_mag * scale * s[:, 2:]))
-    if writes:  # the i_f rows hold i_a, the controller rows hold their states
-        lhs[writes], lhs[writes, [ka, ka + 1, *writes[2:]]] = 0.0, 1.0
-        rhs[writes[:2], [k, k + 1]] = 1.0
+    if writes:  # the i_f rows hold i_a, the law's own rows hold their states
+        kf, own = model.index("i_f_d"), [model.index(label) for label in model.own_states]
+        lhs[writes], lhs[[kf, kf + 1, *own], [ka, ka + 1, *own]] = 0.0, 1.0
+        rhs[[kf, kf + 1], [k, k + 1]] = 1.0
     ks = model.index("i_sc_d") if model.has_sc else kv  # i_sc's row, if any
     x = np.linalg.solve(lhs, rhs)
     u = _power_flow(model, x[kv] + 1j * x[kv + 1], x[ks] + 1j * x[ks + 1], k, stacked, m)
@@ -275,15 +276,16 @@ def _start(model: SystemModel, stacked: RefInputs, m: int, scale: np.ndarray) ->
         return z
     if "q_star" in unknowns:
         z[-1] = power_pair(z[kv : kv + 2], z[ka : ka + 2])[1]
-    z[n - 6] = np.arctan2(z[kv + 1], z[kv]) * (-1.0 if model.control == GFM else 1.0)
+    angle, _, *integrators = own  # the second is zero at every equilibrium
+    z[angle] = np.arctan2(z[kv + 1], z[kv]) * (-1.0 if model.control == GFM else 1.0)
     # the writes rows at five probes per member: the integrators at zero, then each at one
-    g, probes = model.controller(_refs_from_z(model, z, stacked)), np.eye(5, 4, -1).T[..., None]
+    g, probes = model.controller(_refs_from_z(model, z, stacked)), iter(np.eye(5, 4, -1).T[..., None])
     f = np.repeat((a[writes] @ z[:n])[:, None], 5, axis=1)
-    for row, out in zip(f, g([*z[reads[:-4]], *probes])):
+    for row, out in zip(f, g([next(probes) if r in integrators else z[r] for r in reads])):
         row += out
     f *= scale[writes, :, None]
     jt = (f[:, 1:] - f[:, :1]).transpose(2, 1, 0)  # per member, the integrators' columns as rows
-    z[n - 4 : n] = -_solve(jt @ jt.transpose(0, 2, 1), (jt @ f[:, 0].T[..., None])[..., 0].T)
+    z[integrators] = -_solve(jt @ jt.transpose(0, 2, 1), (jt @ f[:, 0].T[..., None])[..., 0].T)
     return z
 
 

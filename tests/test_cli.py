@@ -206,6 +206,8 @@ _UNBUILDABLE = [
     ("network.c_pcc=1e-320", "network", "c_pcc"),
     ('network={"xa": 0, "xtf": 1e-320}', "network", "xa + xtf"),
     ("sc.x_sub=1e-320", "sc", "x_sub"),
+    ('grid={"r": 0.001, "x": 1e-320}', "grid", "x"),
+    ("grid.x_r=1e-310", "grid", "x"),
 ]
 
 

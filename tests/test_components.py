@@ -21,7 +21,7 @@ from wppsc.components import (
     power_pair,
 )
 from wppsc.config import Scenario, build_model
-from wppsc.netbase import Impedance
+from wppsc.netbase import GridCase, Impedance
 
 from plant_oracle import (
     composed_rhs,
@@ -463,6 +463,10 @@ def test_parameter_validation():
         Impedance(r=-0.01, x=0.3)
     with pytest.raises(ValueError, match="grid x must be > 0"):
         build_model(Scenario(grid=Impedance(r=0.01, x=0.0)))
+    # > 0, but the grid branch's L = x / omega0 is subnormal
+    for grid in (Impedance(r=0.001, x=1e-320), GridCase(scr=1.6, x_r=1e-310)):
+        with pytest.raises(ValueError, match="grid x must be in the range where its L and 1 / L are finite"):
+            build_model(Scenario(grid=grid))
     with pytest.raises(ValueError):
         ScParams(x_sub=0.0)
     for name in ("r_tr", "x_tr", "e_mag"):
