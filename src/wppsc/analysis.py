@@ -45,14 +45,6 @@ NEAR_SYNC_BAND_HZ = (40.0, 60.0)
 NEAR_SYNC_DAMPING = 0.20
 
 
-def damping(lam: complex) -> Optional[float]:
-    """zeta = -re/|lam|; None marks the undefined case of a null mode."""
-    mag = abs(lam)
-    if mag == 0.0:
-        return None
-    return -lam.real / mag
-
-
 @dataclass(frozen=True)
 class EigenRecord:
     re: float

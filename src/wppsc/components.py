@@ -28,7 +28,8 @@ the state labels, the network matrix a, the source map S and the per-row s
 network sits a small nonlinear controller: for given references and fault
 the plant is x' = a x + b + E g(C x), each part read off the model: a from
 SystemModel.treatment(fault), where a fault of any resistance is a shunt
-conductance in its bus's node law, b = S emfs(refs), and g =
+conductance in its bus's node law, b = S emfs(refs), nonzero on the rows
+`sources` alone (those of the branches a source starts), and g =
 controller(refs), the control law bound to its gains and refs (law(refs)
 gives the law and those values). Each law (GFL_LAWS, one per q mode, and
 GFM_LAW) is a ControlLaw, stated once as straight-line text over named
@@ -439,10 +440,11 @@ class SystemModel:
         self.n = len(self.labels)
         self._idx = {name: k for k, name in enumerate(self.labels)}
         self._nodes = {entry[2]: entry[0] + "_d" for entry in netlist if len(entry) == 3}  # by bus
-        self._e_mag = sc.e_mag if sc is not None else 0.0
-        # the state rows the controller reads and those its outputs add to
+        self.e_mag = sc.e_mag if sc is not None else 0.0  # the condenser EMF magnitude, 0 without one
+        # the state rows the controller reads and those its outputs add to, then those b adds to
         self.reads: list[int] = [self._idx[s] for s in inputs]
         self.writes: list[int] = [self._idx[s] for s in writes]
+        self.sources: list[int] = np.flatnonzero(self.source_map.any(axis=1)).tolist()
         if self._law is not None:  # the values the law binds, by name; all but the refs once, here
             known = {**vars(gains), "lf": lf, "b_cf": OMEGA0 * cf, "xf": OMEGA0 * lf}
             self._constants, self._refs = (operator.itemgetter(*self._law.constants)(known),
@@ -475,7 +477,7 @@ class SystemModel:
         """The source phasors (d, q) of refs, the grid source's and then the
         condenser EMF's (zero without the condenser), as the rows of a (4,)
         array, or of a (4, m) array for m-vector fields: b = source_map @ emfs."""
-        v_g, angle, phi, e = refs.v_g_ref, refs.v_g_angle, refs.phi_sc, self._e_mag
+        v_g, angle, phi, e = refs.v_g_ref, refs.v_g_angle, refs.phi_sc, self.e_mag
         if isinstance(v_g, float) and isinstance(angle, float) and isinstance(phi, float):
             # one state's refs: math is several times cheaper than numpy on a float
             return np.array((v_g * math.cos(angle), v_g * math.sin(angle),

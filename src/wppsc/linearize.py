@@ -7,11 +7,13 @@ function that maps a (size, M) array of points, one per column, to the
 
 The plant is x' = a x + b + E g(C x) (see components), so split_jacobian
 takes the network matrix a as it is and makes one numjac call on the
-nonlinear part alone, over the inputs it reads. Newton's Jacobian
-(powerflow) and linearize_batch are built that way; linearize_batch
-linearizes m equilibria of one model with one call, its outputs (which read
-only v_c and i_a) and the grid's rows of b (which read v_g_ref) differenced
-with the controller.
+nonlinear part N = b + E g alone, over the inputs it reads: the
+controller's writes rows and every source row of b, whichever of the
+differenced fields move them, so no caller names a row of b. A caller adds
+only its own outputs, after the state. Newton's Jacobian (powerflow) and
+linearize_batch are built that way; linearize_batch linearizes m
+equilibria of one model with one call, its outputs (which read only v_c and
+i_a) differenced with N.
 """
 
 from __future__ import annotations
@@ -109,24 +111,27 @@ def linearize(
 def split_jacobian(
     model: SystemModel,
     fields: Sequence[str],
-    rows: Sequence[int],
+    rows: Sequence[str],
     extra: Callable[[list, RefInputs], list],
-    extra_rows: Sequence[int],
+    outputs: int,
 ) -> Callable[[np.ndarray, RefInputs, float], np.ndarray]:
     """The Jacobian of [x; the refs fields] -> [x'; extra outputs], bound for
     the model as jac(z, refs, eps): its (m, n + outputs, size) stack at the
     columns of z (size, m), refs stacked likewise. The state block is the
     network matrix a (SystemModel.a), exact, plus one numjac call on the
-    nonlinear part: the controller outputs, into its writes rows, and
-    extra(xs, r), into extra_rows (a state row, or n + i for output i), over
-    the controller's reads, the state rows `rows` and the fields. xs holds
-    the state rows read (None elsewhere), r the refs with the fields rebound."""
-    n, reads = model.n, model.reads
-    inputs = np.array([*reads, *(k for k in rows if k not in reads), *range(n, n + len(fields))], int)
+    nonlinear part N = b + E g: the controller outputs, into its writes rows,
+    b, into its rows SystemModel.sources (the nonzero rows of source_map), and
+    the `outputs` values of extra(xs, r), into the rows after the state, over
+    the controller's reads, the state pairs `rows` (by label) and the fields.
+    xs holds the state rows read (None elsewhere), r the refs with the fields
+    rebound."""
+    n, reads, sources = model.n, model.reads, model.sources
+    pairs = [model.index(label + "_d") + dq for label in rows for dq in (0, 1)]
+    inputs = np.array([*reads, *(k for k in pairs if k not in reads), *range(n, n + len(fields))], int)
     k = len(inputs) - len(fields)  # the state rows first
-    shape = (n + sum(r >= n for r in extra_rows), n + len(fields))
+    s, shape = model.source_map[sources], (n + outputs, n + len(fields))
     # the flat offsets of the (output row, input) pairs in one member's matrix
-    at = (np.array([*model.writes, *extra_rows], int)[:, None] * shape[1] + inputs).ravel()
+    at = (np.array([*model.writes, *sources, *range(n, n + outputs)], int)[:, None] * shape[1] + inputs).ravel()
 
     def jac(z: np.ndarray, refs: RefInputs, eps: float) -> np.ndarray:
         m = z.shape[1]
@@ -141,7 +146,9 @@ def split_jacobian(
                 xs = [None] * n
                 for i, row in zip(inputs[:k].tolist(), u):
                     xs[i] = row
-                return [*model.controller(r)([xs[i] for i in reads]), *extra(xs, r)]
+                b = s @ model.emfs(r)  # one value per row where no field moves b: its difference is 0
+                b = b if b.ndim == 2 else b[:, None].repeat(u.shape[1], 1)
+                return [*model.controller(r)([xs[i] for i in reads]), *b, *extra(xs, r)]
 
             out.reshape(m, -1)[:, at] += numjac(f, z[inputs], eps).reshape(m, -1)
         return out
@@ -176,11 +183,8 @@ def linearize_batch(
     u0 = np.empty((len(model.inputs), m))
     for row, lab in zip(u0, model.inputs):
         row[:] = getattr(stacked, lab)  # one value shared by the members, or one each
-    kv, ka, kg = model.index("v_c_d"), model.index("i_a_d"), model.index("i_g_d")
-    grid = model.source_map[kg : kg + 2]  # the grid's rows of b, which read v_g_ref
-    difference = split_jacobian(model, model.inputs, [kv, kv + 1, ka, ka + 1],
-                                lambda xs, r: [*(grid @ model.emfs(r)), *_outputs(model, xs)],
-                                [kg, kg + 1, *range(n, n + len(OUTPUT_LABELS))])
+    difference = split_jacobian(model, model.inputs, ("v_c", "i_a"), lambda xs, r: _outputs(model, xs),
+                                len(OUTPUT_LABELS))
     jac = difference(np.concatenate((x_eq, u0)), stacked, eps)
     a, b, c = jac[:, :n, :n], jac[:, :n, n:], jac[:, n:, :n]
 

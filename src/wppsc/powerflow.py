@@ -49,9 +49,9 @@ Newton. A column that fails is solved again alone, where a cold start that
 stalls takes the continuation, so that its error is the one it has alone.
 
 The Jacobian is linearize.split_jacobian over the unknowns: the network
-matrix exactly, plus one central difference of the controller, the
-condenser's source rows of b and the closure rows over the controller's
-inputs, i_sc and the closure unknowns.
+matrix exactly, plus one central difference of the plant's nonlinear part
+(the controller and the source rows of b, which phi_sc moves) and the
+closure rows over the controller's inputs, i_sc and the closure unknowns.
 """
 
 from __future__ import annotations
@@ -74,11 +74,11 @@ VOLTAGE_BAND = (0.5, 1.5)
 
 class SolveError(RuntimeError):
     """The equilibrium solve failed after `iterations` Newton iterations at
-    the true residual ∞-norm `final_residual`, as the subclass's `message`
-    says; detail, if any, says why."""
+    the true residual ∞-norm `final_residual`, as `message` (by default the
+    subclass's) says; detail, if any, says why."""
 
-    def __init__(self, iterations: int, final_residual: float, detail: str = ""):
-        msg = self.message.format(iterations=iterations, final_residual=final_residual)
+    def __init__(self, iterations: int, final_residual: float, detail: str = "", message: str = ""):
+        msg = (message or self.message).format(iterations=iterations, final_residual=final_residual)
         super().__init__(f"{msg} ({detail})" if detail else msg)
         self.iterations = iterations
         self.final_residual = final_residual
@@ -93,7 +93,8 @@ class NonConvergenceError(SolveError):
 
 class InfeasibleError(SolveError):
     """Residual stagnated far from zero: no equilibrium at this operating
-    point (e.g. requested power beyond the network's loadability)."""
+    point (e.g. requested power beyond the network's loadability); or, in
+    a message of its own, a solved point outside the voltage sanity band."""
 
     message = "no equilibrium found, residual stuck at {final_residual:.3e}"
 
@@ -136,8 +137,7 @@ def _closures(model: SystemModel, x, r: RefInputs) -> list:
     where its unknown is solved for."""
     unknowns, out = model.unknowns, []
     if "phi_sc" in unknowns:
-        e, i_sc = model.emfs(r), model.pair(x, "i_sc_d")
-        out.append(e[2] * i_sc[0] + e[3] * i_sc[1])
+        out.append(power_pair(model.emfs(r)[2:], model.pair(x, "i_sc_d"))[0])
     if "q_star" in unknowns:
         v_c = model.pair(x, "v_c_d")
         out.append(np.hypot(v_c[0], v_c[1]) - r.v_turb_star)
@@ -146,18 +146,10 @@ def _closures(model: SystemModel, x, r: RefInputs) -> list:
 
 def _jacobian(model: SystemModel, scale: np.ndarray):
     """Newton's Jacobian of the row-scaled residual, bound for the model as
-    jac(z, refs) (split_jacobian over the closure unknowns): its nonlinear
-    part adds the condenser's source rows of b and the closure rows, which
-    read v_c among the controller's reads."""
-    n = model.n
-    fields = model.unknowns
-    k_sc = [model.index("i_sc_d") + i for i in (0, 1)] if model.has_sc else []
-    s_sc = model.source_map[k_sc]
-
-    def extra(xs: list, r: RefInputs) -> list:
-        return [*(s_sc @ model.emfs(r)), *_closures(model, xs, r)]
-
-    jac = split_jacobian(model, fields, k_sc, extra, [*k_sc, *range(n, n + len(fields))])
+    jac(z, refs): split_jacobian over the closure unknowns, whose outputs are
+    the closure rows, which read i_sc and v_c (among the controller's reads)."""
+    jac = split_jacobian(model, model.unknowns, ("i_sc",) * model.has_sc,
+                         lambda xs, r: _closures(model, xs, r), len(model.unknowns))
     return lambda z, refs: scale[:, None] * jac(z, refs, 1e-7)
 
 
@@ -259,7 +251,7 @@ def _start(model: SystemModel, stacked: RefInputs, m: int, scale: np.ndarray) ->
     a, s, reads, writes = model.a, model.source_map, model.reads, model.writes
     kv, ka = model.index("v_c_d"), model.index("i_a_d")
     v_g = model.emfs(stacked)[:2].reshape(2, -1)  # the grid source: shared, or one per member
-    k, scale, e_mag = v_g.shape[1], scale[:n, None], model.sc.e_mag if model.has_sc else 0.0
+    k, scale, e_mag = v_g.shape[1], scale[:n, None], model.e_mag
     # the grid source, unit i_a (d, q), then the EMF at angle 0 (d) and pi/2 (q)
     lhs, rhs = scale * a, np.hstack((-scale * (s[:, :2] @ v_g), np.zeros((n, 2)), -e_mag * scale * s[:, 2:]))
     if writes:  # the i_f rows hold i_a, the law's own rows hold their states
@@ -307,7 +299,7 @@ def _power_flow(model: SystemModel, v, i_sc, k: int, refs: RefInputs, m: int) ->
     just evaluated, reuses that residual's (h + h^T) w; any other iterate,
     such as a masked merge of trials, is evaluated anew."""
     (v0, va, vs), (s0, sa, ss) = ((c[:k], c[k], c[k + 2]) for c in (v, i_sc))
-    p, vt, e_mag = refs.p_star, refs.v_turb_star, model.sc.e_mag if model.has_sc else 0.0
+    p, vt, e_mag = refs.p_star, refs.v_turb_star, model.e_mag
     u, i = np.zeros((3, m)), p / vt * np.exp(1j * np.angle(v0 + vs))
     u[0], u[1] = i.real, i.imag
     if e_mag:  # Re(e conj(g)) = -Re(ss) on the EMF e, g the i_sc with the EMF shorted
@@ -417,11 +409,9 @@ def _equilibrium(model: SystemModel, z: list, mags: list, refs: RefInputs, itera
         return NonConvergenceError(iterations, true_norm)
     for lab, mag in zip(("v_c", "v_pcc"), mags):
         if not VOLTAGE_BAND[0] < mag < VOLTAGE_BAND[1]:
-            return InfeasibleError(
-                iterations,
-                true_norm,
-                detail=f"|{lab}| = {mag:.3f} pu outside the sanity band {VOLTAGE_BAND}",
-            )
+            return InfeasibleError(iterations, true_norm, f"|{lab}| = {mag:.3f} pu, band {VOLTAGE_BAND}",
+                                   "the solved point (residual {final_residual:.3e}) is outside the "
+                                   "voltage sanity band")
     return EquilibriumPoint(
         state=np.array(z[: model.n]),
         refs=_refs_from_z(model, z, refs),  # plain floats in the result

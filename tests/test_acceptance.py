@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wppsc.analysis import damping, eigenvalues, step_response, sweep
+from wppsc.analysis import eigenvalues, step_response, sweep
 from wppsc.components import GFL, GFM, NO_CONVERTER, OMEGA0
 from wppsc.config import (
     GRID_CASES,
@@ -32,6 +32,8 @@ from wppsc.scr import (
     scr_wt,
 )
 from wppsc.sim import Event, integrate
+
+from test_analysis import damping  # the damping ratio, a test helper
 
 
 def solved_preset(case, control, with_sc, **op_kwargs):

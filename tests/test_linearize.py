@@ -22,6 +22,7 @@ from wppsc.linearize import (
     linearize,
     linearize_batch,
     numjac,
+    split_jacobian,
 )
 from wppsc.powerflow import solve_equilibrium
 
@@ -478,3 +479,52 @@ def _quick_ss(scenario):
     refs = refs_for(scenario)
     eq = solve_equilibrium(model, refs)
     return linearize(model, eq.state, eq.refs)
+
+
+_PRESETS = [(grid, control, with_sc) for grid in sorted(GRID_CASES)
+            for control in (GFL, GFM, NO_CONVERTER) for with_sc in (False, True)]
+
+
+def _emfs_derivative(model, field, refs):
+    """d emfs / d field, analytically, as the (4, m) columns of the members;
+    emfs reads v_g_ref, v_g_angle and phi_sc alone."""
+    v, a, phi = np.broadcast_arrays(*(np.atleast_1d(getattr(refs, k))
+                                      for k in ("v_g_ref", "v_g_angle", "phi_sc")))
+    zero, e = np.zeros(v.shape), model.e_mag
+    return np.array({"v_g_angle": (-v * np.sin(a), v * np.cos(a), zero, zero),
+                     "phi_sc": (zero, zero, -e * np.sin(phi), e * np.cos(phi))}.get(field, (zero,) * 4))
+
+
+@pytest.mark.parametrize("fields", [("v_g_angle", "phi_sc", "p_star", "q_star"), ("p_star", "q_star")],
+                         ids=["moves-b", "leaves-b"])
+@pytest.mark.parametrize("members", [1, 3])
+@pytest.mark.parametrize("grid, control, with_sc", _PRESETS)
+def test_split_jacobian_differences_the_whole_source_vector(grid, control, with_sc, members, fields):
+    # split_jacobian puts b = S emfs(refs) into its source rows over any field,
+    # also those no caller differences (v_g_angle; phi_sc in linearize's
+    # sense): each is S d(emfs)/d(field) to 1e-7 of max|S|. A field that no
+    # law binds writes nothing else; a row that neither b nor the controller
+    # writes is exactly zero in every field column, and the state block is a
+    # outside the controller's rows, bit for bit. With only p_star and q_star
+    # no field moves b, which is then one value per row
+    model = build_model(Scenario(grid=GRID_CASES[grid], control=control, with_sc=with_sc))
+    n, s, rng = model.n, model.source_map, np.random.default_rng(members)
+    sources = np.flatnonzero(s.any(axis=1))
+    assert model.sources == sources.tolist()  # b's rows: the nonzero rows of S
+    refs = RefInputs.stack([RefInputs(v_g_ref=1.02, v_g_angle=0.3, phi_sc=-0.4, v_turb_star=1.0)] * members)
+    z = np.vstack((rng.normal(0.0, 0.5, (n, members)),
+                   [rng.uniform(-1.0, 1.0, members) for _ in fields]))
+    jac = split_jacobian(model, fields, (), lambda xs, r: [], 0)(z, refs, 1e-6)
+    assert jac.shape == (members, n, n + len(fields))
+    at_z = replace(refs, **dict(zip(fields, z[n:])))
+    others = np.setdiff1d(np.arange(n), [*sources, *model.writes])
+    for j, field in enumerate(fields):
+        col = jac[:, :, n + j]
+        expected = (s[sources] @ _emfs_derivative(model, field, at_z)).T
+        assert np.abs(col[:, sources] - expected).max() <= 1e-7 * np.abs(s).max(), field
+        if field not in ("v_g_angle", "phi_sc"):
+            assert (col[:, sources] == 0.0).all(), field
+        unwritten = others if field in ("p_star", "q_star") else np.setdiff1d(np.arange(n), sources)
+        assert (col[:, unwritten] == 0.0).all(), field
+    rows = np.setdiff1d(np.arange(n), model.writes)
+    assert (jac[:, rows, :n] == model.a[rows]).all()

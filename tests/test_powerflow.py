@@ -676,7 +676,7 @@ def phasor_power_flow(model, v, i_sc, k, refs, m):
     complex expression per equation, every pass a masked update of every
     member. Returns u (3, m) and the final merit, sum of squares, per member."""
     (v0, va, vs), (s0, sa, ss) = ((c[:k], c[k], c[k + 2]) for c in (v, i_sc))
-    p, vt, e_mag = refs.p_star, refs.v_turb_star, model.sc.e_mag if model.has_sc else 0.0
+    p, vt, e_mag = refs.p_star, refs.v_turb_star, model.e_mag
     rows = np.flatnonzero([bool(model.writes)] * 2 + [model.has_sc])
     sel, d_i, d_e = np.ix_(rows, rows), np.array([[1.0], [1j], [0.0]]), np.array([[0.0], [0.0], [1j]])
     dv_i, dsc_i, d_ic = va * d_i, sa * d_i, d_i.conj()  # over (i_a d, i_a q, phi_sc)
